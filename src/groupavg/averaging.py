@@ -20,15 +20,20 @@ from typing import Any
 
 import numpy as np
 
+from .groupoid import CompositionTables
 from .haar import HaarSystem, restrict_haar
 from .psrep import (
     GATE_COEFF,
     NonInvertible,
     PseudoRep,
+    Stacks,
     b_norm,
+    blocks,
     c_norm,
-    invert_arrow,
+    cocycles,
+    invert_stacks,
     is_nearly_multiplicative,
+    max_norm,
     restrict_rep,
 )
 
@@ -37,27 +42,40 @@ class GatePrecondition(ValueError):
     """One-step estimates require c < 1 on every orbit."""
 
 
+def fiber_sum(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum over j of w[:, j] * terms[:, j], added from zero one fiber position at a time."""
+    acc = np.zeros(terms.shape[:1] + terms.shape[2:])
+    for j in range(terms.shape[1]):
+        acc = acc + w[:, j, None, None] * terms[:, j]
+    return acc
+
+
 def average(rep: PseudoRep, nu: HaarSystem) -> PseudoRep:
     """One averaging step.  Summation runs in ascending arrow id for determinism.
 
     Raises NonInvertible(k) when some lambda_k is singular past the
     conditioning limit.
     """
-    G = rep.groupoid
-    if len(nu.weights) != G.n_arrows:
+    st = rep.stacks()
+    avg, _ = _average(st, rep.groupoid.tables, nu)
+    return PseudoRep(rep.groupoid, rep.bundle, avg.tolist())
+
+
+def _average(st: Stacks, T: CompositionTables, nu: HaarSystem) -> tuple[Stacks, Stacks]:
+    """The averaged maps and the inverses they used.
+
+    Gathers (gk, k), multiplies, then sums over the fiber in ascending k.
+    """
+    if len(nu.weights) != len(st.group):
         raise ValueError("Haar system belongs to a different groupoid")
     w = nu.array
-    inv = [invert_arrow(rep, k) for k in G.arrows()]
-    tfiber: list[list[int]] = [[] for _ in range(G.n_objects)]
-    for k in G.arrows():
-        tfiber[G.tgt[k]].append(k)
-    maps = []
-    for g in G.arrows():
-        acc = np.zeros_like(rep.maps[g])
-        for k in tfiber[G.src[g]]:
-            acc = acc + w[k] * (rep.maps[G.mul(g, k)] @ inv[k])
-        maps.append(acc)
-    return PseudoRep(G, rep.bundle, maps)
+    inv = invert_stacks(st)
+    out = st.empty_like()
+    for g, F in blocks(st.group, width=T.row_len):
+        t = T.row_start[g][:, None] + np.arange(F)
+        k = T.avg_k[t]
+        out.put(g, fiber_sum(w[k], st.take(T.avg_gk[t]) @ inv.take(k)))
+    return out, inv
 
 
 @dataclass
@@ -82,43 +100,37 @@ def verify_fundamental_identities(rep: PseudoRep, nu: HaarSystem) -> IdentityRep
     invertible input (unital or not); residuals are pure rounding and must stay
     below 1e-12 * (1 + b)^3.
     """
-    G = rep.groupoid
+    T, st = rep.groupoid.tables, rep.stacks()
+    avg, inv = _average(st, T, nu)
     w = nu.array
-    avg = average(rep, nu)
-    inv = [invert_arrow(rep, k) for k in G.arrows()]
+    D = cocycles(st, inv, T)
 
-    def delta(g: int, h: int) -> np.ndarray:
-        return rep.maps[g] @ inv[h] - rep.maps[G.mul(g, G.inverse[h])]
+    # first identity; mean[g] is the Haar mean of Delta(gk, k) over k
+    mean = st.empty_like()
+    for g, F in blocks(st.group, width=T.row_len):
+        t = T.row_start[g][:, None] + np.arange(F)
+        mean.put(g, fiber_sum(w[T.avg_k[t]], D.take(t)))
+    res_a = max_norm(
+        rep.bundle,
+        lambda g, _: (avg.take(g) - st.take(g) - mean.take(g), T.src[g], T.tgt[g]),
+        st.group,
+    )
 
-    tfiber: list[list[int]] = [[] for _ in range(G.n_objects)]
-    for k in G.arrows():
-        tfiber[G.tgt[k]].append(k)
+    # second identity; for k in the fiber, t1 holds (g1, k, g1k) and t2 holds
+    # (g2, g1k, g2g1k), so D at t2 @ D at t1 is Delta(g2g1k, g1k) Delta(g1k, k)
+    def second(p: np.ndarray, F: int):
+        g2, g1 = T.pair_g2[p], T.pair_g1[p]
+        t1 = T.row_start[g1][:, None] + np.arange(F)
+        t2 = T.row_start[g2][:, None] + T.fiber_pos[T.avg_gk[t1]]
+        wk = w[T.avg_k[t1]]
+        left = D.take(t2)
+        lhs = avg.take(T.pair_g21[p]) - avg.take(g2) @ avg.take(g1)
+        single = fiber_sum(wk, left @ D.take(t1))
+        return lhs - (single - fiber_sum(wk, left) @ mean.take(g1)), T.src[g1], T.tgt[g2]
 
-    res_a = 0.0
-    for g in G.arrows():
-        acc = np.zeros_like(rep.maps[g])
-        for k in tfiber[G.src[g]]:
-            acc = acc + w[k] * delta(G.mul(g, k), k)
-        R = avg.maps[g] - rep.maps[g] - acc
-        res_a = max(res_a, rep.pair_norm(R, G.src[g], G.tgt[g]))
-
-    res_b = 0.0
-    for g2, g1 in G.composable_pairs():
-        x = G.src[g1]
-        lhs = avg.maps[G.mul(g2, g1)] - avg.maps[g2] @ avg.maps[g1]
-        single = np.zeros_like(lhs)
-        for k in tfiber[x]:
-            g1k = G.mul(g1, k)
-            single = single + w[k] * (delta(G.mul(g2, g1k), g1k) @ delta(g1k, k))
-        left_mean = np.zeros((rep.bundle.dims[G.tgt[g2]], rep.bundle.dims[G.tgt[g1]]))
-        right_mean = np.zeros((rep.bundle.dims[G.tgt[g1]], rep.bundle.dims[x]))
-        for h in tfiber[x]:
-            g1h = G.mul(g1, h)
-            left_mean = left_mean + w[h] * delta(G.mul(g2, g1h), g1h)
-        for k in tfiber[x]:
-            right_mean = right_mean + w[k] * delta(G.mul(g1, k), k)
-        R = lhs - (single - left_mean @ right_mean)
-        res_b = max(res_b, rep.pair_norm(R, x, G.tgt[g2]))
+    res_b = max_norm(
+        rep.bundle, second, st.group[T.pair_g2], st.group[T.pair_g1], width=T.row_len[T.pair_g1]
+    )
 
     b = b_norm(rep)
     return IdentityReport(res_a, res_b, b, 1e-12 * (1.0 + b) ** 3)

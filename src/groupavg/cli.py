@@ -139,6 +139,33 @@ def envelope_failures(trace) -> list[str]:
     return failures
 
 
+def finish_iterate(trace, out: str, extra: dict) -> list[str]:
+    """Shared tail of the iterate kinds: trace.csv, bounds_check.csv, verdict.json.
+
+    A trace of one row (the input had already converged) has no steps to
+    check, so its bounds_check.csv holds the header only.
+    """
+    averaging.write_trace_csv(trace, os.path.join(out, "trace.csv"))
+    if len(trace.rows) < 2:
+        report = bounds.BoundSeqReport(hypothesis_ok=True)
+    else:
+        report = bounds.check_quadratic_decay(
+            [float(r.b) for r in trace.rows], [float(r.c) for r in trace.rows]
+        )
+    bounds.write_check_csv(report, os.path.join(out, "bounds_check.csv"))
+    failures = []
+    if trace.verdict.kind != "Converged":
+        failures.append(f"verdict {trace.verdict.kind} at iteration {trace.verdict.iteration}")
+    env_fails = envelope_failures(trace)
+    failures += env_fails
+    averaging.write_verdict_json(
+        trace,
+        os.path.join(out, "verdict.json"),
+        extra={**extra, "bounds_check_ok": report.ok, "envelope_ok": not env_fails},
+    )
+    return failures
+
+
 def load_finite_inputs(p: dict) -> tuple[FiniteGroupoid, HaarSystem, PseudoRep]:
     G = FiniteGroupoid.load(p["groupoid"])
     report = G.validate()
@@ -168,22 +195,8 @@ def kind_finite_iterate(p: dict) -> list[str]:
             lam0 = presets.perturb_rep(rep, rng, p["perturb"])
             log(f"perturbation amplitude (gate rescale off): {p['perturb']!r}")
     trace = averaging.iterate(lam0, nu, tol_c=p["tol_c"], max_iter=p["max_iter"])
-    averaging.write_trace_csv(trace, os.path.join(out, "trace.csv"))
-    b, c = bounds.load_trace_csv(os.path.join(out, "trace.csv"))
-    report = bounds.check_quadratic_decay(b, c)
-    bounds.write_check_csv(report, os.path.join(out, "bounds_check.csv"))
-    failures = []
-    if trace.verdict.kind != "Converged":
-        failures.append(f"verdict {trace.verdict.kind} at iteration {trace.verdict.iteration}")
-    env_fails = envelope_failures(trace)
-    failures += env_fails
-    averaging.write_verdict_json(
-        trace,
-        os.path.join(out, "verdict.json"),
-        extra={"kind": "finite_iterate", "seed": p["seed"], "perturb": p["perturb"],
-               "bounds_check_ok": report.ok, "envelope_ok": not env_fails},
-    )
-    return failures
+    return finish_iterate(trace, out, {"kind": "finite_iterate", "seed": p["seed"],
+                                       "perturb": p["perturb"]})
 
 
 def kind_finite_identities(p: dict) -> list[str]:
@@ -260,23 +273,13 @@ def kind_circle_iterate(p: dict) -> list[str]:
             lam0 = circle.TorusGridFn(lam_star.values + scale * noise, p["k"])
         log(f"perturbation amplitude after gate rescale: {scale!r}")
     trace = circle.iterate_circle(lam0, tol_c=p["tol_c"], max_iter=p["max_iter"])
-    averaging.write_trace_csv(trace, os.path.join(out, "trace.csv"))
-    b, c = bounds.load_trace_csv(os.path.join(out, "trace.csv"))
-    report = bounds.check_quadratic_decay(b, c)
-    bounds.write_check_csv(report, os.path.join(out, "bounds_check.csv"))
-    failures = []
-    if trace.verdict.kind != "Converged":
-        failures.append(f"verdict {trace.verdict.kind} at iteration {trace.verdict.iteration}")
-    env_fails = envelope_failures(trace)
-    failures += env_fails
     extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": p["k"],
-             "perturb": scale, "bounds_check_ok": report.ok, "envelope_ok": not env_fails}
+             "perturb": scale}
     if trace.verdict.kind == "Converged":
         prof = circle.limit_profile(trace.final)
         circle.save_profile_csv(prof, os.path.join(out, "limit_profile.csv"))
         extra["limit_profile"] = "limit_profile.csv"
-    averaging.write_verdict_json(trace, os.path.join(out, "verdict.json"), extra=extra)
-    return failures
+    return finish_iterate(trace, out, extra)
 
 
 def kind_bounds_check(p: dict) -> list[str]:

@@ -11,7 +11,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Hashable, Iterator, Sequence
+
+import numpy as np
 
 
 class MalformedAction(ValueError):
@@ -100,6 +103,15 @@ class FiniteGroupoid:
             raise ValueError(
                 f"arrows not composable: src({g2})={self.src[g2]} != tgt({g1})={self.tgt[g1]}"
             ) from None
+
+    @cached_property
+    def tables(self) -> "CompositionTables":
+        """Integer index tables over the composition, built on first use.
+
+        The tables are a snapshot: built once per instance from the tables as
+        they stand then.  :meth:`validate` never reads them.
+        """
+        return CompositionTables.build(self)
 
     # -- validation ---------------------------------------------------------
 
@@ -312,6 +324,73 @@ class FiniteGroupoid:
     def load(cls, path: str) -> "FiniteGroupoid":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+@dataclass(frozen=True)
+class CompositionTables:
+    """The composition of a finite groupoid as integer arrays, ascending by arrow id.
+
+    * Target fibers: ``fiber[fiber_start[x]:fiber_start[x + 1]]`` are the
+      arrows with target x; ``fiber_pos[a]`` is the place of a in its fiber.
+    * Averaging triples ``(avg_g, avg_k, avg_gk)``: every arrow g with every
+      k in the target fiber of src(g).  The ``row_len[g]`` triples of g
+      start at ``row_start[g]``.
+    * Divisible triples ``(avg_gk, avg_k, div_q)`` with ``div_q = gk k^(-1)``,
+      looked up in the table.  ``(g, k) -> (gk, k)`` is a bijection onto the
+      divisible pairs, so these run over each divisible pair once, in the
+      layout of the averaging triples.
+    * Composable triples ``(pair_g2, pair_g1, pair_g21)`` in the order of
+      :meth:`FiniteGroupoid.composable_pairs`.
+    """
+
+    src: np.ndarray
+    tgt: np.ndarray
+    fiber_start: np.ndarray
+    fiber: np.ndarray
+    fiber_pos: np.ndarray
+    row_start: np.ndarray
+    row_len: np.ndarray
+    avg_g: np.ndarray
+    avg_k: np.ndarray
+    avg_gk: np.ndarray
+    div_q: np.ndarray
+    pair_g2: np.ndarray
+    pair_g1: np.ndarray
+    pair_g21: np.ndarray
+
+    @classmethod
+    def build(cls, G: FiniteGroupoid) -> "CompositionTables":
+        m = G.n_arrows
+        src = np.asarray(G.src, dtype=np.intp)
+        tgt = np.asarray(G.tgt, dtype=np.intp)
+        fiber = np.argsort(tgt, kind="stable")
+        sizes = np.bincount(tgt, minlength=G.n_objects)
+        fiber_start = np.concatenate(([0], np.cumsum(sizes)))
+        fiber_pos = np.empty(m, dtype=np.intp)
+        fiber_pos[fiber] = np.arange(m) - fiber_start[tgt[fiber]]
+        row_len = sizes[src]
+        row_start = np.concatenate(([0], np.cumsum(row_len)))
+        avg_g = np.repeat(np.arange(m), row_len)
+        avg_k = fiber[fiber_start[src[avg_g]] + np.arange(len(avg_g)) - row_start[avg_g]]
+
+        def lookup(left: list[int], right: list[int]) -> np.ndarray:
+            return np.array([G.mul(a, b) for a, b in zip(left, right)], dtype=np.intp)
+
+        avg_gk = lookup(avg_g.tolist(), avg_k.tolist())
+        div_q = lookup(avg_gk.tolist(), [G.inverse[k] for k in avg_k.tolist()])
+        # the kernels find gk and gk k^-1 by the endpoints of g; a table that
+        # breaks this would silently mix fibers
+        bad = np.flatnonzero(
+            (tgt[avg_gk] != tgt[avg_g]) | (src[avg_gk] != src[avg_k])
+            | (tgt[div_q] != tgt[avg_g]) | (src[div_q] != src[avg_g])
+        )
+        if bad.size:
+            t = bad[0]
+            raise ValueError(f"composition table is inconsistent at ({avg_g[t]},{avg_k[t]})")
+        # (g, k) with tgt k = src g are exactly the composable pairs (g2, g1)
+        pairs = np.lexsort((avg_g, avg_k))
+        return cls(src, tgt, fiber_start, fiber, fiber_pos, row_start, row_len, avg_g, avg_k,
+                   avg_gk, div_q, avg_g[pairs], avg_k[pairs], avg_gk[pairs])
 
 
 # -- builders ----------------------------------------------------------------

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid
+from .groupoid import CompositionTables, FiniteGroupoid
 
 COND_LIMIT = 1e12
 METRIC_EIG_FLOOR = 1e-12
@@ -41,6 +41,76 @@ class NonInvertible(ValueError):
     def __init__(self, arrow: int, message: str | None = None):
         self.arrow = arrow
         super().__init__(message or f"matrix of arrow {arrow} is numerically singular")
+
+
+class Stacks:
+    """Matrices indexed by item id (an arrow, a triple), held as one array per shape.
+
+    Item i is ``arrays[group[i]][pos[i]]``, where ``pos`` numbers the items of
+    a group in ascending id order.  :meth:`take` and :meth:`put` address one
+    group at a time, so an index array must not mix shapes.
+    """
+
+    def __init__(self, group: np.ndarray, arrays: list[np.ndarray]):
+        self.group = group
+        self.arrays = arrays
+        self.pos = np.empty_like(group)
+        for gi, A in enumerate(arrays):
+            self.pos[group == gi] = np.arange(len(A))
+
+    @classmethod
+    def of(cls, mats: Sequence[np.ndarray]) -> "Stacks":
+        shapes: dict[tuple, int] = {}
+        group = np.array([shapes.setdefault(M.shape, len(shapes)) for M in mats], dtype=np.intp)
+        members: list[list[np.ndarray]] = [[] for _ in shapes]
+        for M, gi in zip(mats, group.tolist()):
+            members[gi].append(M)
+        return cls(group, [np.stack(ms) for ms in members])
+
+    def empty_like(self, group: np.ndarray | None = None) -> "Stacks":
+        """Uninitialised stacks of the same shapes over ``group`` (default: the same items)."""
+        group = self.group if group is None else group
+        counts = np.bincount(group, minlength=len(self.arrays))
+        return Stacks(group, [np.empty((n, *A.shape[1:])) for n, A in zip(counts, self.arrays)])
+
+    def _group_of(self, idx: np.ndarray) -> int:
+        gi = self.group[idx]
+        if (gi != gi.flat[0]).any():
+            raise ValueError("index array mixes matrix shapes")
+        return int(gi.flat[0])
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        return self.arrays[self._group_of(idx)][self.pos[idx]]
+
+    def put(self, idx: np.ndarray, values: np.ndarray) -> None:
+        self.arrays[self._group_of(idx)][self.pos[idx]] = values
+
+    def tolist(self) -> list[np.ndarray]:
+        return [self.arrays[g][p] for g, p in zip(self.group.tolist(), self.pos.tolist())]
+
+
+# Matrices gathered per batched step.  Work is cut into blocks of at most this
+# many terms, so no temporary grows with the groupoid.
+BLOCK_TERMS = 1 << 12
+
+
+def blocks(*key: np.ndarray, width: np.ndarray | int = 1) -> Iterator[tuple[np.ndarray, int]]:
+    """Split work items 0..n-1 into ascending index blocks with one key row and one width.
+
+    ``key`` columns are per-item integers, typically the shape groups of the
+    maps an item reads; ``width`` is how many terms each item gathers (its
+    fiber length).  Each block holds at most BLOCK_TERMS // width items.
+    """
+    widths = width if isinstance(width, np.ndarray) else np.full(len(key[0]), width)
+    code = np.zeros(len(widths), dtype=np.intp)
+    for col in (*key, widths):
+        code = code * (int(col.max(initial=0)) + 1) + col
+    for v in sorted(set(code.tolist())):
+        items = np.flatnonzero(code == v)
+        F = int(widths[items[0]])
+        step = max(1, BLOCK_TERMS // max(1, F))
+        for s in range(0, len(items), step):
+            yield items[s : s + step], F
 
 
 @dataclass
@@ -60,6 +130,7 @@ class FiberBundle:
         if len(self.metrics) != len(self.dims):
             raise ValueError("one metric slot per object required")
         self._half: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._stacked: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def uniform(cls, n_objects: int, dim: int) -> "FiberBundle":
@@ -88,6 +159,20 @@ class FiberBundle:
                 self._half[x] = (root, inv_root)
         return self._half[x]
 
+    def factor_stack(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`metric_factors` of the objects of dimension d, stacked.
+
+        Returns (roots, inverse roots, where): object x of dimension d has its
+        factors at ``where[x]``.
+        """
+        if d not in self._stacked:
+            same = [x for x in range(len(self.dims)) if self.dims[x] == d]
+            where = np.zeros(len(self.dims), dtype=np.intp)
+            where[same] = np.arange(len(same))
+            roots, inv_roots = zip(*(self.metric_factors(x) for x in same))
+            self._stacked[d] = (np.stack(roots), np.stack(inv_roots), where)
+        return self._stacked[d]
+
     def to_json_dict(self, objects: Sequence) -> dict:
         out = {}
         for x, label in enumerate(objects):
@@ -112,34 +197,44 @@ class FiberBundle:
         return cls(dims=dims, metrics=metrics)
 
 
+def metric_norms(
+    bundle: FiberBundle, M: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Metric norms of stacked maps: ``M[i]`` maps the fiber over ``src[i]`` to the
+    fiber over ``dst[i]``; its norm is the largest singular value of
+    ``phi_dst^(1/2) M[i] phi_src^(-1/2)``."""
+    r, c = M.shape[-2:]
+    if r == 0 or c == 0:
+        return np.zeros(M.shape[:-2])
+    roots, _, at_dst = bundle.factor_stack(r)
+    _, inv_roots, at_src = bundle.factor_stack(c)
+    return np.linalg.svd(roots[at_dst[dst]] @ M @ inv_roots[at_src[src]], compute_uv=False)[..., 0]
+
+
 def operator_norm(
     A: np.ndarray, phi_src: np.ndarray | None = None, phi_dst: np.ndarray | None = None
 ) -> float:
     """Metric-weighted spectral norm; plain largest singular value when metrics are None.
 
     ``phi_src``/``phi_dst`` are raw Gram matrices, factored here on every call.
-    Code on the hot path should go through :class:`PseudoRep`, which caches the
-    factors per object.
+    Code on the hot path should go through :func:`metric_norms` with a
+    :class:`FiberBundle`, which caches the factors per object.
     """
     M = np.asarray(A, dtype=float)
-    if phi_dst is not None:
-        M = _half_factor(phi_dst, inverse=False) @ M
-    if phi_src is not None:
-        M = M @ _half_factor(phi_src, inverse=True)
-    if min(M.shape) == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    bundle = FiberBundle(dims=[M.shape[1], M.shape[0]], metrics=[phi_src, phi_dst])
+    return float(metric_norms(bundle, M[None], np.array([0]), np.array([1]))[0])
 
 
-def _half_factor(phi: np.ndarray, inverse: bool) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if np.abs(phi - phi.T).max(initial=0.0) > 1e-12:
-        raise DegenerateMetric("Gram matrix is not symmetric")
-    w, v = np.linalg.eigh(phi)
-    if w.min(initial=1.0) <= METRIC_EIG_FLOOR:
-        raise DegenerateMetric(f"Gram matrix has eigenvalue {w.min():.3e}")
-    s = 1.0 / np.sqrt(w) if inverse else np.sqrt(w)
-    return (v * s) @ v.T
+def max_norm(bundle: FiberBundle, part, *key: np.ndarray, width: np.ndarray | int = 1) -> float:
+    """Largest metric norm over work items split by :func:`blocks`; 0.0 when there are none.
+
+    ``part(items, width)`` returns the stacked maps of a block with their
+    source and target objects.
+    """
+    worst = 0.0
+    for items, F in blocks(*key, width=width):
+        worst = max(worst, float(metric_norms(bundle, *part(items, F)).max()))
+    return worst
 
 
 @dataclass
@@ -161,36 +256,26 @@ class PseudoRep:
             want = (B.dims[G.tgt[g]], B.dims[G.src[g]])
             if M.shape != want:
                 raise ValueError(f"arrow {g}: matrix shape {M.shape}, expected {want}")
+            if not np.isfinite(M).all():
+                raise ValueError(f"arrow {g}: matrix has non-finite entries")
             self.maps[g] = M
 
     def copy(self) -> "PseudoRep":
         return PseudoRep(self.groupoid, self.bundle, [M.copy() for M in self.maps])
 
-    def arrow_norm(self, g: int) -> float:
-        G = self.groupoid
-        fs = self.bundle.metric_factors(G.src[g])
-        fd = self.bundle.metric_factors(G.tgt[g])
-        M = fd[0] @ self.maps[g] @ fs[1]
-        if min(M.shape) == 0:
-            return 0.0
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-
-    def pair_norm(self, M: np.ndarray, src_obj: int, dst_obj: int) -> float:
-        fs = self.bundle.metric_factors(src_obj)
-        fd = self.bundle.metric_factors(dst_obj)
-        W = fd[0] @ M @ fs[1]
-        if min(W.shape) == 0:
-            return 0.0
-        return float(np.linalg.svd(W, compute_uv=False)[0])
+    def stacks(self) -> Stacks:
+        """The maps as one stacked array per shape, copied from :attr:`maps` as they stand."""
+        return Stacks.of(self.maps)
 
     def unit_defect(self) -> float:
         """Max metric norm of lambda(1_x) - I over objects."""
-        G = self.groupoid
-        worst = 0.0
-        for x in range(G.n_objects):
-            e = G.unit[x]
-            worst = max(worst, self.pair_norm(self.maps[e] - np.eye(self.bundle.dims[x]), x, x))
-        return worst
+        units = Stacks.of([self.maps[e] for e in self.groupoid.unit])
+
+        def part(x: np.ndarray, _: int):
+            M = units.take(x)
+            return M - np.eye(M.shape[-1]), x, x
+
+        return max_norm(self.bundle, part, units.group)
 
     def is_unital(self, tol: float = 1e-12) -> bool:
         return self.unit_defect() <= tol
@@ -214,6 +299,8 @@ class PseudoRep:
     ) -> "PseudoRep":
         maps = []
         for g in groupoid.arrows():
+            if str(g) not in d:
+                raise ValueError(f"psrep has no matrix for arrow {g}")
             entry = d[str(g)]
             maps.append(np.array(entry["data"], dtype=float).reshape(entry["shape"]))
         return cls(groupoid, bundle, maps)
@@ -226,30 +313,79 @@ class PseudoRep:
 
 def b_norm(rep: PseudoRep) -> float:
     """Largest metric norm over all arrow matrices."""
-    return max((rep.arrow_norm(g) for g in rep.groupoid.arrows()), default=0.0)
+    T, st = rep.groupoid.tables, rep.stacks()
+    return max_norm(rep.bundle, lambda g, _: (st.take(g), T.src[g], T.tgt[g]), st.group)
 
 
 def c_norm(rep: PseudoRep) -> float:
     """Largest multiplicativity defect over composable pairs."""
-    G = rep.groupoid
-    worst = 0.0
-    for g2, g1 in G.composable_pairs():
-        D = rep.maps[G.mul(g2, g1)] - rep.maps[g2] @ rep.maps[g1]
-        worst = max(worst, rep.pair_norm(D, G.src[g1], G.tgt[g2]))
-    return worst
+    T, st = rep.groupoid.tables, rep.stacks()
+
+    def part(p: np.ndarray, _: int):
+        g2, g1 = T.pair_g2[p], T.pair_g1[p]
+        return st.take(T.pair_g21[p]) - st.take(g2) @ st.take(g1), T.src[g1], T.tgt[g2]
+
+    return max_norm(rep.bundle, part, st.group[T.pair_g2], st.group[T.pair_g1])
+
+
+def _gated_inverse(A: np.ndarray, arrows: np.ndarray) -> np.ndarray:
+    """Inverses of the stacked maps of ``arrows``, each gated at condition number < 1e12.
+
+    Raises NonInvertible at the lowest arrow that is not square, has a
+    non-finite entry, or is singular past the conditioning limit.
+    """
+    _, r, c = A.shape
+    if r != c:
+        raise NonInvertible(int(arrows[0]), f"arrow {arrows[0]} matrix is not square: {(r, c)}")
+    if r == 0:
+        return A.copy()
+    finite = np.isfinite(A).all(axis=(1, 2))
+    s = np.linalg.svd(np.where(finite[:, None, None], A, 0.0), compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = finite & (s[:, -1] > 0) & (s[:, 0] / s[:, -1] < COND_LIMIT)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        g = int(arrows[i])
+        raise NonInvertible(g, None if finite[i] else f"matrix of arrow {g} has non-finite entries")
+    return np.linalg.inv(A)
+
+
+def invert_stacks(st: Stacks) -> Stacks:
+    """lambda^(-1) of every arrow, laid out like ``st``.
+
+    NonInvertible names the lowest bad arrow over all shape groups.
+    """
+    out, bad = [], []
+    for gi, A in enumerate(st.arrays):
+        try:
+            out.append(_gated_inverse(A, np.flatnonzero(st.group == gi)))
+        except NonInvertible as exc:
+            bad.append(exc)
+    if bad:
+        raise min(bad, key=lambda exc: exc.arrow)
+    return Stacks(st.group, out)
 
 
 def invert_arrow(rep: PseudoRep, g: int) -> np.ndarray:
     """lambda_g^(-1), rejecting matrices with condition number >= 1e12."""
-    M = rep.maps[g]
-    if M.shape[0] != M.shape[1]:
-        raise NonInvertible(g, f"arrow {g} matrix is not square: {M.shape}")
-    if M.shape[0] == 0:
-        return M.copy().T
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] >= COND_LIMIT:
-        raise NonInvertible(g)
-    return np.linalg.inv(M)
+    return _gated_inverse(rep.maps[g][None], np.array([g]))[0]
+
+
+def cocycle(lam_g: np.ndarray, lam_h_inv: np.ndarray, lam_q: np.ndarray) -> np.ndarray:
+    """Delta(g, h) = lambda_g lambda_h^(-1) - lambda_{g h^(-1)}, on single or stacked maps."""
+    return lam_g @ lam_h_inv - lam_q
+
+
+def cocycles(st: Stacks, inv: Stacks, T: CompositionTables) -> Stacks:
+    """Delta at every divisible triple (gk, k, gk k^(-1)), indexed like the averaging triples.
+
+    Delta at triple t maps the fiber over src(g) to the fiber over tgt(g),
+    g = ``T.avg_g[t]``.
+    """
+    D = st.empty_like(st.group[T.avg_g])
+    for t, _ in blocks(D.group):
+        D.put(t, cocycle(st.take(T.avg_gk[t]), inv.take(T.avg_k[t]), st.take(T.div_q[t])))
+    return D
 
 
 def delta_cocycle(rep: PseudoRep, g: int, h: int) -> np.ndarray:
@@ -261,7 +397,7 @@ def delta_cocycle(rep: PseudoRep, g: int, h: int) -> np.ndarray:
     if G.src[g] != G.src[h]:
         raise ValueError(f"({g},{h}) is not a divisible pair: sources differ")
     q = G.mul(g, G.inverse[h])
-    return rep.maps[g] @ invert_arrow(rep, h) - rep.maps[q]
+    return cocycle(rep.maps[g], invert_arrow(rep, h), rep.maps[q])
 
 
 @dataclass
@@ -334,16 +470,15 @@ def inverse_rep(rep: PseudoRep, rel_slack: float = 1e-12) -> InverseReport:
     max ||Delta(g,h)|| <= c b/(1-c)  over divisible pairs; with c >= 1 the
     bounds are not claimed and the flags stay None.
     """
-    G = rep.groupoid
-    inverses = [invert_arrow(rep, g) for g in G.arrows()]
+    T, st = rep.groupoid.tables, rep.stacks()
+    inv = invert_stacks(st)
     b, c = b_norm(rep), c_norm(rep)
-    max_inv = 0.0
-    for g in G.arrows():
-        max_inv = max(max_inv, rep.pair_norm(inverses[g], G.tgt[g], G.src[g]))
-    max_delta = 0.0
-    for g, h, q in G.divisible_pairs():
-        D = rep.maps[g] @ inverses[h] - rep.maps[q]
-        max_delta = max(max_delta, rep.pair_norm(D, G.tgt[h], G.tgt[g]))
+    max_inv = max_norm(rep.bundle, lambda g, _: (inv.take(g), T.tgt[g], T.src[g]), inv.group)
+    D = cocycles(st, inv, T)
+    max_delta = max_norm(
+        rep.bundle, lambda t, _: (D.take(t), T.src[T.avg_g[t]], T.tgt[T.avg_g[t]]), D.group
+    )
+    inverses = inv.tolist()
     if c < 1.0:
         inv_bound = b / (1.0 - c)
         delta_bound = c * b / (1.0 - c)

@@ -261,3 +261,81 @@ def test_bounds_check_flags_corruption(tmp_path, capsys):
 def test_bounds_check_needs_trace(capsys):
     assert main(["bounds-check"]) == 2
     assert "trace" in capsys.readouterr().err
+
+
+# -- boundary cases -----------------------------------------------------------------------
+
+
+def write_finite_inputs(tmp_path, rep, nu):
+    """Groupoid, Haar, bundle and psrep files for `rep`, plus a finite_iterate config."""
+    G = rep.groupoid
+    names = ("groupoid", "haar", "bundle", "psrep")
+    paths = {name: str(tmp_path / f"{name}.json") for name in names}
+    G.save(paths["groupoid"])
+    nu.save(paths["haar"])
+    with open(paths["bundle"], "w") as fh:
+        json.dump(rep.bundle.to_json_dict(G.objects), fh)
+    rep.save(paths["psrep"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "finite_iterate", **paths}))
+    return str(cfg), paths
+
+
+def assert_converged_at_zero(out):
+    doc = json.loads((out / "verdict.json").read_text())
+    assert doc["verdict"] == {"kind": "Converged", "iteration": 0, "arrow": None}
+    assert doc["envelope_ok"] is True
+    assert (out / "bounds_check.csv").read_text() == "i,check,bound,observed,pass\n"
+    assert len((out / "trace.csv").read_text().splitlines()) == 2
+
+
+def test_circle_iterate_already_converged(tmp_path):
+    out = tmp_path / "out"
+    run_ok(["run", "circle_iterate", "--perturb", "0", "--N", "32", "--out", str(out)])
+    assert_converged_at_zero(out)
+
+
+def test_finite_iterate_exact_rep_from_files(tmp_path, rng):
+    G, rep = presets.s3_example_rep(rng)
+    cfg, _ = write_finite_inputs(tmp_path, rep, counting_haar(G))
+    out = tmp_path / "out"
+    run_ok(["run", "--config", cfg, "--out", str(out)])
+    assert_converged_at_zero(out)
+
+
+def test_bounds_check_kind_still_needs_two_rows(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("i,b,c,unit_defect,quadratic_bound_rhs,envelope\n0,1.0,0.0,0.0,0.0,\n")
+    assert main(["bounds-check", "--trace", str(trace), "--out", str(tmp_path / "o")]) == 2
+    assert "at least two entries" in capsys.readouterr().err
+
+
+def test_psrep_missing_arrow_named(tmp_path, rng, capsys):
+    G, rep = presets.s3_example_rep(rng)
+    cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
+    doc = json.loads(open(paths["psrep"]).read())
+    del doc["7"]
+    with open(paths["psrep"], "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "arrow 7" in capsys.readouterr().err
+
+
+def test_psrep_nonfinite_entry_named(tmp_path, rng, capsys):
+    G, rep = presets.s3_example_rep(rng)
+    cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
+    doc = json.loads(open(paths["psrep"]).read())
+    doc["11"]["data"][1] = float("nan")
+    doc["5"]["data"][0] = float("inf")
+    with open(paths["psrep"], "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "arrow 5" in err and "non-finite" in err
+
+
+def test_config_grid_below_minimum(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "circle_profile", "N": 3}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "schema" in capsys.readouterr().err

@@ -225,3 +225,54 @@ def test_from_json_rejects_sparse_arrow_ids():
     doc["inverses"] = {"1": 1}
     with pytest.raises(ValueError, match="dense"):
         FiniteGroupoid.from_json_dict(doc)
+
+
+# -- composition tables --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: pair_groupoid([0, 1, 2]),
+        lambda: action_groupoid(swap_action_on_two()),
+        lambda: symmetric_group(3),
+        lambda: trivial_groupoid(["a", "b"]),
+    ],
+)
+def test_tables_match_dict_definitions(make):
+    G = make()
+    T = G.tables
+    # target fibers, in ascending arrow order
+    for x in range(G.n_objects):
+        fiber = T.fiber[T.fiber_start[x] : T.fiber_start[x + 1]].tolist()
+        assert fiber == G.target_fiber(x)
+        assert [T.fiber_pos[a] for a in fiber] == list(range(len(fiber)))
+    # averaging triples (g, k, gk), k ascending in the target fiber of src g
+    triples = [
+        (g, k, G.mul(g, k)) for g in G.arrows() for k in G.target_fiber(G.src[g])
+    ]
+    assert list(zip(T.avg_g.tolist(), T.avg_k.tolist(), T.avg_gk.tolist())) == triples
+    for g in G.arrows():
+        row = T.avg_g[T.row_start[g] : T.row_start[g] + T.row_len[g]]
+        assert row.tolist() == [g] * len(G.target_fiber(G.src[g]))
+    # divisible triples cover each divisible pair once
+    divisible = list(zip(T.avg_gk.tolist(), T.avg_k.tolist(), T.div_q.tolist()))
+    assert sorted(divisible) == sorted(G.divisible_pairs())
+    # composable triples in composable_pairs() order
+    pairs = list(zip(T.pair_g2.tolist(), T.pair_g1.tolist(), T.pair_g21.tolist()))
+    assert pairs == [(g2, g1, G.mul(g2, g1)) for g2, g1 in G.composable_pairs()]
+
+
+def test_tables_reject_inconsistent_composition():
+    G = pair_groupoid([0, 1])
+    # arrow 1 is 0 -> 1 and arrow 0 the unit at 0: their composite must be 0 -> 1
+    bent = dataclasses.replace(G, compose={**G.compose, (1, 0): 0})
+    assert not bent.validate().ok
+    with pytest.raises(ValueError, match="inconsistent at \\(1,0\\)"):
+        bent.tables
+
+
+def test_tables_are_built_lazily():
+    G = symmetric_group(3)
+    assert "tables" not in vars(G)
+    assert G.tables is G.tables

@@ -350,3 +350,55 @@ def test_rep_json_roundtrip(tmp_path, z2_groupoid, rng):
     for x in range(3):
         np.testing.assert_allclose(bundle_back.metrics[x], bundle.metrics[x])
     assert b_norm(back) == pytest.approx(b_norm(rep), rel=1e-12)
+
+
+# -- boundary checks and the batched inverse --------------------------------------------
+
+
+def test_rep_rejects_nonfinite_entry(z2_groupoid):
+    bundle = FiberBundle.uniform(z2_groupoid.n_objects, 2)
+    maps = [np.eye(2) for _ in z2_groupoid.arrows()]
+    maps[4] = np.array([[1.0, np.nan], [0.0, 1.0]])
+    maps[2] = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="arrow 2: matrix has non-finite"):
+        PseudoRep(z2_groupoid, bundle, maps)
+
+
+def test_rep_json_missing_arrow(z2_groupoid, rng):
+    rep = presets.random_pseudorep(z2_groupoid, rng)
+    doc = rep.to_json_dict()
+    del doc["3"]
+    with pytest.raises(ValueError, match="arrow 3"):
+        PseudoRep.from_json_dict(doc, z2_groupoid, rep.bundle)
+
+
+def test_batched_inverse_names_lowest_bad_arrow(z2_groupoid):
+    """Maps changed after construction: the gate still names the lowest bad arrow."""
+    bundle = FiberBundle.uniform(z2_groupoid.n_objects, 2)
+    rep = PseudoRep(z2_groupoid, bundle, [np.eye(2) for _ in z2_groupoid.arrows()])
+    rep.maps[5] = np.diag([1.0, 1e-13])
+    rep.maps[3] = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonInvertible, match="non-finite") as exc:
+        inverse_rep(rep)
+    assert exc.value.arrow == 3
+    rep.maps[3] = np.eye(2)
+    with pytest.raises(NonInvertible) as exc:
+        inverse_rep(rep)
+    assert exc.value.arrow == 5
+
+
+def test_batched_inverse_lowest_bad_arrow_across_shapes():
+    """With two shape groups, the lowest bad arrow wins whichever group holds it."""
+    G = action_groupoid(presets.z2_swap_action())
+    bundle = FiberBundle(dims=[2, 2, 3])
+    maps = [np.eye(3) if G.src[g] == 2 else np.eye(2) for g in G.arrows()]
+    rep = PseudoRep(G, bundle, maps)
+    # the 2x2 maps come first in group order, the lowest bad arrow is 3x3
+    bad_3x3 = min(g for g in G.arrows() if G.src[g] == 2)
+    bad_2x2 = max(g for g in G.arrows() if G.src[g] != 2)
+    assert bad_3x3 < bad_2x2
+    rep.maps[bad_3x3] = np.zeros((3, 3))
+    rep.maps[bad_2x2] = np.zeros((2, 2))
+    with pytest.raises(NonInvertible) as exc:
+        inverse_rep(rep)
+    assert exc.value.arrow == bad_3x3
