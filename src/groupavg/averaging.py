@@ -20,10 +20,10 @@ from typing import Any
 
 import numpy as np
 
+from .bounds import closed_envelope, step_bounds
 from .groupoid import CompositionTables
 from .haar import HaarSystem, restrict_haar
 from .psrep import (
-    GATE_COEFF,
     NonInvertible,
     PseudoRep,
     Stacks,
@@ -31,6 +31,7 @@ from .psrep import (
     blocks,
     c_norm,
     cocycles,
+    gate_holds,
     invert_stacks,
     is_nearly_multiplicative,
     max_norm,
@@ -168,8 +169,7 @@ def verify_step_estimates(
             raise GatePrecondition(f"orbit {orbit} has defect c = {c:.3g} >= 1")
         sub_avg = average(sub, sub_nu)
         b_avg, c_avg = b_norm(sub_avg), c_norm(sub_avg)
-        b_bound = b / (1.0 - c)
-        c_bound = 2.0 * c**2 * b**2 / (1.0 - c) ** 2
+        b_bound, c_bound = step_bounds(b, c)
         ok = b_avg <= b_bound * (1.0 + rel_slack) and c_avg <= c_bound * (1.0 + rel_slack) + 1e-15
         rows.append(StepEstimateRow(orbit, b, c, b_avg, c_avg, b_bound, c_bound, ok))
     return rows
@@ -206,80 +206,60 @@ class IterationTrace:
     c0: float
     envelope_valid: bool
 
-    @property
-    def eps(self) -> float:
-        return 6.0 * self.b0**2 * self.c0
-
     def envelope_column(self) -> list[float | None]:
         """eps^(2^i) / (6 b0^2) per row when the gate held at step 0, else Nones."""
         if not self.envelope_valid:
             return [None] * len(self.rows)
-        out = []
-        t = self.eps
-        denom = 6.0 * self.b0**2
-        for _ in self.rows:
-            out.append(t / denom)
-            t = t * t
-        return out
+        return closed_envelope(self.b0, self.c0, len(self.rows))
 
     def quadratic_rhs_column(self) -> list[float]:
         """Per row, the one-step bound 2 c^2 (b/(1-c))^2 for the next defect."""
-        out = []
-        for r in self.rows:
-            if r.c < 1.0:
-                out.append(2.0 * r.c**2 * (r.b / (1.0 - r.c)) ** 2)
-            else:
-                out.append(float("inf"))
-        return out
+        return [step_bounds(r.b, r.c)[1] if r.c < 1.0 else float("inf") for r in self.rows]
 
 
-def iterate(
-    rep: PseudoRep,
-    nu: HaarSystem,
-    tol_c: float = 1e-12,
-    max_iter: int = 64,
-) -> IterationTrace:
-    """Repeated averaging with per-step (b, c, unit defect) rows.
+def drive(lam: Any, step, gauges, tol_c: float, max_iter: int) -> IterationTrace:
+    """The iteration loop of the finite and circle cases: ``gauges(lam)`` gives
+    a row's (b, c, unit defect, extras), ``step(lam)`` the next iterate.
 
     Stops at c <= tol_c (Converged, the current iterate is the limit), after
-    max_iter averaging steps (Diverged), or when a step hits a singular matrix
-    (NonInvertibleAt with the iterate index and arrow).  A failed gate at step
-    0 is metadata only: the iteration proceeds, since the gate is sufficient
-    for the guarantee, not necessary for convergence.
+    max_iter steps (Diverged), or when a step raises NonInvertible
+    (NonInvertibleAt; the fault's witness joins the row's extras).  The gate
+    fields are read off (b0, c0).
     """
-    gate = is_nearly_multiplicative(rep)
     rows: list[TraceRow] = []
-    lam = rep
     verdict = Verdict("Diverged")
     t0 = time.perf_counter()
-    b0 = c0 = 0.0
     for i in range(max_iter + 1):
-        b, c = b_norm(lam), c_norm(lam)
-        rows.append(TraceRow(i, b, c, lam.unit_defect(), time.perf_counter() - t0))
-        if i == 0:
-            b0, c0 = b, c
-        if c <= tol_c:
-            verdict = Verdict("Converged", iteration=i)
-            break
-        if i == max_iter:
-            verdict = Verdict("Diverged", iteration=i)
+        b, c, unit, extras = gauges(lam)
+        rows.append(TraceRow(i, b, c, unit, time.perf_counter() - t0, extras))
+        if c <= tol_c or i == max_iter:
+            verdict = Verdict("Converged" if c <= tol_c else "Diverged", iteration=i)
             break
         try:
-            lam = average(lam, nu)
+            lam = step(lam)
         except NonInvertible as exc:
             verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.arrow)
+            extras.update(exc.extras)
             break
-    envelope_valid = b0 >= 1.0 and c0 <= GATE_COEFF / b0**2 if b0 > 0 else False
-    return IterationTrace(
-        rows=rows,
-        verdict=verdict,
-        gate_ok=gate.ok,
-        gate_failed_orbits=gate.failed_orbits(),
-        final=lam,
-        b0=b0,
-        c0=c0,
-        envelope_valid=envelope_valid,
-    )
+    b0, c0 = (rows[0].b, rows[0].c) if rows else (0.0, 0.0)
+    gate = gate_holds(b0, c0)
+    return IterationTrace(rows, verdict, gate_ok=gate, gate_failed_orbits=[], final=lam,
+                          b0=b0, c0=c0, envelope_valid=b0 >= 1.0 and gate)
+
+
+def iterate(rep: PseudoRep, nu: HaarSystem, tol_c: float = 1e-12,
+            max_iter: int = 64) -> IterationTrace:
+    """Repeated averaging with per-step (b, c, unit defect) rows; see :func:`drive`.
+
+    The gate fields hold the per-orbit gate of the input.  A failed gate is
+    metadata only: the iteration proceeds, since the gate is sufficient for
+    the guarantee, not necessary for convergence.
+    """
+    gate = is_nearly_multiplicative(rep)
+    trace = drive(rep, lambda lam: average(lam, nu),
+                  lambda lam: (b_norm(lam), c_norm(lam), lam.unit_defect(), {}), tol_c, max_iter)
+    trace.gate_ok, trace.gate_failed_orbits = gate.ok, gate.failed_orbits()
+    return trace
 
 
 TRACE_HEADER = "i,b,c,unit_defect,quadratic_bound_rhs,envelope"

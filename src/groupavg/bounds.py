@@ -65,6 +65,22 @@ def _le(observed: float, bound: float, rel_slack: float) -> bool:
     return observed <= bound + rel_slack * abs(bound)
 
 
+def step_bounds(b: float, c: float) -> tuple[float, float]:
+    """The one-step bounds  b/(1-c)  and  2 c^2 (b/(1-c))^2  on the next (b, c), for c < 1."""
+    grown = b / (1.0 - c)
+    return grown, 2.0 * c**2 * grown**2
+
+
+def closed_envelope(b0: float, c0: float, n: int) -> list[float]:
+    """The closed form  eps^(2^i) / (6 b0^2)  for i < n, eps = 6 b0^2 c0, by repeated squaring."""
+    denom = 6.0 * b0**2
+    out, t = [], denom * c0
+    for _ in range(n):
+        out.append(t / denom)
+        t = t * t
+    return out
+
+
 def check_quadratic_decay(
     b: Sequence[float], c: Sequence[float], rel_slack: float = 1e-12
 ) -> BoundSeqReport:
@@ -89,23 +105,19 @@ def check_quadratic_decay(
         if c[i] >= 1.0:
             rep.notes.append(f"step {i}->{i + 1} vacuous: c_{i} = {c[i]:.3g} >= 1")
             continue
-        grown = b[i] / (1.0 - c[i])
+        grown, c_step = step_bounds(b[i], c[i])
         rep.rows.append(CheckRow(i + 1, "step_b", grown, float(b[i + 1]), _le(b[i + 1], grown, rel_slack)))
-        c_step = 2.0 * c[i] ** 2 * grown**2
         rep.rows.append(CheckRow(i + 1, "step_c", c_step, float(c[i + 1]), _le(c[i + 1], c_step, rel_slack)))
     rep.hypothesis_ok = all(r.ok for r in rep.rows)
     if not rep.hypothesis_ok:
         rep.notes.append("hypothesis failed; conclusions not asserted")
         return _finalize(rep)
 
-    denom = 6.0 * b0**2
-    t = eps
     growth_cap = math.sqrt(3.0) * b0
-    for i in range(len(b)):
-        rep.rows.append(CheckRow(i, "envelope_c", t / denom, float(c[i]), _le(c[i], t / denom, rel_slack)))
+    for i, env in enumerate(closed_envelope(b0, c0, len(b))):
+        rep.rows.append(CheckRow(i, "envelope_c", env, float(c[i]), _le(c[i], env, rel_slack)))
         grown = b[i] / (1.0 - c[i]) if c[i] < 1.0 else float("inf")
         rep.rows.append(CheckRow(i, "growth_b", growth_cap, grown, _le(grown, growth_cap, rel_slack)))
-        t = t * t
     return _finalize(rep)
 
 
@@ -212,10 +224,9 @@ def envelope(b0: float, c0: float, n: int) -> tuple[list[float], list[float]]:
         raise ValueError("need n >= 1")
     bs, cs = [float(b0)], [float(c0)]
     for _ in range(n - 1):
-        b, c = bs[-1], cs[-1]
-        grown = b / (1.0 - c)
+        grown, c_step = step_bounds(bs[-1], cs[-1])
         bs.append(grown)
-        cs.append(2.0 * c**2 * grown**2)
+        cs.append(c_step)
     return bs, cs
 
 

@@ -25,25 +25,25 @@ polynomials of degree < N).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import IterationTrace, TraceRow, Verdict
-from .psrep import GATE_COEFF
+from .averaging import IterationTrace, drive
+from .psrep import NonInvertible
 
 NODE_FLOOR = 1e-12
 PERIODICITY_TOL = 1e-12
 
 
-class NonInvertibleNode(ValueError):
+class NonInvertibleNode(NonInvertible):
     """Lambda vanishes (|value| <= 1e-12) at a grid node needed by the average."""
 
     def __init__(self, node: tuple[int, int], value: float):
         self.node = node
         self.value = value
-        super().__init__(f"|Lambda| = {abs(value):.3e} <= {NODE_FLOOR} at grid node {node}")
+        self.extras = {"bad_node_theta": float(node[0]), "bad_node_a": float(node[1])}
+        super().__init__(None, f"|Lambda| = {abs(value):.3e} <= {NODE_FLOOR} at grid node {node}")
 
 
 class NonPeriodicProfile(ValueError):
@@ -175,24 +175,32 @@ def limit_profile(L: TorusGridFn) -> CircleProfile:
     return CircleProfile((L.values[:, 0] - 1.0) / L.twist, L.twist)
 
 
+def _twist_cols(N: int, k: int) -> np.ndarray:
+    """cols[l, i] = (k l + i) mod N, the grid column of k theta + a."""
+    idx = np.arange(N)
+    return (k * idx[:, None] + idx[None, :]) % N
+
+
+def _defect_slice(V: np.ndarray, lp: int, cols: np.ndarray) -> np.ndarray:
+    """The theta' = lp/N slice  Lambda(theta'+theta, a) - Lambda(theta', k theta + a) Lambda(theta, a)."""
+    return V[(lp + np.arange(len(V))) % len(V), :] - V[lp, cols] * V
+
+
 def cocycle_defect_field(L: TorusGridFn) -> np.ndarray:
     """D[l', l, i] = Lambda(theta'+theta, a) - Lambda(theta', k theta + a) Lambda(theta, a)."""
-    V, N, k = L.values, L.N, L.twist
-    idx = np.arange(N)
-    rows = (idx[:, None, None] + idx[None, :, None]) % N
-    cols = (k * idx[:, None] + idx[None, :]) % N
-    return V[rows, idx[None, None, :]] - V[idx[:, None, None], cols[None, :, :]] * V[None, :, :]
+    cols = _twist_cols(L.N, L.twist)
+    D = np.empty((L.N, L.N, L.N))
+    for lp in range(L.N):
+        D[lp] = _defect_slice(L.values, lp, cols)
+    return D
 
 
 def multiplicativity_residual(L: TorusGridFn) -> tuple[float, float]:
     """(res_cocycle, res_unit): sups over all grid triples / the unit row."""
-    V, N, k = L.values, L.N, L.twist
-    idx = np.arange(N)
-    cols = (k * idx[:, None] + idx[None, :]) % N
+    V, cols = L.values, _twist_cols(L.N, L.twist)
     worst = 0.0
-    for lp in range(N):
-        r = np.abs(V[(lp + idx) % N, :] - V[lp, cols] * V)
-        worst = max(worst, float(r.max()))
+    for lp in range(L.N):
+        worst = max(worst, float(np.abs(_defect_slice(V, lp, cols)).max()))
     return worst, float(np.abs(V[0] - 1.0).max())
 
 
@@ -203,8 +211,7 @@ def connection_residual(X: TorusGridFn) -> float:
     Algebraically, effect residual = k * connection residual, triple by triple.
     """
     V, N, k = X.values, X.N, X.twist
-    idx = np.arange(N)
-    cols = (k * idx[:, None] + idx[None, :]) % N
+    idx, cols = np.arange(N), _twist_cols(N, k)
     worst = 0.0
     for lp in range(N):
         r = np.abs(V[(lp + idx) % N, :] - V - V[lp, cols] * (1.0 + k * V))
@@ -287,59 +294,23 @@ def profile_twist_orbit(step_value: float, k: int) -> list[float]:
     return vals
 
 
-def iterate_circle(
-    L0: TorusGridFn,
-    tol_c: float = 1e-12,
-    max_iter: int = 64,
-    seminorm_orders: tuple[int, ...] = (0, 1),
-) -> IterationTrace:
-    """Repeated rotation averaging of a unital grid effect.
+def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64,
+                   seminorm_orders: tuple[int, ...] = (0, 1)) -> IterationTrace:
+    """Repeated rotation averaging of a unital grid effect; see :func:`averaging.drive`.
 
     Rows carry b = max |Lambda|, c = the r = 0 cocycle residual, the unit-row
     defect, and (in extras) discrete seminorms of the full defect field for
-    each requested order.  Verdicts and gate metadata mirror the finite case;
-    the gate here is the scalar inequality c <= (1/9) b^(-2) on the grid.
+    each requested order; a vanishing node adds its indices to the last row.
+    The gate is the scalar inequality c <= (1/9) b^(-2) on the grid.
     """
-    rows: list[TraceRow] = []
-    lam = L0
-    verdict = Verdict("Diverged")
-    t0 = time.perf_counter()
-    b0 = c0 = 0.0
-    gate_ok = True
-    for i in range(max_iter + 1):
+
+    def gauges(lam: TorusGridFn):
         field = cocycle_defect_field(lam)
-        b = float(np.abs(lam.values).max())
-        c = float(np.abs(field).max())
-        unit = float(np.abs(lam.values[0] - 1.0).max())
-        extras = {f"c_sem_r{r}": _fd_sup(field, r, lam.N) for r in seminorm_orders}
-        rows.append(TraceRow(i, b, c, unit, time.perf_counter() - t0, extras))
-        if i == 0:
-            b0, c0 = b, c
-            gate_ok = b0 > 0 and c0 <= GATE_COEFF / b0**2
-        if c <= tol_c:
-            verdict = Verdict("Converged", iteration=i)
-            break
-        if i == max_iter:
-            verdict = Verdict("Diverged", iteration=i)
-            break
-        try:
-            lam = average_circle(lam)
-        except NonInvertibleNode as exc:
-            verdict = Verdict("NonInvertibleAt", iteration=i, arrow=None)
-            rows[-1].extras["bad_node_theta"] = float(exc.node[0])
-            rows[-1].extras["bad_node_a"] = float(exc.node[1])
-            break
-    envelope_valid = b0 >= 1.0 and c0 <= GATE_COEFF / b0**2 if b0 > 0 else False
-    return IterationTrace(
-        rows=rows,
-        verdict=verdict,
-        gate_ok=gate_ok,
-        gate_failed_orbits=[],
-        final=lam,
-        b0=b0,
-        c0=c0,
-        envelope_valid=envelope_valid,
-    )
+        return (float(np.abs(lam.values).max()), float(np.abs(field).max()),
+                float(np.abs(lam.values[0] - 1.0).max()),
+                {f"c_sem_r{r}": _fd_sup(field, r, lam.N) for r in seminorm_orders})
+
+    return drive(L0, average_circle, gauges, tol_c, max_iter)
 
 
 # -- CSV formats ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -60,43 +61,33 @@ def fail(msg: str) -> None:
     print(f"[groupavg] FAIL: {msg}", file=sys.stderr)
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+FLAGS = ("seed", "out", "tol_c", "max_iter", "N", "k", "perturb", "trace", "profile", "count")
+
+
+def load_config(path: str | None, args: argparse.Namespace) -> dict:
+    """The config file's fields with the flags given in ``args`` laid over
+    them, checked once against the schema and for non-finite numbers."""
+    cfg = {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config does not match schema: {path} does not hold an object")
+    user = {**cfg, **{f: getattr(args, f) for f in FLAGS if getattr(args, f, None) is not None}}
+    for key, value in user.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"field {key}: non-finite value {value!r}")
     schema = json.loads(resources.files("groupavg").joinpath("config.schema.json").read_text())
     if jsonschema is not None:
         try:
-            jsonschema.validate(cfg, schema)
+            jsonschema.validators.validator_for(schema)(schema).validate(user)
         except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config does not match schema: {exc.message}") from exc
-    return cfg
-
-
-def merge_params(cfg: dict, args: argparse.Namespace) -> dict:
-    """Flags override config fields, config overrides defaults."""
-    p = dict(DEFAULTS)
-    p.update({k: v for k, v in cfg.items() if k != "kind"})
-    for flag, key in [
-        ("seed", "seed"),
-        ("out", "out"),
-        ("tol_c", "tol_c"),
-        ("max_iter", "max_iter"),
-        ("N", "N"),
-        ("k", "k"),
-        ("perturb", "perturb"),
-        ("trace", "trace"),
-        ("profile", "profile"),
-        ("count", "count"),
-    ]:
-        v = getattr(args, flag, None)
-        if v is not None:
-            p[key] = v
-    return p
+            where = "/".join(map(str, exc.absolute_path)) or "config"
+            raise ConfigError(f"config or flags do not match schema: {where}: {exc.message}") from exc
+    return user
 
 
 def ensure_out(p: dict) -> str:
@@ -172,6 +163,8 @@ def load_finite_inputs(p: dict) -> tuple[FiniteGroupoid, HaarSystem, PseudoRep]:
     if not report.ok:
         raise ConfigError(f"groupoid file invalid:\n{report}")
     nu = HaarSystem.load(p["haar"], G) if "haar" in p else counting_haar(G)
+    if "haar" in p and not (hrep := check_haar(nu)).ok:
+        raise ConfigError(f"haar weights fail the Haar checks:\n{hrep}")
     if "psrep" not in p or "bundle" not in p:
         raise ConfigError("groupoid input requires psrep and bundle files")
     with open(p["bundle"], encoding="utf-8") as fh:
@@ -261,17 +254,19 @@ def kind_circle_iterate(p: dict) -> list[str]:
     _, lam_star = circle.from_profile(default_profile(p), p["N"], p["k"])
     noise = presets.smooth_torus_field(rng, p["N"], p["k"])
     noise[0, :] = 0.0  # keep the unit row exact
-    scale = p["perturb"]
-    lam0 = circle.TorusGridFn(lam_star.values + scale * noise, p["k"])
+
+    def make(scale: float) -> circle.TorusGridFn:
+        return circle.TorusGridFn(lam_star.values + scale * noise, p["k"])
+
     if p["gate_rescale"]:
-        for _ in range(200):
-            b = float(np.abs(lam0.values).max())
-            c, _ = circle.multiplicativity_residual(lam0)
-            if c <= 0.9 * (1.0 / 9.0) / b**2:
-                break
-            scale *= 0.7
-            lam0 = circle.TorusGridFn(lam_star.values + scale * noise, p["k"])
+        lam0, scale = presets.rescale_to_gate(
+            make,
+            lambda L: (float(np.abs(L.values).max()), circle.multiplicativity_residual(L)[0]),
+            p["perturb"],
+        )
         log(f"perturbation amplitude after gate rescale: {scale!r}")
+    else:
+        lam0, scale = make(p["perturb"]), p["perturb"]
     trace = circle.iterate_circle(lam0, tol_c=p["tol_c"], max_iter=p["max_iter"])
     extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": p["k"],
              "perturb": scale}
@@ -363,14 +358,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        cfg = load_config(args.config)
-        kind = args.kind or cfg.get("kind")
+        user = load_config(args.config, args)
+        kind = args.kind or user.get("kind")
         if kind is None:
             raise ConfigError("no kind: pass it positionally or in the config file")
         if kind not in KINDS:
             raise ConfigError(f"unknown kind {kind!r}; choose from {sorted(KINDS)}")
-        params = merge_params(cfg, args)
-        failures = KINDS[kind](params)
+        failures = KINDS[kind]({**DEFAULTS, **user})
     except ConfigError as exc:
         fail(str(exc))
         return 2

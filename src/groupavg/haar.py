@@ -12,6 +12,7 @@ The counting system (uniform mass on each target fiber) always satisfies both.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -60,11 +61,20 @@ class HaarSystem:
 
     @classmethod
     def load(cls, path: str, groupoid: FiniteGroupoid) -> "HaarSystem":
+        """Weights keyed by arrow id; an absent arrow weighs 0.  Raises
+        ValueError naming a key that is no arrow id or a non-finite weight."""
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: haar weights must be an object keyed by arrow id")
+        ids = {str(g): g for g in groupoid.arrows()}
         weights = [0.0] * groupoid.n_arrows
         for key, w in d.items():
-            weights[int(key)] = float(w)
+            if key not in ids:
+                raise ValueError(f"haar key {key!r} is not an arrow id 0..{groupoid.n_arrows - 1}")
+            if not isinstance(w, (int, float)) or not math.isfinite(w):
+                raise ValueError(f"haar weight of arrow {key} is not a finite number: {w!r}")
+            weights[ids[key]] = float(w)
         return cls(groupoid, weights)
 
 

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from .groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, symmetric_group, cyclic_group
-from .psrep import FiberBundle, PseudoRep, b_norm, c_norm, GATE_COEFF
+from .psrep import FiberBundle, PseudoRep, b_norm, c_norm, gate_holds
 
 
 def s3_action() -> FiniteGroupAction:
@@ -137,6 +137,27 @@ def random_unital_pseudorep(
     raise RuntimeError("could not reach requested defect cap")
 
 
+def rescale_to_gate(make, gauges, delta: float, safety: float = 0.9):
+    """The first of make(delta), make(0.7 delta), ... whose gauges (b, c) pass
+    the gate c <= safety (1/9) b^(-2), with the amplitude used.
+
+    A candidate whose gauges overflow fails the gate.  Raises ValueError
+    naming ``delta`` when none of the first 200 amplitudes passes.
+    """
+    scale = delta
+    for _ in range(200):
+        cand = make(scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                ok = gate_holds(*gauges(cand), safety)
+            except np.linalg.LinAlgError:
+                ok = False
+        if ok:
+            return cand, scale
+        scale *= 0.7
+    raise ValueError(f"perturbation amplitude {delta!r} does not pass the gate in 200 rescales")
+
+
 def gated_perturbation(
     rep0: PseudoRep, rng: np.random.Generator, delta: float, safety: float = 0.9
 ) -> tuple[PseudoRep, float]:
@@ -149,16 +170,14 @@ def gated_perturbation(
     """
     noise = perturb_rep(rep0, rng, 1.0)
     diff = [noise.maps[g] - rep0.maps[g] for g in rep0.groupoid.arrows()]
-    scale = delta
-    for _ in range(200):
+
+    def make(scale: float) -> PseudoRep:
         cand = rep0.copy()
         for g in rep0.groupoid.arrows():
             cand.maps[g] = cand.maps[g] + scale * diff[g]
-        b, c = b_norm(cand), c_norm(cand)
-        if b > 0 and c <= safety * GATE_COEFF / b**2:
-            return cand, scale
-        scale *= 0.7
-    raise RuntimeError("could not rescale perturbation under the gate")
+        return cand
+
+    return rescale_to_gate(make, lambda cand: (b_norm(cand), c_norm(cand)), delta, safety)
 
 
 def smooth_torus_field(

@@ -31,14 +31,25 @@ METRIC_EIG_FLOOR = 1e-12
 GATE_COEFF = 1.0 / 9.0
 
 
+def gate_holds(b: float, c: float, safety: float = 1.0) -> bool:
+    """The near-multiplicativity gate  c <= safety (1/9) b^(-2); False at b = 0 or when b^2 overflows."""
+    try:
+        return b > 0 and c <= safety * GATE_COEFF / b**2
+    except OverflowError:
+        return False
+
+
 class DegenerateMetric(ValueError):
     """A Gram matrix is not symmetric positive definite."""
 
 
 class NonInvertible(ValueError):
-    """A matrix of the pseudo-representation is singular past the conditioning limit."""
+    """An averaging step met a value singular past the conditioning limit: ``arrow``
+    (None off the finite case), and ``extras`` for the failing trace row."""
 
-    def __init__(self, arrow: int, message: str | None = None):
+    extras: dict[str, float] = {}
+
+    def __init__(self, arrow: int | None, message: str | None = None):
         self.arrow = arrow
         super().__init__(message or f"matrix of arrow {arrow} is numerically singular")
 
@@ -446,7 +457,7 @@ def is_nearly_multiplicative(rep: PseudoRep) -> GateReport:
         sub = restrict_rep(rep, orbit)
         b, c = b_norm(sub), c_norm(sub)
         thr = GATE_COEFF / b**2 if b > 0 else np.inf
-        rows.append(OrbitGateRow(orbit, b, c, thr, c <= thr))
+        rows.append(OrbitGateRow(orbit, b, c, thr, gate_holds(b, c)))
     return GateReport(rows)
 
 

@@ -339,3 +339,90 @@ def test_config_grid_below_minimum(tmp_path, capsys):
     cfg.write_text(json.dumps({"kind": "circle_profile", "N": 3}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "schema" in capsys.readouterr().err
+
+
+# -- flags are checked like config fields --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["finite_identities", "--count", "-3"], "count"),
+        (["finite_iterate", "--max-iter", "0"], "max_iter"),
+        (["circle_iterate", "--N", "2"], "N"),
+        (["circle_iterate", "--seed", "-1"], "seed"),
+    ],
+)
+def test_flag_outside_schema_rejected(tmp_path, capsys, argv, field):
+    assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "schema" in err and f"{field}:" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_nonfinite_flag_named(tmp_path, capsys, value):
+    assert main(["run", "circle_iterate", "--N", "16", f"--perturb={value}",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "field perturb: non-finite" in capsys.readouterr().err
+
+
+def test_nonfinite_config_field_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"kind": "finite_iterate", "perturb": NaN}')
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "field perturb: non-finite" in capsys.readouterr().err
+
+
+def test_flag_and_config_checked_together(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "group_bundle", "count": -1}))
+    # the flag overrides the bad config value, so the merged input is valid
+    run_ok(["run", "--config", str(cfg), "--count", "2", "--N", "8", "--out", str(tmp_path / "o")])
+    cfg.write_text(json.dumps([1, 2]))
+    assert main(["run", "group_bundle", "--config", str(cfg)]) == 2
+    assert "schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["finite_iterate", "circle_iterate"])
+def test_perturbation_too_large_to_gate(tmp_path, capsys, kind):
+    assert main(["run", kind, "--N", "16", "--perturb", "1e300",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "perturbation amplitude 1e+300" in capsys.readouterr().err
+
+
+# -- Haar weight files ------------------------------------------------------------------------
+
+
+def write_haar(tmp_path, doc):
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"99": 0.5}, "'99'"),
+        ({"-1": 0.5}, "'-1'"),
+        ({"x": 0.5}, "'x'"),
+        ({"0": "half"}, "arrow 0"),
+        ({"3": float("inf")}, "arrow 3"),
+    ],
+)
+def test_bad_haar_file_named_on_run_and_validate(tmp_path, capsys, rng, doc, named):
+    G, rep = presets.s3_example_rep(rng)
+    cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
+    write_haar(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert main(["validate", "--groupoid", paths["groupoid"], "--haar", paths["haar"]]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_run_rejects_haar_failing_checks(tmp_path, capsys, rng):
+    G, rep = presets.s3_example_rep(rng)
+    cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
+    write_haar(tmp_path, {str(g): 1.0 for g in G.arrows()})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "normalization residual" in capsys.readouterr().err

@@ -1,0 +1,279 @@
+"""The shared iteration driver against the two loops it replaced.
+
+The references below are the standalone finite and circle iteration loops,
+the gather-built circle defect field, the sliced cocycle residual, and the
+two trace column formulas, kept verbatim in their old operation order.  Every
+comparison is exact: the driver, the slice-built field and the bounds module
+must reproduce them bit for bit.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from groupavg import presets
+from groupavg.averaging import IterationTrace, TraceRow, Verdict, average, iterate
+from groupavg.bounds import envelope
+from groupavg.circle import (
+    NonInvertibleNode,
+    TorusGridFn,
+    _fd_sup,
+    average_circle,
+    cocycle_defect_field,
+    from_profile,
+    iterate_circle,
+    multiplicativity_residual,
+)
+from groupavg.haar import counting_haar
+from groupavg.psrep import GATE_COEFF, NonInvertible, b_norm, c_norm, restrict_rep
+
+# -- references ------------------------------------------------------------------------
+
+
+def orbit_gate_ref(rep):
+    rows = []
+    for orbit in rep.groupoid.orbits():
+        sub = restrict_rep(rep, orbit)
+        b, c = b_norm(sub), c_norm(sub)
+        thr = GATE_COEFF / b**2 if b > 0 else np.inf
+        rows.append((orbit, c <= thr))
+    return all(ok for _, ok in rows), [o for o, ok in rows if not ok]
+
+
+def iterate_ref(rep, nu, tol_c=1e-12, max_iter=64):
+    gate_ok, failed = orbit_gate_ref(rep)
+    rows = []
+    lam = rep
+    verdict = Verdict("Diverged")
+    t0 = time.perf_counter()
+    b0 = c0 = 0.0
+    for i in range(max_iter + 1):
+        b, c = b_norm(lam), c_norm(lam)
+        rows.append(TraceRow(i, b, c, lam.unit_defect(), time.perf_counter() - t0))
+        if i == 0:
+            b0, c0 = b, c
+        if c <= tol_c:
+            verdict = Verdict("Converged", iteration=i)
+            break
+        if i == max_iter:
+            verdict = Verdict("Diverged", iteration=i)
+            break
+        try:
+            lam = average(lam, nu)
+        except NonInvertible as exc:
+            verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.arrow)
+            break
+    envelope_valid = b0 >= 1.0 and c0 <= GATE_COEFF / b0**2 if b0 > 0 else False
+    return IterationTrace(rows, verdict, gate_ok, failed, lam, b0, c0, envelope_valid)
+
+
+def defect_field_ref(L):
+    V, N, k = L.values, L.N, L.twist
+    idx = np.arange(N)
+    rows = (idx[:, None, None] + idx[None, :, None]) % N
+    cols = (k * idx[:, None] + idx[None, :]) % N
+    return V[rows, idx[None, None, :]] - V[idx[:, None, None], cols[None, :, :]] * V[None, :, :]
+
+
+def residual_ref(L):
+    V, N, k = L.values, L.N, L.twist
+    idx = np.arange(N)
+    cols = (k * idx[:, None] + idx[None, :]) % N
+    worst = 0.0
+    for lp in range(N):
+        r = np.abs(V[(lp + idx) % N, :] - V[lp, cols] * V)
+        worst = max(worst, float(r.max()))
+    return worst, float(np.abs(V[0] - 1.0).max())
+
+
+def iterate_circle_ref(L0, tol_c=1e-12, max_iter=64, seminorm_orders=(0, 1)):
+    rows = []
+    lam = L0
+    verdict = Verdict("Diverged")
+    t0 = time.perf_counter()
+    b0 = c0 = 0.0
+    gate_ok = True
+    for i in range(max_iter + 1):
+        field = defect_field_ref(lam)
+        b = float(np.abs(lam.values).max())
+        c = float(np.abs(field).max())
+        unit = float(np.abs(lam.values[0] - 1.0).max())
+        extras = {f"c_sem_r{r}": _fd_sup(field, r, lam.N) for r in seminorm_orders}
+        rows.append(TraceRow(i, b, c, unit, time.perf_counter() - t0, extras))
+        if i == 0:
+            b0, c0 = b, c
+            gate_ok = b0 > 0 and c0 <= GATE_COEFF / b0**2
+        if c <= tol_c:
+            verdict = Verdict("Converged", iteration=i)
+            break
+        if i == max_iter:
+            verdict = Verdict("Diverged", iteration=i)
+            break
+        try:
+            lam = average_circle(lam)
+        except NonInvertibleNode as exc:
+            verdict = Verdict("NonInvertibleAt", iteration=i, arrow=None)
+            rows[-1].extras["bad_node_theta"] = float(exc.node[0])
+            rows[-1].extras["bad_node_a"] = float(exc.node[1])
+            break
+    envelope_valid = b0 >= 1.0 and c0 <= GATE_COEFF / b0**2 if b0 > 0 else False
+    return IterationTrace(rows, verdict, gate_ok, [], lam, b0, c0, envelope_valid)
+
+
+def envelope_column_ref(trace):
+    if not trace.envelope_valid:
+        return [None] * len(trace.rows)
+    out = []
+    t = 6.0 * trace.b0**2 * trace.c0
+    denom = 6.0 * trace.b0**2
+    for _ in trace.rows:
+        out.append(t / denom)
+        t = t * t
+    return out
+
+
+def quadratic_rhs_column_ref(trace):
+    out = []
+    for r in trace.rows:
+        if r.c < 1.0:
+            out.append(2.0 * r.c**2 * (r.b / (1.0 - r.c)) ** 2)
+        else:
+            out.append(float("inf"))
+    return out
+
+
+def envelope_ref(b0, c0, n):
+    bs, cs = [float(b0)], [float(c0)]
+    for _ in range(n - 1):
+        b, c = bs[-1], cs[-1]
+        grown = b / (1.0 - c)
+        bs.append(grown)
+        cs.append(2.0 * c**2 * grown**2)
+    return bs, cs
+
+
+def assert_same_trace(got, want):
+    key = lambda r: (r.i, r.b, r.c, r.unit_defect, r.extras)  # noqa: E731  wall time differs
+    assert [key(r) for r in got.rows] == [key(r) for r in want.rows]
+    assert got.verdict == want.verdict
+    assert got.gate_ok == want.gate_ok
+    assert got.gate_failed_orbits == want.gate_failed_orbits
+    assert (got.b0, got.c0) == (want.b0, want.c0)
+    assert got.envelope_valid == want.envelope_valid
+    assert got.envelope_column() == envelope_column_ref(want)
+    assert got.quadratic_rhs_column() == quadratic_rhs_column_ref(want)
+    if isinstance(want.final, TorusGridFn):
+        assert np.array_equal(got.final.values, want.final.values)
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got.final.maps, want.final.maps))
+
+
+# -- finite inputs -----------------------------------------------------------------------
+
+
+def gated_s3(rng):
+    G, rep = presets.s3_example_rep(rng)
+    return presets.gated_perturbation(rep, rng, 2e-3)[0], counting_haar(G), {}
+
+
+def z2_one_orbit_failing(rng):
+    G, rep = presets.z2_example_rep(rng)
+    lam = rep.copy()
+    for g in G.arrows():
+        if G.src[g] == 2 and g not in G.unit:
+            lam.maps[g] = lam.maps[g] + 0.3
+    return lam, counting_haar(G), {}
+
+
+def ungated_s3(rng):
+    G, rep = presets.s3_example_rep(rng)
+    return presets.perturb_rep(rep, rng, 0.2), counting_haar(G), {"max_iter": 2}
+
+
+def singular_arrow(rng):
+    G, rep = presets.s3_example_rep(rng)
+    lam = rep.copy()
+    g = next(g for g in G.arrows() if g not in G.unit)
+    lam.maps[g] = np.zeros_like(lam.maps[g])
+    return lam, counting_haar(G), {}
+
+
+def exact_s3(rng):
+    G, rep = presets.s3_example_rep(rng)
+    return rep, counting_haar(G), {}
+
+
+FINITE_CASES = {
+    gated_s3: lambda t: t.envelope_valid and t.verdict == Verdict("Converged", iteration=3),
+    z2_one_orbit_failing: lambda t: t.gate_failed_orbits == [[2]],
+    ungated_s3: lambda t: not t.gate_ok and t.verdict == Verdict("Diverged", iteration=2),
+    singular_arrow: lambda t: t.verdict.kind == "NonInvertibleAt" and t.verdict.arrow is not None,
+    exact_s3: lambda t: t.verdict == Verdict("Converged", iteration=0),
+}
+
+
+@pytest.mark.parametrize("make", FINITE_CASES, ids=lambda f: f.__name__)
+def test_iterate_equals_reference_loop(make, rng):
+    rep, nu, kw = make(rng)
+    got, want = iterate(rep, nu, **kw), iterate_ref(rep, nu, **kw)
+    assert_same_trace(got, want)
+    assert FINITE_CASES[make](got)
+
+
+# -- circle inputs ------------------------------------------------------------------------
+
+
+def f_sin(t):
+    return 0.05 * np.sin(4 * np.pi * t)
+
+
+def bumped(N=16, k=2, amp=0.01):
+    _, L = from_profile(f_sin, N, k=k)
+    th = np.arange(N)[:, None] / N
+    a = np.arange(N)[None, :] / N
+    return TorusGridFn(L.values * (1.0 + amp * np.sin(2 * np.pi * th) * np.sin(2 * np.pi * a)), k)
+
+
+def vanishing_node():
+    L = bumped()
+    values = L.values.copy()
+    values[3, 5] = 0.0
+    return TorusGridFn(values, L.twist)
+
+
+@pytest.mark.parametrize(
+    "L0, kw, verdict",
+    [
+        (bumped(), {"seminorm_orders": (0, 1, 2)}, Verdict("Converged", iteration=3)),
+        (bumped(amp=0.3), {"max_iter": 2}, Verdict("Diverged", iteration=2)),
+        (vanishing_node(), {}, Verdict("NonInvertibleAt", iteration=0)),
+        (from_profile(f_sin, 16, k=2)[1], {}, Verdict("Converged", iteration=0)),
+        # gated but b0 < 1: the envelope is not claimed
+        (TorusGridFn(np.full((8, 8), 0.5), 1), {}, Verdict("Converged", iteration=1)),
+    ],
+    ids=["seminorms_012", "ungated_budget", "vanishing_node", "converged", "b0_below_1"],
+)
+def test_iterate_circle_equals_reference_loop(L0, kw, verdict):
+    got, want = iterate_circle(L0, **kw), iterate_circle_ref(L0, **kw)
+    assert_same_trace(got, want)
+    assert got.verdict == verdict
+
+
+def test_vanishing_node_witness_in_row_extras():
+    trace = iterate_circle(vanishing_node())
+    assert trace.verdict == Verdict("NonInvertibleAt", iteration=0, arrow=None)
+    assert trace.rows[-1].extras["bad_node_theta"] == 3.0
+    assert trace.rows[-1].extras["bad_node_a"] == 5.0
+
+
+@pytest.mark.parametrize("N, k", [(16, 1), (32, 2), (64, 3)])
+def test_slice_built_defect_field_is_bit_equal(N, k, rng):
+    L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), k)
+    assert np.array_equal(cocycle_defect_field(L), defect_field_ref(L))
+    assert multiplicativity_residual(L) == residual_ref(L)
+
+
+@pytest.mark.parametrize("b0, c0", [(1.0, 1.0 / 9.0), (1.3, 0.01), (2.0, 1e-4)])
+def test_envelope_equals_reference(b0, c0):
+    assert envelope(b0, c0, 12) == envelope_ref(b0, c0, 12)

@@ -15,6 +15,7 @@ from groupavg.psrep import (
     b_norm,
     c_norm,
     delta_cocycle,
+    gate_holds,
     inverse_rep,
     invert_arrow,
     is_nearly_multiplicative,
@@ -402,3 +403,10 @@ def test_batched_inverse_lowest_bad_arrow_across_shapes():
     with pytest.raises(NonInvertible) as exc:
         inverse_rep(rep)
     assert exc.value.arrow == bad_3x3
+
+
+def test_gate_holds_edges():
+    assert gate_holds(1.0, 1.0 / 9.0) and not gate_holds(1.0, 0.12)
+    assert gate_holds(2.0, 0.02) and not gate_holds(2.0, 0.02, safety=0.5)
+    assert not gate_holds(0.0, 0.0)
+    assert not gate_holds(1e300, 0.0)  # b^2 overflows
