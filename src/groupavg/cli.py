@@ -30,7 +30,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from . import averaging, bounds, circle, presets
-from .groupoid import FiniteGroupoid, action_groupoid
+from .groupoid import FiniteGroupoid, action_groupoid, read_json
 from .haar import HaarSystem, check_haar, counting_haar
 from .psrep import FiberBundle, PseudoRep
 
@@ -167,8 +167,7 @@ def load_finite_inputs(p: dict) -> tuple[FiniteGroupoid, HaarSystem, PseudoRep]:
         raise ConfigError(f"haar weights fail the Haar checks:\n{hrep}")
     if "psrep" not in p or "bundle" not in p:
         raise ConfigError("groupoid input requires psrep and bundle files")
-    with open(p["bundle"], encoding="utf-8") as fh:
-        bundle = FiberBundle.from_json_dict(json.load(fh), G.objects)
+    bundle = read_json(p["bundle"], lambda d: FiberBundle.from_json_dict(d, G.objects))
     rep = PseudoRep.load(p["psrep"], G, bundle)
     return G, nu, rep
 

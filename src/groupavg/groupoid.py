@@ -17,6 +17,19 @@ from typing import Any, Callable, Hashable, Iterator, Sequence
 import numpy as np
 
 
+def read_json(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the JSON document at ``path``.  A key the document lacks, or a
+    value ``parse`` rejects, is raised as a ValueError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 class MalformedAction(ValueError):
     """The translation maps of a group action fail identity or compatibility."""
 
@@ -304,6 +317,9 @@ class FiniteGroupoid:
         arrows = sorted(d["arrows"], key=lambda a: a["id"])
         if [a["id"] for a in arrows] != list(range(len(arrows))):
             raise ValueError("arrow ids must be dense integers 0..n-1")
+        for a, end in itertools.product(arrows, ("src", "tgt")):
+            if str(a[end]) not in index:
+                raise ValueError(f"arrow {a['id']}: {end} {a[end]!r} is not an object")
         src = [index[str(a["src"])] for a in arrows]
         tgt = [index[str(a["tgt"])] for a in arrows]
         compose = {(int(g2), int(g1)): int(g21) for g2, g1, g21 in d["compose"]}
@@ -322,8 +338,7 @@ class FiniteGroupoid:
 
     @classmethod
     def load(cls, path: str) -> "FiniteGroupoid":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return read_json(path, cls.from_json_dict)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .groupoid import CompositionTables, FiniteGroupoid
+from .groupoid import CompositionTables, FiniteGroupoid, read_json
 
 COND_LIMIT = 1e12
 METRIC_EIG_FLOOR = 1e-12
@@ -318,8 +318,7 @@ class PseudoRep:
 
     @classmethod
     def load(cls, path: str, groupoid: FiniteGroupoid, bundle: FiberBundle) -> "PseudoRep":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh), groupoid, bundle)
+        return read_json(path, lambda d: cls.from_json_dict(d, groupoid, bundle))
 
 
 def b_norm(rep: PseudoRep) -> float:

@@ -14,6 +14,7 @@ from groupavg.bounds import (
     check_quadratic_decay,
     envelope,
     load_trace_csv,
+    step_bounds,
     write_check_csv,
 )
 from groupavg.haar import counting_haar
@@ -257,3 +258,12 @@ def test_load_trace_rejects_empty(tmp_path):
     path.write_text("i,b,c,unit_defect,quadratic_bound_rhs,envelope\n")
     with pytest.raises(ValueError, match="empty"):
         load_trace_csv(str(path))
+
+
+def test_quadratic_decay_when_b0_squared_overflows():
+    # 1e200**2 raises OverflowError on Python floats; the check reads it as inf
+    rep = check_quadratic_decay([1e200, 1e199], [0.5, 0.25])
+    assert not rep.hypothesis_ok
+    eps_row = next(r for r in rep.rows if r.check == "eps_le_2_3")
+    assert eps_row.observed == float("inf") and not eps_row.ok
+    assert step_bounds(1e200, 0.5) == (2e200, float("inf"))

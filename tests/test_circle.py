@@ -1,5 +1,7 @@
 """Discretized-circle connections: closed forms, averaging, and seminorms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,6 +310,50 @@ def test_grid_validation():
         TorusGridFn(np.zeros((3, 3)), 1)
     with pytest.raises(ValueError, match="twist"):
         TorusGridFn(np.zeros((8, 8)), 0)
+
+
+@pytest.mark.parametrize(
+    "samples, named",
+    [([0.0, 0.1, np.nan, np.inf], "sample 2 is not finite: nan"),
+     ([0.0, np.inf, 0.1, 0.0], "sample 1 is not finite: inf")],
+)
+def test_profile_rejects_nonfinite_sample(samples, named):
+    with pytest.raises(ValueError, match=named):
+        CircleProfile(samples, 1)
+
+
+@pytest.mark.parametrize("twist", [0, -2, 1.5])
+def test_profile_rejects_twist_below_one(twist):
+    with pytest.raises(ValueError, match="twist must be a positive integer"):
+        CircleProfile([0.0, 0.1, 0.0, -0.1], twist)
+
+
+def test_nan_defect_is_not_a_pass():
+    # Python's max(0.0, nan) is 0.0, so a sup folded that way hides a NaN
+    values = from_profile(f_sin, 16, k=2)[1].values.copy()
+    values[5, 7] = np.nan
+    L = TorusGridFn(values, 2)
+    assert np.isnan(multiplicativity_residual(L)[0])
+    assert np.isnan(connection_residual(connection_from_effect(L)))
+    row = iterate_circle(L, max_iter=1, seminorm_orders=(0, 1, 2)).rows[0]
+    assert np.isnan(row.c)
+    assert all(np.isnan(row.extras[f"c_sem_r{r}"]) for r in (0, 1, 2))
+
+
+def test_iterate_circle_holds_no_cubic_field():
+    N = 128
+    _, L = from_profile(f_sin, N, k=2)
+    th = np.arange(N)[:, None] / N
+    a = np.arange(N)[None, :] / N
+    L0 = TorusGridFn(L.values * (1.0 + 0.01 * np.sin(2 * np.pi * th) * np.sin(2 * np.pi * a)), 2)
+    tracemalloc.start()
+    try:
+        trace = iterate_circle(L0, seminorm_orders=(0, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.verdict.kind == "Converged"
+    assert peak < N**3 * 8, f"peak {peak} bytes reaches one N^3 field ({N**3 * 8} bytes)"
 
 
 @settings(max_examples=20, deadline=None)

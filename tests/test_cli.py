@@ -391,6 +391,65 @@ def test_perturbation_too_large_to_gate(tmp_path, capsys, kind):
     assert "perturbation amplitude 1e+300" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("4,1\n0\nnan\n0.2\n0.1\n", "sample 1 is not finite: nan"),
+        ("4,1\n0\n0.1\ninf\n0.1\n", "sample 2 is not finite: inf"),
+        ("4,0\n0\n0.1\n0.2\n0.1\n", "twist must be a positive integer, got 0"),
+        ("4\n0\n0.1\n0.2\n0.1\n", "header must be two integers N,k, got '4'"),
+    ],
+    ids=["nan_sample", "inf_sample", "twist_0", "header_without_twist"],
+)
+def test_bad_profile_file_exits_2(tmp_path, capsys, text, named):
+    path = tmp_path / "profile.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "circle_profile", "--profile", str(path), "--N", "16",
+                 "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "residuals.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, named",
+    [
+        ("groupoid", lambda d: d.pop("compose"), "missing key 'compose'"),
+        ("groupoid", lambda d: d["arrows"][4].update(src=9), "arrow 4: src 9 is not an object"),
+        ("bundle", lambda d: d.pop("1"), "missing key '1'"),
+        ("bundle", lambda d: d["2"].pop("dim"), "missing key 'dim'"),
+        ("psrep", lambda d: d["3"].pop("data"), "missing key 'data'"),
+    ],
+    ids=["groupoid_without_compose", "arrow_src_not_object", "bundle_without_object",
+         "bundle_object_without_dim", "psrep_entry_without_data"],
+)
+def test_malformed_input_file_named(tmp_path, capsys, rng, name, corrupt, named):
+    G, rep = presets.s3_example_rep(rng)
+    cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
+    doc = json.loads(open(paths[name]).read())
+    corrupt(doc)
+    with open(paths[name], "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"{paths[name]}: {named}" in capsys.readouterr().err
+
+
+def test_ungated_overflowing_perturbation_diverges(tmp_path, capsys):
+    # b0 = 5e199: b0**2 overflows a Python float, and the defects are inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "circle_iterate", "gate_rescale": False,
+                               "perturb": 1e200, "N": 16, "max_iter": 3}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "verdict Diverged at iteration 3" in capsys.readouterr().err
+    doc = json.loads((out / "verdict.json").read_text())
+    assert doc["verdict"]["kind"] == "Diverged"
+    assert (doc["gate_ok"], doc["envelope_valid"], doc["bounds_check_ok"]) == (False, False, False)
+    assert "0,eps_le_2_3,0.6666666666666666,inf,false" in (out / "bounds_check.csv").read_text()
+    assert len((out / "trace.csv").read_text().splitlines()) == 5
+
+
 # -- Haar weight files ------------------------------------------------------------------------
 
 

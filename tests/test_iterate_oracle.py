@@ -1,10 +1,11 @@
 """The shared iteration driver against the two loops it replaced.
 
 The references below are the standalone finite and circle iteration loops,
-the gather-built circle defect field, the sliced cocycle residual, and the
+the gather-built circle defect field, the sliced cocycle residual, the
+whole-field seminorm and the two residual loops it was streamed from, and the
 two trace column formulas, kept verbatim in their old operation order.  Every
-comparison is exact: the driver, the slice-built field and the bounds module
-must reproduce them bit for bit.
+comparison is exact: the driver, the slice-built field, the streamed defect
+pass and the bounds module must reproduce them bit for bit.
 """
 
 import time
@@ -18,9 +19,13 @@ from groupavg.bounds import envelope
 from groupavg.circle import (
     NonInvertibleNode,
     TorusGridFn,
-    _fd_sup,
+    _defect_slices,
+    _defect_sups,
     average_circle,
     cocycle_defect_field,
+    connection_from_effect,
+    connection_residual,
+    discrete_seminorm,
     from_profile,
     iterate_circle,
     multiplicativity_residual,
@@ -85,6 +90,55 @@ def residual_ref(L):
         r = np.abs(V[(lp + idx) % N, :] - V[lp, cols] * V)
         worst = max(worst, float(r.max()))
     return worst, float(np.abs(V[0] - 1.0).max())
+
+
+def _twist_cols(N: int, k: int) -> np.ndarray:
+    """cols[l, i] = (k l + i) mod N, the grid column of k theta + a."""
+    idx = np.arange(N)
+    return (k * idx[:, None] + idx[None, :]) % N
+
+
+def _defect_slice(V: np.ndarray, lp: int, cols: np.ndarray) -> np.ndarray:
+    """The theta' = lp/N slice  Lambda(theta'+theta, a) - Lambda(theta', k theta + a) Lambda(theta, a)."""
+    return V[(lp + np.arange(len(V))) % len(V), :] - V[lp, cols] * V
+
+
+def multiplicativity_residual_ref(L: TorusGridFn) -> tuple[float, float]:
+    """(res_cocycle, res_unit): sups over all grid triples / the unit row."""
+    V, cols = L.values, _twist_cols(L.N, L.twist)
+    worst = 0.0
+    for lp in range(L.N):
+        worst = max(worst, float(np.abs(_defect_slice(V, lp, cols)).max()))
+    return worst, float(np.abs(V[0] - 1.0).max())
+
+
+def connection_residual_ref(X: TorusGridFn) -> float:
+    """Sup residual of the multiplicativity equation written at the connection level:
+
+    X(theta'+theta, a) = X(theta, a) + X(theta', k theta + a) (1 + k X(theta, a)).
+    Algebraically, effect residual = k * connection residual, triple by triple.
+    """
+    V, N, k = X.values, X.N, X.twist
+    idx, cols = np.arange(N), _twist_cols(N, k)
+    worst = 0.0
+    for lp in range(N):
+        r = np.abs(V[(lp + idx) % N, :] - V - V[lp, cols] * (1.0 + k * V))
+        worst = max(worst, float(r.max()))
+    return worst
+
+
+def _fd_sup(values: np.ndarray, r: int, N: int) -> float:
+    if r not in (0, 1, 2):
+        raise ValueError(f"seminorm order {r} not supported (use 0, 1 or 2)")
+    worst = float(np.abs(values).max())
+    for axis in range(values.ndim):
+        if r >= 1:
+            d1 = (np.roll(values, -1, axis) - np.roll(values, 1, axis)) * (N / 2.0)
+            worst = max(worst, float(np.abs(d1).max()))
+        if r >= 2:
+            d2 = (np.roll(values, -1, axis) - 2.0 * values + np.roll(values, 1, axis)) * (N**2)
+            worst = max(worst, float(np.abs(d2).max()))
+    return worst
 
 
 def iterate_circle_ref(L0, tol_c=1e-12, max_iter=64, seminorm_orders=(0, 1)):
@@ -272,6 +326,20 @@ def test_slice_built_defect_field_is_bit_equal(N, k, rng):
     L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), k)
     assert np.array_equal(cocycle_defect_field(L), defect_field_ref(L))
     assert multiplicativity_residual(L) == residual_ref(L)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("N, k", [(4, 1), (5, 2), (16, 1), (33, 3), (64, 2)])
+def test_streamed_defect_pass_equals_whole_field(N, k, r, rng):
+    L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), k)
+    field = defect_field_ref(L)
+    sups = _defect_sups(_defect_slices(L), N, r)
+    # entry q is the sup of the order-q differences alone; their running max is the seminorm
+    assert np.maximum.accumulate(sups).tolist() == [_fd_sup(field, q, N) for q in range(r + 1)]
+    assert discrete_seminorm(L, r) == _fd_sup(L.values, r, N)
+    assert multiplicativity_residual(L) == multiplicativity_residual_ref(L)
+    X = connection_from_effect(L)
+    assert connection_residual(X) == connection_residual_ref(X)
 
 
 @pytest.mark.parametrize("b0, c0", [(1.0, 1.0 / 9.0), (1.3, 0.01), (2.0, 1e-4)])
