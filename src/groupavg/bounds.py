@@ -65,7 +65,7 @@ def _le(observed: float, bound: float, rel_slack: float) -> bool:
     return observed <= bound + rel_slack * abs(bound)
 
 
-def _square(x: float) -> float:
+def square(x: float) -> float:
     """x**2, or inf where it overflows: Python's float power raises there instead."""
     try:
         return x**2
@@ -76,12 +76,12 @@ def _square(x: float) -> float:
 def step_bounds(b: float, c: float) -> tuple[float, float]:
     """The one-step bounds  b/(1-c)  and  2 c^2 (b/(1-c))^2  on the next (b, c), for c < 1."""
     grown = b / (1.0 - c)
-    return grown, 2.0 * _square(c) * _square(grown)
+    return grown, 2.0 * square(c) * square(grown)
 
 
 def closed_envelope(b0: float, c0: float, n: int) -> list[float]:
     """The closed form  eps^(2^i) / (6 b0^2)  for i < n, eps = 6 b0^2 c0, by repeated squaring."""
-    denom = 6.0 * _square(b0)
+    denom = 6.0 * square(b0)
     out, t = [], denom * c0
     for _ in range(n):
         out.append(t / denom)
@@ -106,7 +106,7 @@ def check_quadratic_decay(
         raise ValueError("need at least two entries")
     rep = BoundSeqReport(hypothesis_ok=True)
     b0, c0 = float(b[0]), float(c[0])
-    eps = 6.0 * _square(b0) * c0
+    eps = 6.0 * square(b0) * c0
     rep.rows.append(CheckRow(0, "b0_ge_1", 1.0, b0, b0 >= 1.0))
     rep.rows.append(CheckRow(0, "eps_le_2_3", 2.0 / 3.0, eps, _le(eps, 2.0 / 3.0, rel_slack)))
     for i in range(len(b) - 1):
@@ -226,8 +226,8 @@ def envelope(b0: float, c0: float, n: int) -> tuple[list[float], list[float]]:
     """
     if b0 < 1.0:
         raise GateViolation(f"b0 = {b0} < 1")
-    if 6.0 * _square(b0) * c0 > 2.0 / 3.0:
-        raise GateViolation(f"6 b0^2 c0 = {6.0 * _square(b0) * c0} > 2/3")
+    if 6.0 * square(b0) * c0 > 2.0 / 3.0:
+        raise GateViolation(f"6 b0^2 c0 = {6.0 * square(b0) * c0} > 2/3")
     if n < 1:
         raise ValueError("need n >= 1")
     bs, cs = [float(b0)], [float(c0)]

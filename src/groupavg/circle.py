@@ -182,22 +182,49 @@ def limit_profile(L: TorusGridFn) -> CircleProfile:
     return CircleProfile((L.values[:, 0] - 1.0) / L.twist, L.twist)
 
 
-def _twist_cols(N: int, k: int) -> np.ndarray:
-    """cols[l, i] = (k l + i) mod N, the grid column of k theta + a."""
-    idx = np.arange(N)
-    return (k * idx[:, None] + idx[None, :]) % N
+def _twisted_row(N: int, k: int):
+    """row -> the read-only (N, N) view R[l, i] = row[(k l + i) mod N], the row read at k theta + a.
+
+    The row is tiled k' + 1 times (k' = k mod N) into one held buffer, and R is a window over it
+    with row stride k' and column stride 1: its last element, k'(N - 1) + N - 1, is in the buffer.
+    """
+    k %= N
+    tiled = np.empty((k + 1, N))
+    view = np.lib.stride_tricks.as_strided(
+        tiled, (N, N), (k * tiled.itemsize, tiled.itemsize), writeable=False)
+
+    def at(row: np.ndarray) -> np.ndarray:
+        tiled[:] = row
+        return view
+
+    return at
+
+
+def _rotated_minus(V: np.ndarray, lp: int, B: np.ndarray, out: np.ndarray) -> None:
+    """out[l] = V[(lp + l) mod N] - B[l], as two row blocks."""
+    n = len(V) - lp
+    np.subtract(V[lp:], B[:n], out=out[:n])
+    np.subtract(V[:lp], B[n:], out=out[n:])
 
 
 def _defect_slices(L: TorusGridFn):
-    """lp -> the theta' = lp/N slice of the defect field (see :func:`cocycle_defect_field`)."""
-    V, idx, cols = L.values, np.arange(L.N), _twist_cols(L.N, L.twist)
-    return lambda lp: V[(lp + idx) % L.N, :] - V[lp, cols] * V
+    """(lp, out) -> writes the theta' = lp/N slice of the defect field (see
+    :func:`cocycle_defect_field`) into ``out``, through one held product buffer."""
+    V, twisted, prod = L.values, _twisted_row(L.N, L.twist), np.empty((L.N, L.N))
+
+    def slice_at(lp: int, out: np.ndarray) -> None:
+        np.multiply(twisted(V[lp]), V, out=prod)
+        _rotated_minus(V, lp, prod, out)
+
+    return slice_at
 
 
 def cocycle_defect_field(L: TorusGridFn) -> np.ndarray:
     """D[l', l, i] = Lambda(theta'+theta, a) - Lambda(theta', k theta + a) Lambda(theta, a)."""
-    slice_at = _defect_slices(L)
-    return np.stack([slice_at(lp) for lp in range(L.N)])
+    D, slice_at = np.empty((L.N,) * 3), _defect_slices(L)
+    for lp in range(L.N):
+        slice_at(lp, D[lp])
+    return D
 
 
 def multiplicativity_residual(L: TorusGridFn) -> tuple[float, float]:
@@ -212,8 +239,13 @@ def connection_residual(X: TorusGridFn) -> float:
     Algebraically, effect residual = k * connection residual, triple by triple.
     """
     V, N, k = X.values, X.N, X.twist
-    idx, cols, effect = np.arange(N), _twist_cols(N, k), 1.0 + k * V
-    return float(_defect_sups(lambda lp: V[(lp + idx) % N] - V - V[lp, cols] * effect, N, 0)[0])
+    twisted, effect, prod = _twisted_row(N, k), 1.0 + k * V, np.empty((N, N))
+
+    def slice_at(lp: int, out: np.ndarray) -> None:
+        _rotated_minus(V, lp, V, out)
+        np.subtract(out, np.multiply(twisted(V[lp]), effect, out=prod), out=out)
+
+    return float(_defect_sups(slice_at, N, 0)[0])
 
 
 def average_circle(L: TorusGridFn) -> TorusGridFn:
@@ -228,11 +260,14 @@ def average_circle(L: TorusGridFn) -> TorusGridFn:
         node = np.argwhere(small)[0]
         li = (int(node[0]), int(node[1]))
         raise NonInvertibleNode(li, float(V[li]))
-    acc = np.zeros_like(V)
+    acc, rolled, ratio = np.zeros_like(V), np.empty_like(V), np.empty_like(V)
     for j in range(N):
-        num = np.roll(V, (-j, k * j), (0, 1))
-        den = np.roll(V[j], k * j)[None, :]
-        acc = acc + num / den
+        # the j-term is rolled[(l + j) mod N] / rolled[j], with V rolled right by s = k j columns
+        n, s = N - j, k * j % N
+        rolled[:, s:], rolled[:, :s] = V[:, : N - s], V[:, N - s:]
+        np.divide(rolled[j:], rolled[j], out=ratio[:n])
+        np.divide(rolled[:j], rolled[j], out=ratio[n:])
+        np.add(acc, ratio, out=acc)
     return TorusGridFn(acc / N, k)
 
 
@@ -258,7 +293,8 @@ def discrete_seminorm(F: TorusGridFn, r: int) -> float:
     Differences are taken in each grid variable separately (no mixed terms);
     step h = 1/N, so order 1 scales by N/2 and order 2 by N^2.
     """
-    return float(_slice_sups(F.values, _order(r), F.N).max())
+    D, T = _scratch(F.N, _order(r))
+    return float(_scaled(_slice_maxima(F.values, r, D, T), F.N).max())
 
 
 def _order(r: int) -> int:
@@ -268,31 +304,82 @@ def _order(r: int) -> int:
     return r
 
 
-def _slice_sups(S: np.ndarray, order: int, N: int, halo=()) -> np.ndarray:
-    """Sups of |S| and its N-scaled differences up to ``order``: along S's axes, across ``halo``."""
-    sups = np.array([np.abs(S).max()] + [0.0] * order)
-    rolls = ((np.roll(S, 1, axis), np.roll(S, -1, axis)) for axis in range(S.ndim))
-    for lo, hi in [*rolls, *halo] if order else ():
-        sups[1] = np.maximum(sups[1], np.abs(hi - lo).max() * (N / 2.0))
-        if order == 2:
-            sups[2] = np.maximum(sups[2], np.abs(hi - 2.0 * S + lo).max() * N**2)
-    return sups
+def _scratch(N: int, order: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The difference buffer of :func:`_slice_maxima` and, at order 2, its 2.0*S buffer."""
+    return np.empty((N, N)), np.empty((N, N)) if order == 2 else None
+
+
+def _scaled(maxima, N: int) -> np.ndarray:
+    """Order-q maxima scaled by 1, N/2, N^2.  Rounding is monotone, so a sup scaled after its
+    max is bit-equal to the max of scaled values, and a NaN stays NaN."""
+    return np.asarray(maxima) * np.array([1.0, N / 2.0, N**2])[: len(maxima)]
+
+
+def _absmax(D: np.ndarray) -> float:
+    """max |D|, taking |D| in place."""
+    return np.abs(D, out=D).max()
+
+
+def _combine(hi, lo, out, two_s=None) -> None:
+    """out = hi - lo, or the second difference (hi - two_s) + lo with two_s = 2.0*S."""
+    if two_s is None:
+        np.subtract(hi, lo, out=out)
+    else:
+        np.add(np.subtract(hi, two_s, out=out), lo, out=out)
+
+
+def _central_absmax(S: np.ndarray, axis: int, D: np.ndarray, two_s=None) -> float:
+    """max |first or second central difference| of the periodic 2-d S along ``axis``, written
+    into the C-ordered D: the interior from flat views of S shifted by one row (axis 0) or one
+    element (axis 1), then the two wrap-around rows or columns over the entries it got wrong."""
+    step = S.shape[1] if axis == 0 else 1
+    s, d = S.reshape(-1), D.reshape(-1)
+    _combine(s[2 * step:], s[: -2 * step], d[step:-step],
+             None if two_s is None else two_s.reshape(-1)[step:-step])
+    s, d = np.moveaxis(S, axis, 0), np.moveaxis(D, axis, 0)
+    t = None if two_s is None else np.moveaxis(two_s, axis, 0)
+    for row, hi, lo in ((0, 1, -1), (-1, 0, -2)):
+        _combine(s[hi], s[lo], d[row], None if t is None else t[row])
+    return _absmax(D)
+
+
+def _slice_maxima(S: np.ndarray, order: int, D: np.ndarray, T=None, halo=None) -> list:
+    """Unscaled maxima of |S| and of its order-q central differences (q <= ``order``), along
+    S's axes and across the (prev, next) ``halo``, all written into the scratch D (which may be
+    S itself at order 0) and, at order 2, T = 2.0*S.  Each sup is taken before any scaling and
+    the second differences keep the order (hi - 2.0*S) + lo, so every maximum is exact."""
+    maxima = [np.abs(S, out=D).max()]
+    if order == 2:
+        np.multiply(S, 2.0, out=T)
+    for two_s in (None, T)[:order]:
+        m = np.maximum(_central_absmax(S, 0, D, two_s), _central_absmax(S, 1, D, two_s))
+        if halo is not None:
+            _combine(halo[1], halo[0], D, two_s)
+            m = np.maximum(m, _absmax(D))
+        maxima.append(m)
+    return maxima
 
 
 def _defect_sups(slice_at, N: int, order: int) -> np.ndarray:
-    """:func:`_slice_sups` of the field with theta' = lp/N slice ``slice_at(lp)``, in one pass
-    over theta' with a (prev, next) halo: no N^3 field.  A sup scaled after its max is exact
-    (rounding is monotone), and a NaN anywhere makes the sups NaN.  Order 0 holds no slice
-    across steps: one held N^2 slice made glibc fault in fresh pages for every temporary,
-    and the N = 256 residual 1.5x slower."""
-    sups = np.zeros(order + 1)
-    prev, cur = (slice_at(N - 1), slice_at(0)) if order else (None, None)
+    """Scaled :func:`_slice_maxima` of the field whose theta' = lp/N slice ``slice_at(lp, out)``
+    writes, in one pass over theta' with a (prev, next) halo: no N^3 field and no N^2 allocation
+    per step.  The halo is one (3, N, N) ring whose slots rotate by index; order 0 holds a
+    single slice and takes |S| in place.  A NaN anywhere makes the sups NaN."""
+    maxima = np.zeros(order + 1)
+    if not order:
+        cur = np.empty((N, N))
+        for lp in range(N):
+            slice_at(lp, cur)
+            maxima = np.maximum(maxima, _slice_maxima(cur, 0, cur))
+        return maxima
+    ring, (D, T) = np.empty((3, N, N)), _scratch(N, order)
+    slice_at(N - 1, ring[0])
+    slice_at(0, ring[1])
     for lp in range(N):
-        nxt = slice_at((lp + 1) % N) if order else None
-        sups = np.maximum(
-            sups, _slice_sups(slice_at(lp) if cur is None else cur, order, N, [(prev, nxt)]))
-        prev, cur = cur, nxt
-    return sups
+        prev, cur, nxt = ring[lp % 3], ring[(lp + 1) % 3], ring[(lp + 2) % 3]
+        slice_at((lp + 1) % N, nxt)
+        maxima = np.maximum(maxima, _slice_maxima(cur, order, D, T, (prev, nxt)))
+    return _scaled(maxima, N)
 
 
 def profile_twist_orbit(step_value: float, k: int) -> list[float]:

@@ -18,16 +18,23 @@ import numpy as np
 
 
 def read_json(path: str, parse: Callable[[Any], Any]) -> Any:
-    """``parse`` of the JSON document at ``path``.  A key the document lacks, or a
-    value ``parse`` rejects, is raised as a ValueError that names the file."""
+    """``parse`` of the JSON object at ``path``.  A key the document lacks, a value of the
+    wrong JSON type, or a value ``parse`` rejects, is raised as a ValueError that names the file."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        return parse(doc)
+        return parse(json_object(doc, "the document"))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def json_object(value: Any, what: str) -> dict:
+    """``value``, checked to be a JSON object; TypeError naming ``what`` otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 class MalformedAction(ValueError):
@@ -314,7 +321,7 @@ class FiniteGroupoid:
     def from_json_dict(cls, d: dict) -> "FiniteGroupoid":
         objects = list(d["objects"])
         index = {str(x): i for i, x in enumerate(objects)}
-        arrows = sorted(d["arrows"], key=lambda a: a["id"])
+        arrows = sorted((json_object(a, "an arrow") for a in d["arrows"]), key=lambda a: a["id"])
         if [a["id"] for a in arrows] != list(range(len(arrows))):
             raise ValueError("arrow ids must be dense integers 0..n-1")
         for a, end in itertools.product(arrows, ("src", "tgt")):
@@ -324,10 +331,10 @@ class FiniteGroupoid:
         tgt = [index[str(a["tgt"])] for a in arrows]
         compose = {(int(g2), int(g1)): int(g21) for g2, g1, g21 in d["compose"]}
         unit = [0] * len(objects)
-        for key, e in d["units"].items():
+        for key, e in json_object(d["units"], "units").items():
             unit[index[key]] = int(e)
         inverse = [0] * len(arrows)
-        for key, gi in d["inverses"].items():
+        for key, gi in json_object(d["inverses"], "inverses").items():
             inverse[int(key)] = int(gi)
         return cls(objects, src, tgt, compose, unit, inverse)
 

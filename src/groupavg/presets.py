@@ -148,10 +148,7 @@ def rescale_to_gate(make, gauges, delta: float, safety: float = 0.9):
     for _ in range(200):
         cand = make(scale)
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                ok = gate_holds(*gauges(cand), safety)
-            except np.linalg.LinAlgError:
-                ok = False
+            ok = gate_holds(*gauges(cand), safety)
         if ok:
             return cand, scale
         scale *= 0.7

@@ -24,7 +24,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .groupoid import CompositionTables, FiniteGroupoid, read_json
+from .bounds import square
+from .groupoid import CompositionTables, FiniteGroupoid, json_object, read_json
 
 COND_LIMIT = 1e12
 METRIC_EIG_FLOOR = 1e-12
@@ -198,10 +199,10 @@ class FiberBundle:
     def from_json_dict(cls, d: dict, objects: Sequence) -> "FiberBundle":
         dims, metrics = [], []
         for label in objects:
-            entry = d[str(label)]
+            entry = json_object(d[str(label)], f"object {label}")
             dims.append(int(entry["dim"]))
             if "gram" in entry:
-                g = entry["gram"]
+                g = json_object(entry["gram"], f"the gram of object {label}")
                 metrics.append(np.array(g["data"], dtype=float).reshape(g["shape"]))
             else:
                 metrics.append(None)
@@ -219,7 +220,10 @@ def metric_norms(
         return np.zeros(M.shape[:-2])
     roots, _, at_dst = bundle.factor_stack(r)
     _, inv_roots, at_src = bundle.factor_stack(c)
-    return np.linalg.svd(roots[at_dst[dst]] @ M @ inv_roots[at_src[src]], compute_uv=False)[..., 0]
+    try:
+        return np.linalg.svd(roots[at_dst[dst]] @ M @ inv_roots[at_src[src]], compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError:  # a non-finite entry, e.g. an overflowed defect: no finite norm
+        return np.full(M.shape[:-2], np.inf)
 
 
 def operator_norm(
@@ -312,7 +316,7 @@ class PseudoRep:
         for g in groupoid.arrows():
             if str(g) not in d:
                 raise ValueError(f"psrep has no matrix for arrow {g}")
-            entry = d[str(g)]
+            entry = json_object(d[str(g)], f"the matrix of arrow {g}")
             maps.append(np.array(entry["data"], dtype=float).reshape(entry["shape"]))
         return cls(groupoid, bundle, maps)
 
@@ -455,7 +459,7 @@ def is_nearly_multiplicative(rep: PseudoRep) -> GateReport:
     for orbit in rep.groupoid.orbits():
         sub = restrict_rep(rep, orbit)
         b, c = b_norm(sub), c_norm(sub)
-        thr = GATE_COEFF / b**2 if b > 0 else np.inf
+        thr = GATE_COEFF / square(b) if b > 0 else np.inf
         rows.append(OrbitGateRow(orbit, b, c, thr, gate_holds(b, c)))
     return GateReport(rows)
 

@@ -13,6 +13,8 @@ from groupavg.circle import (
     NonPeriodicProfile,
     ProfileOutOfRange,
     TorusGridFn,
+    _defect_slices,
+    _defect_sups,
     average_circle,
     cocycle_defect_field,
     connection_from_effect,
@@ -354,6 +356,26 @@ def test_iterate_circle_holds_no_cubic_field():
         tracemalloc.stop()
     assert trace.verdict.kind == "Converged"
     assert peak < N**3 * 8, f"peak {peak} bytes reaches one N^3 field ({N**3 * 8} bytes)"
+
+
+@pytest.mark.parametrize("order, budget", [(0, 1), (1, 3), (2, 3)])
+def test_defect_pass_reuses_its_slice_buffers(order, budget, rng):
+    N = 64
+    L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), 2)
+    write, outs = _defect_slices(L), []
+
+    def slice_at(lp, out):
+        outs.append(out)  # held, so a buffer freed and allocated again cannot pass as reused
+        write(lp, out)
+
+    sups = _defect_sups(slice_at, N, order)
+    distinct = []
+    for out in outs:
+        if not any(np.shares_memory(out, d) for d in distinct):
+            distinct.append(out)
+    assert len(outs) == N + (2 if order else 0)
+    assert len(distinct) <= budget
+    assert np.array_equal(sups, _defect_sups(_defect_slices(L), N, order))
 
 
 @settings(max_examples=20, deadline=None)

@@ -52,6 +52,25 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ([1, 2], "the document must be a JSON object, got list"),
+        ({"objects": [0], "arrows": [0], "compose": []}, "an arrow must be a JSON object, got int"),
+        ({"objects": [0], "arrows": [{"id": 0, "src": 0, "tgt": 0}], "compose": [],
+          "units": [0], "inverses": {"0": 0}}, "units must be a JSON object, got list"),
+        ({"objects": [0], "arrows": [{"id": 0, "src": 0, "tgt": 0}], "compose": [0],
+          "units": {"0": 0}, "inverses": {"0": 0}}, "cannot unpack non-iterable int"),
+    ],
+    ids=["top_level_list", "arrow_is_number", "units_is_list", "compose_entry_is_number"],
+)
+def test_validate_wrong_json_type_named(tmp_path, capsys, doc, named):
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--groupoid", str(path)]) == 2
+    assert f"{path}: {named}" in capsys.readouterr().err
+
+
 def test_validate_bad_haar_weights(tmp_path, groupoid_file, z2_groupoid, capsys):
     nu = counting_haar(z2_groupoid)
     skew = HaarSystem(z2_groupoid, [w * 0.9 for w in nu.weights])
@@ -419,9 +438,15 @@ def test_bad_profile_file_exits_2(tmp_path, capsys, text, named):
         ("bundle", lambda d: d.pop("1"), "missing key '1'"),
         ("bundle", lambda d: d["2"].pop("dim"), "missing key 'dim'"),
         ("psrep", lambda d: d["3"].pop("data"), "missing key 'data'"),
+        ("groupoid", lambda d: d.update(inverses=[]), "inverses must be a JSON object, got list"),
+        ("bundle", lambda d: d.update({"2": 3}), "object 2 must be a JSON object, got int"),
+        ("bundle", lambda d: d["0"].update(gram=[1.0]), "the gram of object 0 must be a JSON object"),
+        ("psrep", lambda d: d.update({"3": [1.0]}), "the matrix of arrow 3 must be a JSON object"),
+        ("psrep", lambda d: d["3"].update(shape="2x2"), "'str' object cannot be interpreted"),
     ],
     ids=["groupoid_without_compose", "arrow_src_not_object", "bundle_without_object",
-         "bundle_object_without_dim", "psrep_entry_without_data"],
+         "bundle_object_without_dim", "psrep_entry_without_data", "inverses_is_list",
+         "bundle_object_is_number", "gram_is_list", "psrep_entry_is_list", "psrep_shape_is_text"],
 )
 def test_malformed_input_file_named(tmp_path, capsys, rng, name, corrupt, named):
     G, rep = presets.s3_example_rep(rng)
@@ -447,6 +472,22 @@ def test_ungated_overflowing_perturbation_diverges(tmp_path, capsys):
     assert doc["verdict"]["kind"] == "Diverged"
     assert (doc["gate_ok"], doc["envelope_valid"], doc["bounds_check_ok"]) == (False, False, False)
     assert "0,eps_le_2_3,0.6666666666666666,inf,false" in (out / "bounds_check.csv").read_text()
+    assert len((out / "trace.csv").read_text().splitlines()) == 5
+
+
+def test_ungated_overflowing_finite_perturbation_diverges(tmp_path, capsys):
+    # the defects overflow to inf and then NaN, and the SVD of a NaN matrix fails to converge
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "finite_iterate", "gate_rescale": False,
+                               "perturb": 1e200, "max_iter": 3}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "verdict Diverged at iteration 3" in capsys.readouterr().err
+    doc = json.loads((out / "verdict.json").read_text())
+    assert doc["verdict"]["kind"] == "Diverged"
+    assert doc["c0"] == float("inf")
+    assert (doc["gate_ok"], doc["envelope_valid"], doc["bounds_check_ok"]) == (False, False, False)
     assert len((out / "trace.csv").read_text().splitlines()) == 5
 
 

@@ -2,10 +2,11 @@
 
 The references below are the standalone finite and circle iteration loops,
 the gather-built circle defect field, the sliced cocycle residual, the
-whole-field seminorm and the two residual loops it was streamed from, and the
-two trace column formulas, kept verbatim in their old operation order.  Every
-comparison is exact: the driver, the slice-built field, the streamed defect
-pass and the bounds module must reproduce them bit for bit.
+whole-field seminorm and the two residual loops it was streamed from, the
+np.roll rotation average, and the two trace column formulas, kept verbatim in
+their old operation order.  Every comparison is exact: the driver, the
+slice-built field, the streamed defect pass, the buffered rotation average and
+the bounds module must reproduce them bit for bit.
 """
 
 import time
@@ -139,6 +140,16 @@ def _fd_sup(values: np.ndarray, r: int, N: int) -> float:
             d2 = (np.roll(values, -1, axis) - 2.0 * values + np.roll(values, 1, axis)) * (N**2)
             worst = max(worst, float(np.abs(d2).max()))
     return worst
+
+
+def average_circle_ref(L: TorusGridFn) -> np.ndarray:
+    V, N, k = L.values, L.N, L.twist
+    acc = np.zeros_like(V)
+    for j in range(N):
+        num = np.roll(V, (-j, k * j), (0, 1))
+        den = np.roll(V[j], k * j)[None, :]
+        acc = acc + num / den
+    return acc / N
 
 
 def iterate_circle_ref(L0, tol_c=1e-12, max_iter=64, seminorm_orders=(0, 1)):
@@ -321,7 +332,7 @@ def test_vanishing_node_witness_in_row_extras():
     assert trace.rows[-1].extras["bad_node_a"] == 5.0
 
 
-@pytest.mark.parametrize("N, k", [(16, 1), (32, 2), (64, 3)])
+@pytest.mark.parametrize("N, k", [(16, 1), (32, 2), (64, 3), (5, 7), (4, 8)])
 def test_slice_built_defect_field_is_bit_equal(N, k, rng):
     L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), k)
     assert np.array_equal(cocycle_defect_field(L), defect_field_ref(L))
@@ -340,6 +351,18 @@ def test_streamed_defect_pass_equals_whole_field(N, k, r, rng):
     assert multiplicativity_residual(L) == multiplicativity_residual_ref(L)
     X = connection_from_effect(L)
     assert connection_residual(X) == connection_residual_ref(X)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_seminorm_of_column_major_grid_equals_whole_field(r, rng):
+    V = rng.standard_normal((9, 9)).T  # not C-ordered: the flat difference views read a copy
+    assert discrete_seminorm(TorusGridFn(V, 1), r) == _fd_sup(V, r, 9)
+
+
+@pytest.mark.parametrize("N, k", [(4, 1), (5, 2), (16, 3), (33, 2), (64, 1), (8, 11)])
+def test_buffered_rotation_average_is_bit_equal(N, k, rng):
+    L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), k)
+    assert np.array_equal(average_circle(L).values, average_circle_ref(L))
 
 
 @pytest.mark.parametrize("b0, c0", [(1.0, 1.0 / 9.0), (1.3, 0.01), (2.0, 1e-4)])

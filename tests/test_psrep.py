@@ -59,6 +59,12 @@ def test_operator_norm_weighted_nilpotent():
     assert got == pytest.approx(1.0)
 
 
+def test_operator_norm_of_nonfinite_matrix_is_inf():
+    # an overflowed defect: the SVD does not converge on NaN, and no finite norm exists
+    with np.errstate(invalid="ignore"):
+        assert operator_norm(np.array([[np.nan, 1.0], [0.0, np.inf]])) == np.inf
+
+
 def test_operator_norm_rejects_indefinite_metric():
     with pytest.raises(DegenerateMetric):
         operator_norm(np.eye(2), phi_src=np.diag([1.0, -1.0]))
