@@ -22,20 +22,21 @@ import numpy as np
 
 from .bounds import closed_envelope, step_bounds
 from .groupoid import CompositionTables
-from .haar import HaarSystem, restrict_haar
+from .haar import HaarSystem
 from .psrep import (
     NonInvertible,
     PseudoRep,
     Stacks,
+    b_by_orbit,
     b_norm,
     blocks,
+    c_by_orbit,
     c_norm,
     cocycles,
     gate_holds,
     invert_stacks,
     is_nearly_multiplicative,
     max_norm,
-    restrict_rep,
 )
 
 
@@ -115,7 +116,7 @@ def verify_fundamental_identities(rep: PseudoRep, nu: HaarSystem) -> IdentityRep
         rep.bundle,
         lambda g, _: (avg.take(g) - st.take(g) - mean.take(g), T.src[g], T.tgt[g]),
         st.group,
-    )
+    )[0]
 
     # second identity; for k in the fiber, t1 holds (g1, k, g1k) and t2 holds
     # (g2, g1k, g2g1k), so D at t2 @ D at t1 is Delta(g2g1k, g1k) Delta(g1k, k)
@@ -131,7 +132,7 @@ def verify_fundamental_identities(rep: PseudoRep, nu: HaarSystem) -> IdentityRep
 
     res_b = max_norm(
         rep.bundle, second, st.group[T.pair_g2], st.group[T.pair_g1], width=T.row_len[T.pair_g1]
-    )
+    )[0]
 
     b = b_norm(rep)
     return IdentityReport(res_a, res_b, b, 1e-12 * (1.0 + b) ** 3)
@@ -158,17 +159,15 @@ def verify_step_estimates(
 ) -> list[StepEstimateRow]:
     """Per-orbit one-step bounds  b(avg) <= b/(1-c)  and  c(avg) <= 2 c^2 b^2 / (1-c)^2.
 
-    Raises GatePrecondition when some orbit has c >= 1.
+    Raises GatePrecondition, before averaging, at the first orbit with c >= 1.
     """
-    rows = []
-    for orbit in rep.groupoid.orbits():
-        sub = restrict_rep(rep, orbit)
-        sub_nu, _, _ = restrict_haar(nu, orbit)
-        b, c = b_norm(sub), c_norm(sub)
+    orbits, bs, cs = rep.groupoid.orbits(), b_by_orbit(rep), c_by_orbit(rep)
+    for orbit, c in zip(orbits, cs):
         if c >= 1.0:
             raise GatePrecondition(f"orbit {orbit} has defect c = {c:.3g} >= 1")
-        sub_avg = average(sub, sub_nu)
-        b_avg, c_avg = b_norm(sub_avg), c_norm(sub_avg)
+    avg = average(rep, nu)
+    rows = []
+    for orbit, b, c, b_avg, c_avg in zip(orbits, bs, cs, b_by_orbit(avg), c_by_orbit(avg)):
         b_bound, c_bound = step_bounds(b, c)
         ok = b_avg <= b_bound * (1.0 + rel_slack) and c_avg <= c_bound * (1.0 + rel_slack) + 1e-15
         rows.append(StepEstimateRow(orbit, b, c, b_avg, c_avg, b_bound, c_bound, ok))
@@ -251,13 +250,18 @@ def iterate(rep: PseudoRep, nu: HaarSystem, tol_c: float = 1e-12,
             max_iter: int = 64) -> IterationTrace:
     """Repeated averaging with per-step (b, c, unit defect) rows; see :func:`drive`.
 
-    The gate fields hold the per-orbit gate of the input.  A failed gate is
-    metadata only: the iteration proceeds, since the gate is sufficient for
-    the guarantee, not necessary for convergence.
+    The gate fields hold the per-orbit gate of the input, which also gives row 0.  A failed
+    gate is metadata only: the iteration proceeds, since the gate is sufficient for the
+    guarantee, not necessary for convergence.
     """
     gate = is_nearly_multiplicative(rep)
-    trace = drive(rep, lambda lam: average(lam, nu),
-                  lambda lam: (b_norm(lam), c_norm(lam), lam.unit_defect(), {}), tol_c, max_iter)
+    row0 = max([r.b for r in gate.rows], default=0.0), max([r.c for r in gate.rows], default=0.0)
+
+    def gauges(lam: PseudoRep):
+        b, c = row0 if lam is rep else (b_norm(lam), c_norm(lam))
+        return b, c, lam.unit_defect(), {}
+
+    trace = drive(rep, lambda lam: average(lam, nu), gauges, tol_c, max_iter)
     trace.gate_ok, trace.gate_failed_orbits = gate.ok, gate.failed_orbits()
     return trace
 

@@ -279,12 +279,14 @@ def group_bundle_average(X: TorusGridFn) -> TorusGridFn:
     annihilation down to rounding.
     """
     V, N = X.values, X.N
-    acc = np.zeros_like(V)
-    base = np.zeros(N)
+    acc, base = np.zeros_like(V), np.zeros(N)
     for j in range(N):
-        acc = acc + np.roll(V, -j, axis=0)
-        base = base + V[j]
-    return TorusGridFn((acc - base[None, :]) / N, X.twist)
+        # the j-term is V rolled up by j rows, added as two row blocks
+        np.add(acc[: N - j], V[j:], out=acc[: N - j])
+        np.add(acc[N - j:], V[:j], out=acc[N - j:])
+        np.add(base, V[j], out=base)
+    np.subtract(acc, base, out=acc)
+    return TorusGridFn(np.divide(acc, N, out=acc), X.twist)
 
 
 def discrete_seminorm(F: TorusGridFn, r: int) -> float:

@@ -237,15 +237,6 @@ class FiniteGroupoid:
 
     # -- derived structure --------------------------------------------------
 
-    def divisible_pairs(self) -> list[tuple[int, int, int]]:
-        """All (g, h, g*h^-1) with src(g) == src(h), quotient precomputed."""
-        out = []
-        for g in self.arrows():
-            for h in self.arrows():
-                if self.src[g] == self.src[h]:
-                    out.append((g, h, self.mul(g, self.inverse[h])))
-        return out
-
     def orbits(self) -> list[list[int]]:
         """Finest partition of object indices joined by arrows, sorted by least member."""
         parent = list(range(self.n_objects))
@@ -322,20 +313,33 @@ class FiniteGroupoid:
         objects = list(d["objects"])
         index = {str(x): i for i, x in enumerate(objects)}
         arrows = sorted((json_object(a, "an arrow") for a in d["arrows"]), key=lambda a: a["id"])
-        if [a["id"] for a in arrows] != list(range(len(arrows))):
+        m = len(arrows)
+        if [a["id"] for a in arrows] != list(range(m)) or any(type(a["id"]) is not int for a in arrows):
             raise ValueError("arrow ids must be dense integers 0..n-1")
+        ids = {str(g): g for g in range(m)}
+
+        def arrow(value: Any, where: str) -> int:
+            if type(value) is not int or not 0 <= value < m:
+                raise ValueError(f"{where}: {value!r} is not an arrow id 0..{m - 1}")
+            return value
+
         for a, end in itertools.product(arrows, ("src", "tgt")):
             if str(a[end]) not in index:
                 raise ValueError(f"arrow {a['id']}: {end} {a[end]!r} is not an object")
         src = [index[str(a["src"])] for a in arrows]
         tgt = [index[str(a["tgt"])] for a in arrows]
-        compose = {(int(g2), int(g1)): int(g21) for g2, g1, g21 in d["compose"]}
+        compose = {}
+        for g2, g1, g21 in d["compose"]:
+            where = f"compose entry {[g2, g1, g21]!r}"
+            compose[(arrow(g2, where), arrow(g1, where))] = arrow(g21, where)
         unit = [0] * len(objects)
         for key, e in json_object(d["units"], "units").items():
-            unit[index[key]] = int(e)
-        inverse = [0] * len(arrows)
+            if key not in index:
+                raise ValueError(f"units key {key!r} is not an object")
+            unit[index[key]] = arrow(e, f"units[{key!r}]")
+        inverse = [0] * m
         for key, gi in json_object(d["inverses"], "inverses").items():
-            inverse[int(key)] = int(gi)
+            inverse[arrow(ids.get(key, key), "inverses key")] = arrow(gi, f"inverses[{key!r}]")
         return cls(objects, src, tgt, compose, unit, inverse)
 
     def save(self, path: str) -> None:
@@ -363,6 +367,7 @@ class CompositionTables:
       layout of the averaging triples.
     * Composable triples ``(pair_g2, pair_g1, pair_g21)`` in the order of
       :meth:`FiniteGroupoid.composable_pairs`.
+    * ``orbit[x]``: the place of object x's orbit among the ``n_orbits`` of :meth:`FiniteGroupoid.orbits`.
     """
 
     src: np.ndarray
@@ -379,6 +384,8 @@ class CompositionTables:
     pair_g2: np.ndarray
     pair_g1: np.ndarray
     pair_g21: np.ndarray
+    orbit: np.ndarray
+    n_orbits: int
 
     @classmethod
     def build(cls, G: FiniteGroupoid) -> "CompositionTables":
@@ -411,8 +418,12 @@ class CompositionTables:
             raise ValueError(f"composition table is inconsistent at ({avg_g[t]},{avg_k[t]})")
         # (g, k) with tgt k = src g are exactly the composable pairs (g2, g1)
         pairs = np.lexsort((avg_g, avg_k))
+        orbits = G.orbits()
+        orbit = np.empty(G.n_objects, dtype=np.intp)
+        for o, block in enumerate(orbits):
+            orbit[block] = o
         return cls(src, tgt, fiber_start, fiber, fiber_pos, row_start, row_len, avg_g, avg_k,
-                   avg_gk, div_q, avg_g[pairs], avg_k[pairs], avg_gk[pairs])
+                   avg_gk, div_q, avg_g[pairs], avg_k[pairs], avg_gk[pairs], orbit, len(orbits))
 
 
 # -- builders ----------------------------------------------------------------

@@ -200,7 +200,10 @@ class FiberBundle:
         dims, metrics = [], []
         for label in objects:
             entry = json_object(d[str(label)], f"object {label}")
-            dims.append(int(entry["dim"]))
+            dim = entry["dim"]
+            if type(dim) is not int or dim < 0:
+                raise ValueError(f"object {label}: dim must be a non-negative integer, got {dim!r}")
+            dims.append(dim)
             if "gram" in entry:
                 g = json_object(entry["gram"], f"the gram of object {label}")
                 metrics.append(np.array(g["data"], dtype=float).reshape(g["shape"]))
@@ -240,15 +243,19 @@ def operator_norm(
     return float(metric_norms(bundle, M[None], np.array([0]), np.array([1]))[0])
 
 
-def max_norm(bundle: FiberBundle, part, *key: np.ndarray, width: np.ndarray | int = 1) -> float:
-    """Largest metric norm over work items split by :func:`blocks`; 0.0 when there are none.
+def max_norm(bundle: FiberBundle, part, *key: np.ndarray, width: np.ndarray | int = 1,
+             orbit: np.ndarray | None = None, n_orbits: int = 1) -> list[float]:
+    """Largest metric norm over the work items of each orbit; 0.0 for an orbit with none.
 
-    ``part(items, width)`` returns the stacked maps of a block with their
-    source and target objects.
+    ``orbit[i]`` is item i's orbit id, below ``n_orbits``; with more than one orbit it is one
+    more key column for :func:`blocks`.  ``part(items, width)`` returns the stacked maps of a
+    block with their source and target objects.
     """
-    worst = 0.0
-    for items, F in blocks(*key, width=width):
-        worst = max(worst, float(metric_norms(bundle, *part(items, F)).max()))
+    split = n_orbits > 1
+    worst = [0.0] * n_orbits
+    for items, F in blocks(*(orbit, *key) if split else key, width=width):
+        o = int(orbit[items[0]]) if split else 0
+        worst[o] = max(worst[o], float(metric_norms(bundle, *part(items, F)).max()))
     return worst
 
 
@@ -290,7 +297,7 @@ class PseudoRep:
             M = units.take(x)
             return M - np.eye(M.shape[-1]), x, x
 
-        return max_norm(self.bundle, part, units.group)
+        return max_norm(self.bundle, part, units.group)[0]
 
     def is_unital(self, tol: float = 1e-12) -> bool:
         return self.unit_defect() <= tol
@@ -325,21 +332,33 @@ class PseudoRep:
         return read_json(path, lambda d: cls.from_json_dict(d, groupoid, bundle))
 
 
-def b_norm(rep: PseudoRep) -> float:
-    """Largest metric norm over all arrow matrices."""
+def b_by_orbit(rep: PseudoRep) -> list[float]:
+    """b of each orbit of :meth:`FiniteGroupoid.orbits`: its largest arrow matrix norm."""
     T, st = rep.groupoid.tables, rep.stacks()
-    return max_norm(rep.bundle, lambda g, _: (st.take(g), T.src[g], T.tgt[g]), st.group)
+    return max_norm(rep.bundle, lambda g, _: (st.take(g), T.src[g], T.tgt[g]), st.group,
+                    orbit=T.orbit[T.src], n_orbits=T.n_orbits)
 
 
-def c_norm(rep: PseudoRep) -> float:
-    """Largest multiplicativity defect over composable pairs."""
+def c_by_orbit(rep: PseudoRep) -> list[float]:
+    """c of each orbit of :meth:`FiniteGroupoid.orbits`: its largest multiplicativity defect."""
     T, st = rep.groupoid.tables, rep.stacks()
 
     def part(p: np.ndarray, _: int):
         g2, g1 = T.pair_g2[p], T.pair_g1[p]
         return st.take(T.pair_g21[p]) - st.take(g2) @ st.take(g1), T.src[g1], T.tgt[g2]
 
-    return max_norm(rep.bundle, part, st.group[T.pair_g2], st.group[T.pair_g1])
+    return max_norm(rep.bundle, part, st.group[T.pair_g2], st.group[T.pair_g1],
+                    orbit=T.orbit[T.src[T.pair_g1]], n_orbits=T.n_orbits)
+
+
+def b_norm(rep: PseudoRep) -> float:
+    """Largest metric norm over all arrow matrices."""
+    return max(b_by_orbit(rep), default=0.0)
+
+
+def c_norm(rep: PseudoRep) -> float:
+    """Largest multiplicativity defect over composable pairs."""
+    return max(c_by_orbit(rep), default=0.0)
 
 
 def _gated_inverse(A: np.ndarray, arrows: np.ndarray) -> np.ndarray:
@@ -455,13 +474,10 @@ def is_nearly_multiplicative(rep: PseudoRep) -> GateReport:
     """
     if not rep.is_unital(tol=1e-8):
         raise ValueError("gate check requires a unital pseudo-representation")
-    rows = []
-    for orbit in rep.groupoid.orbits():
-        sub = restrict_rep(rep, orbit)
-        b, c = b_norm(sub), c_norm(sub)
-        thr = GATE_COEFF / square(b) if b > 0 else np.inf
-        rows.append(OrbitGateRow(orbit, b, c, thr, gate_holds(b, c)))
-    return GateReport(rows)
+    return GateReport([
+        OrbitGateRow(orbit, b, c, GATE_COEFF / square(b) if b > 0 else np.inf, gate_holds(b, c))
+        for orbit, b, c in zip(rep.groupoid.orbits(), b_by_orbit(rep), c_by_orbit(rep))
+    ])
 
 
 @dataclass
@@ -487,11 +503,11 @@ def inverse_rep(rep: PseudoRep, rel_slack: float = 1e-12) -> InverseReport:
     T, st = rep.groupoid.tables, rep.stacks()
     inv = invert_stacks(st)
     b, c = b_norm(rep), c_norm(rep)
-    max_inv = max_norm(rep.bundle, lambda g, _: (inv.take(g), T.tgt[g], T.src[g]), inv.group)
+    max_inv = max_norm(rep.bundle, lambda g, _: (inv.take(g), T.tgt[g], T.src[g]), inv.group)[0]
     D = cocycles(st, inv, T)
     max_delta = max_norm(
         rep.bundle, lambda t, _: (D.take(t), T.src[T.avg_g[t]], T.tgt[T.avg_g[t]]), D.group
-    )
+    )[0]
     inverses = inv.tolist()
     if c < 1.0:
         inv_bound = b / (1.0 - c)

@@ -71,6 +71,45 @@ def test_validate_wrong_json_type_named(tmp_path, capsys, doc, named):
     assert f"{path}: {named}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (lambda d: d["inverses"].update({"99": 0}), "inverses key: '99' is not an arrow id 0..17"),
+        (lambda d: d["inverses"].update({"-1": d["inverses"]["17"]}),
+         "inverses key: '-1' is not an arrow id 0..17"),
+        (lambda d: d["compose"].append([1.5, 1.5, 1.5]),
+         "compose entry [1.5, 1.5, 1.5]: 1.5 is not an arrow id 0..17"),
+        (lambda d: d["inverses"].update({"3": float(d["inverses"]["3"])}),
+         "inverses['3']: 3.0 is not an arrow id 0..17"),
+        (lambda d: d["units"].update({"0": 18}), "units['0']: 18 is not an arrow id 0..17"),
+        (lambda d: d["arrows"][5].update(id=5.0), "arrow ids must be dense integers"),
+        (lambda d: d["units"].update(zz=0), "units key 'zz' is not an object"),
+    ],
+    ids=["inverses_key_99", "inverses_key_minus_1", "compose_entry_fractional",
+         "inverse_value_float", "unit_out_of_range", "arrow_id_float", "units_key_not_object"],
+)
+def test_validate_rejects_bad_ids(tmp_path, capsys, s3_groupoid, corrupt, named):
+    doc = s3_groupoid.to_json_dict()
+    corrupt(doc)
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--groupoid", str(path)]) == 2
+    assert f"{path}: {named}" in capsys.readouterr().err
+
+
+def test_validate_skips_haar_check_on_invalid_groupoid(tmp_path, z2_groupoid, capsys):
+    # the invariance check composes arrows, so it needs a table that holds every composite
+    doc = z2_groupoid.to_json_dict()
+    doc["compose"] = doc["compose"][1:]
+    path, haar_path = tmp_path / "groupoid.json", tmp_path / "haar.json"
+    path.write_text(json.dumps(doc))
+    counting_haar(z2_groupoid).save(str(haar_path))
+    assert main(["validate", "--groupoid", str(path), "--haar", str(haar_path)]) == 1
+    captured = capsys.readouterr()
+    assert "missing from table" in captured.out
+    assert "haar weights not checked: the groupoid is invalid" in captured.out
+
+
 def test_validate_bad_haar_weights(tmp_path, groupoid_file, z2_groupoid, capsys):
     nu = counting_haar(z2_groupoid)
     skew = HaarSystem(z2_groupoid, [w * 0.9 for w in nu.weights])
@@ -457,6 +496,20 @@ def test_malformed_input_file_named(tmp_path, capsys, rng, name, corrupt, named)
         json.dump(doc, fh)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"{paths[name]}: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["2", 2.7, True, -1, None])
+def test_bundle_dim_must_be_a_count(tmp_path, capsys, rng, dim):
+    G, rep = presets.s3_example_rep(rng)
+    cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
+    doc = json.loads(open(paths["bundle"]).read())
+    doc["1"]["dim"] = dim
+    with open(paths["bundle"], "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    named = f"object 1: dim must be a non-negative integer, got {dim!r}"
+    assert f"{paths['bundle']}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_ungated_overflowing_perturbation_diverges(tmp_path, capsys):

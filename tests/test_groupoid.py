@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -124,25 +125,42 @@ def test_malformed_action_compatibility():
 # -- divisible pairs ---------------------------------------------------------
 
 
+def divisible_triples(G):
+    """The divisible triples (gk, k, gk k^-1) of the composition tables."""
+    T = G.tables
+    return list(zip(T.avg_gk.tolist(), T.avg_k.tolist(), T.div_q.tolist()))
+
+
+def divisible_pairs_ref(G):
+    """All (g, h, g h^-1) with src(g) == src(h), read off the compose dict."""
+    return [
+        (g, h, G.compose[(g, G.inverse[h])])
+        for g in G.arrows()
+        for h in G.arrows()
+        if G.src[g] == G.src[h]
+    ]
+
+
 def test_divisible_pairs_trivial_groupoid():
-    assert trivial_groupoid().divisible_pairs() == [(0, 0, 0)]
+    assert divisible_triples(trivial_groupoid()) == [(0, 0, 0)]
 
 
 def test_divisible_pairs_counts():
-    assert len(pair_groupoid([0, 1]).divisible_pairs()) == 8
-    assert len(action_groupoid(swap_action_on_two()).divisible_pairs()) == 8
+    assert len(divisible_triples(pair_groupoid([0, 1]))) == 8
+    assert len(divisible_triples(action_groupoid(swap_action_on_two()))) == 8
 
 
 def test_divisible_pairs_count_formula(s3_groupoid, z2_groupoid):
     for G in (pair_groupoid([0, 1, 2]), s3_groupoid, z2_groupoid):
         expected = sum(len(G.source_fiber(x)) ** 2 for x in range(G.n_objects))
-        assert len(G.divisible_pairs()) == expected
+        assert len(divisible_triples(G)) == expected
 
 
 def test_divisible_pair_quotient_solves_division(z2_groupoid, s3_groupoid):
     for G in (z2_groupoid, s3_groupoid):
-        for g, h, q in G.divisible_pairs():
+        for g, h, q in divisible_triples(G):
             assert G.src[g] == G.src[h]
+            assert q == G.compose[(g, G.inverse[h])]
             assert G.mul(q, h) == g
 
 
@@ -257,10 +275,17 @@ def test_tables_match_dict_definitions(make):
         assert row.tolist() == [g] * len(G.target_fiber(G.src[g]))
     # divisible triples cover each divisible pair once
     divisible = list(zip(T.avg_gk.tolist(), T.avg_k.tolist(), T.div_q.tolist()))
-    assert sorted(divisible) == sorted(G.divisible_pairs())
+    assert sorted(divisible) == sorted(divisible_pairs_ref(G))
     # composable triples in composable_pairs() order
     pairs = list(zip(T.pair_g2.tolist(), T.pair_g1.tolist(), T.pair_g21.tolist()))
     assert pairs == [(g2, g1, G.mul(g2, g1)) for g2, g1 in G.composable_pairs()]
+
+
+def test_tables_orbit_ids_follow_orbits(z2_groupoid, two_orbit_disjoint, s3_groupoid):
+    for G in (z2_groupoid, two_orbit_disjoint, s3_groupoid, trivial_groupoid(["a", "b", "c"])):
+        T = G.tables
+        assert T.n_orbits == len(G.orbits())
+        assert [np.flatnonzero(T.orbit == o).tolist() for o in range(T.n_orbits)] == G.orbits()
 
 
 def test_tables_reject_inconsistent_composition():

@@ -1,12 +1,15 @@
 """The shared iteration driver against the two loops it replaced.
 
 The references below are the standalone finite and circle iteration loops,
-the gather-built circle defect field, the sliced cocycle residual, the
-whole-field seminorm and the two residual loops it was streamed from, the
-np.roll rotation average, and the two trace column formulas, kept verbatim in
-their old operation order.  Every comparison is exact: the driver, the
-slice-built field, the streamed defect pass, the buffered rotation average and
-the bounds module must reproduce them bit for bit.
+the per-orbit gate and one-step estimates on restricted subgroupoids, the
+gather-built circle defect field, the sliced cocycle residual, the whole-field
+seminorm and the two residual loops it was streamed from, the np.roll rotation
+and group bundle averages, and the two trace column formulas, kept verbatim in
+their old operation order.  Every comparison is exact, except that the one-step
+estimates may move in the last ulp (the reference renormalizes the restricted
+Haar weights): the driver, the per-orbit gauges, the slice-built field, the
+streamed defect pass, the buffered averages and the bounds module must
+reproduce them bit for bit.
 """
 
 import time
@@ -14,9 +17,18 @@ import time
 import numpy as np
 import pytest
 
-from groupavg import presets
-from groupavg.averaging import IterationTrace, TraceRow, Verdict, average, iterate
-from groupavg.bounds import envelope
+from groupavg import averaging, presets, psrep
+from groupavg.averaging import (
+    GatePrecondition,
+    IterationTrace,
+    StepEstimateRow,
+    TraceRow,
+    Verdict,
+    average,
+    iterate,
+    verify_step_estimates,
+)
+from groupavg.bounds import envelope, square, step_bounds
 from groupavg.circle import (
     NonInvertibleNode,
     TorusGridFn,
@@ -28,11 +40,28 @@ from groupavg.circle import (
     connection_residual,
     discrete_seminorm,
     from_profile,
+    group_bundle_average,
     iterate_circle,
     multiplicativity_residual,
 )
-from groupavg.haar import counting_haar
-from groupavg.psrep import GATE_COEFF, NonInvertible, b_norm, c_norm, restrict_rep
+from groupavg.groupoid import FiniteGroupoid, action_groupoid
+from groupavg.haar import counting_haar, restrict_haar
+from groupavg.psrep import (
+    GATE_COEFF,
+    FiberBundle,
+    NonInvertible,
+    OrbitGateRow,
+    PseudoRep,
+    b_by_orbit,
+    b_norm,
+    c_by_orbit,
+    c_norm,
+    gate_holds,
+    is_nearly_multiplicative,
+    restrict_rep,
+)
+
+EPS = np.finfo(float).eps
 
 # -- references ------------------------------------------------------------------------
 
@@ -45,6 +74,32 @@ def orbit_gate_ref(rep):
         thr = GATE_COEFF / b**2 if b > 0 else np.inf
         rows.append((orbit, c <= thr))
     return all(ok for _, ok in rows), [o for o, ok in rows if not ok]
+
+
+def gate_rows_ref(rep):
+    rows = []
+    for orbit in rep.groupoid.orbits():
+        sub = restrict_rep(rep, orbit)
+        b, c = b_norm(sub), c_norm(sub)
+        thr = GATE_COEFF / square(b) if b > 0 else np.inf
+        rows.append(OrbitGateRow(orbit, b, c, thr, gate_holds(b, c)))
+    return rows
+
+
+def step_estimates_ref(rep, nu, rel_slack=1e-12):
+    rows = []
+    for orbit in rep.groupoid.orbits():
+        sub = restrict_rep(rep, orbit)
+        sub_nu, _, _ = restrict_haar(nu, orbit)
+        b, c = b_norm(sub), c_norm(sub)
+        if c >= 1.0:
+            raise GatePrecondition(f"orbit {orbit} has defect c = {c:.3g} >= 1")
+        sub_avg = average(sub, sub_nu)
+        b_avg, c_avg = b_norm(sub_avg), c_norm(sub_avg)
+        b_bound, c_bound = step_bounds(b, c)
+        ok = b_avg <= b_bound * (1.0 + rel_slack) and c_avg <= c_bound * (1.0 + rel_slack) + 1e-15
+        rows.append(StepEstimateRow(orbit, b, c, b_avg, c_avg, b_bound, c_bound, ok))
+    return rows
 
 
 def iterate_ref(rep, nu, tol_c=1e-12, max_iter=64):
@@ -150,6 +205,16 @@ def average_circle_ref(L: TorusGridFn) -> np.ndarray:
         den = np.roll(V[j], k * j)[None, :]
         acc = acc + num / den
     return acc / N
+
+
+def group_bundle_average_ref(X: TorusGridFn) -> np.ndarray:
+    V, N = X.values, X.N
+    acc = np.zeros_like(V)
+    base = np.zeros(N)
+    for j in range(N):
+        acc = acc + np.roll(V, -j, axis=0)
+        base = base + V[j]
+    return (acc - base[None, :]) / N
 
 
 def iterate_circle_ref(L0, tol_c=1e-12, max_iter=64, seminorm_orders=(0, 1)):
@@ -269,12 +334,46 @@ def exact_s3(rng):
     return rep, counting_haar(G), {}
 
 
+def two_orbit_disjoint_rep(rng):
+    """Swap groupoid on {1,2} glued with a bare unit over {3} (the conftest groupoid)."""
+    G = FiniteGroupoid(
+        objects=[1, 2, 3], src=[0, 1, 1, 0, 2], tgt=[0, 1, 0, 1, 2],
+        compose={(0, 0): 0, (1, 1): 1, (4, 4): 4, (0, 2): 2, (2, 1): 2, (3, 2): 1,
+                 (1, 3): 3, (3, 0): 3, (2, 3): 0},
+        unit=[0, 1, 4], inverse=[0, 1, 3, 2, 4],
+    )
+    A = presets.conditioned(rng, 2, 0.8, 1.25)
+    maps = [np.eye(2), np.eye(2), A, np.linalg.inv(A), np.eye(2)]
+    rep = PseudoRep(G, FiberBundle.uniform(3, 2), maps)
+    return presets.perturb_rep(rep, rng, 2e-3), counting_haar(G), {}
+
+
+def z2_dims_2_and_3(rng, metrics=False):
+    """The two-orbit Z/2 action groupoid with fiber dimension 2 over the swapped
+    orbit and 3 over the fixed point, near a representation."""
+    G = action_groupoid(presets.z2_swap_action())
+    _, rep2 = presets.z2_example_rep(rng, dim=2)
+    _, rep3 = presets.z2_example_rep(rng, dim=3)
+    dims = [2, 2, 3]
+    grams = [presets.random_spd(rng, d) for d in dims] if metrics else []
+    maps = [(rep3 if G.src[g] == 2 else rep2).maps[g] for g in G.arrows()]
+    rep = PseudoRep(G, FiberBundle(dims, grams), maps)
+    return presets.perturb_rep(rep, rng, 2e-3), counting_haar(G), {}
+
+
+def z2_gram_metrics(rng):
+    return z2_dims_2_and_3(rng, metrics=True)
+
+
 FINITE_CASES = {
     gated_s3: lambda t: t.envelope_valid and t.verdict == Verdict("Converged", iteration=3),
     z2_one_orbit_failing: lambda t: t.gate_failed_orbits == [[2]],
     ungated_s3: lambda t: not t.gate_ok and t.verdict == Verdict("Diverged", iteration=2),
     singular_arrow: lambda t: t.verdict.kind == "NonInvertibleAt" and t.verdict.arrow is not None,
     exact_s3: lambda t: t.verdict == Verdict("Converged", iteration=0),
+    two_orbit_disjoint_rep: lambda t: t.verdict.kind == "Converged",
+    z2_dims_2_and_3: lambda t: t.verdict.kind == "Converged",
+    z2_gram_metrics: lambda t: t.verdict.kind == "Converged",
 }
 
 
@@ -284,6 +383,76 @@ def test_iterate_equals_reference_loop(make, rng):
     got, want = iterate(rep, nu, **kw), iterate_ref(rep, nu, **kw)
     assert_same_trace(got, want)
     assert FINITE_CASES[make](got)
+
+
+ORBIT_CASES = [z2_one_orbit_failing, two_orbit_disjoint_rep, z2_dims_2_and_3, z2_gram_metrics]
+
+
+@pytest.mark.parametrize("make", ORBIT_CASES, ids=lambda f: f.__name__)
+def test_per_orbit_gauges_equal_restricted_gauges(make, rng):
+    rep, nu, _ = make(rng)
+    orbits = rep.groupoid.orbits()
+    assert len(orbits) == 2
+    for lam in (rep, average(rep, nu)):
+        subs = [restrict_rep(lam, orbit) for orbit in orbits]
+        assert b_by_orbit(lam) == [b_norm(sub) for sub in subs]
+        assert c_by_orbit(lam) == [c_norm(sub) for sub in subs]
+        assert (b_norm(lam), c_norm(lam)) == (max(b_by_orbit(lam)), max(c_by_orbit(lam)))
+    assert is_nearly_multiplicative(rep).rows == gate_rows_ref(rep)
+
+
+@pytest.mark.parametrize("make", ORBIT_CASES + [gated_s3, exact_s3], ids=lambda f: f.__name__)
+def test_step_estimates_equal_restricted_steps(make, rng):
+    rep, nu, _ = make(rng)
+    got, want = verify_step_estimates(rep, nu), step_estimates_ref(rep, nu)
+    assert [(r.orbit, r.b, r.c, r.b_bound, r.c_bound, r.ok) for r in got] == [
+        (r.orbit, r.b, r.c, r.b_bound, r.c_bound, r.ok) for r in want
+    ]
+    # the averaged maps move in the last ulp; c_avg, a difference of near-equal
+    # products, moves by the same absolute amount, a few eps * b^2
+    for g, w in zip(got, want):
+        assert g.b_avg == pytest.approx(w.b_avg, rel=4 * EPS, abs=0.0)
+        assert g.c_avg == pytest.approx(w.c_avg, rel=0.0, abs=8 * EPS * w.b_avg**2)
+
+
+def test_step_estimate_precondition_message_equals_reference(rng):
+    rep, nu, _ = z2_one_orbit_failing(rng)
+    for g in rep.groupoid.arrows():
+        if rep.groupoid.src[g] == 2 and g not in rep.groupoid.unit:
+            rep.maps[g] = rep.maps[g] + 3.0
+    with pytest.raises(GatePrecondition) as want:
+        step_estimates_ref(rep, nu)
+    with pytest.raises(GatePrecondition) as got:
+        verify_step_estimates(rep, nu)
+    assert str(got.value) == str(want.value) and "orbit [2]" in str(got.value)
+
+
+def test_iterate_checks_unital_before_any_step(monkeypatch, rng):
+    G, base = presets.s3_example_rep(rng)
+    rep = presets.random_pseudorep(G, rng)
+
+    def no_step(*args):
+        raise AssertionError("averaging step taken before the gate check")
+
+    monkeypatch.setattr(averaging, "average", no_step)
+    with pytest.raises(ValueError, match="unital"):
+        iterate(rep, counting_haar(G))
+
+
+@pytest.mark.parametrize("make", [gated_s3, z2_one_orbit_failing], ids=lambda f: f.__name__)
+def test_iterate_runs_one_gauge_pass_on_its_input(monkeypatch, make, rng):
+    rep, nu, kw = make(rng)
+    calls = []
+    for name in ("b_by_orbit", "c_by_orbit"):
+        def counted(lam, fn=getattr(psrep, name), name=name):
+            calls.append((name, lam is rep))
+            return fn(lam)
+
+        monkeypatch.setattr(psrep, name, counted)
+    trace = iterate(rep, nu, **kw)
+    assert len(trace.rows) > 1
+    assert [name for name, on_input in calls if on_input] == ["b_by_orbit", "c_by_orbit"]
+    assert len(calls) == 2 * len(trace.rows)
 
 
 # -- circle inputs ------------------------------------------------------------------------
@@ -368,3 +537,9 @@ def test_buffered_rotation_average_is_bit_equal(N, k, rng):
 @pytest.mark.parametrize("b0, c0", [(1.0, 1.0 / 9.0), (1.3, 0.01), (2.0, 1e-4)])
 def test_envelope_equals_reference(b0, c0):
     assert envelope(b0, c0, 12) == envelope_ref(b0, c0, 12)
+
+
+@pytest.mark.parametrize("N, k", [(4, 1), (5, 2), (16, 3), (33, 2), (64, 1), (8, 11), (4, 4)])
+def test_buffered_group_bundle_average_is_bit_equal(N, k, rng):
+    X = TorusGridFn(rng.standard_normal((N, N)), k)
+    assert np.array_equal(group_bundle_average(X).values, group_bundle_average_ref(X))
