@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from .haar import HaarSystem
 from .psrep import (
     NonInvertible,
     PseudoRep,
+    SampleBundles,
     Stacks,
+    arrow_norms_by_orbit,
     b_by_orbit,
     b_norm,
     blocks,
@@ -37,6 +39,7 @@ from .psrep import (
     invert_stacks,
     is_nearly_multiplicative,
     max_norm,
+    sample_chunks,
 )
 
 
@@ -45,10 +48,11 @@ class GatePrecondition(ValueError):
 
 
 def fiber_sum(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum over j of w[:, j] * terms[:, j], added from zero one fiber position at a time."""
-    acc = np.zeros(terms.shape[:1] + terms.shape[2:])
-    for j in range(terms.shape[1]):
-        acc = acc + w[:, j, None, None] * terms[:, j]
+    """sum over j of w[:, j] * terms[..., :, j, :, :], added from zero one fiber position
+    at a time; ``terms`` may carry leading sample axes."""
+    acc = np.zeros(terms.shape[:-3] + terms.shape[-2:])
+    for j in range(terms.shape[-3]):
+        acc = acc + w[:, j, None, None] * terms[..., j, :, :]
     return acc
 
 
@@ -92,7 +96,9 @@ class IdentityReport:
         return self.residual_a <= self.tol and self.residual_b <= self.tol
 
 
-def verify_fundamental_identities(rep: PseudoRep, nu: HaarSystem) -> IdentityReport:
+def verify_fundamental_identities(
+    reps: PseudoRep | Iterable[PseudoRep], nu: HaarSystem
+) -> IdentityReport | list[IdentityReport]:
     """Recompute both exact identities for the averaging step and report residuals.
 
     First identity: avg lambda(g) - lambda(g) equals the weighted mean of the
@@ -101,8 +107,33 @@ def verify_fundamental_identities(rep: PseudoRep, nu: HaarSystem) -> IdentityRep
     minus the product of two Haar means.  Both are identities for any
     invertible input (unital or not); residuals are pure rounding and must stay
     below 1e-12 * (1 + b)^3.
+
+    Given samples on one groupoid, with the same fiber dimensions, returns one
+    report per sample.  They are checked together, in the runs of
+    :func:`sample_chunks`, and each report has the bits of a check of its sample
+    alone.  A run that raises is checked again one sample at a time, so the error
+    is the first failing sample's.
     """
-    T, st = rep.groupoid.tables, rep.stacks()
+    if isinstance(reps, PseudoRep):
+        return _identities([reps], nu)[0]
+    T, reports = nu.groupoid.tables, []
+    for run in sample_chunks(reps, int(T.row_len[T.pair_g1].sum())):
+        try:
+            reports += _identities(run, nu)
+        except Exception:
+            for rep in run:
+                _identities([rep], nu)
+            raise
+    return reports
+
+
+def _identities(reps: Sequence[PseudoRep], nu: HaarSystem) -> list[IdentityReport]:
+    """The identity reports of samples on one groupoid, their maps stacked on a sample axis."""
+    G = reps[0].groupoid
+    if any(rep.groupoid is not G for rep in reps):
+        raise ValueError("samples must share one groupoid")
+    bundle = SampleBundles([rep.bundle for rep in reps])
+    T, st = G.tables, Stacks.of_samples([rep.maps for rep in reps])
     avg, inv = _average(st, T, nu)
     w = nu.array
     D = cocycles(st, inv, T)
@@ -113,7 +144,7 @@ def verify_fundamental_identities(rep: PseudoRep, nu: HaarSystem) -> IdentityRep
         t = T.row_start[g][:, None] + np.arange(F)
         mean.put(g, fiber_sum(w[T.avg_k[t]], D.take(t)))
     res_a = max_norm(
-        rep.bundle,
+        bundle,
         lambda g, _: (avg.take(g) - st.take(g) - mean.take(g), T.src[g], T.tgt[g]),
         st.group,
     )[0]
@@ -131,11 +162,12 @@ def verify_fundamental_identities(rep: PseudoRep, nu: HaarSystem) -> IdentityRep
         return lhs - (single - fiber_sum(wk, left) @ mean.take(g1)), T.src[g1], T.tgt[g2]
 
     res_b = max_norm(
-        rep.bundle, second, st.group[T.pair_g2], st.group[T.pair_g1], width=T.row_len[T.pair_g1]
+        bundle, second, st.group[T.pair_g2], st.group[T.pair_g1], width=T.row_len[T.pair_g1]
     )[0]
 
-    b = b_norm(rep)
-    return IdentityReport(res_a, res_b, b, 1e-12 * (1.0 + b) ** 3)
+    bs = np.max(arrow_norms_by_orbit(bundle, st, T), axis=0).tolist()
+    # tol from Python floats: numpy's power can differ in the last ulp
+    return [IdentityReport(a, r, b, 1e-12 * (1.0 + b) ** 3) for a, r, b in zip(res_a, res_b, bs)]
 
 
 @dataclass

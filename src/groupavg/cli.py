@@ -199,9 +199,8 @@ def kind_finite_identities(p: dict) -> list[str]:
     nu = counting_haar(G)
     lines = ["i,residual_a,residual_b,tol,pass"]
     failures = []
-    for i in range(count):
-        rep = presets.random_pseudorep(G, rng)
-        r = averaging.verify_fundamental_identities(rep, nu)
+    reps = (presets.random_pseudorep(G, rng) for _ in range(count))
+    for i, r in enumerate(averaging.verify_fundamental_identities(reps, nu)):
         lines.append(f"{i},{r.residual_a!r},{r.residual_b!r},{r.tol!r},{str(r.ok).lower()}")
         if not r.ok:
             failures.append(

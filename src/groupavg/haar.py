@@ -62,7 +62,8 @@ class HaarSystem:
     @classmethod
     def load(cls, path: str, groupoid: FiniteGroupoid) -> "HaarSystem":
         """Weights keyed by arrow id; an absent arrow weighs 0.  Raises
-        ValueError naming a key that is no arrow id or a non-finite weight."""
+        ValueError naming a key that is no arrow id, or a weight that is no
+        finite JSON number (``true`` and ``false`` are not numbers here)."""
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
         if not isinstance(d, dict):
@@ -72,7 +73,7 @@ class HaarSystem:
         for key, w in d.items():
             if key not in ids:
                 raise ValueError(f"haar key {key!r} is not an arrow id 0..{groupoid.n_arrows - 1}")
-            if not isinstance(w, (int, float)) or not math.isfinite(w):
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
                 raise ValueError(f"haar weight of arrow {key} is not a finite number: {w!r}")
             weights[ids[key]] = float(w)
         return cls(groupoid, weights)

@@ -25,16 +25,33 @@ def z2_swap_action() -> FiniteGroupAction:
     return FiniteGroupAction(cyclic_group(2), [1, 2, 3], lambda g, u: flip[u] if g else u)
 
 
+def _signed_q(a: np.ndarray) -> np.ndarray:
+    """Q factors of the stacked matrices ``a``, each column signed by its R diagonal."""
+    q, r = np.linalg.qr(a)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
 def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish random orthogonal matrix with a deterministic sign convention."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+    return _signed_q(rng.standard_normal((n, n)))
 
 
-def conditioned(rng: np.random.Generator, n: int, smin: float, smax: float) -> np.ndarray:
-    """Random n x n matrix with singular values uniform in [smin, smax]."""
-    s = rng.uniform(smin, smax, size=n)
-    return (orthogonal(rng, n) * s) @ orthogonal(rng, n)
+def conditioned(
+    rng: np.random.Generator, n: int, smin: float, smax: float, batch: int | None = None
+) -> np.ndarray:
+    """Random n x n matrix with singular values uniform in [smin, smax].
+
+    With ``batch``, a stack of that many, equal to as many single draws in turn:
+    each matrix draws its singular values, then its two orthogonal factors, and
+    one stacked QR factors them all.
+    """
+    lead = () if batch is None else (batch,)
+    s, a = np.empty(lead + (n,)), np.empty(lead + (2, n, n))
+    for i in np.ndindex(lead):
+        s[i] = rng.uniform(smin, smax, size=n)
+        a[i] = rng.standard_normal((2, n, n))
+    q = _signed_q(a)
+    return (q[..., 0, :, :] * s[..., None, :]) @ q[..., 1, :, :]
 
 
 def random_spd(rng: np.random.Generator, n: int, emin: float = 0.5, emax: float = 2.0) -> np.ndarray:
@@ -108,7 +125,7 @@ def random_pseudorep(
     matrix (units included, so generally not unital)."""
     mets = [random_spd(rng, dim) for _ in range(G.n_objects)] if metrics else []
     bundle = FiberBundle([dim] * G.n_objects, mets)
-    return PseudoRep(G, bundle, [conditioned(rng, dim, smin, smax) for _ in G.arrows()])
+    return PseudoRep(G, bundle, list(conditioned(rng, dim, smin, smax, G.n_arrows)))
 
 
 def perturb_rep(

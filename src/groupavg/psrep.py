@@ -18,9 +18,10 @@ difference cocycle  Delta(g, h) = lambda_g lambda_h^(-1) - lambda_{g h^(-1)}.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,12 +56,21 @@ class NonInvertible(ValueError):
         super().__init__(message or f"matrix of arrow {arrow} is numerically singular")
 
 
+def _shape_groups(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[list[int]]]:
+    """The shape group of each matrix, numbered by first appearance, and each group's items."""
+    shapes: dict[tuple, int] = {}
+    group = np.array([shapes.setdefault(M.shape, len(shapes)) for M in mats], dtype=np.intp)
+    return group, [np.flatnonzero(group == gi).tolist() for gi in range(len(shapes))]
+
+
 class Stacks:
     """Matrices indexed by item id (an arrow, a triple), held as one array per shape.
 
-    Item i is ``arrays[group[i]][pos[i]]``, where ``pos`` numbers the items of
-    a group in ascending id order.  :meth:`take` and :meth:`put` address one
-    group at a time, so an index array must not mix shapes.
+    Item i is ``arrays[group[i]][..., pos[i], :, :]``, where ``pos`` numbers the
+    items of a group in ascending id order.  Stacks built by :meth:`of_samples`
+    carry a leading sample axis: item i of sample s is ``arrays[group[i]][s, pos[i]]``,
+    and :meth:`take` returns every sample's matrices at once.  :meth:`take` and
+    :meth:`put` address one group at a time, so an index array must not mix shapes.
     """
 
     def __init__(self, group: np.ndarray, arrays: list[np.ndarray]):
@@ -68,22 +78,30 @@ class Stacks:
         self.arrays = arrays
         self.pos = np.empty_like(group)
         for gi, A in enumerate(arrays):
-            self.pos[group == gi] = np.arange(len(A))
+            self.pos[group == gi] = np.arange(A.shape[-3])
 
     @classmethod
     def of(cls, mats: Sequence[np.ndarray]) -> "Stacks":
-        shapes: dict[tuple, int] = {}
-        group = np.array([shapes.setdefault(M.shape, len(shapes)) for M in mats], dtype=np.intp)
-        members: list[list[np.ndarray]] = [[] for _ in shapes]
-        for M, gi in zip(mats, group.tolist()):
-            members[gi].append(M)
-        return cls(group, [np.stack(ms) for ms in members])
+        group, members = _shape_groups(mats)
+        return cls(group, [np.stack([mats[i] for i in items]) for items in members])
+
+    @classmethod
+    def of_samples(cls, samples: Sequence[Sequence[np.ndarray]]) -> "Stacks":
+        """Stacks of ``samples[s][i]`` with a leading sample axis; every sample has the
+        shapes of the first."""
+        group, members = _shape_groups(samples[0])
+        return cls(group, [
+            np.stack([maps[i] for maps in samples for i in items]).reshape(
+                len(samples), len(items), *samples[0][items[0]].shape)
+            for items in members
+        ])
 
     def empty_like(self, group: np.ndarray | None = None) -> "Stacks":
-        """Uninitialised stacks of the same shapes over ``group`` (default: the same items)."""
+        """Uninitialised stacks of the same shapes and samples over ``group`` (default: the same items)."""
         group = self.group if group is None else group
         counts = np.bincount(group, minlength=len(self.arrays))
-        return Stacks(group, [np.empty((n, *A.shape[1:])) for n, A in zip(counts, self.arrays)])
+        return Stacks(group, [np.empty((*A.shape[:-3], n, *A.shape[-2:]))
+                              for n, A in zip(counts, self.arrays)])
 
     def _group_of(self, idx: np.ndarray) -> int:
         gi = self.group[idx]
@@ -92,10 +110,10 @@ class Stacks:
         return int(gi.flat[0])
 
     def take(self, idx: np.ndarray) -> np.ndarray:
-        return self.arrays[self._group_of(idx)][self.pos[idx]]
+        return self.arrays[self._group_of(idx)][..., self.pos[idx], :, :]
 
     def put(self, idx: np.ndarray, values: np.ndarray) -> None:
-        self.arrays[self._group_of(idx)][self.pos[idx]] = values
+        self.arrays[self._group_of(idx)][..., self.pos[idx], :, :] = values
 
     def tolist(self) -> list[np.ndarray]:
         return [self.arrays[g][p] for g, p in zip(self.group.tolist(), self.pos.tolist())]
@@ -123,6 +141,18 @@ def blocks(*key: np.ndarray, width: np.ndarray | int = 1) -> Iterator[tuple[np.n
         step = max(1, BLOCK_TERMS // max(1, F))
         for s in range(0, len(items), step):
             yield items[s : s + step], F
+
+
+def sample_chunks(samples: Iterable, terms: int) -> Iterator[list]:
+    """Take samples in order, in runs of at most BLOCK_TERMS // terms (at least one),
+    where ``terms`` is the most terms one sample gathers in a pass.
+
+    A block over a run then gathers at most BLOCK_TERMS terms in all, and only one
+    run of an iterator's samples is held at a time.
+    """
+    step, it = max(1, BLOCK_TERMS // max(1, terms)), iter(samples)
+    while run := list(itertools.islice(it, step)):
+        yield run
 
 
 @dataclass
@@ -212,21 +242,43 @@ class FiberBundle:
         return cls(dims=dims, metrics=metrics)
 
 
+class SampleBundles:
+    """The fiber bundles of a batch of samples with the same fiber dimensions.
+
+    Stands in for a :class:`FiberBundle` in :func:`metric_norms` on maps with a
+    leading sample axis: :meth:`factor_stack` stacks each sample's factors.
+    """
+
+    def __init__(self, bundles: Sequence[FiberBundle]):
+        if any(B.dims != bundles[0].dims for B in bundles):
+            raise ValueError("samples differ in fiber dimensions")
+        self.bundles = bundles
+        self._stacked: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def factor_stack(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if d not in self._stacked:
+            roots, inv_roots, where = zip(*(B.factor_stack(d) for B in self.bundles))
+            self._stacked[d] = (np.stack(roots), np.stack(inv_roots), where[0])
+        return self._stacked[d]
+
+
 def metric_norms(
-    bundle: FiberBundle, M: np.ndarray, src: np.ndarray, dst: np.ndarray
+    bundle: FiberBundle | SampleBundles, M: np.ndarray, src: np.ndarray, dst: np.ndarray
 ) -> np.ndarray:
-    """Metric norms of stacked maps: ``M[i]`` maps the fiber over ``src[i]`` to the
-    fiber over ``dst[i]``; its norm is the largest singular value of
-    ``phi_dst^(1/2) M[i] phi_src^(-1/2)``."""
+    """Metric norms of stacked maps: ``M[..., i, :, :]`` maps the fiber over ``src[i]``
+    to the fiber over ``dst[i]``; its norm is the largest singular value of
+    ``phi_dst^(1/2) M[i] phi_src^(-1/2)``.  Leading sample axes of ``M`` go with a
+    :class:`SampleBundles`.  A map with a non-finite entry, e.g. an overflowed
+    defect, has no finite norm: it reads inf."""
     r, c = M.shape[-2:]
     if r == 0 or c == 0:
         return np.zeros(M.shape[:-2])
     roots, _, at_dst = bundle.factor_stack(r)
     _, inv_roots, at_src = bundle.factor_stack(c)
-    try:
-        return np.linalg.svd(roots[at_dst[dst]] @ M @ inv_roots[at_src[src]], compute_uv=False)[..., 0]
-    except np.linalg.LinAlgError:  # a non-finite entry, e.g. an overflowed defect: no finite norm
-        return np.full(M.shape[:-2], np.inf)
+    X = roots[..., at_dst[dst], :, :] @ M @ inv_roots[..., at_src[src], :, :]
+    finite = np.isfinite(X).all(axis=(-2, -1))
+    s = np.linalg.svd(np.where(finite[..., None, None], X, 0.0), compute_uv=False)[..., 0]
+    return np.where(finite, s, np.inf)
 
 
 def operator_norm(
@@ -243,20 +295,22 @@ def operator_norm(
     return float(metric_norms(bundle, M[None], np.array([0]), np.array([1]))[0])
 
 
-def max_norm(bundle: FiberBundle, part, *key: np.ndarray, width: np.ndarray | int = 1,
-             orbit: np.ndarray | None = None, n_orbits: int = 1) -> list[float]:
+def max_norm(bundle: FiberBundle | SampleBundles, part, *key: np.ndarray,
+             width: np.ndarray | int = 1, orbit: np.ndarray | None = None,
+             n_orbits: int = 1) -> list:
     """Largest metric norm over the work items of each orbit; 0.0 for an orbit with none.
 
     ``orbit[i]`` is item i's orbit id, below ``n_orbits``; with more than one orbit it is one
     more key column for :func:`blocks`.  ``part(items, width)`` returns the stacked maps of a
-    block with their source and target objects.
+    block with their source and target objects.  On maps with a sample axis, an orbit's entry
+    is a list with one maximum per sample.
     """
     split = n_orbits > 1
-    worst = [0.0] * n_orbits
+    worst = [np.float64(0.0)] * n_orbits
     for items, F in blocks(*(orbit, *key) if split else key, width=width):
         o = int(orbit[items[0]]) if split else 0
-        worst[o] = max(worst[o], float(metric_norms(bundle, *part(items, F)).max()))
-    return worst
+        worst[o] = np.maximum(worst[o], metric_norms(bundle, *part(items, F)).max(axis=-1))
+    return [w.tolist() for w in worst]
 
 
 @dataclass
@@ -319,6 +373,10 @@ class PseudoRep:
     def from_json_dict(
         cls, d: dict, groupoid: FiniteGroupoid, bundle: FiberBundle
     ) -> "PseudoRep":
+        ids = {str(g) for g in groupoid.arrows()}
+        for key in d:
+            if key not in ids:
+                raise ValueError(f"psrep key {key!r} is not an arrow id 0..{groupoid.n_arrows - 1}")
         maps = []
         for g in groupoid.arrows():
             if str(g) not in d:
@@ -334,8 +392,15 @@ class PseudoRep:
 
 def b_by_orbit(rep: PseudoRep) -> list[float]:
     """b of each orbit of :meth:`FiniteGroupoid.orbits`: its largest arrow matrix norm."""
-    T, st = rep.groupoid.tables, rep.stacks()
-    return max_norm(rep.bundle, lambda g, _: (st.take(g), T.src[g], T.tgt[g]), st.group,
+    return arrow_norms_by_orbit(rep.bundle, rep.stacks(), rep.groupoid.tables)
+
+
+def arrow_norms_by_orbit(
+    bundle: FiberBundle | SampleBundles, st: Stacks, T: CompositionTables
+) -> list:
+    """The largest arrow matrix norm of each orbit, of the arrow maps ``st`` over the
+    tables ``T``; with a sample axis, one per sample (see :func:`max_norm`)."""
+    return max_norm(bundle, lambda g, _: (st.take(g), T.src[g], T.tgt[g]), st.group,
                     orbit=T.orbit[T.src], n_orbits=T.n_orbits)
 
 
@@ -365,21 +430,22 @@ def _gated_inverse(A: np.ndarray, arrows: np.ndarray) -> np.ndarray:
     """Inverses of the stacked maps of ``arrows``, each gated at condition number < 1e12.
 
     Raises NonInvertible at the lowest arrow that is not square, has a
-    non-finite entry, or is singular past the conditioning limit.
+    non-finite entry, or is singular past the conditioning limit; with a
+    leading sample axis, at the first sample that has one.
     """
-    _, r, c = A.shape
+    r, c = A.shape[-2:]
     if r != c:
         raise NonInvertible(int(arrows[0]), f"arrow {arrows[0]} matrix is not square: {(r, c)}")
     if r == 0:
         return A.copy()
-    finite = np.isfinite(A).all(axis=(1, 2))
-    s = np.linalg.svd(np.where(finite[:, None, None], A, 0.0), compute_uv=False)
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    s = np.linalg.svd(np.where(finite[..., None, None], A, 0.0), compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ok = finite & (s[:, -1] > 0) & (s[:, 0] / s[:, -1] < COND_LIMIT)
+        ok = finite & (s[..., -1] > 0) & (s[..., 0] / s[..., -1] < COND_LIMIT)
     if not ok.all():
-        i = int(np.argmin(ok))
-        g = int(arrows[i])
-        raise NonInvertible(g, None if finite[i] else f"matrix of arrow {g} has non-finite entries")
+        i = int(np.argmin(ok))  # samples before arrows
+        g = int(arrows[i % len(arrows)])
+        raise NonInvertible(g, None if finite.flat[i] else f"matrix of arrow {g} has non-finite entries")
     return np.linalg.inv(A)
 
 

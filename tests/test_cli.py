@@ -379,6 +379,21 @@ def test_psrep_missing_arrow_named(tmp_path, rng, capsys):
     assert "arrow 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("99", {"shape": [2, 2], "data": [1.0, 0.0, 0.0, 1.0]}),
+                                        ("x", 5), ("-1", None)])
+def test_psrep_extra_key_named(tmp_path, rng, capsys, key, value):
+    G, rep = presets.s3_example_rep(rng)
+    cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
+    doc = json.loads(open(paths["psrep"]).read())
+    doc[key] = value
+    with open(paths["psrep"], "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    named = f"{paths['psrep']}: psrep key {key!r} is not an arrow id 0..17"
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_psrep_nonfinite_entry_named(tmp_path, rng, capsys):
     G, rep = presets.s3_example_rep(rng)
     cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
@@ -561,6 +576,8 @@ def write_haar(tmp_path, doc):
         ({"x": 0.5}, "'x'"),
         ({"0": "half"}, "arrow 0"),
         ({"3": float("inf")}, "arrow 3"),
+        ({"0": True}, "arrow 0 is not a finite number: True"),
+        ({"5": False}, "arrow 5 is not a finite number: False"),
     ],
 )
 def test_bad_haar_file_named_on_run_and_validate(tmp_path, capsys, rng, doc, named):

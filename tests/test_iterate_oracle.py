@@ -4,12 +4,13 @@ The references below are the standalone finite and circle iteration loops,
 the per-orbit gate and one-step estimates on restricted subgroupoids, the
 gather-built circle defect field, the sliced cocycle residual, the whole-field
 seminorm and the two residual loops it was streamed from, the np.roll rotation
-and group bundle averages, and the two trace column formulas, kept verbatim in
-their old operation order.  Every comparison is exact, except that the one-step
+and group bundle averages, the two trace column formulas, the per-matrix random
+draws and the identity verifier of one sample at a time, kept verbatim in their
+old operation order.  Every comparison is exact, except that the one-step
 estimates may move in the last ulp (the reference renormalizes the restricted
 Haar weights): the driver, the per-orbit gauges, the slice-built field, the
-streamed defect pass, the buffered averages and the bounds module must
-reproduce them bit for bit.
+streamed defect pass, the buffered averages, the bounds module, the batched
+draws and the identity check over a sample axis must reproduce them bit for bit.
 """
 
 import time
@@ -20,12 +21,14 @@ import pytest
 from groupavg import averaging, presets, psrep
 from groupavg.averaging import (
     GatePrecondition,
+    IdentityReport,
     IterationTrace,
     StepEstimateRow,
     TraceRow,
     Verdict,
     average,
     iterate,
+    verify_fundamental_identities,
     verify_step_estimates,
 )
 from groupavg.bounds import envelope, square, step_bounds
@@ -48,6 +51,7 @@ from groupavg.groupoid import FiniteGroupoid, action_groupoid
 from groupavg.haar import counting_haar, restrict_haar
 from groupavg.psrep import (
     GATE_COEFF,
+    DegenerateMetric,
     FiberBundle,
     NonInvertible,
     OrbitGateRow,
@@ -281,6 +285,83 @@ def envelope_ref(b0, c0, n):
         bs.append(grown)
         cs.append(2.0 * c**2 * grown**2)
     return bs, cs
+
+
+def orthogonal_ref(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def conditioned_ref(rng, n, smin, smax):
+    s = rng.uniform(smin, smax, size=n)
+    return (orthogonal_ref(rng, n) * s) @ orthogonal_ref(rng, n)
+
+
+def random_pseudorep_ref(G, rng, dim=2, smin=0.5, smax=1.5, metrics=False):
+    mets = [presets.random_spd(rng, dim) for _ in range(G.n_objects)] if metrics else []
+    bundle = FiberBundle([dim] * G.n_objects, mets)
+    return PseudoRep(G, bundle, [conditioned_ref(rng, dim, smin, smax) for _ in G.arrows()])
+
+
+def fiber_sum_ref(w, terms):
+    acc = np.zeros(terms.shape[:1] + terms.shape[2:])
+    for j in range(terms.shape[1]):
+        acc = acc + w[:, j, None, None] * terms[:, j]
+    return acc
+
+
+def metric_norms_ref(bundle, M, src, dst):
+    r, c = M.shape[-2:]
+    if r == 0 or c == 0:
+        return np.zeros(M.shape[:-2])
+    roots, _, at_dst = bundle.factor_stack(r)
+    _, inv_roots, at_src = bundle.factor_stack(c)
+    try:
+        return np.linalg.svd(roots[at_dst[dst]] @ M @ inv_roots[at_src[src]], compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError:
+        return np.full(M.shape[:-2], np.inf)
+
+
+def max_norm_ref(bundle, part, *key, width=1):
+    worst = 0.0
+    for items, F in psrep.blocks(*key, width=width):
+        worst = max(worst, float(metric_norms_ref(bundle, *part(items, F)).max()))
+    return worst
+
+
+def verify_identities_ref(rep, nu):
+    """The verifier of one sample on its own stacks, as it was before the sample axis."""
+    T, st = rep.groupoid.tables, rep.stacks()
+    avg, inv = averaging._average(st, T, nu)
+    w = nu.array
+    D = psrep.cocycles(st, inv, T)
+
+    mean = st.empty_like()
+    for g, F in psrep.blocks(st.group, width=T.row_len):
+        t = T.row_start[g][:, None] + np.arange(F)
+        mean.put(g, fiber_sum_ref(w[T.avg_k[t]], D.take(t)))
+    res_a = max_norm_ref(
+        rep.bundle,
+        lambda g, _: (avg.take(g) - st.take(g) - mean.take(g), T.src[g], T.tgt[g]),
+        st.group,
+    )
+
+    def second(p, F):
+        g2, g1 = T.pair_g2[p], T.pair_g1[p]
+        t1 = T.row_start[g1][:, None] + np.arange(F)
+        t2 = T.row_start[g2][:, None] + T.fiber_pos[T.avg_gk[t1]]
+        wk = w[T.avg_k[t1]]
+        left = D.take(t2)
+        lhs = avg.take(T.pair_g21[p]) - avg.take(g2) @ avg.take(g1)
+        single = fiber_sum_ref(wk, left @ D.take(t1))
+        return lhs - (single - fiber_sum_ref(wk, left) @ mean.take(g1)), T.src[g1], T.tgt[g2]
+
+    res_b = max_norm_ref(
+        rep.bundle, second, st.group[T.pair_g2], st.group[T.pair_g1], width=T.row_len[T.pair_g1]
+    )
+
+    b = b_norm(rep)
+    return IdentityReport(res_a, res_b, b, 1e-12 * (1.0 + b) ** 3)
 
 
 def assert_same_trace(got, want):
@@ -543,3 +624,160 @@ def test_envelope_equals_reference(b0, c0):
 def test_buffered_group_bundle_average_is_bit_equal(N, k, rng):
     X = TorusGridFn(rng.standard_normal((N, N)), k)
     assert np.array_equal(group_bundle_average(X).values, group_bundle_average_ref(X))
+
+
+# -- batched draws and the identity check over a sample axis ------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_batched_draws_equal_per_matrix_draws(d):
+    ours, ref = np.random.default_rng(d), np.random.default_rng(d)
+    got = presets.conditioned(ours, d, 0.5, 1.5, 1000)
+    assert np.array_equal(got, np.stack([conditioned_ref(ref, d, 0.5, 1.5) for _ in range(1000)]))
+    assert np.array_equal(presets.conditioned(ours, d, 0.8, 1.25), conditioned_ref(ref, d, 0.8, 1.25))
+    assert np.array_equal(presets.orthogonal(ours, d), orthogonal_ref(ref, d))
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("metrics", [False, True])
+def test_random_pseudorep_equals_per_arrow_draws(s3_groupoid, metrics):
+    ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(5):
+        got = presets.random_pseudorep(s3_groupoid, ours, dim=3, metrics=metrics)
+        want = random_pseudorep_ref(s3_groupoid, ref, dim=3, metrics=metrics)
+        assert all(np.array_equal(a, b) for a, b in zip(got.maps, want.maps))
+        assert all((a is None and b is None) or np.array_equal(a, b)
+                   for a, b in zip(got.bundle.metrics, want.bundle.metrics))
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def mixed_dims_rep(G, rng, dims, metrics):
+    """Independent conditioned matrices per arrow over a bundle with the given dims."""
+    mets = [presets.random_spd(rng, d) for d in dims] if metrics else []
+    maps = [presets.conditioned(rng, dims[G.src[g]], 0.5, 1.5) for g in G.arrows()]
+    return PseudoRep(G, FiberBundle(list(dims), mets), maps)
+
+
+SAMPLE_CASES = {
+    "s3": lambda G, rng: presets.random_pseudorep(G, rng),
+    "s3_metrics": lambda G, rng: presets.random_pseudorep(G, rng, metrics=True),
+    "z2_two_orbits": lambda G, rng: presets.random_pseudorep(G, rng, metrics=True),
+    "z2_mixed_dims": lambda G, rng: mixed_dims_rep(G, rng, [2, 2, 3], False),
+    "z2_mixed_dims_metrics": lambda G, rng: mixed_dims_rep(G, rng, [2, 2, 3], True),
+}
+
+
+def sample_case(case, seed, n=14):
+    action = presets.s3_action() if case.startswith("s3") else presets.z2_swap_action()
+    G = action_groupoid(action)
+    rng = np.random.default_rng(seed)
+    return [SAMPLE_CASES[case](G, rng) for _ in range(n)], counting_haar(G)
+
+
+def report_fields(reports):
+    return [(r.residual_a, r.residual_b, r.b, r.tol) for r in reports]
+
+
+@pytest.mark.parametrize("block_terms", [psrep.BLOCK_TERMS, 100])
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_batched_identities_equal_per_sample_checks(monkeypatch, case, block_terms):
+    monkeypatch.setattr(psrep, "BLOCK_TERMS", block_terms)
+    for seed in range(5):
+        reps, nu = sample_case(case, seed)
+        want = [verify_identities_ref(rep, nu) for rep in reps]
+        assert report_fields(verify_fundamental_identities(reps, nu)) == report_fields(want)
+        assert report_fields([verify_fundamental_identities(reps[3], nu)]) == report_fields(want[3:4])
+
+
+def test_batched_identities_of_the_cli_samples(monkeypatch, s3_groupoid):
+    """The 300 samples of ``run finite_identities --count 300 --seed 1``: every report equals
+    the per-sample check, tol included where numpy's power would move it by an ulp, and no
+    batched step holds more than BLOCK_TERMS matrices."""
+    rng = np.random.default_rng(1)
+    reps = [presets.random_pseudorep(s3_groupoid, rng) for _ in range(300)]
+    nu = counting_haar(s3_groupoid)
+    seen = {"norms": [], "terms": []}
+
+    def spy(name, fn):
+        def counted(*args):
+            seen[name].append(args[1].shape[:-2])
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(psrep, "metric_norms", spy("norms", psrep.metric_norms))
+    monkeypatch.setattr(averaging, "fiber_sum", spy("terms", averaging.fiber_sum))
+    got = verify_fundamental_identities(reps, nu)
+    for shapes in seen.values():
+        assert max(int(np.prod(shape)) for shape in shapes) <= psrep.BLOCK_TERMS
+        assert max(shape[0] for shape in shapes) > 1  # a sample axis: the samples were batched
+    want = [verify_identities_ref(rep, nu) for rep in reps]
+    assert report_fields(got) == report_fields(want)
+    b = np.array([r.b for r in want])
+    assert (1e-12 * (1.0 + b) ** 3 != np.array([r.tol for r in want])).any()
+
+
+def test_overflowing_sample_leaves_the_others_bits(s3_groupoid):
+    """A sample whose second residual overflows reads inf, as alone; the others in its run keep their bits."""
+    reps, nu = sample_case("s3", 0, n=6)
+    for g in range(0, 18, 2):
+        reps[2].maps[g] = reps[2].maps[g] * 1e-200
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = verify_fundamental_identities(reps, nu)
+        want = [verify_identities_ref(rep, nu) for rep in reps]
+    assert report_fields(got) == report_fields(want)
+    assert got[2].residual_b == np.inf and not got[2].ok
+
+
+def first_error(check, reps, nu):
+    with pytest.raises((NonInvertible, OverflowError, DegenerateMetric)) as exc, np.errstate(over="ignore", invalid="ignore"):
+        check(reps, nu)
+    return type(exc.value), str(exc.value), getattr(exc.value, "arrow", None)
+
+
+def per_sample(reps, nu):
+    for rep in reps:
+        verify_identities_ref(rep, nu)
+
+
+def test_failing_run_raises_the_first_samples_error():
+    reps, nu = sample_case("z2_mixed_dims", 0, n=8)
+    G = reps[0].groupoid
+    hi = max(g for g in G.arrows() if G.src[g] == 2)  # a 3 x 3 map
+    lo = min(g for g in G.arrows() if G.src[g] != 2)  # a 2 x 2 map, in another shape group
+    assert lo < hi
+    reps[3].maps[hi] = np.zeros((3, 3))
+    reps[4].maps[lo] = np.zeros((2, 2))
+    want = first_error(per_sample, reps, nu)
+    assert want == (NonInvertible, f"matrix of arrow {hi} is numerically singular", hi)
+    assert first_error(verify_fundamental_identities, reps, nu) == want
+    reps[1].maps[0] = reps[1].maps[0] * 1e150  # b**3 overflows a Python float at sample 1
+    want = first_error(per_sample, reps, nu)
+    assert want[0] is OverflowError
+    assert first_error(verify_fundamental_identities, reps, nu) == want
+    reps[0].maps[lo] = np.full((2, 2), np.nan)
+    want = first_error(per_sample, reps, nu)
+    assert want == (NonInvertible, f"matrix of arrow {lo} has non-finite entries", lo)
+    assert first_error(verify_fundamental_identities, reps, nu) == want
+
+
+@pytest.mark.parametrize("x", [0, 2])
+def test_degenerate_metric_after_an_overflow_raises_the_overflow(x):
+    """Metrics are checked when first factored, which a run does for all its samples at
+    once; a later sample's indefinite metric on an object of either fiber dimension must
+    not mask an earlier sample's overflow."""
+    reps, nu = sample_case("z2_mixed_dims_metrics", 0, n=6)
+    reps[0].maps[0] = reps[0].maps[0] * 1e150
+    reps[2].bundle.metrics[x] = np.diag([1.0, -1.0] + [1.0] * (reps[2].bundle.dims[x] - 2))
+    want = first_error(per_sample, reps, nu)
+    assert want[0] is OverflowError
+    assert first_error(verify_fundamental_identities, reps, nu) == want
+    assert first_error(verify_fundamental_identities, reps[1:], nu)[0] is DegenerateMetric
+
+
+def test_samples_with_other_fiber_dimensions_are_named():
+    reps, nu = sample_case("z2_mixed_dims", 0, n=3)
+    G = reps[0].groupoid
+    line = PseudoRep(G, FiberBundle([1, 1, 1]), [np.eye(1) for _ in G.arrows()])
+    with pytest.raises(ValueError, match="samples differ in fiber dimensions"):
+        verify_fundamental_identities(reps + [line], nu)
+    assert len(verify_fundamental_identities([line] * 2, nu)) == 2

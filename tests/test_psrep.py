@@ -65,6 +65,17 @@ def test_operator_norm_of_nonfinite_matrix_is_inf():
         assert operator_norm(np.array([[np.nan, 1.0], [0.0, np.inf]])) == np.inf
 
 
+def test_overflowed_defect_on_line_fibers_reads_inf(s3_groupoid):
+    # on 1 x 1 maps an overflow gives inf with no NaN, and the SVD of [[inf]] is NaN, not an error
+    assert operator_norm(np.array([[np.inf]])) == np.inf
+    maps = [np.ones((1, 1)) for _ in s3_groupoid.arrows()]
+    maps[5] = maps[7] = np.full((1, 1), 1e200)
+    rep = PseudoRep(s3_groupoid, FiberBundle([1, 1, 1]), maps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert c_norm(rep) == np.inf
+    assert b_norm(rep) == 1e200
+
+
 def test_operator_norm_rejects_indefinite_metric():
     with pytest.raises(DegenerateMetric):
         operator_norm(np.eye(2), phi_src=np.diag([1.0, -1.0]))
