@@ -242,12 +242,32 @@ def envelope(b0: float, c0: float, n: int) -> tuple[list[float], list[float]]:
 
 
 def load_trace_csv(path: str) -> tuple[list[float], list[float]]:
-    """(b, c) columns of a trace CSV written by the averaging module."""
+    """(b, c) columns of a trace CSV written by the averaging module.
+
+    Raises ValueError naming the file and the missing column, or the row
+    without a number in it.  Non-finite numbers are read as they are: a
+    Diverged trace holds them.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"empty trace: {path}")
-    return [float(r["b"]) for r in rows], [float(r["c"]) for r in rows]
+    cols = {"b": [], "c": []}
+    for col, vals in cols.items():
+        if col not in reader.fieldnames:
+            raise ValueError(f"{path}: trace has no {col!r} column")
+        for n, r in enumerate(rows):
+            if r[col] is None:
+                raise ValueError(f"{path}: trace row {n} is short: no {col!r} value")
+            try:
+                vals.append(float(r[col]))
+            except ValueError:
+                raise ValueError(f"{path}: trace row {n}: {col!r} value {r[col]!r} is not a number") from None
+    return cols["b"], cols["c"]
 
 
 def write_check_csv(report: BoundSeqReport, path: str) -> None:

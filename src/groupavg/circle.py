@@ -401,21 +401,30 @@ def profile_twist_orbit(step_value: float, k: int) -> list[float]:
 
 
 def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64,
-                   seminorm_orders: tuple[int, ...] = (0, 1)) -> IterationTrace:
+                   seminorm_orders: tuple[int, ...] = (0, 1),
+                   row0: tuple[float, float] | None = None) -> IterationTrace:
     """Repeated rotation averaging of a unital grid effect; see :func:`averaging.drive`.
 
     Rows carry b = max |Lambda|, c = the r = 0 cocycle residual, the unit-row
     defect, and (in extras) discrete seminorms of the full defect field for
     each requested order; a vanishing node adds its indices to the last row.
     The gate is the scalar inequality c <= (1/9) b^(-2) on the grid.
+
+    Each row runs one defect pass, of the highest requested order: with no
+    orders (``seminorm_orders=()``) that is the order-0 pass, which holds two
+    N^2 buffers, against the (3, N, N) ring of order 1.  ``row0`` is the (b, c)
+    of ``L0`` from a gate pass the caller already ran (:func:`multiplicativity_residual`
+    gives the same c); row 0 then runs no pass unless it needs an order above 0.
     """
     order = max(map(_order, seminorm_orders), default=0)
 
     def gauges(lam: TorusGridFn):
-        sups = _defect_sups(_defect_slices(lam), lam.N, order)
-        return (float(np.abs(lam.values).max()), float(sups[0]),
-                float(np.abs(lam.values[0] - 1.0).max()),
-                {f"c_sem_r{r}": float(sups[: r + 1].max()) for r in seminorm_orders})
+        if lam is L0 and row0 is not None and not order:
+            b, sups = row0[0], [row0[1]]
+        else:
+            b, sups = float(np.abs(lam.values).max()), _defect_sups(_defect_slices(lam), lam.N, order)
+        return (b, float(sups[0]), float(np.abs(lam.values[0] - 1.0).max()),
+                {f"c_sem_r{r}": float(np.max(sups[: r + 1])) for r in seminorm_orders})
 
     return drive(L0, average_circle, gauges, tol_c, max_iter)
 

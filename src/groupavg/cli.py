@@ -22,12 +22,8 @@ import os
 import sys
 from importlib import resources
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import averaging, bounds, circle, presets
 from .groupoid import FiniteGroupoid, action_groupoid, read_json
@@ -81,12 +77,11 @@ def load_config(path: str | None, args: argparse.Namespace) -> dict:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"field {key}: non-finite value {value!r}")
     schema = json.loads(resources.files("groupavg").joinpath("config.schema.json").read_text())
-    if jsonschema is not None:
-        try:
-            jsonschema.validators.validator_for(schema)(schema).validate(user)
-        except jsonschema.ValidationError as exc:
-            where = "/".join(map(str, exc.absolute_path)) or "config"
-            raise ConfigError(f"config or flags do not match schema: {where}: {exc.message}") from exc
+    try:
+        jsonschema.validators.validator_for(schema)(schema).validate(user)
+    except jsonschema.ValidationError as exc:
+        where = "/".join(map(str, exc.absolute_path)) or "config"
+        raise ConfigError(f"config or flags do not match schema: {where}: {exc.message}") from exc
     return user
 
 
@@ -257,15 +252,18 @@ def kind_circle_iterate(p: dict) -> list[str]:
         return circle.TorusGridFn(lam_star.values + scale * noise, p["k"])
 
     if p["gate_rescale"]:
-        lam0, scale = presets.rescale_to_gate(
+        lam0, scale, row0 = presets.rescale_to_gate(
             make,
             lambda L: (float(np.abs(L.values).max()), circle.multiplicativity_residual(L)[0]),
             p["perturb"],
         )
         log(f"perturbation amplitude after gate rescale: {scale!r}")
     else:
-        lam0, scale = make(p["perturb"]), p["perturb"]
-    trace = circle.iterate_circle(lam0, tol_c=p["tol_c"], max_iter=p["max_iter"])
+        lam0, scale, row0 = make(p["perturb"]), p["perturb"], None
+    # the artifacts hold c, not the seminorms: one order-0 pass per row, and none for
+    # row 0 when the gate pass gave its (b, c)
+    trace = circle.iterate_circle(lam0, tol_c=p["tol_c"], max_iter=p["max_iter"],
+                                  seminorm_orders=(), row0=row0)
     extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": p["k"],
              "perturb": scale}
     if trace.verdict.kind == "Converged":

@@ -156,7 +156,7 @@ def random_unital_pseudorep(
 
 def rescale_to_gate(make, gauges, delta: float, safety: float = 0.9):
     """The first of make(delta), make(0.7 delta), ... whose gauges (b, c) pass
-    the gate c <= safety (1/9) b^(-2), with the amplitude used.
+    the gate c <= safety (1/9) b^(-2), with the amplitude used and those gauges.
 
     A candidate whose gauges overflow fails the gate.  Raises ValueError
     naming ``delta`` when none of the first 200 amplitudes passes.
@@ -165,9 +165,10 @@ def rescale_to_gate(make, gauges, delta: float, safety: float = 0.9):
     for _ in range(200):
         cand = make(scale)
         with np.errstate(over="ignore", invalid="ignore"):
-            ok = gate_holds(*gauges(cand), safety)
+            bc = gauges(cand)
+            ok = gate_holds(*bc, safety)
         if ok:
-            return cand, scale
+            return cand, scale, bc
         scale *= 0.7
     raise ValueError(f"perturbation amplitude {delta!r} does not pass the gate in 200 rescales")
 
@@ -191,7 +192,7 @@ def gated_perturbation(
             cand.maps[g] = cand.maps[g] + scale * diff[g]
         return cand
 
-    return rescale_to_gate(make, lambda cand: (b_norm(cand), c_norm(cand)), delta, safety)
+    return rescale_to_gate(make, lambda cand: (b_norm(cand), c_norm(cand)), delta, safety)[:2]
 
 
 def smooth_torus_field(

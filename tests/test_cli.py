@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from groupavg import circle
 from groupavg.circle import CircleProfile, save_profile_csv
 from groupavg.cli import main
 from groupavg.groupoid import action_groupoid
@@ -201,6 +202,41 @@ def test_circle_iterate_artifacts(tmp_path):
     assert head == "32,2"
 
 
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "ungated"])
+def test_circle_iterate_gauges_c_only(tmp_path, monkeypatch, gated):
+    # every defect pass of the run is an order-0 pass: one per trace row, and the
+    # gate's, which gives row 0 when the gate ran
+    sups, residual, iterate = (circle._defect_sups, circle.multiplicativity_residual,
+                               circle.iterate_circle)
+    orders, gate_passes, runs = [], [], []
+
+    def spy_iterate(L0, **kw):
+        runs.append((L0, kw, iterate(L0, **kw)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(circle, "_defect_sups",
+                        lambda slice_at, N, order: orders.append(order) or sups(slice_at, N, order))
+    monkeypatch.setattr(circle, "multiplicativity_residual",
+                        lambda L: gate_passes.append(L) or residual(L))
+    monkeypatch.setattr(circle, "iterate_circle", spy_iterate)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gate_rescale": gated}))
+    out = tmp_path / "out"
+    run_ok(["run", "circle_iterate", "--config", str(cfg), "--N", "32", "--seed", "3",
+            "--out", str(out)])
+    rows = len((out / "trace.csv").read_text().splitlines()) - 1
+    assert rows >= 3
+    assert set(orders) == {0}
+    assert (len(gate_passes) >= 1) == gated
+    assert len(orders) == rows - gated + len(gate_passes)
+
+    # the rows equal those of the library with its default seminorm orders
+    (lam0, kw, trace), = runs
+    got, want = trace.rows, iterate(lam0, tol_c=kw["tol_c"], max_iter=kw["max_iter"]).rows
+    assert [(r.b, r.c, r.unit_defect) for r in got] == [(r.b, r.c, r.unit_defect) for r in want]
+    assert want[0].extras and not got[0].extras
+
+
 def test_circle_profile_defaults(tmp_path):
     out = tmp_path / "out"
     run_ok(["run", "circle_profile", "--N", "16", "--k", "1", "--out", str(out)])
@@ -314,6 +350,31 @@ def test_bounds_check_flags_corruption(tmp_path, capsys):
     doc = json.loads((out / "verdict.json").read_text())
     assert doc["ok"] is False
     assert doc["first_failure"] == 1
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("i,b\n0,1\n1,1\n", "trace has no 'c' column"),
+        ("i,c,b\n0,0.1\n1,0.01,1\n", "trace row 0 is short: no 'b' value"),
+        ("i,b,c\n0,1,0.01\n1,1,x\n", "trace row 1: 'c' value 'x' is not a number"),
+        ("i,b,c\n0,1," + "0" * 200_000 + "\n", "field larger than field limit"),
+    ],
+    ids=["no_c_column", "short_row", "not_a_number", "field_too_long"],
+)
+def test_bounds_check_malformed_trace_named(tmp_path, capsys, text, named):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    assert main(["bounds-check", "--trace", str(trace), "--out", str(tmp_path / "o")]) == 2
+    assert f"{trace}: {named}" in capsys.readouterr().err
+
+
+def test_bounds_check_reads_nonfinite_values(tmp_path, capsys):
+    # a Diverged trace holds inf and NaN; they fail the check, not the parse
+    trace = tmp_path / "trace.csv"
+    trace.write_text("i,b,c\n0,inf,nan\n1,1.0,0.0\n")
+    assert main(["bounds-check", "--trace", str(trace), "--out", str(tmp_path / "o")]) == 1
+    assert "bounds row i=0 eps_le_2_3: observed nan" in capsys.readouterr().err
 
 
 def test_bounds_check_needs_trace(capsys):

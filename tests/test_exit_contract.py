@@ -7,6 +7,11 @@ files of a gated pseudo-representation on the two-orbit Z/2 action groupoid,
 corrupted at one or two random places: a dropped key or element, a renamed
 key, a value of the wrong JSON type, an out-of-range or negative arrow id,
 NaN or infinity, a list of the wrong shape, or a whole document replaced.
+
+Config files get the same corruptions.  Trace CSVs (``bounds-check``) and
+profile CSVs (``run circle_profile --profile``) are corrupted as text: a
+dropped, doubled or inserted line, a dropped cell, a cell replaced by a bad
+token, or the whole file replaced.
 """
 
 import contextlib
@@ -20,6 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from groupavg import presets
+from groupavg.averaging import TRACE_HEADER
+from groupavg.bounds import envelope
+from groupavg.circle import CircleProfile, save_profile_csv
 from groupavg.cli import main
 from groupavg.haar import counting_haar
 from groupavg.psrep import FiberBundle, PseudoRep
@@ -62,8 +70,8 @@ def places(node, path=()):
 
 
 @st.composite
-def corrupted(draw):
-    docs = json.loads(json.dumps(CLEAN))
+def corrupted(draw, clean=CLEAN):
+    docs = json.loads(json.dumps(clean))
     for _ in range(draw(st.integers(1, 2))):
         name = draw(st.sampled_from(sorted(docs)))
         if draw(st.integers(0, 19)) == 0:
@@ -98,10 +106,14 @@ def run_cli(docs: dict, command: str) -> int:
             with open(cfg, "w", encoding="utf-8") as fh:
                 json.dump({"kind": "finite_iterate", "max_iter": 3, **paths}, fh)
             argv = ["run", "--config", cfg, "--out", os.path.join(tmp, "out")]
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
-                np.errstate(all="ignore"):
-            return main(argv)
+        return quiet_main(argv)
+
+
+def quiet_main(argv: list[str]) -> int:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+            np.errstate(all="ignore"):
+        return main(argv)
 
 
 def test_clean_inputs_pass():
@@ -113,3 +125,120 @@ def test_clean_inputs_pass():
 @given(docs=corrupted(), command=st.sampled_from(["run", "validate"]))
 def test_corrupted_inputs_keep_the_exit_contract(docs, command):
     assert run_cli(docs, command) in (0, 1, 2)
+
+
+# -- text inputs: trace and profile CSVs, and config files --------------------------
+
+
+def clean_texts() -> dict:
+    bs, cs = envelope(1.0, 0.01, 5)
+    rows = [f"{i},{b!r},{c!r},0.0,0.0," for i, (b, c) in enumerate(zip(bs, cs))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "profile.csv")
+        save_profile_csv(CircleProfile.from_function(lambda t: 0.1 * np.sin(4 * np.pi * t), 16, 2), path)
+        with open(path, encoding="utf-8") as fh:
+            profile = fh.read()
+    return {"trace": "\n".join([TRACE_HEADER, *rows]) + "\n", "profile": profile}
+
+
+CLEAN_TEXTS = clean_texts()
+
+# kinds whose run length grows with ``count`` are left out: a valid count of
+# 10**20 asks for 10**20 samples, which is no fault of the program
+CLEAN_CONFIGS = {
+    "circle_profile": {"kind": "circle_profile", "N": 16, "k": 1},
+    "circle_profile_file": {"kind": "circle_profile", "N": 16, "profile": "profile.csv"},
+    "circle_iterate": {"kind": "circle_iterate", "N": 16, "k": 2, "seed": 1, "max_iter": 8,
+                       "perturb": 1e-3, "gate_rescale": True},
+    "finite_iterate": {"kind": "finite_iterate", "seed": 1, "max_iter": 3, "tol_c": 1e-12},
+    "bounds_check": {"kind": "bounds_check", "trace": "trace.csv"},
+}
+
+BAD_TOKENS = st.one_of(
+    st.sampled_from(["", " ", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "2", "99", "1.5",
+                     "0x10", '"', "a,b", "1;2", "\x00", "\r"]),
+    st.integers(-3, 100).map(str),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def corrupted_text(draw, text: str) -> str:
+    lines = [line.split(",") for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.integers(0, 19)) == 0:
+            lines = [[draw(BAD_TOKENS)]]
+            continue
+        n = draw(st.integers(0, max(len(lines) - 1, 0)))
+        how = draw(st.sampled_from(["drop_line", "double_line", "insert_line",
+                                    "drop_cell", "replace_cell", "replace_cell"]))
+        if not lines or not lines[n] or how == "insert_line":
+            lines.insert(n, [draw(BAD_TOKENS) for _ in range(draw(st.integers(1, 3)))])
+        elif how == "drop_line":
+            del lines[n]
+        elif how == "double_line":
+            lines.insert(n, list(lines[n]))
+        else:
+            cell = draw(st.integers(0, len(lines[n]) - 1))
+            if how == "drop_cell":
+                del lines[n][cell]
+            else:
+                lines[n][cell] = draw(BAD_TOKENS)
+    return "\n".join(",".join(cells) for cells in lines) + "\n"
+
+
+def in_tmp(texts: dict, argv) -> int:
+    """Exit code of ``argv(tmp) --out tmp/out``, with the clean CSVs, overridden by
+    ``texts``, written as tmp/<name>.csv in a fresh directory tmp."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in {**CLEAN_TEXTS, **texts}.items():
+            with open(os.path.join(tmp, f"{name}.csv"), "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+        return quiet_main(argv(tmp) + ["--out", os.path.join(tmp, "out")])
+
+
+CSV_COMMANDS = {
+    "trace": lambda path: ["bounds-check", "--trace", path],
+    "profile": lambda path: ["run", "circle_profile", "--profile", path, "--N", "16"],
+}
+
+
+def run_csv(name: str, text: str) -> int:
+    return in_tmp({name: text}, lambda tmp: CSV_COMMANDS[name](os.path.join(tmp, f"{name}.csv")))
+
+
+def run_config(config) -> int:
+    """``run --config`` on ``config``, its file names taken in the run's directory."""
+    def argv(tmp: str) -> list[str]:
+        doc = config
+        if isinstance(config, dict):
+            doc = {k: os.path.join(tmp, v) if k in CSV_COMMANDS and isinstance(v, str) else v
+                   for k, v in config.items()}
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return ["run", "--config", path]
+
+    return in_tmp({}, argv)
+
+
+def test_clean_text_inputs_pass():
+    for name, text in CLEAN_TEXTS.items():
+        assert run_csv(name, text) == 0, name
+    for config in CLEAN_CONFIGS.values():
+        assert run_config(config) == 0, config
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), name=st.sampled_from(["trace", "profile"]))
+def test_corrupted_csv_inputs_keep_the_exit_contract(data, name):
+    text = data.draw(corrupted_text(CLEAN_TEXTS[name]))
+    assert run_csv(name, text) in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), base=st.sampled_from(sorted(CLEAN_CONFIGS)))
+def test_corrupted_configs_keep_the_exit_contract(data, base):
+    config = data.draw(corrupted({"config": CLEAN_CONFIGS[base]}))["config"]
+    assert run_config(config) in (0, 1, 2)
