@@ -34,6 +34,11 @@ from .psrep import NonInvertible
 
 NODE_FLOOR = 1e-12
 PERIODICITY_TOL = 1e-12
+# the largest grid resolution and twist a run or a CSV header may ask for; config.schema.json
+# states the same maxima for N and k. They bound a circle run's N^2 buffers and N^3 work, and
+# the k N refined samples of a profile.
+MAX_N = 1024
+MAX_TWIST = 64
 
 
 class NonInvertibleNode(NonInvertible):
@@ -442,12 +447,16 @@ def save_grid_csv(F: TorusGridFn, path: str) -> None:
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:
-    """The "N,k" first line of a grid or profile CSV; ValueError naming the file otherwise."""
+    """The "N,k" first line of a grid or profile CSV, at most MAX_N and MAX_TWIST;
+    ValueError naming the file otherwise."""
     line = fh.readline().strip()
     try:
         N, k = (int(x) for x in line.split(","))
     except ValueError:
         raise ValueError(f"{path}: header must be two integers N,k, got {line!r}") from None
+    if N > MAX_N or k > MAX_TWIST:
+        raise ValueError(f"{path}: header {line!r} is above the size limits "
+                         f"N <= {MAX_N}, k <= {MAX_TWIST}")
     return N, k
 
 

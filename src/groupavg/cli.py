@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import averaging, bounds, circle, presets
@@ -60,6 +60,39 @@ def fail(msg: str) -> None:
 FLAGS = ("seed", "out", "tol_c", "max_iter", "N", "k", "perturb", "trace", "profile", "count")
 
 
+# JSON types by name: a bool is neither an integer nor a number, and an integral float
+# such as 2.0 is a number but not an integer
+JSON_TYPES = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+}
+
+# every keyword a field of config.schema.json may use: (holds(value, arg), reason).
+# "type" comes first, so the bounds only ever compare numbers.
+FIELD_CHECKS = {
+    "type": (lambda v, t: JSON_TYPES[t](v), "is not of type {!r}"),
+    "enum": (lambda v, e: v in e, "is not one of {!r}"),
+    "minimum": (operator.ge, "is less than the minimum of {!r}"),
+    "exclusiveMinimum": (operator.gt, "is less than or equal to the minimum of {!r}"),
+    "maximum": (operator.le, "is greater than the maximum of {!r}"),
+}
+
+
+def check_schema(user: dict, schema: dict) -> None:
+    """ConfigError naming the first field of ``user`` that the flat object schema
+    ``schema`` (``properties``, no additional properties) rejects."""
+    for key, value in user.items():
+        rule = schema["properties"].get(key)
+        if rule is None:
+            raise ConfigError(f"config or flags do not match schema: {key}: unknown field")
+        for word, (holds, reason) in FIELD_CHECKS.items():
+            if word in rule and not holds(value, rule[word]):
+                raise ConfigError(f"config or flags do not match schema: {key}: "
+                                  f"{value!r} {reason.format(rule[word])}")
+
+
 def load_config(path: str | None, args: argparse.Namespace) -> dict:
     """The config file's fields with the flags given in ``args`` laid over
     them, checked once against the schema and for non-finite numbers."""
@@ -77,11 +110,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> dict:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"field {key}: non-finite value {value!r}")
     schema = json.loads(resources.files("groupavg").joinpath("config.schema.json").read_text())
-    try:
-        jsonschema.validators.validator_for(schema)(schema).validate(user)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(map(str, exc.absolute_path)) or "config"
-        raise ConfigError(f"config or flags do not match schema: {where}: {exc.message}") from exc
+    check_schema(user, schema)
     return user
 
 

@@ -2,11 +2,16 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from groupavg import circle
+from groupavg import circle, cli
 from groupavg.circle import CircleProfile, save_profile_csv
 from groupavg.cli import main
 from groupavg.groupoid import action_groupoid
@@ -473,6 +478,123 @@ def test_config_grid_below_minimum(tmp_path, capsys):
     cfg.write_text(json.dumps({"kind": "circle_profile", "N": 3}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "schema" in capsys.readouterr().err
+
+
+def load_schema() -> dict:
+    return json.loads(Path(cli.__file__).with_name("config.schema.json").read_text())
+
+
+def test_schema_uses_only_checked_keywords():
+    schema = load_schema()
+    assert set(schema) <= {"$schema", "title", "type", "properties", "additionalProperties"}
+    assert schema["type"] == "object" and schema["additionalProperties"] is False
+    for field, rule in schema["properties"].items():
+        assert set(rule) <= set(cli.FIELD_CHECKS), field
+        assert rule.get("type") in {None, *cli.JSON_TYPES}, field
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"kind": "finite_iterate", "seed": True}, "seed: True is not of type 'integer'"),
+        ({"kind": "finite_iterate", "perturb": False}, "perturb: False is not of type 'number'"),
+        ({"kind": "finite_iterate", "gate_rescale": 1}, "gate_rescale: 1 is not of type 'boolean'"),
+        ({"kind": "finite_iterate", "tol_c": "1e-12"}, "tol_c: '1e-12' is not of type 'number'"),
+        ({"kind": "finite_iterate", "tol_c": 0}, "tol_c: 0 is less than or equal to the minimum of 0"),
+        ({"kind": "telemetry"}, "kind: 'telemetry' is not one of"),
+        ({"kind": "finite_iterate", "colour": "red"}, "colour: unknown field"),
+    ],
+    ids=["bool_integer", "bool_number", "int_boolean", "string_number", "exclusive_minimum",
+         "enum", "unknown_key"],
+)
+def test_config_rule_rejects_named(tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config or flags do not match schema: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"kind": "circle_iterate", "N": 32.0}, "N"),
+        ({"kind": "circle_profile", "k": 2.0}, "k"),
+        ({"kind": "group_bundle", "count": 3.0}, "count"),
+        ({"kind": "group_bundle", "seed": 1.0}, "seed"),
+        ({"kind": "group_bundle", "N": 8.0}, "N"),
+        ({"kind": "finite_iterate", "max_iter": 5.0}, "max_iter"),
+    ],
+)
+def test_integral_float_is_not_an_integer(tmp_path, capsys, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{field}: {config[field]!r} is not of type 'integer'" in capsys.readouterr().err
+
+
+def test_schema_accepts_its_edges():
+    edges = {"kind": "circle_iterate", "N": circle.MAX_N, "k": circle.MAX_TWIST, "seed": 0,
+             "perturb": 0, "tol_c": 1, "gate_rescale": False}
+    cli.check_schema(edges, load_schema())
+
+
+def test_schema_maxima_are_the_circle_limits():
+    props = load_schema()["properties"]
+    assert props["N"]["maximum"] == circle.MAX_N >= 512  # 512 is on the bench ladder
+    assert props["k"]["maximum"] == circle.MAX_TWIST
+
+
+def exit_and_peak(argv) -> tuple[int, int]:
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["circle_profile", "--N", str(circle.MAX_N + 1)], None, f"N: {circle.MAX_N + 1} is greater"),
+        (["circle_profile", "--N", "64", "--k", str(circle.MAX_TWIST + 1)], None,
+         f"k: {circle.MAX_TWIST + 1} is greater"),
+        ([], {"kind": "circle_profile", "N": circle.MAX_N + 1}, f"N: {circle.MAX_N + 1} is greater"),
+        ([], {"kind": "group_bundle", "k": circle.MAX_TWIST + 1}, f"k: {circle.MAX_TWIST + 1} is greater"),
+    ],
+    ids=["flag_N", "flag_k", "config_N", "config_k"],
+)
+def test_oversized_grid_rejected_before_allocating(tmp_path, capsys, argv, config, named):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    code, peak = exit_and_peak(["run", *argv, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config or flags do not match schema: {named}" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("header", [f"4,{circle.MAX_TWIST + 1}", f"{circle.MAX_N + 1},1"])
+def test_oversized_csv_header_rejected_before_allocating(tmp_path, capsys, header):
+    path = tmp_path / "profile.csv"
+    path.write_text(f"{header}\n0\n0.1\n0.2\n0.1\n")
+    code, peak = exit_and_peak(["run", "circle_profile", "--profile", str(path), "--N", "16",
+                                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{path}: header '{header}' is above the size limits" in capsys.readouterr().err
+    assert peak < 2**20
+    with pytest.raises(ValueError, match="above the size limits"):
+        circle.load_grid_csv(str(path))
+
+
+def test_import_leaves_jsonschema_out():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, groupavg.cli; print('jsonschema' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 # -- flags are checked like config fields --------------------------------------------------

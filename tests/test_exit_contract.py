@@ -5,8 +5,8 @@ Every run ends with exit 0 (all assertions pass), 1 (an assertion fails) or
 inputs are the groupoid, bundle (with two Gram matrices), psrep and Haar
 files of a gated pseudo-representation on the two-orbit Z/2 action groupoid,
 corrupted at one or two random places: a dropped key or element, a renamed
-key, a value of the wrong JSON type, an out-of-range or negative arrow id,
-NaN or infinity, a list of the wrong shape, or a whole document replaced.
+key, a value of the wrong JSON type (an integral float such as 2.0 where an
+integer belongs, too), an out-of-range or negative arrow id, NaN or infinity, a list of the wrong shape, or a whole document replaced.
 
 Config files get the same corruptions.  Trace CSVs (``bounds-check``) and
 profile CSVs (``run circle_profile --profile``) are corrupted as text: a
@@ -50,11 +50,12 @@ def clean_documents() -> dict:
 CLEAN = clean_documents()
 N_ARROWS = len(CLEAN["groupoid"]["arrows"])
 
-# values that break a file wherever they land: wrong JSON types, arrow ids
-# out of range or negative, non-finite numbers, and lists of the wrong shape
+# values that break a file wherever they land: wrong JSON types (integral floats
+# too), arrow ids out of range or negative, non-finite numbers, and lists of the
+# wrong shape
 BAD_VALUES = st.one_of(
-    st.sampled_from([None, True, False, "x", "", {}, [], 0.5, 1.5, -1, N_ARROWS, 99, 10**20,
-                     float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from([None, True, False, "x", "", {}, [], 0.5, 1.5, 1.0, 2.0, 32.0, -1, N_ARROWS,
+                     99, 10**20, float("nan"), float("inf"), -float("inf")]),
     st.lists(st.integers(-2, N_ARROWS + 1), max_size=4),
     st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=5),
 )
