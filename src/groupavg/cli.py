@@ -241,8 +241,11 @@ def kind_finite_identities(p: dict) -> list[str]:
 
 
 def default_profile(p: dict):
+    # an amplitude of at most 0.5 / k keeps 1 + k f >= 1/2 at every twist
+    amplitude = min(0.1, 0.5 / p["k"])
+
     def f(t: float) -> float:
-        return 0.1 * np.sin(2 * np.pi * p["k"] * t)
+        return amplitude * np.sin(2 * np.pi * p["k"] * t)
 
     return f
 

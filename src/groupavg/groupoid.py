@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -99,30 +99,21 @@ class FiniteGroupoid:
     def arrows(self) -> range:
         return range(self.n_arrows)
 
-    def source_fiber(self, x: int) -> list[int]:
-        """Arrows with source object index x."""
-        return [g for g in self.arrows() if self.src[g] == x]
-
-    def target_fiber(self, x: int) -> list[int]:
-        """Arrows with target object index x."""
-        return [g for g in self.arrows() if self.tgt[g] == x]
-
-    def composable_pairs(self) -> Iterator[tuple[int, int]]:
-        """All (g2, g1) with src(g2) == tgt(g1), ascending lexicographic."""
-        by_src: dict[int, list[int]] = {}
-        for g in self.arrows():
-            by_src.setdefault(self.src[g], []).append(g)
-        for g1 in self.arrows():
-            for g2 in by_src.get(self.tgt[g1], []):
-                yield (g2, g1)
-
     def mul(self, g2: int, g1: int) -> int:
-        try:
-            return self.compose[(g2, g1)]
-        except KeyError:
+        """The composite g2 g1, read off the :attr:`tables` snapshot.
+
+        ValueError names an id outside 0..n_arrows-1 or a pair that is not
+        composable; the tables name a composable pair missing from the table.
+        """
+        T = self.tables
+        for g in (g2, g1):
+            if not 0 <= g < len(T.src):
+                raise ValueError(f"{g} is not an arrow id 0..{len(T.src) - 1}")
+        if not T.defined[g2, g1]:
             raise ValueError(
-                f"arrows not composable: src({g2})={self.src[g2]} != tgt({g1})={self.tgt[g1]}"
-            ) from None
+                f"arrows not composable: src({g2})={T.src[g2]} != tgt({g1})={T.tgt[g1]}"
+            )
+        return int(T.table[g2, g1])
 
     @cached_property
     def tables(self) -> "CompositionTables":
@@ -136,7 +127,13 @@ class FiniteGroupoid:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check every groupoid axiom; one report row per violation."""
+        """Check every groupoid axiom; one report row per violation.
+
+        Reads a :func:`composition_table` built afresh from the tables as they
+        stand.  Rows come as: compose entries in dict order, missing pairs (g1,
+        then g2), unit laws by (object, arrow), associativity by (g2, g3, g1),
+        inverses, then units that are not their own inverse.
+        """
         rep = ValidationReport()
         n, m = self.n_objects, self.n_arrows
 
@@ -169,64 +166,72 @@ class FiniteGroupoid:
             dupes = [e for e in set(self.unit) if self.unit.count(e) > 1]
             rep.add("unit", tuple(dupes), f"unit arrows shared between objects: {dupes}")
 
-        # composition domain: defined iff source matches target
-        for (g2, g1), g21 in self.compose.items():
-            if not (0 <= g1 < m and 0 <= g2 < m and 0 <= g21 < m):
-                rep.add("compose", (g2, g1), "composition entry references unknown arrow")
-                continue
-            if self.src[g2] != self.tgt[g1]:
-                rep.add("compose", (g2, g1), f"compose defined on non-composable pair ({g2},{g1})")
-            else:
-                if self.src[g21] != self.src[g1] or self.tgt[g21] != self.tgt[g2]:
-                    rep.add(
-                        "compose",
-                        (g2, g1, g21),
-                        f"composite {g21} of ({g2},{g1}) has wrong source or target",
-                    )
-        for g2, g1 in self.composable_pairs():
-            if (g2, g1) not in self.compose:
-                rep.add("compose", (g2, g1), f"composable pair ({g2},{g1}) missing from table")
+        entries, T, defined = composition_table(self.compose, m)
+        src, tgt, unit, inverse = (np.asarray(a, dtype=np.intp)
+                                   for a in (self.src, self.tgt, self.unit, self.inverse))
+        ids = np.arange(m)
 
-        def comp_ok(g2: int, g1: int) -> int | None:
-            return self.compose.get((g2, g1))
+        # composition domain: defined iff source matches target
+        known = ((0 <= entries) & (entries < m)).all(axis=1)
+        g2, g1, g21 = np.where(known, entries.T, 0)
+        off = src[g2] != tgt[g1]
+        ends = (src[g21] != src[g1]) | (tgt[g21] != tgt[g2])
+        for i in np.flatnonzero(~known | off | ends).tolist():
+            a2, a1, a21 = entries[i].tolist()
+            if not known[i]:
+                rep.add("compose", (a2, a1), "composition entry references unknown arrow")
+            elif off[i]:
+                rep.add("compose", (a2, a1), f"compose defined on non-composable pair ({a2},{a1})")
+            else:
+                rep.add(
+                    "compose",
+                    (a2, a1, a21),
+                    f"composite {a21} of ({a2},{a1}) has wrong source or target",
+                )
+        composable = src[:, None] == tgt[None, :]
+        for a1, a2 in np.argwhere((composable & ~defined).T).tolist():
+            rep.add("compose", (a2, a1), f"composable pair ({a2},{a1}) missing from table")
 
         for x in range(n):
             e = self.unit[x]
             if self.src[e] != x or self.tgt[e] != x:
                 continue
-            for g in self.arrows():
-                if self.src[g] == x and comp_ok(g, e) not in (None, g):
-                    rep.add("unit", (g, e), f"right unit law fails: {g}*1_{x} = {comp_ok(g, e)}")
-                if self.tgt[g] == x and comp_ok(e, g) not in (None, g):
-                    rep.add("unit", (e, g), f"left unit law fails: 1_{x}*{g} = {comp_ok(e, g)}")
+            right = (src == x) & defined[:, e] & (T[:, e] != ids)
+            left = (tgt == x) & defined[e, :] & (T[e, :] != ids)
+            for g in np.flatnonzero(right | left).tolist():
+                if right[g]:
+                    rep.add("unit", (g, e), f"right unit law fails: {g}*1_{x} = {T[g, e]}")
+                if left[g]:
+                    rep.add("unit", (e, g), f"left unit law fails: 1_{x}*{g} = {T[e, g]}")
 
-        for g3, g2 in self.composable_pairs():
-            g32 = comp_ok(g3, g2)
-            if g32 is None:
-                continue
-            for g1 in self.arrows():
-                if self.tgt[g1] != self.src[g2]:
-                    continue
-                g21 = comp_ok(g2, g1)
-                if g21 is None:
-                    continue
-                left = comp_ok(g3, g21)
-                right = comp_ok(g32, g1)
-                if left is not None and right is not None and left != right:
-                    rep.add(
-                        "assoc",
-                        (g3, g2, g1),
-                        f"associativity fails at ({g3},{g2},{g1}): {left} != {right}",
-                    )
+        # one block per middle arrow g2: g3 leaves tgt g2 and g1 arrives at src g2
+        leaving = [np.flatnonzero(src == x) for x in range(n)]
+        arriving = [np.flatnonzero(tgt == x) for x in range(n)]
+        for b2 in range(m):
+            g3, g1 = leaving[tgt[b2]], arriving[src[b2]]
+            # an undefined g3 g2 or g2 g1 enters as -1, which reads undefined
+            g32 = np.where(defined[g3, b2], T[g3, b2], -1)
+            g21 = np.where(defined[b2, g1], T[b2, g1], -1)
+            left, on_left = look_up(T, defined, g3[:, None], g21)
+            right, on_right = look_up(T, defined, g32[:, None], g1)
+            for i, j in np.argwhere(on_left & on_right & (left != right)).tolist():
+                rep.add(
+                    "assoc",
+                    (int(g3[i]), b2, int(g1[j])),
+                    f"associativity fails at ({g3[i]},{b2},{g1[j]}): {left[i, j]} != {right[i, j]}",
+                )
 
-        for g in self.arrows():
+        swap = (src[inverse] != tgt) | (tgt[inverse] != src)
+        not_src_unit = ~defined[inverse, ids] | (T[inverse, ids] != unit[src])
+        not_tgt_unit = ~defined[ids, inverse] | (T[ids, inverse] != unit[tgt])
+        for g in np.flatnonzero(swap | not_src_unit | not_tgt_unit).tolist():
             gi = self.inverse[g]
-            if self.src[gi] != self.tgt[g] or self.tgt[gi] != self.src[g]:
+            if swap[g]:
                 rep.add("inverse", (g, gi), f"inverse {gi} of {g} does not swap source and target")
                 continue
-            if comp_ok(gi, g) != self.unit[self.src[g]]:
+            if not_src_unit[g]:
                 rep.add("inverse", (g,), f"{gi}*{g} is not the unit at src({g})")
-            if comp_ok(g, gi) != self.unit[self.tgt[g]]:
+            if not_tgt_unit[g]:
                 rep.add("inverse", (g,), f"{g}*{gi} is not the unit at tgt({g})")
         for x in range(n):
             e = self.unit[x]
@@ -352,10 +357,43 @@ class FiniteGroupoid:
         return read_json(path, cls.from_json_dict)
 
 
+def composition_table(
+    compose: dict[tuple[int, int], int], m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The compose dict of an m-arrow groupoid as arrays: ``(entries, table, defined)``.
+
+    ``entries`` has one row ``(g2, g1, g21)`` per dict entry, in dict order.
+    On every pair of arrow ids, ``table`` where ``defined`` gives what
+    ``compose.get`` gives, corrupt entries included; a mask, not a sentinel,
+    marks the undefined pairs, since a corrupt composite may be any integer.
+    """
+    flat = itertools.chain.from_iterable((*key, g21) for key, g21 in compose.items())
+    entries = np.fromiter(flat, dtype=np.intp, count=3 * len(compose)).reshape(-1, 3)
+    g2, g1, g21 = entries[((0 <= entries[:, :2]) & (entries[:, :2] < m)).all(axis=1)].T
+    table = np.zeros((m, m), dtype=np.intp)
+    defined = np.zeros((m, m), dtype=bool)
+    table[g2, g1] = g21
+    defined[g2, g1] = True
+    return entries, table, defined
+
+
+def look_up(
+    table: np.ndarray, defined: np.ndarray, left: Any, right: Any
+) -> tuple[np.ndarray, np.ndarray]:
+    """``table[left, right]``, broadcast, and where it is defined; an index that is
+    no arrow id reads undefined."""
+    m = len(table)
+    ok = (0 <= left) & (left < m) & (0 <= right) & (right < m)
+    flat = np.where(ok, left * m + right, 0)
+    return table.take(flat), ok & defined.take(flat)
+
+
 @dataclass(frozen=True)
 class CompositionTables:
     """The composition of a finite groupoid as integer arrays, ascending by arrow id.
 
+    * ``table[g2, g1]`` is the composite g2 g1 where ``defined[g2, g1]``: the
+      dense table of :func:`composition_table`.
     * Target fibers: ``fiber[fiber_start[x]:fiber_start[x + 1]]`` are the
       arrows with target x; ``fiber_pos[a]`` is the place of a in its fiber.
     * Averaging triples ``(avg_g, avg_k, avg_gk)``: every arrow g with every
@@ -365,11 +403,13 @@ class CompositionTables:
       looked up in the table.  ``(g, k) -> (gk, k)`` is a bijection onto the
       divisible pairs, so these run over each divisible pair once, in the
       layout of the averaging triples.
-    * Composable triples ``(pair_g2, pair_g1, pair_g21)`` in the order of
-      :meth:`FiniteGroupoid.composable_pairs`.
+    * Composable triples ``(pair_g2, pair_g1, pair_g21)``: every (g2, g1) with
+      src(g2) == tgt(g1), g1 ascending, then g2.
     * ``orbit[x]``: the place of object x's orbit among the ``n_orbits`` of :meth:`FiniteGroupoid.orbits`.
     """
 
+    table: np.ndarray
+    defined: np.ndarray
     src: np.ndarray
     tgt: np.ndarray
     fiber_start: np.ndarray
@@ -402,16 +442,19 @@ class CompositionTables:
         avg_g = np.repeat(np.arange(m), row_len)
         avg_k = fiber[fiber_start[src[avg_g]] + np.arange(len(avg_g)) - row_start[avg_g]]
 
-        def lookup(left: list[int], right: list[int]) -> np.ndarray:
-            return np.array([G.mul(a, b) for a, b in zip(left, right)], dtype=np.intp)
-
-        avg_gk = lookup(avg_g.tolist(), avg_k.tolist())
-        div_q = lookup(avg_gk.tolist(), [G.inverse[k] for k in avg_k.tolist()])
+        _, table, defined = composition_table(G.compose, m)
+        avg_gk, ok = look_up(table, defined, avg_g, avg_k)
+        if not ok.all():
+            t = np.argmin(ok)
+            raise ValueError(f"composable pair ({avg_g[t]},{avg_k[t]}) missing from table")
+        div_q, ok = look_up(table, defined, avg_gk, np.asarray(G.inverse, dtype=np.intp)[avg_k])
         # the kernels find gk and gk k^-1 by the endpoints of g; a table that
         # breaks this would silently mix fibers
+        ok &= (0 <= div_q) & (div_q < m)
+        gk, q = np.where(ok, avg_gk, 0), np.where(ok, div_q, 0)
         bad = np.flatnonzero(
-            (tgt[avg_gk] != tgt[avg_g]) | (src[avg_gk] != src[avg_k])
-            | (tgt[div_q] != tgt[avg_g]) | (src[div_q] != src[avg_g])
+            ~ok | (tgt[gk] != tgt[avg_g]) | (src[gk] != src[avg_k])
+            | (tgt[q] != tgt[avg_g]) | (src[q] != src[avg_g])
         )
         if bad.size:
             t = bad[0]
@@ -422,8 +465,9 @@ class CompositionTables:
         orbit = np.empty(G.n_objects, dtype=np.intp)
         for o, block in enumerate(orbits):
             orbit[block] = o
-        return cls(src, tgt, fiber_start, fiber, fiber_pos, row_start, row_len, avg_g, avg_k,
-                   avg_gk, div_q, avg_g[pairs], avg_k[pairs], avg_gk[pairs], orbit, len(orbits))
+        return cls(table, defined, src, tgt, fiber_start, fiber, fiber_pos, row_start, row_len,
+                   avg_g, avg_k, avg_gk, div_q, avg_g[pairs], avg_k[pairs], avg_gk[pairs], orbit,
+                   len(orbits))
 
 
 # -- builders ----------------------------------------------------------------
@@ -543,9 +587,11 @@ def action_groupoid(action: FiniteGroupAction) -> FiniteGroupoid:
     for ui in range(len(pts)):
         if act_idx(e, ui) != ui:
             raise MalformedAction(f"identity does not fix point {pts[ui]}")
+    # the tables are built only when every composable pair is defined: in a group, all pairs
+    prod = G.tables.table.tolist()
     for g2 in G.arrows():
         for g1 in G.arrows():
-            g21 = G.mul(g2, g1)
+            g21 = prod[g2][g1]
             for ui in range(len(pts)):
                 if act_idx(g21, ui) != act_idx(g2, act_idx(g1, ui)):
                     raise MalformedAction(
@@ -559,7 +605,7 @@ def action_groupoid(action: FiniteGroupAction) -> FiniteGroupoid:
     compose = {}
     for g2 in G.arrows():
         for g1 in G.arrows():
-            g21 = G.mul(g2, g1)
+            g21 = prod[g2][g1]
             for ui in range(np_):
                 # (g2, g1.u) after (g1, u) = (g2 g1, u)
                 compose[(aid(g2, act_idx(g1, ui)), aid(g1, ui))] = aid(g21, ui)

@@ -46,3 +46,26 @@ def two_orbit_disjoint():
         unit=[0, 1, 4],
         inverse=[0, 1, 3, 2, 4],
     )
+
+
+# -- references: the list scans the composition tables replaced --------------------
+
+
+def source_fiber(G, x):
+    """Arrows with source object index x."""
+    return [g for g in G.arrows() if G.src[g] == x]
+
+
+def target_fiber(G, x):
+    """Arrows with target object index x."""
+    return [g for g in G.arrows() if G.tgt[g] == x]
+
+
+def composable_pairs(G):
+    """All (g2, g1) with src(g2) == tgt(g1), ascending lexicographic in (g1, g2)."""
+    by_src = {}
+    for g in G.arrows():
+        by_src.setdefault(G.src[g], []).append(g)
+    for g1 in G.arrows():
+        for g2 in by_src.get(G.tgt[g1], []):
+            yield (g2, g1)

@@ -1,7 +1,7 @@
 """The batched kernels against plain per-term loops, bit for bit.
 
 The oracles below are the straightforward loops the batched code replaced: one
-dict lookup, one matmul and one svd per term, summing in ascending arrow id.
+``G.mul``, one matmul and one svd per term, summing in ascending arrow id.
 The batched kernels keep that summation order, so the results must be equal
 with ``==``, not merely close.
 """
@@ -9,6 +9,7 @@ with ``==``, not merely close.
 import numpy as np
 import pytest
 
+from conftest import composable_pairs
 from groupavg import presets, psrep
 from groupavg.averaging import average, verify_fundamental_identities
 from groupavg.groupoid import action_groupoid
@@ -53,7 +54,7 @@ def loop_b_norm(rep):
 def loop_c_norm(rep):
     G = rep.groupoid
     worst = 0.0
-    for g2, g1 in G.composable_pairs():
+    for g2, g1 in composable_pairs(G):
         D = rep.maps[G.mul(g2, g1)] - rep.maps[g2] @ rep.maps[g1]
         worst = max(worst, loop_pair_norm(rep, D, G.src[g1], G.tgt[g2]))
     return worst
@@ -93,7 +94,7 @@ def loop_identities(rep, nu):
         res_a = max(res_a, loop_pair_norm(rep, R, G.src[g], G.tgt[g]))
 
     res_b = 0.0
-    for g2, g1 in G.composable_pairs():
+    for g2, g1 in composable_pairs(G):
         x = G.src[g1]
         lhs = avg.maps[G.mul(g2, g1)] - avg.maps[g2] @ avg.maps[g1]
         single = np.zeros_like(lhs)

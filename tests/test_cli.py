@@ -252,6 +252,11 @@ def test_circle_profile_defaults(tmp_path):
     assert (out / "effect.csv").exists()
 
 
+@pytest.mark.parametrize("k", [9, 10, 64])
+def test_circle_profile_default_in_range_at_high_twist(tmp_path, k):
+    run_ok(["run", "circle_profile", "--N", "32", "--k", str(k), "--out", str(tmp_path / "prof")])
+
+
 def test_circle_profile_from_file(tmp_path):
     prof_path = tmp_path / "profile.csv"
     save_profile_csv(

@@ -4,14 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import composable_pairs, source_fiber, target_fiber
 from groupavg.groupoid import (
     FiniteGroupAction,
     FiniteGroupoid,
     MalformedAction,
     NotInvariant,
+    ValidationReport,
     action_groupoid,
     cyclic_group,
     pair_groupoid,
@@ -26,6 +28,107 @@ def swap_action_on_two():
 
 
 # -- validate ----------------------------------------------------------------
+
+
+def validate_ref(self) -> ValidationReport:
+    """``FiniteGroupoid.validate`` as it was on the compose dict, kept as the oracle."""
+    rep = ValidationReport()
+    n, m = self.n_objects, self.n_arrows
+
+    if len(self.tgt) != m:
+        rep.add("tables", (), f"tgt table has {len(self.tgt)} entries, expected {m}")
+        return rep
+    if len(self.unit) != n:
+        rep.add("tables", (), f"unit table has {len(self.unit)} entries, expected {n}")
+        return rep
+    if len(self.inverse) != m:
+        rep.add("tables", (), f"inverse table has {len(self.inverse)} entries, expected {m}")
+        return rep
+    for g in self.arrows():
+        if not (0 <= self.src[g] < n and 0 <= self.tgt[g] < n):
+            rep.add("tables", (g,), f"arrow {g} has out-of-range src/tgt")
+            return rep
+        if not 0 <= self.inverse[g] < m:
+            rep.add("tables", (g,), f"inverse of {g} out of range")
+            return rep
+    for x in range(n):
+        if not 0 <= self.unit[x] < m:
+            rep.add("tables", (x,), f"unit of object {x} out of range")
+            return rep
+
+    for x in range(n):
+        e = self.unit[x]
+        if self.src[e] != x or self.tgt[e] != x:
+            rep.add("unit", (x, e), f"unit arrow {e} of object {x} is not an endoarrow of {x}")
+    if len(set(self.unit)) != n:
+        dupes = [e for e in set(self.unit) if self.unit.count(e) > 1]
+        rep.add("unit", tuple(dupes), f"unit arrows shared between objects: {dupes}")
+
+    # composition domain: defined iff source matches target
+    for (g2, g1), g21 in self.compose.items():
+        if not (0 <= g1 < m and 0 <= g2 < m and 0 <= g21 < m):
+            rep.add("compose", (g2, g1), "composition entry references unknown arrow")
+            continue
+        if self.src[g2] != self.tgt[g1]:
+            rep.add("compose", (g2, g1), f"compose defined on non-composable pair ({g2},{g1})")
+        else:
+            if self.src[g21] != self.src[g1] or self.tgt[g21] != self.tgt[g2]:
+                rep.add(
+                    "compose",
+                    (g2, g1, g21),
+                    f"composite {g21} of ({g2},{g1}) has wrong source or target",
+                )
+    for g2, g1 in composable_pairs(self):
+        if (g2, g1) not in self.compose:
+            rep.add("compose", (g2, g1), f"composable pair ({g2},{g1}) missing from table")
+
+    def comp_ok(g2: int, g1: int) -> int | None:
+        return self.compose.get((g2, g1))
+
+    for x in range(n):
+        e = self.unit[x]
+        if self.src[e] != x or self.tgt[e] != x:
+            continue
+        for g in self.arrows():
+            if self.src[g] == x and comp_ok(g, e) not in (None, g):
+                rep.add("unit", (g, e), f"right unit law fails: {g}*1_{x} = {comp_ok(g, e)}")
+            if self.tgt[g] == x and comp_ok(e, g) not in (None, g):
+                rep.add("unit", (e, g), f"left unit law fails: 1_{x}*{g} = {comp_ok(e, g)}")
+
+    for g3, g2 in composable_pairs(self):
+        g32 = comp_ok(g3, g2)
+        if g32 is None:
+            continue
+        for g1 in self.arrows():
+            if self.tgt[g1] != self.src[g2]:
+                continue
+            g21 = comp_ok(g2, g1)
+            if g21 is None:
+                continue
+            left = comp_ok(g3, g21)
+            right = comp_ok(g32, g1)
+            if left is not None and right is not None and left != right:
+                rep.add(
+                    "assoc",
+                    (g3, g2, g1),
+                    f"associativity fails at ({g3},{g2},{g1}): {left} != {right}",
+                )
+
+    for g in self.arrows():
+        gi = self.inverse[g]
+        if self.src[gi] != self.tgt[g] or self.tgt[gi] != self.src[g]:
+            rep.add("inverse", (g, gi), f"inverse {gi} of {g} does not swap source and target")
+            continue
+        if comp_ok(gi, g) != self.unit[self.src[g]]:
+            rep.add("inverse", (g,), f"{gi}*{g} is not the unit at src({g})")
+        if comp_ok(g, gi) != self.unit[self.tgt[g]]:
+            rep.add("inverse", (g,), f"{g}*{gi} is not the unit at tgt({g})")
+    for x in range(n):
+        e = self.unit[x]
+        if 0 <= e < m and self.inverse[e] != e:
+            rep.add("inverse", (x, e), f"unit arrow {e} is not its own inverse")
+
+    return rep
 
 
 def test_trivial_groupoid_is_valid():
@@ -76,6 +179,84 @@ def test_corrupted_compose_table_reported():
     assert any(v.rule in ("compose", "assoc", "unit", "inverse") for v in report.violations)
 
 
+ORACLE_GROUPOIDS = {
+    "pair2": lambda: pair_groupoid([0, 1]),
+    "pair3": lambda: pair_groupoid([0, 1, 2]),
+    "s3_group": lambda: symmetric_group(3),
+    "cyclic3": lambda: cyclic_group(3),
+    "trivial": lambda: trivial_groupoid(["a", "b"]),
+    "swap": lambda: action_groupoid(swap_action_on_two()),
+}
+
+
+@st.composite
+def corrupted_groupoid(draw, clean):
+    """``clean`` with one to four corruptions of its tables: dropped, retargeted or
+    off-domain compose entries (composites -1, m and m + 5 included), and bent
+    inverses, units, sources and targets."""
+    m, n = clean.n_arrows, clean.n_objects
+    arrow = st.integers(0, m - 1)
+    composite = st.one_of(arrow, st.sampled_from([-1, m, m + 5]))
+    compose, unit = dict(clean.compose), list(clean.unit)
+    inverse, src, tgt = list(clean.inverse), list(clean.src), list(clean.tgt)
+    ops = ["drop", "retarget", "add", "inverse", "unit", "src", "tgt"]
+    for op in draw(st.lists(st.sampled_from(ops), min_size=1, max_size=4)):
+        if op == "drop" and compose:
+            del compose[draw(st.sampled_from(sorted(compose)))]
+        elif op == "retarget" and compose:
+            compose[draw(st.sampled_from(sorted(compose)))] = draw(composite)
+        elif op == "add":
+            compose[(draw(arrow), draw(arrow))] = draw(composite)
+        elif op == "inverse":
+            inverse[draw(arrow)] = draw(st.one_of(arrow, st.just(m)))
+        elif op == "unit":
+            unit[draw(st.integers(0, n - 1))] = draw(st.one_of(arrow, st.just(m)))
+        elif op in ("src", "tgt"):
+            (src if op == "src" else tgt)[draw(arrow)] = draw(st.integers(0, n - 1))
+    return dataclasses.replace(clean, compose=compose, unit=unit, inverse=inverse, src=src, tgt=tgt)
+
+
+def rows(report):
+    return [(v.rule, v.witness, v.message) for v in report.violations]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), name=st.sampled_from(sorted(ORACLE_GROUPOIDS) + ["s3", "z2", "two_orbit"]))
+def test_validate_matches_dict_oracle(data, name, s3_groupoid, z2_groupoid, two_orbit_disjoint):
+    fixtures = {"s3": s3_groupoid, "z2": z2_groupoid, "two_orbit": two_orbit_disjoint}
+    clean = fixtures[name] if name in fixtures else ORACLE_GROUPOIDS[name]()
+    G = data.draw(corrupted_groupoid(clean))
+    assert rows(G.validate()) == rows(validate_ref(G))
+
+
+def test_validate_matches_dict_oracle_on_clean_groupoids(s3_groupoid, z2_groupoid, two_orbit_disjoint):
+    for G in [s3_groupoid, z2_groupoid, two_orbit_disjoint] + [make() for make in ORACLE_GROUPOIDS.values()]:
+        assert rows(G.validate()) == rows(validate_ref(G)) == []
+
+
+def test_mul_names_a_missing_composable_pair():
+    G = pair_groupoid([0, 1])
+    holed = dataclasses.replace(G, compose={k: v for k, v in G.compose.items() if k != (0, 0)})
+    with pytest.raises(ValueError, match="composable pair \\(0,0\\) missing from table"):
+        holed.mul(0, 0)
+    with pytest.raises(ValueError, match="composable pair \\(0,0\\) missing from table"):
+        holed.tables
+    assert ("compose", (0, 0), "composable pair (0,0) missing from table") in rows(holed.validate())
+
+
+def test_mul_names_a_non_composable_pair():
+    G = pair_groupoid([0, 1])  # arrow 1 is 0 -> 1
+    with pytest.raises(ValueError, match="arrows not composable: src\\(1\\)=0 != tgt\\(1\\)=1"):
+        G.mul(1, 1)
+
+
+@pytest.mark.parametrize("g2, g1, named", [(9, 0, 9), (0, -1, -1), (4, 4, 4)])
+def test_mul_names_an_id_out_of_range(g2, g1, named):
+    G = pair_groupoid([0, 1])
+    with pytest.raises(ValueError, match=f"^{named} is not an arrow id 0..3$"):
+        G.mul(g2, g1)
+
+
 # -- action groupoids --------------------------------------------------------
 
 
@@ -85,7 +266,7 @@ def test_action_groupoid_z2_swap_on_two_points():
     assert A.n_arrows == 4
     assert A.validate().ok
     assert A.orbits() == [[0, 1]]
-    assert all(len(A.target_fiber(x)) == 2 for x in range(A.n_objects))
+    assert all(len(target_fiber(A, x)) == 2 for x in range(A.n_objects))
 
 
 def test_action_groupoid_trivial_group_gives_units_only():
@@ -152,7 +333,7 @@ def test_divisible_pairs_counts():
 
 def test_divisible_pairs_count_formula(s3_groupoid, z2_groupoid):
     for G in (pair_groupoid([0, 1, 2]), s3_groupoid, z2_groupoid):
-        expected = sum(len(G.source_fiber(x)) ** 2 for x in range(G.n_objects))
+        expected = sum(len(source_fiber(G, x)) ** 2 for x in range(G.n_objects))
         assert len(divisible_triples(G)) == expected
 
 
@@ -174,9 +355,9 @@ def test_orbits_two_orbit_action(z2_groupoid):
 def test_left_translation_is_fiber_bijection(s3_groupoid, z2_groupoid):
     for G in (pair_groupoid([0, 1]), z2_groupoid, s3_groupoid):
         for g in G.arrows():
-            dom = G.target_fiber(G.src[g])
+            dom = target_fiber(G, G.src[g])
             image = {G.mul(g, k) for k in dom}
-            assert image == set(G.target_fiber(G.tgt[g]))
+            assert image == set(target_fiber(G, G.tgt[g]))
 
 
 # -- restriction ---------------------------------------------------------------
@@ -263,22 +444,22 @@ def test_tables_match_dict_definitions(make):
     # target fibers, in ascending arrow order
     for x in range(G.n_objects):
         fiber = T.fiber[T.fiber_start[x] : T.fiber_start[x + 1]].tolist()
-        assert fiber == G.target_fiber(x)
+        assert fiber == target_fiber(G, x)
         assert [T.fiber_pos[a] for a in fiber] == list(range(len(fiber)))
     # averaging triples (g, k, gk), k ascending in the target fiber of src g
     triples = [
-        (g, k, G.mul(g, k)) for g in G.arrows() for k in G.target_fiber(G.src[g])
+        (g, k, G.compose[(g, k)]) for g in G.arrows() for k in target_fiber(G, G.src[g])
     ]
     assert list(zip(T.avg_g.tolist(), T.avg_k.tolist(), T.avg_gk.tolist())) == triples
     for g in G.arrows():
         row = T.avg_g[T.row_start[g] : T.row_start[g] + T.row_len[g]]
-        assert row.tolist() == [g] * len(G.target_fiber(G.src[g]))
+        assert row.tolist() == [g] * len(target_fiber(G, G.src[g]))
     # divisible triples cover each divisible pair once
     divisible = list(zip(T.avg_gk.tolist(), T.avg_k.tolist(), T.div_q.tolist()))
     assert sorted(divisible) == sorted(divisible_pairs_ref(G))
-    # composable triples in composable_pairs() order
+    # composable triples, g1 ascending, then g2
     pairs = list(zip(T.pair_g2.tolist(), T.pair_g1.tolist(), T.pair_g21.tolist()))
-    assert pairs == [(g2, g1, G.mul(g2, g1)) for g2, g1 in G.composable_pairs()]
+    assert pairs == [(g2, g1, G.compose[(g2, g1)]) for g2, g1 in composable_pairs(G)]
 
 
 def test_tables_orbit_ids_follow_orbits(z2_groupoid, two_orbit_disjoint, s3_groupoid):

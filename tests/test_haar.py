@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import target_fiber
 from groupavg.groupoid import (
     FiniteGroupAction,
     NotInvariant,
@@ -16,7 +17,7 @@ from groupavg.groupoid import (
     pair_groupoid,
     trivial_groupoid,
 )
-from groupavg.haar import HaarSystem, check_haar, counting_haar, restrict_haar
+from groupavg.haar import INVARIANCE_TOL, HaarReport, HaarSystem, check_haar, counting_haar, restrict_haar
 
 # left-invariant but non-uniform weights on the Z/2 action groupoid over
 # {1,2,3}: fibers are {0,4}, {1,3}, {2,5} and translation pairs ids (0,3),
@@ -75,6 +76,40 @@ def test_invariance_violation_listed(z2_groupoid):
     assert not report.ok
 
 
+def check_haar_ref(nu):
+    """``check_haar`` as it was: the m^2 double loop over (g, k), composing with the dict."""
+    G = nu.groupoid
+    zero = Fraction(0) if any(isinstance(w, Fraction) for w in nu.weights) else 0.0
+    sums = [zero] * G.n_objects
+    for k in G.arrows():
+        sums[G.tgt[k]] = sums[G.tgt[k]] + nu.weights[k]
+    max_norm = max((abs(s - 1) for s in sums), default=zero)
+
+    violations = []
+    for g in G.arrows():
+        x = G.src[g]
+        for k in G.arrows():
+            if G.tgt[k] != x:
+                continue
+            amt = abs(nu.weights[G.compose[(g, k)]] - nu.weights[k])
+            if amt > INVARIANCE_TOL:
+                violations.append((g, k, float(amt)))
+    return HaarReport(float(max_norm), violations)
+
+
+def test_check_haar_matches_double_loop(s3_groupoid, z2_groupoid, two_orbit_disjoint, rng):
+    groupoids = (s3_groupoid, z2_groupoid, two_orbit_disjoint, pair_groupoid([0, 1, 2]))
+    for G in groupoids:
+        skewed = rng.uniform(0.1, 1.0, G.n_arrows).tolist()
+        exact_skewed = [Fraction(int(w * 97) + 1, 41) for w in skewed]
+        for nu in (counting_haar(G), counting_haar(G, exact=True), HaarSystem(G, skewed),
+                   HaarSystem(G, exact_skewed)):
+            assert check_haar(nu) == check_haar_ref(nu)
+        assert check_haar(HaarSystem(G, skewed)).invariance_violations
+    exact = check_haar(counting_haar(s3_groupoid, exact=True))
+    assert exact.ok and exact.max_normalization_residual == 0.0
+
+
 def test_normalization_residual_reported(z2_groupoid):
     weights = list(WEIGHTED_Z2)
     weights[2] *= 0.9
@@ -96,8 +131,8 @@ def test_left_invariance_integral_law(F):
     for nu in (counting_haar(G), HaarSystem(G, list(WEIGHTED_Z2))):
         w = nu.array
         for g in G.arrows():
-            lhs = sum(F[G.mul(g, k)] * w[k] for k in G.target_fiber(G.src[g]))
-            rhs = sum(F[k] * w[k] for k in G.target_fiber(G.tgt[g]))
+            lhs = sum(F[G.mul(g, k)] * w[k] for k in target_fiber(G, G.src[g]))
+            rhs = sum(F[k] * w[k] for k in target_fiber(G, G.tgt[g]))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

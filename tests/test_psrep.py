@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import composable_pairs
 from groupavg.groupoid import FiniteGroupAction, action_groupoid, cyclic_group, trivial_groupoid
 from groupavg.psrep import (
     DegenerateMetric,
@@ -298,7 +299,7 @@ def test_inverse_scalar_brute_force():
     vals = [rep.maps[g][0, 0] for g in G.arrows()]
     b_hand = max(abs(v) for v in vals)
     c_hand = max(
-        abs(vals[G.mul(g2, g1)] - vals[g2] * vals[g1]) for g2, g1 in G.composable_pairs()
+        abs(vals[G.mul(g2, g1)] - vals[g2] * vals[g1]) for g2, g1 in composable_pairs(G)
     )
     report = inverse_rep(rep)
     assert report.b == pytest.approx(b_hand)
