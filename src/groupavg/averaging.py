@@ -13,7 +13,6 @@ quadratically; iterating it converges to a representation.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -21,7 +20,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .bounds import closed_envelope, step_bounds
-from .groupoid import CompositionTables
+from .groupoid import CompositionTables, write_json, write_lines
 from .haar import HaarSystem
 from .psrep import (
     NonInvertible,
@@ -309,8 +308,7 @@ def write_trace_csv(trace: IterationTrace, path: str) -> None:
     for row, e, q in zip(trace.rows, env, rhs):
         etxt = "" if e is None else repr(e)
         lines.append(f"{row.i},{row.b!r},{row.c!r},{row.unit_defect!r},{q!r},{etxt}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)
 
 
 def write_verdict_json(trace: IterationTrace, path: str, extra: dict | None = None) -> None:
@@ -327,6 +325,4 @@ def write_verdict_json(trace: IterationTrace, path: str, extra: dict | None = No
     }
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .groupoid import write_lines
+
 
 class GateViolation(ValueError):
     """Envelope requested outside b0 >= 1, 6 b0^2 c0 <= 2/3."""
@@ -275,5 +277,4 @@ def write_check_csv(report: BoundSeqReport, path: str) -> None:
     lines = ["i,check,bound,observed,pass"]
     for r in report.rows:
         lines.append(f"{r.i},{r.check},{r.bound!r},{r.observed!r},{str(r.ok).lower()}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)

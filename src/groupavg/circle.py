@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import IterationTrace, drive
+from .groupoid import write_lines
 from .psrep import NonInvertible
 
 NODE_FLOOR = 1e-12
@@ -140,27 +141,26 @@ def trig_resample(v: np.ndarray, m: int) -> np.ndarray:
 def from_profile(profile, N: int, k: int | None = None) -> tuple[TorusGridFn, TorusGridFn]:
     """Closed-form connection field X and its effect Lambda = 1 + kX on the N-grid.
 
-    ``profile`` is a CircleProfile (twist taken from it) or a callable f(t)
-    sampled at resolution k*N; a CircleProfile with fewer samples is refined by
+    ``profile`` is a CircleProfile (twist taken from it) or a callable f(t), sampled
+    into one at resolution k*N; a CircleProfile with fewer samples is refined by
     trigonometric interpolation.  Raises NonPeriodicProfile when f is not
     1/k-periodic (then no doubly periodic X exists: the values f(j/k) form a
     strictly monotone escaping sequence instead, see profile_twist_orbit), and
     ProfileOutOfRange when some 1 + k f <= 0.
     """
-    if isinstance(profile, CircleProfile):
-        if k is not None and k != profile.twist:
-            raise ValueError(f"twist mismatch: profile has {profile.twist}, got k={k}")
-        k = profile.twist
-        fine = trig_resample(profile.samples, k * N)
-    else:
+    if not isinstance(profile, CircleProfile):
         if k is None:
             raise ValueError("twist k is required with a callable profile")
-        grid = np.arange(k * N) / (k * N)
-        fine = np.asarray([profile(t) for t in grid], dtype=float)
+        profile = CircleProfile.from_function(profile, k * N, k)
+    elif k is not None and k != profile.twist:
+        raise ValueError(f"twist mismatch: profile has {profile.twist}, got k={k}")
+    k = profile.twist
+    refined = CircleProfile(trig_resample(profile.samples, k * N), k)
+    fine = refined.samples
     if abs(fine[0]) > 1e-12:
         raise ValueError(f"profile must vanish at 0, got f(0) = {fine[0]:.3e}")
     scale = max(1.0, float(np.abs(fine).max()))
-    defect = float(np.abs(fine - np.roll(fine, -N)).max())
+    defect = refined.twist_periodicity_defect()
     if defect > PERIODICITY_TOL * scale:
         raise NonPeriodicProfile(
             f"profile is not 1/{k}-periodic: max |f(t) - f(t + 1/{k})| = {defect:.3e}"
@@ -442,8 +442,7 @@ def save_grid_csv(F: TorusGridFn, path: str) -> None:
     lines = [f"{F.N},{F.twist}"]
     for row in F.values:
         lines.append(",".join(repr(float(x)) for x in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:
@@ -471,9 +470,7 @@ def load_grid_csv(path: str) -> TorusGridFn:
 
 def save_profile_csv(p: CircleProfile, path: str) -> None:
     """Header line "N,k", then one sample per line."""
-    lines = [f"{p.M},{p.twist}"] + [repr(float(x)) for x in p.samples]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines([f"{p.M},{p.twist}"] + [repr(float(x)) for x in p.samples], path)
 
 
 def load_profile_csv(path: str) -> CircleProfile:

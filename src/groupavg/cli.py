@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from . import averaging, bounds, circle, presets
-from .groupoid import FiniteGroupoid, action_groupoid, read_json
+from .groupoid import FiniteGroupoid, action_groupoid, read_json, write_json, write_lines
 from .haar import HaarSystem, check_haar, counting_haar
 from .psrep import FiberBundle, PseudoRep
 
@@ -57,7 +57,9 @@ def fail(msg: str) -> None:
     print(f"[groupavg] FAIL: {msg}", file=sys.stderr)
 
 
-FLAGS = ("seed", "out", "tol_c", "max_iter", "N", "k", "perturb", "trace", "profile", "count")
+# the config fields that are also run flags, in --help order; the schema gives each its type
+FLAGS = ("seed", "out", "tol_c", "max_iter", "N", "k", "perturb", "count", "trace", "profile")
+SCHEMA = json.loads(resources.files("groupavg").joinpath("config.schema.json").read_text())
 
 
 # JSON types by name: a bool is neither an integer nor a number, and an integral float
@@ -109,20 +111,13 @@ def load_config(path: str | None, args: argparse.Namespace) -> dict:
     for key, value in user.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"field {key}: non-finite value {value!r}")
-    schema = json.loads(resources.files("groupavg").joinpath("config.schema.json").read_text())
-    check_schema(user, schema)
+    check_schema(user, SCHEMA)
     return user
 
 
 def ensure_out(p: dict) -> str:
     os.makedirs(p["out"], exist_ok=True)
     return p["out"]
-
-
-def write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 # -- kinds ---------------------------------------------------------------------
@@ -230,8 +225,7 @@ def kind_finite_identities(p: dict) -> list[str]:
             failures.append(
                 f"identity residuals at sample {i}: a={r.residual_a!r} b={r.residual_b!r} tol={r.tol!r}"
             )
-    with open(os.path.join(out, "identities.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, os.path.join(out, "identities.csv"))
     write_json(
         {"kind": "finite_identities", "seed": p["seed"], "count": count,
          "failures": len(failures)},
@@ -337,8 +331,7 @@ def kind_group_bundle(p: dict) -> list[str]:
         lines.append(f"{i},{worst!r},1e-13,{str(ok).lower()}")
         if not ok:
             failures.append(f"group bundle average {worst!r} > 1e-13 at sample {i}")
-    with open(os.path.join(out, "group_bundle.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, os.path.join(out, "group_bundle.csv"))
     write_json(
         {"kind": "group_bundle", "seed": p["seed"], "N": p["N"], "count": count,
          "failures": len(failures)},
@@ -363,7 +356,7 @@ KINDS = {
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         G = FiniteGroupoid.load(args.groupoid)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         fail(f"cannot load groupoid: {exc}")
         return 2
     report = G.validate()
@@ -372,7 +365,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.haar:
         try:
             nu = HaarSystem.load(args.haar, G)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             fail(f"cannot load haar weights: {exc}")
             return 2
         if ok:  # the invariance check composes arrows, which needs a valid groupoid
@@ -413,11 +406,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bounds_check(args: argparse.Namespace) -> int:
-    args.kind = "bounds_check"
-    return cmd_run(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="groupavg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -429,16 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--tol-c", dest="tol_c", type=float)
-        sp.add_argument("--max-iter", dest="max_iter", type=int)
-        sp.add_argument("--N", type=int)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--perturb", type=float)
-        sp.add_argument("--count", type=int)
-        sp.add_argument("--trace")
-        sp.add_argument("--profile")
+        types = {"integer": int, "number": float, "string": str}
+        for f in FLAGS:
+            sp.add_argument("--" + f.replace("_", "-"), dest=f,
+                            type=types[SCHEMA["properties"][f]["type"]])
 
     r = sub.add_parser("run", help="run an experiment kind and write artifacts")
     r.add_argument("kind", nargs="?", choices=sorted(KINDS))
@@ -447,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bc = sub.add_parser("bounds-check", help="check a trace CSV against the decay envelope")
     common(bc)
-    bc.set_defaults(func=cmd_bounds_check)
+    bc.set_defaults(func=cmd_run, kind="bounds_check")
 
     return ap
 

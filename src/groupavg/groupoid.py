@@ -12,21 +12,22 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 
 def read_json(path: str, parse: Callable[[Any], Any]) -> Any:
     """``parse`` of the JSON object at ``path``.  A key the document lacks, a value of the
-    wrong JSON type, or a value ``parse`` rejects, is raised as a ValueError that names the file."""
+    wrong JSON type, a JSON integer too large for a float, or a value ``parse`` rejects, is
+    raised as a ValueError that names the file."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
         return parse(json_object(doc, "the document"))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -35,6 +36,27 @@ def json_object(value: Any, what: str) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def arrow_keyed(d: dict, m: int, what: str) -> dict[int, Any]:
+    """The values of an object keyed by the arrow ids of an m-arrow groupoid, by arrow id;
+    ValueError naming the first key that is no arrow id."""
+    ids = {str(g): g for g in range(m)}
+    for key in d:
+        if key not in ids:
+            raise ValueError(f"{what} key {key!r} is not an arrow id 0..{m - 1}")
+    return {ids[key]: value for key, value in d.items()}
+
+
+def write_lines(lines: Iterable[str], path: str) -> None:
+    """``lines`` as the UTF-8 text file ``path``, each line ended by LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(doc: Any, path: str) -> None:
+    """``doc`` as the UTF-8 JSON file ``path``: sorted keys, indent 1, a final newline."""
+    write_lines([json.dumps(doc, indent=1, sort_keys=True)], path)
 
 
 class MalformedAction(ValueError):
@@ -167,6 +189,7 @@ class FiniteGroupoid:
             rep.add("unit", tuple(dupes), f"unit arrows shared between objects: {dupes}")
 
         entries, T, defined = composition_table(self.compose, m)
+        keys = list(self.compose)
         src, tgt, unit, inverse = (np.asarray(a, dtype=np.intp)
                                    for a in (self.src, self.tgt, self.unit, self.inverse))
         ids = np.arange(m)
@@ -179,7 +202,7 @@ class FiniteGroupoid:
         for i in np.flatnonzero(~known | off | ends).tolist():
             a2, a1, a21 = entries[i].tolist()
             if not known[i]:
-                rep.add("compose", (a2, a1), "composition entry references unknown arrow")
+                rep.add("compose", keys[i], "composition entry references unknown arrow")
             elif off[i]:
                 rep.add("compose", (a2, a1), f"compose defined on non-composable pair ({a2},{a1})")
             else:
@@ -200,9 +223,9 @@ class FiniteGroupoid:
             left = (tgt == x) & defined[e, :] & (T[e, :] != ids)
             for g in np.flatnonzero(right | left).tolist():
                 if right[g]:
-                    rep.add("unit", (g, e), f"right unit law fails: {g}*1_{x} = {T[g, e]}")
+                    rep.add("unit", (g, e), f"right unit law fails: {g}*1_{x} = {self.compose[g, e]}")
                 if left[g]:
-                    rep.add("unit", (e, g), f"left unit law fails: 1_{x}*{g} = {T[e, g]}")
+                    rep.add("unit", (e, g), f"left unit law fails: 1_{x}*{g} = {self.compose[e, g]}")
 
         # one block per middle arrow g2: g3 leaves tgt g2 and g1 arrives at src g2
         leaving = [np.flatnonzero(src == x) for x in range(n)]
@@ -218,7 +241,8 @@ class FiniteGroupoid:
                 rep.add(
                     "assoc",
                     (int(g3[i]), b2, int(g1[j])),
-                    f"associativity fails at ({g3[i]},{b2},{g1[j]}): {left[i, j]} != {right[i, j]}",
+                    f"associativity fails at ({g3[i]},{b2},{g1[j]}): "
+                    f"{self.compose[g3[i], g21[j]]} != {self.compose[g32[i], g1[j]]}",
                 )
 
         swap = (src[inverse] != tgt) | (tgt[inverse] != src)
@@ -348,9 +372,7 @@ class FiniteGroupoid:
         return cls(objects, src, tgt, compose, unit, inverse)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
     @classmethod
     def load(cls, path: str) -> "FiniteGroupoid":
@@ -362,14 +384,16 @@ def composition_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The compose dict of an m-arrow groupoid as arrays: ``(entries, table, defined)``.
 
-    ``entries`` has one row ``(g2, g1, g21)`` per dict entry, in dict order.
-    On every pair of arrow ids, ``table`` where ``defined`` gives what
-    ``compose.get`` gives, corrupt entries included; a mask, not a sentinel,
-    marks the undefined pairs, since a corrupt composite may be any integer.
+    ``entries`` has one row ``(g2, g1, g21)`` per dict entry, in dict order, with each id
+    outside 0..m-1 (it may not fit an int64) coded as a negative number of its own.  On
+    every pair of arrow ids, ``table`` where ``defined`` gives what ``compose.get`` gives,
+    so coded; a mask, not a sentinel, marks the undefined pairs.
     """
-    flat = itertools.chain.from_iterable((*key, g21) for key, g21 in compose.items())
+    codes: dict[int, int] = {}
+    flat = (g if 0 <= g < m else codes.setdefault(g, -1 - len(codes))
+            for key, g21 in compose.items() for g in (*key, g21))
     entries = np.fromiter(flat, dtype=np.intp, count=3 * len(compose)).reshape(-1, 3)
-    g2, g1, g21 = entries[((0 <= entries[:, :2]) & (entries[:, :2] < m)).all(axis=1)].T
+    g2, g1, g21 = entries[(entries[:, :2] >= 0).all(axis=1)].T
     table = np.zeros((m, m), dtype=np.intp)
     defined = np.zeros((m, m), dtype=bool)
     table[g2, g1] = g21

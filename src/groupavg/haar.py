@@ -11,7 +11,6 @@ The counting system (uniform mass on each target fiber) always satisfies both.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, NotInvariant
+from .groupoid import FiniteGroupoid, NotInvariant, arrow_keyed, read_json, write_json
 
 NORMALIZATION_TOL = 1e-12
 INVARIANCE_TOL = 1e-12
@@ -55,28 +54,23 @@ class HaarSystem:
         return {str(k): float(w) for k, w in enumerate(self.weights)}
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
     @classmethod
-    def load(cls, path: str, groupoid: FiniteGroupoid) -> "HaarSystem":
+    def from_json_dict(cls, d: dict, groupoid: FiniteGroupoid) -> "HaarSystem":
         """Weights keyed by arrow id; an absent arrow weighs 0.  Raises
         ValueError naming a key that is no arrow id, or a weight that is no
         finite JSON number (``true`` and ``false`` are not numbers here)."""
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-        if not isinstance(d, dict):
-            raise ValueError(f"{path}: haar weights must be an object keyed by arrow id")
-        ids = {str(g): g for g in groupoid.arrows()}
         weights = [0.0] * groupoid.n_arrows
-        for key, w in d.items():
-            if key not in ids:
-                raise ValueError(f"haar key {key!r} is not an arrow id 0..{groupoid.n_arrows - 1}")
+        for g, w in arrow_keyed(d, groupoid.n_arrows, "haar").items():
             if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
-                raise ValueError(f"haar weight of arrow {key} is not a finite number: {w!r}")
-            weights[ids[key]] = float(w)
+                raise ValueError(f"haar weight of arrow {g} is not a finite number: {w!r}")
+            weights[g] = float(w)
         return cls(groupoid, weights)
+
+    @classmethod
+    def load(cls, path: str, groupoid: FiniteGroupoid) -> "HaarSystem":
+        return read_json(path, lambda d: cls.from_json_dict(d, groupoid))
 
 
 @dataclass

@@ -19,14 +19,13 @@ difference cocycle  Delta(g, h) = lambda_g lambda_h^(-1) - lambda_{g h^(-1)}.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bounds import square
-from .groupoid import CompositionTables, FiniteGroupoid, json_object, read_json
+from .groupoid import CompositionTables, FiniteGroupoid, arrow_keyed, json_object, read_json, write_json
 
 COND_LIMIT = 1e12
 METRIC_EIG_FLOOR = 1e-12
@@ -155,6 +154,19 @@ def sample_chunks(samples: Iterable, terms: int) -> Iterator[list]:
         yield run
 
 
+def matrix_json(M: np.ndarray) -> dict:
+    """A matrix as the JSON object ``{"shape": [rows, cols], "data": [row-major entries]}``."""
+    M = np.asarray(M, dtype=float)
+    return {"shape": list(M.shape), "data": M.ravel().tolist()}
+
+
+def matrix_from_json(entry: Any, what: str) -> np.ndarray:
+    """The matrix of a :func:`matrix_json` object; TypeError naming ``what`` if
+    ``entry`` is no JSON object, KeyError on a missing ``data`` or ``shape``."""
+    entry = json_object(entry, what)
+    return np.array(entry["data"], dtype=float).reshape(entry["shape"])
+
+
 @dataclass
 class FiberBundle:
     """Fiber dimensions and optional Gram matrices, one per object.
@@ -189,6 +201,8 @@ class FiberBundle:
                 phi = np.asarray(phi, dtype=float)
                 if phi.shape != (self.dims[x], self.dims[x]):
                     raise DegenerateMetric(f"metric of object {x} has shape {phi.shape}")
+                if not np.isfinite(phi).all():
+                    raise DegenerateMetric(f"metric of object {x} has non-finite entries")
                 if np.abs(phi - phi.T).max(initial=0.0) > 1e-12:
                     raise DegenerateMetric(f"metric of object {x} is not symmetric")
                 w, v = np.linalg.eigh(phi)
@@ -220,13 +234,13 @@ class FiberBundle:
         for x, label in enumerate(objects):
             entry: dict = {"dim": self.dims[x]}
             if self.metrics[x] is not None:
-                g = np.asarray(self.metrics[x], dtype=float)
-                entry["gram"] = {"shape": list(g.shape), "data": g.ravel().tolist()}
+                entry["gram"] = matrix_json(self.metrics[x])
             out[str(label)] = entry
         return out
 
     @classmethod
     def from_json_dict(cls, d: dict, objects: Sequence) -> "FiberBundle":
+        """The bundle keyed by the labels of ``objects``, its Gram matrices checked by :meth:`metric_factors`."""
         dims, metrics = [], []
         for label in objects:
             entry = json_object(d[str(label)], f"object {label}")
@@ -234,12 +248,12 @@ class FiberBundle:
             if type(dim) is not int or dim < 0:
                 raise ValueError(f"object {label}: dim must be a non-negative integer, got {dim!r}")
             dims.append(dim)
-            if "gram" in entry:
-                g = json_object(entry["gram"], f"the gram of object {label}")
-                metrics.append(np.array(g["data"], dtype=float).reshape(g["shape"]))
-            else:
-                metrics.append(None)
-        return cls(dims=dims, metrics=metrics)
+            metrics.append(matrix_from_json(entry["gram"], f"the gram of object {label}")
+                           if "gram" in entry else None)
+        bundle = cls(dims=dims, metrics=metrics)
+        for x in range(len(dims)):
+            bundle.metric_factors(x)
+        return bundle
 
 
 class SampleBundles:
@@ -359,30 +373,21 @@ class PseudoRep:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            str(g): {"shape": list(self.maps[g].shape), "data": self.maps[g].ravel().tolist()}
-            for g in self.groupoid.arrows()
-        }
+        return {str(g): matrix_json(self.maps[g]) for g in self.groupoid.arrows()}
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
     @classmethod
     def from_json_dict(
         cls, d: dict, groupoid: FiniteGroupoid, bundle: FiberBundle
     ) -> "PseudoRep":
-        ids = {str(g) for g in groupoid.arrows()}
-        for key in d:
-            if key not in ids:
-                raise ValueError(f"psrep key {key!r} is not an arrow id 0..{groupoid.n_arrows - 1}")
+        entries = arrow_keyed(d, groupoid.n_arrows, "psrep")
         maps = []
         for g in groupoid.arrows():
-            if str(g) not in d:
+            if g not in entries:
                 raise ValueError(f"psrep has no matrix for arrow {g}")
-            entry = json_object(d[str(g)], f"the matrix of arrow {g}")
-            maps.append(np.array(entry["data"], dtype=float).reshape(entry["shape"]))
+            maps.append(matrix_from_json(entries[g], f"the matrix of arrow {g}"))
         return cls(groupoid, bundle, maps)
 
     @classmethod

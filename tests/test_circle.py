@@ -89,6 +89,12 @@ def test_from_profile_rejects_nonvanishing_origin():
         from_profile(lambda t: 0.1 * np.cos(4 * np.pi * t), 32, k=2)
 
 
+def test_from_profile_rejects_non_finite_callable():
+    # t = 10/32 is the first of the 32 sample points in (0.3, 0.4)
+    with pytest.raises(ValueError, match="^profile sample 10 is not finite: nan$"):
+        from_profile(lambda t: np.nan if 0.3 < t < 0.4 else 0.0, 16, k=2)
+
+
 def test_from_profile_callable_needs_twist():
     with pytest.raises(ValueError, match="k is required"):
         from_profile(f_sin, 32)

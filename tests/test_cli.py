@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -392,6 +393,22 @@ def test_bounds_check_needs_trace(capsys):
     assert "trace" in capsys.readouterr().err
 
 
+RUN_FLAGS = ["--config CONFIG", "--seed SEED", "--out OUT", "--tol-c TOL_C", "--max-iter MAX_ITER",
+             "--N N", "--k K", "--perturb PERTURB", "--count COUNT", "--trace TRACE",
+             "--profile PROFILE"]
+
+
+@pytest.mark.parametrize("command", ["run", "bounds-check"])
+def test_help_lists_the_run_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert re.findall(r"^  (--\S+ \S+)$", capsys.readouterr().out, re.M) == RUN_FLAGS
+    args = cli.build_parser().parse_args([command, "--seed", "3", "--tol-c", "1", "--trace", "t.csv"])
+    assert (args.seed, args.tol_c, args.trace) == (3, 1.0, "t.csv")
+    assert type(args.tol_c) is float
+
+
 # -- boundary cases -----------------------------------------------------------------------
 
 
@@ -685,10 +702,14 @@ def test_bad_profile_file_exits_2(tmp_path, capsys, text, named):
         ("bundle", lambda d: d["0"].update(gram=[1.0]), "the gram of object 0 must be a JSON object"),
         ("psrep", lambda d: d.update({"3": [1.0]}), "the matrix of arrow 3 must be a JSON object"),
         ("psrep", lambda d: d["3"].update(shape="2x2"), "'str' object cannot be interpreted"),
+        ("bundle", lambda d: d["0"].update(gram={"shape": [2, 2], "data": [float("nan"), 0.0, 0.0, 1.0]}),
+         "metric of object 0 has non-finite entries"),
+        ("psrep", lambda d: d["3"]["data"].__setitem__(0, 10**400), "int too large to convert to float"),
     ],
     ids=["groupoid_without_compose", "arrow_src_not_object", "bundle_without_object",
          "bundle_object_without_dim", "psrep_entry_without_data", "inverses_is_list",
-         "bundle_object_is_number", "gram_is_list", "psrep_entry_is_list", "psrep_shape_is_text"],
+         "bundle_object_is_number", "gram_is_list", "psrep_entry_is_list", "psrep_shape_is_text",
+         "gram_is_nan", "psrep_entry_too_large_for_a_float"],
 )
 def test_malformed_input_file_named(tmp_path, capsys, rng, name, corrupt, named):
     G, rep = presets.s3_example_rep(rng)
@@ -773,9 +794,11 @@ def test_bad_haar_file_named_on_run_and_validate(tmp_path, capsys, rng, doc, nam
     cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
     write_haar(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and f"{paths['haar']}: haar" in err
     assert main(["validate", "--groupoid", paths["groupoid"], "--haar", paths["haar"]]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and f"{paths['haar']}: haar" in err
 
 
 def test_run_rejects_haar_failing_checks(tmp_path, capsys, rng):

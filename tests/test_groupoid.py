@@ -192,11 +192,16 @@ ORACLE_GROUPOIDS = {
 @st.composite
 def corrupted_groupoid(draw, clean):
     """``clean`` with one to four corruptions of its tables: dropped, retargeted or
-    off-domain compose entries (composites -1, m and m + 5 included), and bent
-    inverses, units, sources and targets."""
+    off-domain compose entries (composites -1, m, m + 5 and +-2**70 included, and
+    added keys that hold 2**63 or -2**63 - 1), and bent inverses, units, sources
+    and targets.  Ids of +-2**70 and of 2**63 or -2**63 - 1 do not fit an int64.
+    Keys and composites draw different ids outside 0..m-1: the table reads a key
+    that holds such an id as undefined, where the dict walk could look it up by
+    a composite equal to that id."""
     m, n = clean.n_arrows, clean.n_objects
     arrow = st.integers(0, m - 1)
-    composite = st.one_of(arrow, st.sampled_from([-1, m, m + 5]))
+    composite = st.one_of(arrow, st.sampled_from([-1, m, m + 5, 2**70, -2**70]))
+    key = st.one_of(arrow, arrow, st.sampled_from([2**63, -2**63 - 1]))
     compose, unit = dict(clean.compose), list(clean.unit)
     inverse, src, tgt = list(clean.inverse), list(clean.src), list(clean.tgt)
     ops = ["drop", "retarget", "add", "inverse", "unit", "src", "tgt"]
@@ -206,7 +211,7 @@ def corrupted_groupoid(draw, clean):
         elif op == "retarget" and compose:
             compose[draw(st.sampled_from(sorted(compose)))] = draw(composite)
         elif op == "add":
-            compose[(draw(arrow), draw(arrow))] = draw(composite)
+            compose[(draw(key), draw(key))] = draw(composite)
         elif op == "inverse":
             inverse[draw(arrow)] = draw(st.one_of(arrow, st.just(m)))
         elif op == "unit":

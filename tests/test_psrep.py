@@ -344,6 +344,14 @@ def test_bundle_rejects_degenerate_metric():
         FiberBundle(dims=[2], metrics=[np.zeros((2, 2))]).metric_factors(0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bundle_rejects_non_finite_metric(bad):
+    phi = np.eye(2)
+    phi[0, 1] = phi[1, 0] = bad
+    with pytest.raises(DegenerateMetric, match="^metric of object 0 has non-finite entries$"):
+        FiberBundle(dims=[2], metrics=[phi]).metric_factors(0)
+
+
 def test_rep_shape_mismatch(z2_groupoid):
     bundle = FiberBundle.uniform(z2_groupoid.n_objects, 2)
     maps = [np.eye(2) for _ in z2_groupoid.arrows()]
