@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import closed_envelope, step_bounds
+from .bounds import closed_envelope, gate_holds, step_bounds, within
 from .groupoid import CompositionTables, write_json, write_lines
 from .haar import HaarSystem
 from .psrep import (
@@ -34,7 +34,6 @@ from .psrep import (
     c_by_orbit,
     c_norm,
     cocycles,
-    gate_holds,
     invert_stacks,
     is_nearly_multiplicative,
     max_norm,
@@ -185,9 +184,7 @@ class StepEstimateRow:
         return min(self.b_bound - self.b_avg, self.c_bound - self.c_avg)
 
 
-def verify_step_estimates(
-    rep: PseudoRep, nu: HaarSystem, rel_slack: float = 1e-12
-) -> list[StepEstimateRow]:
+def verify_step_estimates(rep: PseudoRep, nu: HaarSystem) -> list[StepEstimateRow]:
     """Per-orbit one-step bounds  b(avg) <= b/(1-c)  and  c(avg) <= 2 c^2 b^2 / (1-c)^2.
 
     Raises GatePrecondition, before averaging, at the first orbit with c >= 1.
@@ -200,7 +197,7 @@ def verify_step_estimates(
     rows = []
     for orbit, b, c, b_avg, c_avg in zip(orbits, bs, cs, b_by_orbit(avg), c_by_orbit(avg)):
         b_bound, c_bound = step_bounds(b, c)
-        ok = b_avg <= b_bound * (1.0 + rel_slack) and c_avg <= c_bound * (1.0 + rel_slack) + 1e-15
+        ok = within(b_avg, b_bound) and within(c_avg, c_bound, 1e-15)
         rows.append(StepEstimateRow(orbit, b, c, b_avg, c_avg, b_bound, c_bound, ok))
     return rows
 

@@ -13,9 +13,10 @@ Two recursions are covered, independent of any groupoid:
   delayed doubly exponential envelope for c'.
 
 Checks report one row per inequality instance; failures are rows, not
-exceptions.  Comparisons carry a relative slack (default 1e-12) so that
-sequences generated by equality in the recursion are not rejected for
-last-ulp reasons; eps^(2^i) underflows to 0 harmlessly for large i.
+exceptions.  Comparisons go through :func:`within`, whose relative slack
+REL_SLACK = 1e-12 keeps sequences generated by equality in the recursion from
+being rejected for last-ulp reasons; eps^(2^i) underflows to 0 harmlessly for
+large i.  The gate  c <= (1/9) b^(-2)  is :func:`gate_holds`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,26 @@ from typing import Sequence
 from .groupoid import write_lines
 
 
+GATE_COEFF = 1.0 / 9.0
+REL_SLACK = 1e-12
+
+
 class GateViolation(ValueError):
-    """Envelope requested outside b0 >= 1, 6 b0^2 c0 <= 2/3."""
+    """Envelope requested outside b0 >= 1 and the gate c0 <= (1/9) b0^(-2)."""
+
+
+def gate_holds(b: float, c: float, safety: float = 1.0) -> bool:
+    """The near-multiplicativity gate  c <= safety (1/9) b^(-2); False at b = 0 or when b^2
+    overflows (a numpy b too: its power would read inf, not raise)."""
+    try:
+        return b > 0 and c <= safety * GATE_COEFF / float(b) ** 2
+    except OverflowError:
+        return False
+
+
+def within(observed: float, bound: float, floor: float = 0.0) -> bool:
+    """observed <= bound, up to a relative slack of REL_SLACK and an absolute ``floor``."""
+    return observed <= bound + REL_SLACK * abs(bound) + floor
 
 
 @dataclass
@@ -56,15 +75,15 @@ class BoundSeqReport:
     def failed_rows(self) -> list[CheckRow]:
         return [r for r in self.rows if not r.ok]
 
+    def check(self, i: int, name: str, bound: float, observed: float) -> None:
+        """Add the row  observed <= bound  at index i, compared by :func:`within`."""
+        self.rows.append(CheckRow(i, name, bound, float(observed), within(observed, bound)))
+
 
 def _finalize(report: BoundSeqReport) -> BoundSeqReport:
     bad = [r.i for r in report.rows if not r.ok]
     report.first_failure = min(bad) if bad else None
     return report
-
-
-def _le(observed: float, bound: float, rel_slack: float) -> bool:
-    return observed <= bound + rel_slack * abs(bound)
 
 
 def square(x: float) -> float:
@@ -91,9 +110,7 @@ def closed_envelope(b0: float, c0: float, n: int) -> list[float]:
     return out
 
 
-def check_quadratic_decay(
-    b: Sequence[float], c: Sequence[float], rel_slack: float = 1e-12
-) -> BoundSeqReport:
+def check_quadratic_decay(b: Sequence[float], c: Sequence[float]) -> BoundSeqReport:
     """Verify the single-gauge recursion hypothesis and its envelope conclusions.
 
     Hypothesis rows: b_0 >= 1; eps = 6 b_0^2 c_0 <= 2/3; and for every step
@@ -110,14 +127,14 @@ def check_quadratic_decay(
     b0, c0 = float(b[0]), float(c[0])
     eps = 6.0 * square(b0) * c0
     rep.rows.append(CheckRow(0, "b0_ge_1", 1.0, b0, b0 >= 1.0))
-    rep.rows.append(CheckRow(0, "eps_le_2_3", 2.0 / 3.0, eps, _le(eps, 2.0 / 3.0, rel_slack)))
+    rep.check(0, "eps_le_2_3", 2.0 / 3.0, eps)
     for i in range(len(b) - 1):
         if c[i] >= 1.0:
             rep.notes.append(f"step {i}->{i + 1} vacuous: c_{i} = {c[i]:.3g} >= 1")
             continue
         grown, c_step = step_bounds(b[i], c[i])
-        rep.rows.append(CheckRow(i + 1, "step_b", grown, float(b[i + 1]), _le(b[i + 1], grown, rel_slack)))
-        rep.rows.append(CheckRow(i + 1, "step_c", c_step, float(c[i + 1]), _le(c[i + 1], c_step, rel_slack)))
+        rep.check(i + 1, "step_b", grown, b[i + 1])
+        rep.check(i + 1, "step_c", c_step, c[i + 1])
     rep.hypothesis_ok = all(r.ok for r in rep.rows)
     if not rep.hypothesis_ok:
         rep.notes.append("hypothesis failed; conclusions not asserted")
@@ -125,9 +142,8 @@ def check_quadratic_decay(
 
     growth_cap = math.sqrt(3.0) * b0
     for i, env in enumerate(closed_envelope(b0, c0, len(b))):
-        rep.rows.append(CheckRow(i, "envelope_c", env, float(c[i]), _le(c[i], env, rel_slack)))
-        grown = b[i] / (1.0 - c[i]) if c[i] < 1.0 else float("inf")
-        rep.rows.append(CheckRow(i, "growth_b", growth_cap, grown, _le(grown, growth_cap, rel_slack)))
+        rep.check(i, "envelope_c", env, c[i])
+        rep.check(i, "growth_b", growth_cap, b[i] / (1.0 - c[i]) if c[i] < 1.0 else float("inf"))
     return _finalize(rep)
 
 
@@ -139,7 +155,6 @@ def check_coupled_decay(
     R: float,
     eps: float,
     I: int = 0,
-    rel_slack: float = 1e-12,
 ) -> BoundSeqReport:
     """Verify the coupled higher-gauge recursion and its decay conclusions.
 
@@ -171,20 +186,13 @@ def check_coupled_decay(
 
     a = [b2[i] * c[i] + c2[i] for i in range(n)]
     for i in range(n):
-        rep.rows.append(CheckRow(i, "c_le_cprime", float(c2[i]), float(c[i]), _le(c[i], c2[i], rel_slack)))
+        rep.check(i, "c_le_cprime", float(c2[i]), c[i])
     for i in range(I, n):
-        cap = eps ** (2 ** (i - I))
-        rep.rows.append(CheckRow(i, "c_envelope_in", cap, float(c[i]), _le(c[i], cap, rel_slack)))
+        rep.check(i, "c_envelope_in", eps ** (2 ** (i - I)), c[i])
     for i in range(n - 1):
-        rep.rows.append(
-            CheckRow(i + 1, "step_bprime", b2[i] + L * a[i], float(b2[i + 1]), _le(b2[i + 1], b2[i] + L * a[i], rel_slack))
-        )
-        rep.rows.append(
-            CheckRow(i + 1, "step_cprime", L * a[i] * c[i], float(c2[i + 1]), _le(c2[i + 1], L * a[i] * c[i], rel_slack))
-        )
-        rep.rows.append(
-            CheckRow(i + 1, "step_c", R * c[i] ** 2, float(c[i + 1]), _le(c[i + 1], R * c[i] ** 2, rel_slack))
-        )
+        rep.check(i + 1, "step_bprime", b2[i] + L * a[i], b2[i + 1])
+        rep.check(i + 1, "step_cprime", L * a[i] * c[i], c2[i + 1])
+        rep.check(i + 1, "step_c", R * c[i] ** 2, c[i + 1])
     rep.hypothesis_ok = all(r.ok for r in rep.rows)
     if not rep.hypothesis_ok:
         rep.notes.append("hypothesis failed; conclusions not asserted")
@@ -192,26 +200,20 @@ def check_coupled_decay(
 
     K = R * L + L + R
     for i in range(I, n - 1):
-        rep.rows.append(
-            CheckRow(i + 1, "key_a_step", K * a[i] * c[i], float(a[i + 1]), _le(a[i + 1], K * a[i] * c[i], rel_slack))
-        )
+        rep.check(i + 1, "key_a_step", K * a[i] * c[i], a[i + 1])
     # b' envelope over the reindexed tail
     lead = (L / eps) * (c[I] * b2[I] + c2[I])
     partial = 0.0
     kn, en = 1.0, eps
     for i in range(I, n):
-        cap = b2[I] + lead * partial
-        rep.rows.append(CheckRow(i, "envelope_bprime", cap, float(b2[i]), _le(b2[i], cap, rel_slack)))
+        rep.check(i, "envelope_bprime", b2[I] + lead * partial, b2[i])
         partial += kn * en
         kn *= K
         en = en * en
     for i in range(n - 1):
-        cap = L * (b2[i] + 1.0) * c2[i] ** 2
-        rep.rows.append(
-            CheckRow(i + 1, "quadratic_cprime", cap, float(c2[i + 1]), _le(c2[i + 1], cap, rel_slack))
-        )
+        rep.check(i + 1, "quadratic_cprime", L * (b2[i] + 1.0) * c2[i] ** 2, c2[i + 1])
     for cand in range(I, n):
-        if all(_le(c2[i], eps ** (2 ** (i - cand)), rel_slack) for i in range(cand, n)):
+        if all(within(c2[i], eps ** (2 ** (i - cand))) for i in range(cand, n)):
             rep.i_prime = cand
             break
     if rep.i_prime is None:
@@ -224,11 +226,11 @@ def envelope(b0: float, c0: float, n: int) -> tuple[list[float], list[float]]:
     """Worst-case sequences: equality in the single-gauge recursion, n entries.
 
     Any iteration gated at (b0, c0) must satisfy c_i <= c_env[i].  Raises
-    GateViolation outside b0 >= 1, 6 b0^2 c0 <= 2/3.
+    GateViolation exactly when b0 < 1 or the gate fails at (b0, c0).
     """
     if b0 < 1.0:
         raise GateViolation(f"b0 = {b0} < 1")
-    if 6.0 * square(b0) * c0 > 2.0 / 3.0:
+    if not gate_holds(b0, c0):
         raise GateViolation(f"6 b0^2 c0 = {6.0 * square(b0) * c0} > 2/3")
     if n < 1:
         raise ValueError("need n >= 1")
@@ -238,6 +240,26 @@ def envelope(b0: float, c0: float, n: int) -> tuple[list[float], list[float]]:
         bs.append(grown)
         cs.append(c_step)
     return bs, cs
+
+
+def envelope_failures(b0: float, c0: float, c: Sequence[float]) -> list[str]:
+    """The declared envelope assertion of an iterate run gated at (b0, c0): the
+    first defect c_i above  eps^(2^i)/(6 b0^2)  or the tight recursion of
+    :func:`envelope`, as one message, or none.
+
+    The step-by-step report of :func:`check_quadratic_decay` compares each
+    defect against a bound quadratic in the previous one, which drops below
+    double-precision resolution once c reaches the rounding floor near 1e-15,
+    so that report is an artifact, not a gate.
+    """
+    _, tight = envelope(b0, c0, len(c))
+    for i, (ci, ei, ti) in enumerate(zip(c, closed_envelope(b0, c0, len(c)), tight)):
+        # the tight bound is only decidable while it sits above the absolute
+        # resolution of the computed defect (~1e-15 for O(1) entries)
+        env = min(ei, ti) if ti >= 1e-13 else ei
+        if not within(ci, env):
+            return [f"trace row i={i}: c {ci!r} above envelope {env!r}"]
+    return []
 
 
 # -- CSV plumbing shared with the CLI -----------------------------------------

@@ -111,6 +111,11 @@ def load_config(path: str | None, args: argparse.Namespace) -> dict:
     for key, value in user.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"field {key}: non-finite value {value!r}")
+        if isinstance(value, int) and SCHEMA["properties"].get(key, {}).get("type") == "number":
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"field {key}: integer too large for a float") from None
     check_schema(user, SCHEMA)
     return user
 
@@ -121,32 +126,6 @@ def ensure_out(p: dict) -> str:
 
 
 # -- kinds ---------------------------------------------------------------------
-
-
-def envelope_failures(trace) -> list[str]:
-    """Declared per-row assertions for the iterate kinds.
-
-    When the starting pair (b0, c0) satisfies the decay gate, every recorded
-    defect must sit under the closed form eps^(2^i)/(6 b0^2) and under the
-    tight recursion from bounds.envelope.  The step-by-step report written to
-    bounds_check.csv compares each defect against a bound quadratic in the
-    previous one, which drops below double-precision resolution once c reaches
-    the rounding floor near 1e-15, so that report is an artifact, not a gate.
-    """
-    if not trace.envelope_valid:
-        return []
-    cs = [r.c for r in trace.rows]
-    closed = trace.envelope_column()
-    _, tight = bounds.envelope(trace.b0, trace.c0, len(cs))
-    failures = []
-    for i, (ci, ei, ti) in enumerate(zip(cs, closed, tight)):
-        # the tight bound is only decidable while it sits above the absolute
-        # resolution of the computed defect (~1e-15 for O(1) entries)
-        env = min(ei, ti) if ti >= 1e-13 else ei
-        if ci > env * (1.0 + 1e-12):
-            failures.append(f"trace row i={i}: c {ci!r} above envelope {env!r}")
-            break
-    return failures
 
 
 def finish_iterate(trace, out: str, extra: dict) -> list[str]:
@@ -166,7 +145,8 @@ def finish_iterate(trace, out: str, extra: dict) -> list[str]:
     failures = []
     if trace.verdict.kind != "Converged":
         failures.append(f"verdict {trace.verdict.kind} at iteration {trace.verdict.iteration}")
-    env_fails = envelope_failures(trace)
+    env_fails = (bounds.envelope_failures(trace.b0, trace.c0, [r.c for r in trace.rows])
+                 if trace.envelope_valid else [])
     failures += env_fails
     averaging.write_verdict_json(
         trace,
@@ -255,7 +235,7 @@ def kind_circle_profile(p: dict) -> list[str]:
     circle.save_grid_csv(lam, os.path.join(out, "effect.csv"))
     res_c, res_u = circle.multiplicativity_residual(lam)
     write_json(
-        {"kind": "circle_profile", "N": p["N"], "k": p["k"],
+        {"kind": "circle_profile", "N": p["N"], "k": lam.twist,
          "res_cocycle": res_c, "res_unit": res_u, "tol": 1e-13},
         os.path.join(out, "residuals.json"),
     )

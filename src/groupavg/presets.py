@@ -11,7 +11,11 @@ import itertools
 import numpy as np
 
 from .groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, symmetric_group, cyclic_group
-from .psrep import FiberBundle, PseudoRep, b_norm, c_norm, gate_holds
+from .bounds import gate_holds
+from .psrep import FiberBundle, PseudoRep, b_norm, c_norm
+
+# the gate-rescale loop accepts a candidate a tenth inside the gate
+RESCALE_SAFETY = 0.9
 
 
 def s3_action() -> FiniteGroupAction:
@@ -154,9 +158,9 @@ def random_unital_pseudorep(
     raise RuntimeError("could not reach requested defect cap")
 
 
-def rescale_to_gate(make, gauges, delta: float, safety: float = 0.9):
+def rescale_to_gate(make, gauges, delta: float):
     """The first of make(delta), make(0.7 delta), ... whose gauges (b, c) pass
-    the gate c <= safety (1/9) b^(-2), with the amplitude used and those gauges.
+    the gate c <= 0.9 (1/9) b^(-2), with the amplitude used and those gauges.
 
     A candidate whose gauges overflow fails the gate.  Raises ValueError
     naming ``delta`` when none of the first 200 amplitudes passes.
@@ -166,7 +170,7 @@ def rescale_to_gate(make, gauges, delta: float, safety: float = 0.9):
         cand = make(scale)
         with np.errstate(over="ignore", invalid="ignore"):
             bc = gauges(cand)
-            ok = gate_holds(*bc, safety)
+            ok = gate_holds(*bc, RESCALE_SAFETY)
         if ok:
             return cand, scale, bc
         scale *= 0.7
@@ -174,7 +178,7 @@ def rescale_to_gate(make, gauges, delta: float, safety: float = 0.9):
 
 
 def gated_perturbation(
-    rep0: PseudoRep, rng: np.random.Generator, delta: float, safety: float = 0.9
+    rep0: PseudoRep, rng: np.random.Generator, delta: float
 ) -> tuple[PseudoRep, float]:
     """Perturb a representation and rescale the noise to the global gate.
 
@@ -192,7 +196,7 @@ def gated_perturbation(
             cand.maps[g] = cand.maps[g] + scale * diff[g]
         return cand
 
-    return rescale_to_gate(make, lambda cand: (b_norm(cand), c_norm(cand)), delta, safety)[:2]
+    return rescale_to_gate(make, lambda cand: (b_norm(cand), c_norm(cand)), delta)[:2]
 
 
 def smooth_torus_field(

@@ -24,20 +24,11 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import square
+from .bounds import GATE_COEFF, gate_holds, square, within
 from .groupoid import CompositionTables, FiniteGroupoid, arrow_keyed, json_object, read_json, write_json
 
 COND_LIMIT = 1e12
 METRIC_EIG_FLOOR = 1e-12
-GATE_COEFF = 1.0 / 9.0
-
-
-def gate_holds(b: float, c: float, safety: float = 1.0) -> bool:
-    """The near-multiplicativity gate  c <= safety (1/9) b^(-2); False at b = 0 or when b^2 overflows."""
-    try:
-        return b > 0 and c <= safety * GATE_COEFF / b**2
-    except OverflowError:
-        return False
 
 
 class DegenerateMetric(ValueError):
@@ -190,8 +181,10 @@ class FiberBundle:
     def uniform(cls, n_objects: int, dim: int) -> "FiberBundle":
         return cls(dims=[dim] * n_objects)
 
-    def metric_factors(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        """(phi^(1/2), phi^(-1/2)) for object index x; identity metrics short-circuit."""
+    def metric_factors(self, x: int, name=None) -> tuple[np.ndarray, np.ndarray]:
+        """(phi^(1/2), phi^(-1/2)) for object index x, which errors call ``name``
+        (default x); identity metrics short-circuit."""
+        name = x if name is None else name
         if x not in self._half:
             phi = self.metrics[x]
             if phi is None:
@@ -200,15 +193,15 @@ class FiberBundle:
             else:
                 phi = np.asarray(phi, dtype=float)
                 if phi.shape != (self.dims[x], self.dims[x]):
-                    raise DegenerateMetric(f"metric of object {x} has shape {phi.shape}")
+                    raise DegenerateMetric(f"metric of object {name} has shape {phi.shape}")
                 if not np.isfinite(phi).all():
-                    raise DegenerateMetric(f"metric of object {x} has non-finite entries")
+                    raise DegenerateMetric(f"metric of object {name} has non-finite entries")
                 if np.abs(phi - phi.T).max(initial=0.0) > 1e-12:
-                    raise DegenerateMetric(f"metric of object {x} is not symmetric")
+                    raise DegenerateMetric(f"metric of object {name} is not symmetric")
                 w, v = np.linalg.eigh(phi)
                 if w.min(initial=1.0) <= METRIC_EIG_FLOOR:
                     raise DegenerateMetric(
-                        f"metric of object {x} has eigenvalue {w.min():.3e} <= {METRIC_EIG_FLOOR}"
+                        f"metric of object {name} has eigenvalue {w.min():.3e} <= {METRIC_EIG_FLOOR}"
                     )
                 root = (v * np.sqrt(w)) @ v.T
                 inv_root = (v / np.sqrt(w)) @ v.T
@@ -240,7 +233,7 @@ class FiberBundle:
 
     @classmethod
     def from_json_dict(cls, d: dict, objects: Sequence) -> "FiberBundle":
-        """The bundle keyed by the labels of ``objects``, its Gram matrices checked by :meth:`metric_factors`."""
+        """The bundle keyed by the labels of ``objects``, its Gram matrices checked by :meth:`metric_factors` by label."""
         dims, metrics = [], []
         for label in objects:
             entry = json_object(d[str(label)], f"object {label}")
@@ -251,8 +244,8 @@ class FiberBundle:
             metrics.append(matrix_from_json(entry["gram"], f"the gram of object {label}")
                            if "gram" in entry else None)
         bundle = cls(dims=dims, metrics=metrics)
-        for x in range(len(dims)):
-            bundle.metric_factors(x)
+        for x, label in enumerate(objects):
+            bundle.metric_factors(x, label)
         return bundle
 
 
@@ -366,9 +359,6 @@ class PseudoRep:
             return M - np.eye(M.shape[-1]), x, x
 
         return max_norm(self.bundle, part, units.group)[0]
-
-    def is_unital(self, tol: float = 1e-12) -> bool:
-        return self.unit_defect() <= tol
 
     # -- serialization ------------------------------------------------------
 
@@ -543,7 +533,7 @@ def is_nearly_multiplicative(rep: PseudoRep) -> GateReport:
     alternative metrics is attempted: a failing report under the stored metric
     does not preclude the gate holding under some other metric.
     """
-    if not rep.is_unital(tol=1e-8):
+    if not rep.unit_defect() <= 1e-8:
         raise ValueError("gate check requires a unital pseudo-representation")
     return GateReport([
         OrbitGateRow(orbit, b, c, GATE_COEFF / square(b) if b > 0 else np.inf, gate_holds(b, c))
@@ -564,7 +554,7 @@ class InverseReport:
     c: float
 
 
-def inverse_rep(rep: PseudoRep, rel_slack: float = 1e-12) -> InverseReport:
+def inverse_rep(rep: PseudoRep) -> InverseReport:
     """Invert every arrow matrix and compare against the c < 1 norm bounds.
 
     When c < 1 the report checks  max ||lambda_g^(-1)|| <= b/(1-c)  and
@@ -579,19 +569,10 @@ def inverse_rep(rep: PseudoRep, rel_slack: float = 1e-12) -> InverseReport:
     max_delta = max_norm(
         rep.bundle, lambda t, _: (D.take(t), T.src[T.avg_g[t]], T.tgt[T.avg_g[t]]), D.group
     )[0]
-    inverses = inv.tolist()
+    report = InverseReport(inv.tolist(), max_inv, None, None, max_delta, None, None, b, c)
     if c < 1.0:
-        inv_bound = b / (1.0 - c)
-        delta_bound = c * b / (1.0 - c)
-        return InverseReport(
-            inverses,
-            max_inv,
-            inv_bound,
-            max_inv <= inv_bound * (1.0 + rel_slack),
-            max_delta,
-            delta_bound,
-            max_delta <= delta_bound * (1.0 + rel_slack) + 1e-15,
-            b,
-            c,
-        )
-    return InverseReport(inverses, max_inv, None, None, max_delta, None, None, b, c)
+        report.inverse_norm_bound = b / (1.0 - c)
+        report.delta_norm_bound = c * b / (1.0 - c)
+        report.inverse_bound_ok = within(max_inv, report.inverse_norm_bound)
+        report.delta_bound_ok = within(max_delta, report.delta_norm_bound, 1e-15)
+    return report

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupavg.averaging import iterate, write_trace_csv
+from groupavg.averaging import drive, iterate, write_trace_csv
 from groupavg.bounds import (
+    GATE_COEFF,
     GateViolation,
     check_coupled_decay,
     check_quadratic_decay,
     envelope,
+    envelope_failures,
+    gate_holds,
     load_trace_csv,
     step_bounds,
     write_check_csv,
@@ -84,6 +87,28 @@ def test_envelope_boundary_eps():
     assert check_quadratic_decay(bs, cs).ok
     with pytest.raises(GateViolation):
         envelope(1.0, c0 * (1 + 1e-9), 5)
+
+
+def test_gate_boundary_pair_passes_the_envelope():
+    # the gate holds here, while 6 b0^2 c0 rounds to 0.6666666666666667 > 2/3
+    b0, c0 = 1.77675025087889, 0.035196924752235126
+    trace = drive(0, lambda i: i + 1, lambda i: (b0, 0.0 if i else c0, 0.0, {}), 1e-12, 4)
+    assert trace.envelope_valid
+    assert envelope_failures(b0, c0, [r.c for r in trace.rows]) == []
+
+
+@settings(max_examples=300)
+@given(b=st.floats(1.0, 4.0), ulps=st.integers(-4, 4))
+def test_envelope_raises_exactly_where_the_gate_fails(b, ulps):
+    c = GATE_COEFF / b**2
+    for _ in range(abs(ulps)):
+        c = math.nextafter(c, math.inf if ulps > 0 else 0.0)
+    try:
+        envelope(b, c, 3)
+    except GateViolation:
+        assert not gate_holds(b, c)
+    else:
+        assert gate_holds(b, c)
 
 
 @settings(max_examples=50)

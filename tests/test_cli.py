@@ -259,14 +259,16 @@ def test_circle_profile_default_in_range_at_high_twist(tmp_path, k):
 
 
 def test_circle_profile_from_file(tmp_path):
-    prof_path = tmp_path / "profile.csv"
-    save_profile_csv(
-        CircleProfile.from_function(lambda t: 0.1 * np.sin(4 * np.pi * t), 32, 2),
-        str(prof_path),
-    )
-    out = tmp_path / "out"
-    run_ok(["run", "circle_profile", "--profile", str(prof_path), "--N", "32",
-            "--out", str(out)])
+    for k in (2, 3):
+        prof_path = tmp_path / f"profile{k}.csv"
+        save_profile_csv(
+            CircleProfile.from_function(lambda t: 0.1 * np.sin(2 * k * np.pi * t), 32, k),
+            str(prof_path),
+        )
+        out = tmp_path / f"out{k}"
+        run_ok(["run", "circle_profile", "--profile", str(prof_path), "--N", "32",
+                "--out", str(out)])
+        assert json.loads((out / "residuals.json").read_text())["k"] == k
 
 
 def test_circle_profile_rejects_nonperiodic(tmp_path, capsys):
@@ -652,6 +654,22 @@ def test_nonfinite_config_field_named(tmp_path, capsys):
     assert "field perturb: non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"kind": "circle_iterate", "N": 16, "perturb": 10**400}, "perturb"),
+        ({"kind": "finite_iterate", "perturb": 10**400}, "perturb"),
+        ({"kind": "finite_iterate", "tol_c": 10**400}, "tol_c"),
+    ],
+    ids=["circle_perturb", "finite_perturb", "finite_tol_c"],
+)
+def test_number_too_large_for_a_float_named(tmp_path, capsys, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"field {field}: integer too large for a float" in capsys.readouterr().err
+
+
 def test_flag_and_config_checked_together(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "group_bundle", "count": -1}))
@@ -690,29 +708,32 @@ def test_bad_profile_file_exits_2(tmp_path, capsys, text, named):
 
 
 @pytest.mark.parametrize(
-    "name, corrupt, named",
+    "example, name, corrupt, named",
     [
-        ("groupoid", lambda d: d.pop("compose"), "missing key 'compose'"),
-        ("groupoid", lambda d: d["arrows"][4].update(src=9), "arrow 4: src 9 is not an object"),
-        ("bundle", lambda d: d.pop("1"), "missing key '1'"),
-        ("bundle", lambda d: d["2"].pop("dim"), "missing key 'dim'"),
-        ("psrep", lambda d: d["3"].pop("data"), "missing key 'data'"),
-        ("groupoid", lambda d: d.update(inverses=[]), "inverses must be a JSON object, got list"),
-        ("bundle", lambda d: d.update({"2": 3}), "object 2 must be a JSON object, got int"),
-        ("bundle", lambda d: d["0"].update(gram=[1.0]), "the gram of object 0 must be a JSON object"),
-        ("psrep", lambda d: d.update({"3": [1.0]}), "the matrix of arrow 3 must be a JSON object"),
-        ("psrep", lambda d: d["3"].update(shape="2x2"), "'str' object cannot be interpreted"),
-        ("bundle", lambda d: d["0"].update(gram={"shape": [2, 2], "data": [float("nan"), 0.0, 0.0, 1.0]}),
+        ("s3", "groupoid", lambda d: d.pop("compose"), "missing key 'compose'"),
+        ("s3", "groupoid", lambda d: d["arrows"][4].update(src=9), "arrow 4: src 9 is not an object"),
+        ("s3", "bundle", lambda d: d.pop("1"), "missing key '1'"),
+        ("s3", "bundle", lambda d: d["2"].pop("dim"), "missing key 'dim'"),
+        ("s3", "psrep", lambda d: d["3"].pop("data"), "missing key 'data'"),
+        ("s3", "groupoid", lambda d: d.update(inverses=[]), "inverses must be a JSON object, got list"),
+        ("s3", "bundle", lambda d: d.update({"2": 3}), "object 2 must be a JSON object, got int"),
+        ("s3", "bundle", lambda d: d["0"].update(gram=[1.0]), "the gram of object 0 must be a JSON object"),
+        ("s3", "psrep", lambda d: d.update({"3": [1.0]}), "the matrix of arrow 3 must be a JSON object"),
+        ("s3", "psrep", lambda d: d["3"].update(shape="2x2"), "'str' object cannot be interpreted"),
+        ("s3", "bundle", lambda d: d["0"].update(gram={"shape": [2, 2], "data": [float("nan"), 0.0, 0.0, 1.0]}),
          "metric of object 0 has non-finite entries"),
-        ("psrep", lambda d: d["3"]["data"].__setitem__(0, 10**400), "int too large to convert to float"),
+        ("s3", "psrep", lambda d: d["3"]["data"].__setitem__(0, 10**400), "int too large to convert to float"),
+        # the Z/2 objects are labelled 1, 2, 3: the error names the label, not the index 2
+        ("z2", "bundle", lambda d: d["3"].update(gram={"shape": [2, 2], "data": [1.0, float("nan"), float("nan"), 1.0]}),
+         "metric of object 3 has non-finite entries"),
     ],
     ids=["groupoid_without_compose", "arrow_src_not_object", "bundle_without_object",
          "bundle_object_without_dim", "psrep_entry_without_data", "inverses_is_list",
          "bundle_object_is_number", "gram_is_list", "psrep_entry_is_list", "psrep_shape_is_text",
-         "gram_is_nan", "psrep_entry_too_large_for_a_float"],
+         "gram_is_nan", "psrep_entry_too_large_for_a_float", "gram_is_nan_on_a_labelled_object"],
 )
-def test_malformed_input_file_named(tmp_path, capsys, rng, name, corrupt, named):
-    G, rep = presets.s3_example_rep(rng)
+def test_malformed_input_file_named(tmp_path, capsys, rng, example, name, corrupt, named):
+    G, rep = getattr(presets, f"{example}_example_rep")(rng)
     cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
     doc = json.loads(open(paths[name]).read())
     corrupt(doc)

@@ -6,7 +6,7 @@ inputs are the groupoid, bundle (with two Gram matrices), psrep and Haar
 files of a gated pseudo-representation on the two-orbit Z/2 action groupoid,
 corrupted at one or two random places: a dropped key or element, a renamed
 key, a value of the wrong JSON type (an integral float such as 2.0 where an
-integer belongs, too), an out-of-range or negative arrow id, NaN or infinity, a list of the wrong shape, or a whole document replaced.
+integer belongs, too), an out-of-range or negative arrow id, NaN or infinity, an integer too large for a float, a list of the wrong shape, or a whole document replaced.
 
 Config files get the same corruptions.  Trace CSVs (``bounds-check``) and
 profile CSVs (``run circle_profile --profile``) are corrupted as text: a
@@ -51,11 +51,11 @@ CLEAN = clean_documents()
 N_ARROWS = len(CLEAN["groupoid"]["arrows"])
 
 # values that break a file wherever they land: wrong JSON types (integral floats
-# too), arrow ids out of range or negative, non-finite numbers, and lists of the
-# wrong shape
+# too), arrow ids out of range or negative, non-finite numbers, an integer too
+# large for a float, and lists of the wrong shape
 BAD_VALUES = st.one_of(
     st.sampled_from([None, True, False, "x", "", {}, [], 0.5, 1.5, 1.0, 2.0, 32.0, -1, N_ARROWS,
-                     99, 10**20, float("nan"), float("inf"), -float("inf")]),
+                     99, 10**20, 10**400, float("nan"), float("inf"), -float("inf")]),
     st.lists(st.integers(-2, N_ARROWS + 1), max_size=4),
     st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=5),
 )

@@ -441,3 +441,4 @@ def test_gate_holds_edges():
     assert gate_holds(2.0, 0.02) and not gate_holds(2.0, 0.02, safety=0.5)
     assert not gate_holds(0.0, 0.0)
     assert not gate_holds(1e300, 0.0)  # b^2 overflows
+    assert not gate_holds(np.float64(1e300), 0.0)
