@@ -38,10 +38,10 @@ class GateViolation(ValueError):
 
 
 def gate_holds(b: float, c: float, safety: float = 1.0) -> bool:
-    """The near-multiplicativity gate  c <= safety (1/9) b^(-2); False at b = 0 or when b^2
-    overflows (a numpy b too: its power would read inf, not raise)."""
+    """The near-multiplicativity gate  c <= safety (1/9) b^(-2); False at b = 0, at an
+    infinite b, or when b^2 overflows (a numpy b too: its power would read inf, not raise)."""
     try:
-        return b > 0 and c <= safety * GATE_COEFF / float(b) ** 2
+        return 0 < b < math.inf and c <= safety * GATE_COEFF / float(b) ** 2
     except OverflowError:
         return False
 
@@ -113,7 +113,8 @@ def closed_envelope(b0: float, c0: float, n: int) -> list[float]:
 def check_quadratic_decay(b: Sequence[float], c: Sequence[float]) -> BoundSeqReport:
     """Verify the single-gauge recursion hypothesis and its envelope conclusions.
 
-    Hypothesis rows: b_0 >= 1; eps = 6 b_0^2 c_0 <= 2/3; and for every step
+    Hypothesis rows: b_0 >= 1; eps = 6 b_0^2 c_0 <= 2/3, which passes exactly
+    when :func:`gate_holds` does; and for every step
     with c_i < 1 both  b_{i+1} <= b_i/(1-c_i)  and
     c_{i+1} <= 2 c_i^2 (b_i/(1-c_i))^2, recorded at index i+1 (the entry they
     constrain).  Conclusion rows (asserted only when the hypothesis holds):
@@ -127,7 +128,7 @@ def check_quadratic_decay(b: Sequence[float], c: Sequence[float]) -> BoundSeqRep
     b0, c0 = float(b[0]), float(c[0])
     eps = 6.0 * square(b0) * c0
     rep.rows.append(CheckRow(0, "b0_ge_1", 1.0, b0, b0 >= 1.0))
-    rep.check(0, "eps_le_2_3", 2.0 / 3.0, eps)
+    rep.rows.append(CheckRow(0, "eps_le_2_3", 2.0 / 3.0, eps, gate_holds(b0, c0)))
     for i in range(len(b) - 1):
         if c[i] >= 1.0:
             rep.notes.append(f"step {i}->{i + 1} vacuous: c_{i} = {c[i]:.3g} >= 1")
@@ -231,7 +232,10 @@ def envelope(b0: float, c0: float, n: int) -> tuple[list[float], list[float]]:
     if b0 < 1.0:
         raise GateViolation(f"b0 = {b0} < 1")
     if not gate_holds(b0, c0):
-        raise GateViolation(f"6 b0^2 c0 = {6.0 * square(b0) * c0} > 2/3")
+        b0_sq = square(float(b0))
+        why = (f"b0^2 overflows at b0 = {b0!r}" if b0_sq == math.inf
+               else f"c0 = {c0!r} > (1/9) b0^-2 = {GATE_COEFF / b0_sq!r}")
+        raise GateViolation(f"{why}: the gate 6 b0^2 c0 <= 2/3 fails")
     if n < 1:
         raise ValueError("need n >= 1")
     bs, cs = [float(b0)], [float(c0)]

@@ -176,6 +176,7 @@ def kind_finite_iterate(p: dict) -> list[str]:
     rng = np.random.default_rng(p["seed"])
     if "groupoid" in p:
         G, nu, lam0 = load_finite_inputs(p)
+        scale = None  # the input files' pseudo-representation is not perturbed
     else:
         G, rep = presets.s3_example_rep(rng)
         nu = counting_haar(G)
@@ -183,11 +184,11 @@ def kind_finite_iterate(p: dict) -> list[str]:
             lam0, scale = presets.gated_perturbation(rep, rng, p["perturb"])
             log(f"perturbation amplitude after gate rescale: {scale!r}")
         else:
-            lam0 = presets.perturb_rep(rep, rng, p["perturb"])
-            log(f"perturbation amplitude (gate rescale off): {p['perturb']!r}")
+            lam0, scale = presets.perturb_rep(rep, rng, p["perturb"]), p["perturb"]
+            log(f"perturbation amplitude (gate rescale off): {scale!r}")
     trace = averaging.iterate(lam0, nu, tol_c=p["tol_c"], max_iter=p["max_iter"])
     return finish_iterate(trace, out, {"kind": "finite_iterate", "seed": p["seed"],
-                                       "perturb": p["perturb"]})
+                                       "perturb": scale})
 
 
 def kind_finite_identities(p: dict) -> list[str]:

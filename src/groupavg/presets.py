@@ -118,26 +118,20 @@ def z2_example_rep(rng: np.random.Generator, dim: int = 2) -> tuple[FiniteGroupo
 
 
 def random_pseudorep(
-    G: FiniteGroupoid,
-    rng: np.random.Generator,
-    dim: int = 2,
-    smin: float = 0.5,
-    smax: float = 1.5,
-    metrics: bool = False,
+    G: FiniteGroupoid, rng: np.random.Generator, dim: int = 2, metrics: bool = False
 ) -> PseudoRep:
     """Invertible pseudo-representation: every arrow an independent conditioned
-    matrix (units included, so generally not unital)."""
+    matrix with singular values in [0.5, 1.5] (units included, so generally not unital)."""
     mets = [random_spd(rng, dim) for _ in range(G.n_objects)] if metrics else []
     bundle = FiberBundle([dim] * G.n_objects, mets)
-    return PseudoRep(G, bundle, list(conditioned(rng, dim, smin, smax, G.n_arrows)))
+    return PseudoRep(G, bundle, list(conditioned(rng, dim, 0.5, 1.5, G.n_arrows)))
 
 
-def perturb_rep(
-    rep: PseudoRep, rng: np.random.Generator, delta: float, keep_units: bool = True
-) -> PseudoRep:
-    """Entrywise uniform [-delta, delta] noise; unit arrows stay exact by default."""
+def perturb_rep(rep: PseudoRep, rng: np.random.Generator, delta: float) -> PseudoRep:
+    """Entrywise uniform [-delta, delta] noise off the unit arrows, which stay exact
+    (their noise is drawn and dropped)."""
     out = rep.copy()
-    units = set(rep.groupoid.unit) if keep_units else set()
+    units = set(rep.groupoid.unit)
     for g in rep.groupoid.arrows():
         noise = rng.uniform(-delta, delta, size=out.maps[g].shape)
         if g not in units:
@@ -145,14 +139,12 @@ def perturb_rep(
     return out
 
 
-def random_unital_pseudorep(
-    rep0: PseudoRep, rng: np.random.Generator, delta: float, c_cap: float = 0.9
-) -> PseudoRep:
-    """Unital input with defect c < c_cap: perturb a genuine representation off
-    the units and shrink the perturbation until under the cap."""
+def random_unital_pseudorep(rep0: PseudoRep, rng: np.random.Generator, delta: float) -> PseudoRep:
+    """Unital input with defect c < 0.9: perturb a genuine representation off
+    the units and shrink the perturbation until under that cap."""
     for _ in range(60):
         cand = perturb_rep(rep0, rng, delta)
-        if c_norm(cand) < c_cap:
+        if c_norm(cand) < 0.9:
             return cand
         delta *= 0.6
     raise RuntimeError("could not reach requested defect cap")
@@ -199,20 +191,16 @@ def gated_perturbation(
     return rescale_to_gate(make, lambda cand: (b_norm(cand), c_norm(cand)), delta)[:2]
 
 
-def smooth_torus_field(
-    rng: np.random.Generator, N: int, k: int, modes: int = 3, amp: float = 1.0
-) -> np.ndarray:
-    """Random real trigonometric polynomial of degree <= modes on the N x N torus."""
+def smooth_torus_field(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
+    """Random real trigonometric polynomial of degree <= 3 on the N x N torus, over 16:
+    the constant term, then a cos and a sin coefficient for each mode (m, n) in row
+    order, all uniform in [-1, 1]."""
     theta = np.arange(N)[:, None] / N
     a = np.arange(N)[None, :] / N
-    out = np.zeros((N, N))
-    for m in range(modes + 1):
-        for n in range(modes + 1):
-            if m == 0 and n == 0:
-                out = out + rng.uniform(-amp, amp) * np.ones((N, N))
-                continue
-            cm, sm = rng.uniform(-amp, amp, size=2)
-            out = out + cm * np.cos(2 * np.pi * (m * theta + n * a)) + sm * np.sin(
-                2 * np.pi * (m * theta + n * a)
-            )
-    return out / (modes + 1) ** 2
+    out = np.full((N, N), rng.uniform(-1.0, 1.0))
+    for m, n in itertools.product(range(4), repeat=2):
+        if m or n:
+            cm, sm = rng.uniform(-1.0, 1.0, size=2)
+            phase = 2 * np.pi * (m * theta + n * a)
+            out = out + cm * np.cos(phase) + sm * np.sin(phase)
+    return out / 16

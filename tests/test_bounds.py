@@ -111,6 +111,30 @@ def test_envelope_raises_exactly_where_the_gate_fails(b, ulps):
         assert gate_holds(b, c)
 
 
+@settings(max_examples=300)
+@given(b=st.floats(1.0, 4.0), ulps=st.integers(-4, 4))
+def test_eps_row_passes_exactly_where_the_gate_holds(b, ulps):
+    c = GATE_COEFF / b**2
+    for _ in range(abs(ulps)):
+        c = math.nextafter(c, math.inf if ulps > 0 else 0.0)
+    row = check_quadratic_decay([b, b], [c, 0.0]).rows[1]
+    assert (row.check, row.bound, row.observed) == ("eps_le_2_3", 2.0 / 3.0, 6.0 * b**2 * c)
+    assert row.ok == gate_holds(b, c)
+
+
+def test_envelope_message_names_c0_and_the_gate_bound():
+    # 6 b0^2 c0 rounds to 0.6666666666666666 here, while c0 is above (1/9) b0^-2
+    want = r"c0 = 0\.022086220550464844 > \(1/9\) b0\^-2 = 0\.02208622055046484: .* 2/3 fails"
+    with pytest.raises(GateViolation, match=want):
+        envelope(2.2429419979023226, 0.022086220550464844, 3)
+
+
+def test_envelope_rejects_infinite_b0():
+    # (1/9) / inf**2 is 0.0, so c0 = 0.0 would pass a plain comparison
+    with pytest.raises(GateViolation, match=r"b0\^2 overflows at b0 = inf: .* 2/3 fails"):
+        envelope(math.inf, 0.0, 3)
+
+
 @settings(max_examples=50)
 @given(b0=st.floats(1.0, 2.0), frac=st.floats(0.0, 0.99), n=st.integers(2, 12))
 def test_envelope_satisfies_own_checker(b0, frac, n):

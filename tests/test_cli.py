@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupavg import circle, cli
+from groupavg import bounds, circle, cli
 from groupavg.circle import CircleProfile, save_profile_csv
 from groupavg.cli import main
 from groupavg.groupoid import action_groupoid
@@ -182,6 +182,13 @@ def test_finite_iterate_gate_rescale_off_still_runs(tmp_path):
     doc = json.loads((out / "verdict.json").read_text())
     assert doc["gate_ok"] is False
     assert doc["verdict"]["kind"] in ("Converged", "Diverged")
+
+
+def test_finite_iterate_records_the_rescaled_perturbation(tmp_path, capsys):
+    out = tmp_path / "out"
+    run_ok(["run", "finite_iterate", "--seed", "1", "--perturb", "0.2", "--out", str(out)])
+    used = re.search(r"after gate rescale: (\S+)", capsys.readouterr().out).group(1)
+    assert json.loads((out / "verdict.json").read_text())["perturb"] == float(used) < 0.2
 
 
 def test_finite_identities_count(tmp_path):
@@ -390,6 +397,17 @@ def test_bounds_check_reads_nonfinite_values(tmp_path, capsys):
     assert "bounds row i=0 eps_le_2_3: observed nan" in capsys.readouterr().err
 
 
+def test_bounds_check_fails_just_past_the_gate(tmp_path, capsys):
+    # 6 b0^2 c0 is within 1e-12 of 2/3 here, but c0 is above the gate (1/9) b0^-2
+    b1, c1 = bounds.step_bounds(1.0, 0.11111111111112221)
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"i,b,c\n0,1.0,0.11111111111112221\n1,{b1!r},{c1!r}\n")
+    assert main(["bounds-check", "--trace", str(trace), "--out", str(tmp_path / "o")]) == 1
+    assert "bounds row i=0 eps_le_2_3" in capsys.readouterr().err
+    row = "0,eps_le_2_3,0.6666666666666666,0.6666666666667332,false"
+    assert row in (tmp_path / "o" / "bounds_check.csv").read_text().splitlines()
+
+
 def test_bounds_check_needs_trace(capsys):
     assert main(["bounds-check"]) == 2
     assert "trace" in capsys.readouterr().err
@@ -449,6 +467,7 @@ def test_finite_iterate_exact_rep_from_files(tmp_path, rng):
     out = tmp_path / "out"
     run_ok(["run", "--config", cfg, "--out", str(out)])
     assert_converged_at_zero(out)
+    assert json.loads((out / "verdict.json").read_text())["perturb"] is None
 
 
 def test_bounds_check_kind_still_needs_two_rows(tmp_path, capsys):

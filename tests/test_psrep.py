@@ -442,3 +442,4 @@ def test_gate_holds_edges():
     assert not gate_holds(0.0, 0.0)
     assert not gate_holds(1e300, 0.0)  # b^2 overflows
     assert not gate_holds(np.float64(1e300), 0.0)
+    assert not gate_holds(np.inf, 0.0)  # 0.0 <= (1/9) / inf would pass
