@@ -13,14 +13,16 @@ quadratically; iterating it converges to a representation.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .bounds import closed_envelope, gate_holds, step_bounds, within
-from .groupoid import CompositionTables, write_json, write_lines
+from . import psrep
+from .groupoid import CompositionTables, FiniteGroupoid, write_json, write_lines
 from .haar import HaarSystem
 from .psrep import (
     NonInvertible,
@@ -37,7 +39,6 @@ from .psrep import (
     invert_stacks,
     is_nearly_multiplicative,
     max_norm,
-    sample_chunks,
 )
 
 
@@ -45,12 +46,14 @@ class GatePrecondition(ValueError):
     """One-step estimates require c < 1 on every orbit."""
 
 
-def fiber_sum(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum over j of w[:, j] * terms[..., :, j, :, :], added from zero one fiber position
-    at a time; ``terms`` may carry leading sample axes."""
-    acc = np.zeros(terms.shape[:-3] + terms.shape[-2:])
-    for j in range(terms.shape[-3]):
-        acc = acc + w[:, j, None, None] * terms[..., j, :, :]
+def fiber_sum(first: np.ndarray, F: int, term: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The sum over j < F of term(first + j), added from zero one fiber position at a time.
+
+    ``first`` holds the first averaging triple of each row of a block, so ``first + j`` are
+    the rows' j-th triples; ``term`` gives their weighted terms, with any sample axes."""
+    acc = 0.0
+    for j in range(F):
+        acc = acc + term(first + j)
     return acc
 
 
@@ -75,10 +78,9 @@ def _average(st: Stacks, T: CompositionTables, nu: HaarSystem) -> tuple[Stacks, 
     w = nu.array
     inv = invert_stacks(st)
     out = st.empty_like()
-    for g, F in blocks(st.group, width=T.row_len):
-        t = T.row_start[g][:, None] + np.arange(F)
-        k = T.avg_k[t]
-        out.put(g, fiber_sum(w[k], st.take(T.avg_gk[t]) @ inv.take(k)))
+    for g, _ in blocks(st.group, T.row_len):
+        out.put(g, fiber_sum(T.row_start[g], T.row_len[g[0]], lambda t: w[T.avg_k[t], None, None]
+                             * (st.take(T.avg_gk[t]) @ inv.take(T.avg_k[t]))))
     return out, inv
 
 
@@ -107,22 +109,29 @@ def verify_fundamental_identities(
     below 1e-12 * (1 + b)^3.
 
     Given samples on one groupoid, with the same fiber dimensions, returns one
-    report per sample.  They are checked together, in the runs of
-    :func:`sample_chunks`, and each report has the bits of a check of its sample
-    alone.  A run that raises is checked again one sample at a time, so the error
-    is the first failing sample's.
+    report per sample.  They are checked together, in runs of :func:`identity_run`
+    samples, and each report has the bits of a check of its sample alone.  A run
+    that raises is checked again one sample at a time, so the error is the first
+    failing sample's.
     """
     if isinstance(reps, PseudoRep):
         return _identities([reps], nu)[0]
-    T, reports = nu.groupoid.tables, []
-    for run in sample_chunks(reps, int(T.row_len[T.pair_g1].sum())):
+    it, step, reports = iter(reps), identity_run(nu.groupoid), []
+    while run := list(itertools.islice(it, step)):
         try:
             reports += _identities(run, nu)
         except Exception:
             for rep in run:
                 _identities([rep], nu)
             raise
+        del run  # before the next run is drawn
     return reports
+
+
+def identity_run(G: FiniteGroupoid) -> int:
+    """How many samples on G :func:`verify_fundamental_identities` checks at once: a pass
+    gathers at most one matrix per averaging triple and sample, BLOCK_TERMS in all."""
+    return max(1, psrep.BLOCK_TERMS // max(1, len(G.tables.avg_g)))
 
 
 def _identities(reps: Sequence[PseudoRep], nu: HaarSystem) -> list[IdentityReport]:
@@ -138,30 +147,40 @@ def _identities(reps: Sequence[PseudoRep], nu: HaarSystem) -> list[IdentityRepor
 
     # first identity; mean[g] is the Haar mean of Delta(gk, k) over k
     mean = st.empty_like()
-    for g, F in blocks(st.group, width=T.row_len):
-        t = T.row_start[g][:, None] + np.arange(F)
-        mean.put(g, fiber_sum(w[T.avg_k[t]], D.take(t)))
+    for g, _ in blocks(st.group, T.row_len):
+        mean.put(g, fiber_sum(T.row_start[g], T.row_len[g[0]],
+                              lambda t: w[T.avg_k[t], None, None] * D.take(t)))
     res_a = max_norm(
         bundle,
         lambda g, _: (avg.take(g) - st.take(g) - mean.take(g), T.src[g], T.tgt[g]),
         st.group,
     )[0]
 
-    # second identity; for k in the fiber, t1 holds (g1, k, g1k) and t2 holds
-    # (g2, g1k, g2g1k), so D at t2 @ D at t1 is Delta(g2g1k, g1k) Delta(g1k, k)
-    def second(p: np.ndarray, F: int):
-        g2, g1 = T.pair_g2[p], T.pair_g1[p]
+    # second identity over the pairs (g2, g1) through x, one product per object x.  With
+    # h = g1 k over the fiber of x, single - left mean is the sum over h of Delta(g2 h, h)
+    # times w(g1^-1 h) (Delta(h, g1^-1 h) - mean(g1)): row g2 of A_x (D's rows of the g2
+    # with source x) times column g1 of B_x.  Maps in an orbit are square of one size d.
+    def second(g1: np.ndarray, F: int):
         t1 = T.row_start[g1][:, None] + np.arange(F)
-        t2 = T.row_start[g2][:, None] + T.fiber_pos[T.avg_gk[t1]]
-        wk = w[T.avg_k[t1]]
-        left = D.take(t2)
-        lhs = avg.take(T.pair_g21[p]) - avg.take(g2) @ avg.take(g1)
-        single = fiber_sum(wk, left @ D.take(t1))
-        return lhs - (single - fiber_sum(wk, left) @ mean.take(g1)), T.src[g1], T.tgt[g2]
+        at_h = np.empty_like(t1)  # at_h[c, j]: the triple (g1, k, g1 k) of column c with g1 k j-th
+        np.put_along_axis(at_h, T.fiber_pos[T.avg_gk[t1]], t1, axis=1)
+        B = w[T.avg_k[at_h]][..., None, None] * (D.take(at_h) - mean.take(g1)[:, :, None])
+        S, n1, _, d, _ = B.shape
+        B = B.transpose(0, 2, 3, 1, 4).reshape(S, F * d, n1 * d)
+        rows, res = np.flatnonzero(T.src == T.tgt[g1[0]]), []
+        for r, _ in blocks(np.zeros(len(rows), dtype=np.intp), width=F):
+            g2 = rows[r]
+            A = D.take(T.row_start[g2][:, None] + np.arange(F)).transpose(0, 1, 3, 2, 4)
+            P = A.reshape(S, len(g2) * d, F * d) @ B
+            del A  # its gather is not held while the residual is built
+            R = avg.take(T.table[g2[:, None], g1])
+            R -= avg.take(g2)[:, :, None] @ avg.take(g1)[:, None]
+            R -= P.reshape(S, len(g2), d, n1, d).transpose(0, 1, 3, 2, 4)
+            res.append(R.reshape(S, -1, d, d))
+        R = res[0] if len(res) == 1 else np.concatenate(res, axis=-3)
+        return R, np.tile(T.src[g1], len(rows)), np.repeat(T.tgt[rows], n1)
 
-    res_b = max_norm(
-        bundle, second, st.group[T.pair_g2], st.group[T.pair_g1], width=T.row_len[T.pair_g1]
-    )[0]
+    res_b = max_norm(bundle, second, T.tgt, width=np.diff(T.fiber_start)[T.tgt])[0]
 
     bs = np.max(arrow_norms_by_orbit(bundle, st, T), axis=0).tolist()
     # tol from Python floats: numpy's power can differ in the last ulp

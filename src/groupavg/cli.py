@@ -199,7 +199,9 @@ def kind_finite_identities(p: dict) -> list[str]:
     nu = counting_haar(G)
     lines = ["i,residual_a,residual_b,tol,pass"]
     failures = []
-    reps = (presets.random_pseudorep(G, rng) for _ in range(count))
+    run = averaging.identity_run(G)
+    reps = (rep for n in range(0, count, run)
+            for rep in presets.random_pseudorep(G, rng, count=min(run, count - n)))
     for i, r in enumerate(averaging.verify_fundamental_identities(reps, nu)):
         lines.append(f"{i},{r.residual_a!r},{r.residual_b!r},{r.tol!r},{str(r.ok).lower()}")
         if not r.ok:
@@ -252,7 +254,7 @@ def kind_circle_iterate(p: dict) -> list[str]:
     out = ensure_out(p)
     rng = np.random.default_rng(p["seed"])
     _, lam_star = circle.from_profile(default_profile(p), p["N"], p["k"])
-    noise = presets.smooth_torus_field(rng, p["N"], p["k"])
+    noise = presets.smooth_torus_field(rng, p["N"])
     noise[0, :] = 0.0  # keep the unit row exact
 
     def make(scale: float) -> circle.TorusGridFn:
@@ -305,7 +307,7 @@ def kind_group_bundle(p: dict) -> list[str]:
     lines = ["i,max_abs_average,tol,pass"]
     failures = []
     for i in range(count):
-        X = circle.TorusGridFn(presets.smooth_torus_field(rng, p["N"], p["k"]), p["k"])
+        X = circle.TorusGridFn(presets.smooth_torus_field(rng, p["N"]), p["k"])
         avg = circle.group_bundle_average(X)
         worst = float(np.abs(avg.values).max())
         ok = worst <= 1e-13

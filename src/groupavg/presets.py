@@ -118,13 +118,22 @@ def z2_example_rep(rng: np.random.Generator, dim: int = 2) -> tuple[FiniteGroupo
 
 
 def random_pseudorep(
-    G: FiniteGroupoid, rng: np.random.Generator, dim: int = 2, metrics: bool = False
-) -> PseudoRep:
+    G: FiniteGroupoid, rng: np.random.Generator, dim: int = 2, metrics: bool = False,
+    count: int | None = None,
+) -> PseudoRep | list[PseudoRep]:
     """Invertible pseudo-representation: every arrow an independent conditioned
-    matrix with singular values in [0.5, 1.5] (units included, so generally not unital)."""
+    matrix with singular values in [0.5, 1.5] (units included, so generally not unital).
+
+    With ``count``, a list of that many, equal to as many single draws in turn; without
+    metrics they share one bundle, and one :func:`conditioned` call draws all their maps.
+    """
+    if count is not None and metrics:
+        return [random_pseudorep(G, rng, dim, metrics) for _ in range(count)]
     mets = [random_spd(rng, dim) for _ in range(G.n_objects)] if metrics else []
     bundle = FiberBundle([dim] * G.n_objects, mets)
-    return PseudoRep(G, bundle, list(conditioned(rng, dim, 0.5, 1.5, G.n_arrows)))
+    maps = conditioned(rng, dim, 0.5, 1.5, (1 if count is None else count) * G.n_arrows)
+    reps = [PseudoRep(G, bundle, list(m)) for m in maps.reshape(-1, G.n_arrows, dim, dim)]
+    return reps if count is not None else reps[0]
 
 
 def perturb_rep(rep: PseudoRep, rng: np.random.Generator, delta: float) -> PseudoRep:
@@ -191,7 +200,7 @@ def gated_perturbation(
     return rescale_to_gate(make, lambda cand: (b_norm(cand), c_norm(cand)), delta)[:2]
 
 
-def smooth_torus_field(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
+def smooth_torus_field(rng: np.random.Generator, N: int) -> np.ndarray:
     """Random real trigonometric polynomial of degree <= 3 on the N x N torus, over 16:
     the constant term, then a cos and a sin coefficient for each mode (m, n) in row
     order, all uniform in [-1, 1]."""

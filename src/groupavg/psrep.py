@@ -18,9 +18,8 @@ difference cocycle  Delta(g, h) = lambda_g lambda_h^(-1) - lambda_{g h^(-1)}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -100,7 +99,7 @@ class Stacks:
         return int(gi.flat[0])
 
     def take(self, idx: np.ndarray) -> np.ndarray:
-        return self.arrays[self._group_of(idx)][..., self.pos[idx], :, :]
+        return np.take(self.arrays[self._group_of(idx)], self.pos[idx], axis=-3)
 
     def put(self, idx: np.ndarray, values: np.ndarray) -> None:
         self.arrays[self._group_of(idx)][..., self.pos[idx], :, :] = values
@@ -131,18 +130,6 @@ def blocks(*key: np.ndarray, width: np.ndarray | int = 1) -> Iterator[tuple[np.n
         step = max(1, BLOCK_TERMS // max(1, F))
         for s in range(0, len(items), step):
             yield items[s : s + step], F
-
-
-def sample_chunks(samples: Iterable, terms: int) -> Iterator[list]:
-    """Take samples in order, in runs of at most BLOCK_TERMS // terms (at least one),
-    where ``terms`` is the most terms one sample gathers in a pass.
-
-    A block over a run then gathers at most BLOCK_TERMS terms in all, and only one
-    run of an iterator's samples is held at a time.
-    """
-    step, it = max(1, BLOCK_TERMS // max(1, terms)), iter(samples)
-    while run := list(itertools.islice(it, step)):
-        yield run
 
 
 def matrix_json(M: np.ndarray) -> dict:
@@ -270,22 +257,46 @@ class SampleBundles:
 
 
 def metric_norms(
-    bundle: FiberBundle | SampleBundles, M: np.ndarray, src: np.ndarray, dst: np.ndarray
+    bundle: FiberBundle | SampleBundles, M: np.ndarray, src: np.ndarray, dst: np.ndarray,
+    floor: np.ndarray | float | None = None,
 ) -> np.ndarray:
     """Metric norms of stacked maps: ``M[..., i, :, :]`` maps the fiber over ``src[i]``
     to the fiber over ``dst[i]``; its norm is the largest singular value of
     ``phi_dst^(1/2) M[i] phi_src^(-1/2)``.  Leading sample axes of ``M`` go with a
     :class:`SampleBundles`.  A map with a non-finite entry, e.g. an overflowed
-    defect, has no finite norm: it reads inf."""
+    defect, has no finite norm: it reads inf.
+
+    With ``floor`` (a running maximum, one per sample), returns instead the largest of
+    ``floor`` and the norms along the item axis, with the bits of the full maximum: a norm
+    is at most the Frobenius norm, so the SVD runs only on the maps whose Frobenius norm
+    reaches the largest norm found so far.
+    """
     r, c = M.shape[-2:]
     if r == 0 or c == 0:
-        return np.zeros(M.shape[:-2])
+        zeros = np.zeros(M.shape[:-2])
+        return zeros if floor is None else np.maximum(floor, zeros.max(axis=-1))
     roots, _, at_dst = bundle.factor_stack(r)
     _, inv_roots, at_src = bundle.factor_stack(c)
-    X = roots[..., at_dst[dst], :, :] @ M @ inv_roots[..., at_src[src], :, :]
+    X = np.take(roots, at_dst[dst], axis=-3) @ M @ np.take(inv_roots, at_src[src], axis=-3)
     finite = np.isfinite(X).all(axis=(-2, -1))
-    s = np.linalg.svd(np.where(finite[..., None, None], X, 0.0), compute_uv=False)[..., 0]
-    return np.where(finite, s, np.inf)
+    X[~finite] = 0.0
+
+    def top_sv(keep):  # the largest singular value of each kept map, inf where not finite
+        return np.where(finite[keep], np.linalg.svd(X[keep], compute_uv=False)[..., 0], np.inf)
+
+    if floor is None:
+        return top_sv(...)
+    # scaled by its largest entry, a map's squares neither underflow nor overflow
+    peak = np.abs(X).max(axis=(-2, -1))
+    unit = X / np.where(peak > 0, peak, 1.0)[..., None, None]
+    bound = np.where(finite, peak * np.sqrt(np.square(unit, out=unit).sum(axis=(-2, -1))), np.inf)
+    top = bound == bound.max(axis=-1, keepdims=True)
+    s = np.zeros(bound.shape)
+    s[top] = top_sv(top)
+    low = np.maximum(floor, s.max(axis=-1))
+    keep = ~top & (bound >= low[..., None] * (1.0 - 1e-12))
+    s[keep] = top_sv(keep)
+    return np.maximum(low, s.max(axis=-1))
 
 
 def operator_norm(
@@ -316,7 +327,7 @@ def max_norm(bundle: FiberBundle | SampleBundles, part, *key: np.ndarray,
     worst = [np.float64(0.0)] * n_orbits
     for items, F in blocks(*(orbit, *key) if split else key, width=width):
         o = int(orbit[items[0]]) if split else 0
-        worst[o] = np.maximum(worst[o], metric_norms(bundle, *part(items, F)).max(axis=-1))
+        worst[o] = metric_norms(bundle, *part(items, F), worst[o])
     return [w.tolist() for w in worst]
 
 
@@ -477,8 +488,9 @@ def cocycles(st: Stacks, inv: Stacks, T: CompositionTables) -> Stacks:
     g = ``T.avg_g[t]``.
     """
     D = st.empty_like(st.group[T.avg_g])
-    for t, _ in blocks(D.group):
-        D.put(t, cocycle(st.take(T.avg_gk[t]), inv.take(T.avg_k[t]), st.take(T.div_q[t])))
+    for g, _ in blocks(st.group, T.row_len):
+        for t in T.row_start[g] + np.arange(T.row_len[g[0]])[:, None]:
+            D.put(t, cocycle(st.take(T.avg_gk[t]), inv.take(T.avg_k[t]), st.take(T.div_q[t])))
     return D
 
 

@@ -203,7 +203,7 @@ def test_criterion_8_group_bundle_annihilation():
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)
     for i in range(20):
-        X = TorusGridFn(presets.smooth_torus_field(rng, 64, 1), 1)
+        X = TorusGridFn(presets.smooth_torus_field(rng, 64), 1)
         worst = float(np.abs(group_bundle_average(X).values).max())
         assert worst <= 1e-13, f"sample {i}: {worst:.3e}"
     assert time.perf_counter() - t0 < 1.0

@@ -3,7 +3,9 @@
 The oracles below are the straightforward loops the batched code replaced: one
 ``G.mul``, one matmul and one svd per term, summing in ascending arrow id.
 The batched kernels keep that summation order, so the results must be equal
-with ``==``, not merely close.
+with ``==``, not merely close.  The one exception is the second identity's
+residual: its Haar sums run as one matrix product per object, so it is held to
+1e-3 of its tolerance.
 """
 
 import numpy as np
@@ -145,7 +147,10 @@ def assert_kernels_match(rep, nu):
         assert np.array_equal(got.maps[g], want.maps[g]), f"arrow {g}"
     assert c_norm(rep) == loop_c_norm(rep)
     r = verify_fundamental_identities(rep, nu)
-    assert (r.residual_a, r.residual_b, r.b, r.tol) == loop_identities(rep, nu)
+    res_a, res_b, b, tol = loop_identities(rep, nu)
+    assert (r.residual_a, r.b, r.tol) == (res_a, b, tol)
+    # the second identity sums by one matrix product per object, not in the loop's order
+    assert abs(r.residual_b - res_b) <= 1e-3 * tol
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

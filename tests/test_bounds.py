@@ -97,6 +97,17 @@ def test_gate_boundary_pair_passes_the_envelope():
     assert envelope_failures(b0, c0, [r.c for r in trace.rows]) == []
 
 
+def test_gate_holds_where_b_squared_underflows():
+    """A subnormal b0, as a corrupted trace may hold, is a failed hypothesis, not a crash."""
+    b0 = 2.225073858507203e-309
+    assert gate_holds(b0, 0.01) and not gate_holds(b0, math.nan)
+    report = check_quadratic_decay([b0, 1.0], [0.01, 0.0])
+    assert not report.hypothesis_ok
+    assert [r.ok for r in report.rows[:2]] == [False, True]  # b0_ge_1 fails, eps_le_2_3 holds
+    with pytest.raises(GateViolation):
+        envelope(b0, 0.01, 3)
+
+
 @settings(max_examples=300)
 @given(b=st.floats(1.0, 4.0), ulps=st.integers(-4, 4))
 def test_envelope_raises_exactly_where_the_gate_fails(b, ulps):

@@ -118,7 +118,7 @@ def test_multiplicative_effect_has_tiny_residual():
 
 def test_residual_brute_force_triples(rng):
     N, k = 16, 2
-    V = 1.0 + 0.1 * presets.smooth_torus_field(rng, N, k)
+    V = 1.0 + 0.1 * presets.smooth_torus_field(rng, N)
     L = TorusGridFn(V, k)
     worst = 0.0
     for lp in range(N):
@@ -138,7 +138,7 @@ def test_residual_brute_force_triples(rng):
 
 def test_connection_and_effect_residuals_correspond(rng):
     N, k = 32, 2
-    X = TorusGridFn(0.05 * presets.smooth_torus_field(rng, N, k), k)
+    X = TorusGridFn(0.05 * presets.smooth_torus_field(rng, N), k)
     L = effect_from_connection(X)
     res_c, _ = multiplicativity_residual(L)
     assert res_c == pytest.approx(k * connection_residual(X), rel=1e-10, abs=1e-13)
@@ -146,7 +146,7 @@ def test_connection_and_effect_residuals_correspond(rng):
 
 def test_connection_effect_roundtrip(rng):
     N, k = 16, 3
-    X = TorusGridFn(0.2 * presets.smooth_torus_field(rng, N, k), k)
+    X = TorusGridFn(0.2 * presets.smooth_torus_field(rng, N), k)
     back = connection_from_effect(effect_from_connection(X))
     assert float(np.abs(back.values - X.values).max()) <= 1e-15
     assert back.twist == k
@@ -188,7 +188,7 @@ def test_group_bundle_average_annihilates(rng):
     X = TorusGridFn(np.sin(2 * np.pi * th) * np.cos(2 * np.pi * a), 1)
     out = group_bundle_average(X)
     assert float(np.abs(out.values).max()) <= 1e-14
-    Y = TorusGridFn(presets.smooth_torus_field(rng, N, 1), 1)
+    Y = TorusGridFn(presets.smooth_torus_field(rng, N), 1)
     assert float(np.abs(group_bundle_average(Y).values).max()) <= 1e-13
     Z = TorusGridFn(np.zeros((N, N)), 1)
     assert np.all(group_bundle_average(Z).values == 0.0)
@@ -292,7 +292,7 @@ def test_profile_twist_orbit_escapes_monotonically():
 
 
 def test_grid_csv_roundtrip(tmp_path, rng):
-    F = TorusGridFn(presets.smooth_torus_field(rng, 16, 2), 2)
+    F = TorusGridFn(presets.smooth_torus_field(rng, 16), 2)
     path = tmp_path / "grid.csv"
     save_grid_csv(F, str(path))
     assert path.read_text().splitlines()[0] == "16,2"

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupavg import bounds, circle, cli
+from groupavg import averaging, bounds, circle, cli
 from groupavg.circle import CircleProfile, save_profile_csv
 from groupavg.cli import main
 from groupavg.groupoid import action_groupoid
@@ -198,6 +198,22 @@ def test_finite_identities_count(tmp_path):
     assert lines[0] == "i,residual_a,residual_b,tol,pass"
     assert len(lines) == 6
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_finite_identities_runs_equal_single_samples(tmp_path):
+    """Drawn and checked a run at a time, the samples' rows equal those of samples drawn
+    and checked one at a time; 40 samples cross the end of the first 37-sample run."""
+    out = tmp_path / "out"
+    run_ok(["run", "finite_identities", "--seed", "3", "--count", "40", "--out", str(out)])
+    rng = np.random.default_rng(3)
+    G = action_groupoid(presets.s3_action())
+    nu = counting_haar(G)
+    assert averaging.identity_run(G) == 37
+    want = ["i,residual_a,residual_b,tol,pass"]
+    for i in range(40):
+        r = averaging.verify_fundamental_identities(presets.random_pseudorep(G, rng), nu)
+        want.append(f"{i},{r.residual_a!r},{r.residual_b!r},{r.tol!r},{str(r.ok).lower()}")
+    assert (out / "identities.csv").read_text().splitlines() == want
 
 
 # -- run: circle kinds ----------------------------------------------------------------

@@ -5,12 +5,15 @@ the per-orbit gate and one-step estimates on restricted subgroupoids, the
 gather-built circle defect field, the sliced cocycle residual, the whole-field
 seminorm and the two residual loops it was streamed from, the np.roll rotation
 and group bundle averages, the two trace column formulas, the per-matrix random
-draws and the identity verifier of one sample at a time, kept verbatim in their
-old operation order.  Every comparison is exact, except that the one-step
+draws, the identity verifier of one sample at a time and the norm maximum with
+an SVD of every map, kept verbatim in their old operation order.  Every
+comparison is exact, except that the one-step
 estimates may move in the last ulp (the reference renormalizes the restricted
 Haar weights): the driver, the per-orbit gauges, the slice-built field, the
 streamed defect pass, the buffered averages, the bounds module, the batched
-draws and the identity check over a sample axis must reproduce them bit for bit.
+draws, the pruned norm maximum and the identity check over a sample axis must
+reproduce them bit for bit, except the second identity's residual: summed by one
+matrix product per object, it is held to 1e-3 of its tolerance.
 """
 
 import time
@@ -47,7 +50,7 @@ from groupavg.circle import (
     iterate_circle,
     multiplicativity_residual,
 )
-from groupavg.groupoid import FiniteGroupoid, action_groupoid
+from groupavg.groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, symmetric_group
 from groupavg.haar import counting_haar, restrict_haar
 from groupavg.psrep import (
     GATE_COEFF,
@@ -327,6 +330,29 @@ def max_norm_ref(bundle, part, *key, width=1):
     for items, F in psrep.blocks(*key, width=width):
         worst = max(worst, float(metric_norms_ref(bundle, *part(items, F)).max()))
     return worst
+
+
+def metric_norms_unpruned(bundle, M, src, dst):
+    """``psrep.metric_norms`` as it was before the pruned maximum: an SVD of every map."""
+    r, c = M.shape[-2:]
+    if r == 0 or c == 0:
+        return np.zeros(M.shape[:-2])
+    roots, _, at_dst = bundle.factor_stack(r)
+    _, inv_roots, at_src = bundle.factor_stack(c)
+    X = roots[..., at_dst[dst], :, :] @ M @ inv_roots[..., at_src[src], :, :]
+    finite = np.isfinite(X).all(axis=(-2, -1))
+    s = np.linalg.svd(np.where(finite[..., None, None], X, 0.0), compute_uv=False)[..., 0]
+    return np.where(finite, s, np.inf)
+
+
+def max_norm_unpruned(bundle, part, *key, width=1, orbit=None, n_orbits=1):
+    """``psrep.max_norm`` as it was before the pruned maximum."""
+    split = n_orbits > 1
+    worst = [np.float64(0.0)] * n_orbits
+    for items, F in psrep.blocks(*(orbit, *key) if split else key, width=width):
+        o = int(orbit[items[0]]) if split else 0
+        worst[o] = np.maximum(worst[o], metric_norms_unpruned(bundle, *part(items, F)).max(axis=-1))
+    return [w.tolist() for w in worst]
 
 
 def verify_identities_ref(rep, nu):
@@ -678,6 +704,15 @@ def report_fields(reports):
     return [(r.residual_a, r.residual_b, r.b, r.tol) for r in reports]
 
 
+def assert_reports_match_ref(got, want):
+    """``residual_a``, ``b`` and ``tol`` equal the reference's; ``residual_b`` is within
+    1e-3 of the tolerance, since the second identity sums by one matrix product per
+    object, not one fiber position at a time."""
+    assert [(r.residual_a, r.b, r.tol) for r in got] == [(r.residual_a, r.b, r.tol) for r in want]
+    for g, r in zip(got, want):
+        assert g.residual_b == r.residual_b or abs(g.residual_b - r.residual_b) <= 1e-3 * r.tol
+
+
 @pytest.mark.parametrize("block_terms", [psrep.BLOCK_TERMS, 100])
 @pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
 def test_batched_identities_equal_per_sample_checks(monkeypatch, case, block_terms):
@@ -685,14 +720,16 @@ def test_batched_identities_equal_per_sample_checks(monkeypatch, case, block_ter
     for seed in range(5):
         reps, nu = sample_case(case, seed)
         want = [verify_identities_ref(rep, nu) for rep in reps]
-        assert report_fields(verify_fundamental_identities(reps, nu)) == report_fields(want)
-        assert report_fields([verify_fundamental_identities(reps[3], nu)]) == report_fields(want[3:4])
+        got = verify_fundamental_identities(reps, nu)
+        assert_reports_match_ref(got, want)
+        assert report_fields([verify_fundamental_identities(reps[3], nu)]) == report_fields(got[3:4])
 
 
 def test_batched_identities_of_the_cli_samples(monkeypatch, s3_groupoid):
     """The 300 samples of ``run finite_identities --count 300 --seed 1``: every report equals
-    the per-sample check, tol included where numpy's power would move it by an ulp, and no
-    batched step holds more than BLOCK_TERMS matrices."""
+    the check of its sample alone and matches the per-sample reference, tol included where
+    numpy's power would move it by an ulp, and no batched step gathers more than BLOCK_TERMS
+    matrices."""
     rng = np.random.default_rng(1)
     reps = [presets.random_pseudorep(s3_groupoid, rng) for _ in range(300)]
     nu = counting_haar(s3_groupoid)
@@ -704,14 +741,24 @@ def test_batched_identities_of_the_cli_samples(monkeypatch, s3_groupoid):
             return fn(*args)
         return counted
 
+    take = psrep.Stacks.take
+
+    def counted_take(self, idx):
+        out = take(self, idx)
+        seen["terms"].append(out.shape[:-2])
+        return out
+
     monkeypatch.setattr(psrep, "metric_norms", spy("norms", psrep.metric_norms))
-    monkeypatch.setattr(averaging, "fiber_sum", spy("terms", averaging.fiber_sum))
+    monkeypatch.setattr(psrep.Stacks, "take", counted_take)
     got = verify_fundamental_identities(reps, nu)
     for shapes in seen.values():
         assert max(int(np.prod(shape)) for shape in shapes) <= psrep.BLOCK_TERMS
         assert max(shape[0] for shape in shapes) > 1  # a sample axis: the samples were batched
+    assert max(shape[0] for shape in seen["norms"]) == averaging.identity_run(s3_groupoid) == 37
+    monkeypatch.undo()
+    assert report_fields(got) == report_fields([verify_fundamental_identities(rep, nu) for rep in reps])
     want = [verify_identities_ref(rep, nu) for rep in reps]
-    assert report_fields(got) == report_fields(want)
+    assert_reports_match_ref(got, want)
     b = np.array([r.b for r in want])
     assert (1e-12 * (1.0 + b) ** 3 != np.array([r.tol for r in want])).any()
 
@@ -724,7 +771,7 @@ def test_overflowing_sample_leaves_the_others_bits(s3_groupoid):
     with np.errstate(over="ignore", invalid="ignore"):
         got = verify_fundamental_identities(reps, nu)
         want = [verify_identities_ref(rep, nu) for rep in reps]
-    assert report_fields(got) == report_fields(want)
+    assert_reports_match_ref(got, want)
     assert got[2].residual_b == np.inf and not got[2].ok
 
 
@@ -781,3 +828,152 @@ def test_samples_with_other_fiber_dimensions_are_named():
     with pytest.raises(ValueError, match="samples differ in fiber dimensions"):
         verify_fundamental_identities(reps + [line], nu)
     assert len(verify_fundamental_identities([line] * 2, nu)) == 2
+
+
+@pytest.mark.parametrize("metrics", [False, True])
+def test_random_pseudorep_count_equals_single_draws(s3_groupoid, metrics):
+    ours, ref = np.random.default_rng(12), np.random.default_rng(12)
+    assert presets.random_pseudorep(s3_groupoid, ours, dim=3, metrics=metrics, count=0) == []
+    got = presets.random_pseudorep(s3_groupoid, ours, dim=3, metrics=metrics, count=5)
+    for rep in got:
+        want = random_pseudorep_ref(s3_groupoid, ref, dim=3, metrics=metrics)
+        assert all(np.array_equal(a, b) for a, b in zip(rep.maps, want.maps))
+        assert all((a is None and b is None) or np.array_equal(a, b)
+                   for a, b in zip(rep.bundle.metrics, want.bundle.metrics))
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+# -- the pruned norm maximum against an SVD of every map ---------------------------------
+
+
+def norm_case(seed, samples, scales):
+    """Maps over four objects of dimension 2 with Gram metrics, in three orbits:
+    {0, 1}, {2} and {3}, which has no maps.  ``scales`` draws each map's scale."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    src = rng.integers(0, 3, n)
+    dst = np.where(src == 2, 2, rng.integers(0, 2, n))
+    lead = (samples,) if samples else ()
+    M = rng.standard_normal(lead + (n, 2, 2)) * scales(rng, lead + (n, 1, 1))
+    bundles = [FiberBundle([2] * 4, [presets.random_spd(rng, 2) for _ in range(4)])
+               for _ in range(max(samples, 1))]
+    bundle = psrep.SampleBundles(bundles) if samples else bundles[0]
+    return bundle, M, src, dst
+
+
+NORM_SCALES = {
+    "wide": lambda rng, shape: 10.0 ** rng.uniform(-170, 150, shape),
+    "tiny": lambda rng, shape: 10.0 ** rng.uniform(-170, -160, shape),
+    "near_ties": lambda rng, shape: 1.0 + 1e-13 * rng.integers(0, 3, shape),
+    "equal": lambda rng, shape: np.ones(shape),
+}
+
+
+def assert_pruned_max_equals_full(bundle, M, src, dst):
+    part = lambda items, _: (M[..., items, :, :], src[items], dst[items])  # noqa: E731
+    orbit = np.where(src == 2, 1, 0)
+    key = np.zeros(len(src), dtype=np.intp)
+    got = psrep.max_norm(bundle, part, key, orbit=orbit, n_orbits=3)
+    assert got == max_norm_unpruned(bundle, part, key, orbit=orbit, n_orbits=3)
+    assert got[2] == 0.0  # the orbit with no maps
+    assert np.array_equal(psrep.metric_norms(bundle, M, src, dst),
+                          metric_norms_unpruned(bundle, M, src, dst))
+    return got
+
+
+@pytest.mark.parametrize("block_terms", [psrep.BLOCK_TERMS, 7])
+@pytest.mark.parametrize("samples", [0, 3])
+@pytest.mark.parametrize("scales", sorted(NORM_SCALES))
+def test_pruned_max_norm_equals_full_svd(monkeypatch, scales, samples, block_terms):
+    """Per orbit and sample, and with each orbit's running maximum carried across blocks."""
+    monkeypatch.setattr(psrep, "BLOCK_TERMS", block_terms)
+    for seed in range(6):
+        assert_pruned_max_equals_full(*norm_case(seed, samples, NORM_SCALES[scales]))
+
+
+def test_pruned_max_norm_of_nonfinite_and_overflowing_maps():
+    bundle, M, src, dst = norm_case(0, 3, NORM_SCALES["wide"])
+    M[0, 5] = [[np.inf, 0.0], [0.0, 1.0]]
+    M[1, 6] = [[np.nan, 0.0], [0.0, 1.0]]
+    M[2, 7] = np.full((2, 2), 1.5e308)  # a Frobenius norm that overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = assert_pruned_max_equals_full(bundle, M, src, dst)
+    orbit = int(src[5] == 2)
+    assert got[orbit][0] == got[int(src[6] == 2)][1] == np.inf
+
+
+def test_pruned_max_norm_of_maps_whose_squares_underflow():
+    """A plain Frobenius norm of either map reads 0: its squares underflow."""
+    M = np.array([np.diag([1.0, 2.0]) * 1e-170, np.eye(2) * 3e-170])
+    bundle, at = FiberBundle([2]), np.zeros(2, dtype=np.intp)
+    got = psrep.max_norm(bundle, lambda i, _: (M[i], at[i], at[i]), at)
+    assert got == max_norm_unpruned(bundle, lambda i, _: (M[i], at[i], at[i]), at) == [3e-170]
+
+
+# -- the identity verifier's teeth and its blocks ----------------------------------------
+
+
+def faulty_average(fault):
+    """``averaging._average`` with one planted fault: a 1% error on one Haar weight,
+    the two factors in reverse order, or the fiber index of k shifted by one."""
+    def _average(st, T, nu):
+        w = nu.array.copy()
+        if fault == "weight":
+            w[3] *= 1.01
+        inv = psrep.invert_stacks(st)
+        out = st.empty_like()
+        for g, F in psrep.blocks(st.group, width=T.row_len):
+            t = T.row_start[g][:, None] + np.arange(F)
+            k, gk = T.avg_k[t], T.avg_gk[t]
+            if fault == "shift":
+                k = T.avg_k[T.row_start[g][:, None] + (np.arange(F) + 1) % F]
+            acc = 0.0
+            for j in range(F):
+                a, b = st.take(gk[:, j]), inv.take(k[:, j])
+                acc = acc + w[k[:, j], None, None] * (b @ a if fault == "reverse" else a @ b)
+            out.put(g, acc)
+        return out, inv
+    return _average
+
+
+@pytest.mark.parametrize("fault", ["weight", "reverse", "shift"])
+def test_each_planted_fault_trips_residual_b(monkeypatch, s3_groupoid, fault):
+    rng = np.random.default_rng(4)
+    reps = [presets.random_pseudorep(s3_groupoid, rng) for _ in range(5)]
+    nu = counting_haar(s3_groupoid)
+    assert all(r.residual_b <= r.tol for r in verify_fundamental_identities(reps, nu))
+    monkeypatch.setattr(averaging, "_average", faulty_average(fault))
+    assert all(r.residual_b > 1e6 * r.tol for r in verify_fundamental_identities(reps, nu))
+
+
+def s4_samples(n):
+    """n gated perturbations of the permutation-plane representation of the S4 action
+    groupoid, with conditioned frames and Gram metrics: 3-dimensional fibers, F = 24."""
+    rng = np.random.default_rng(5)
+    action = FiniteGroupAction(symmetric_group(4), list(range(4)), lambda p, u: p[u])
+    G = action_groupoid(action)
+    frames = [presets.conditioned(rng, 3, 0.8, 1.25) for _ in range(4)]
+    rep = presets.action_representation(action, G, presets.permutation_plane_rep(4), frames)
+    bundle = FiberBundle([3] * 4, [presets.random_spd(rng, 3) for _ in range(4)])
+    base = PseudoRep(G, bundle, rep.maps)
+    return [presets.gated_perturbation(base, rng, 1e-3)[0] for _ in range(n)], counting_haar(G)
+
+
+def test_identities_split_products_stay_within_block_terms(monkeypatch):
+    """With BLOCK_TERMS below F^2, the products per object split by rows and columns: no
+    gather exceeds BLOCK_TERMS, and the reports keep residual_a, b and tol."""
+    reps, nu = s4_samples(2)
+    want = verify_fundamental_identities(reps, nu)
+    assert all(r.ok for r in want)
+    monkeypatch.setattr(psrep, "BLOCK_TERMS", 100)
+    sizes, take = [], psrep.Stacks.take
+
+    def counted_take(self, idx):
+        out = take(self, idx)
+        sizes.append(int(np.prod(out.shape[:-2])))
+        return out
+
+    monkeypatch.setattr(psrep.Stacks, "take", counted_take)
+    got = verify_fundamental_identities(reps, nu)
+    assert max(sizes) <= 100
+    assert_reports_match_ref(got, want)
