@@ -40,13 +40,13 @@ class GateViolation(ValueError):
 def gate_holds(b: float, c: float, safety: float = 1.0) -> bool:
     """The near-multiplicativity gate  c <= safety (1/9) b^(-2); False at b = 0, at an
     infinite b, or when b^2 overflows (a numpy b too: its power would read inf, not raise).
-    Where b^2 underflows to 0 the bound is infinite, so any c but NaN passes."""
+    Where b^2 underflows to 0 the bound exceeds every float, so any finite c passes."""
     try:
         return 0 < b < math.inf and c <= safety * GATE_COEFF / float(b) ** 2
     except OverflowError:
         return False
     except ZeroDivisionError:
-        return c <= math.inf
+        return c < math.inf
 
 
 def within(observed: float, bound: float, floor: float = 0.0) -> bool:

@@ -124,11 +124,11 @@ def random_pseudorep(
     """Invertible pseudo-representation: every arrow an independent conditioned
     matrix with singular values in [0.5, 1.5] (units included, so generally not unital).
 
-    With ``count``, a list of that many, equal to as many single draws in turn; without
-    metrics they share one bundle, and one :func:`conditioned` call draws all their maps.
+    With ``count`` (and no metrics), a list of that many sharing one bundle, equal to as
+    many single draws in turn: one :func:`conditioned` call draws all their maps.
     """
     if count is not None and metrics:
-        return [random_pseudorep(G, rng, dim, metrics) for _ in range(count)]
+        raise ValueError("samples drawn together have no metrics")
     mets = [random_spd(rng, dim) for _ in range(G.n_objects)] if metrics else []
     bundle = FiberBundle([dim] * G.n_objects, mets)
     maps = conditioned(rng, dim, 0.5, 1.5, (1 if count is None else count) * G.n_arrows)

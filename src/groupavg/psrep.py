@@ -258,23 +258,22 @@ class SampleBundles:
 
 def metric_norms(
     bundle: FiberBundle | SampleBundles, M: np.ndarray, src: np.ndarray, dst: np.ndarray,
-    floor: np.ndarray | float | None = None,
+    floor: np.ndarray | float,
 ) -> np.ndarray:
-    """Metric norms of stacked maps: ``M[..., i, :, :]`` maps the fiber over ``src[i]``
-    to the fiber over ``dst[i]``; its norm is the largest singular value of
+    """The largest of ``floor`` (a running maximum, one per sample) and the metric norms
+    of stacked maps: ``M[..., i, :, :]`` maps the fiber over ``src[i]`` to the fiber over
+    ``dst[i]``; its norm is the largest singular value of
     ``phi_dst^(1/2) M[i] phi_src^(-1/2)``.  Leading sample axes of ``M`` go with a
     :class:`SampleBundles`.  A map with a non-finite entry, e.g. an overflowed
     defect, has no finite norm: it reads inf.
 
-    With ``floor`` (a running maximum, one per sample), returns instead the largest of
-    ``floor`` and the norms along the item axis, with the bits of the full maximum: a norm
-    is at most the Frobenius norm, so the SVD runs only on the maps whose Frobenius norm
-    reaches the largest norm found so far.
+    The result has the bits of an SVD of every map: a norm is at most the Frobenius norm,
+    so the SVD runs only on the maps whose Frobenius norm reaches the largest norm found
+    so far.
     """
     r, c = M.shape[-2:]
     if r == 0 or c == 0:
-        zeros = np.zeros(M.shape[:-2])
-        return zeros if floor is None else np.maximum(floor, zeros.max(axis=-1))
+        return np.maximum(floor, np.zeros(M.shape[:-2]).max(axis=-1))
     roots, _, at_dst = bundle.factor_stack(r)
     _, inv_roots, at_src = bundle.factor_stack(c)
     X = np.take(roots, at_dst[dst], axis=-3) @ M @ np.take(inv_roots, at_src[src], axis=-3)
@@ -284,8 +283,6 @@ def metric_norms(
     def top_sv(keep):  # the largest singular value of each kept map, inf where not finite
         return np.where(finite[keep], np.linalg.svd(X[keep], compute_uv=False)[..., 0], np.inf)
 
-    if floor is None:
-        return top_sv(...)
     # scaled by its largest entry, a map's squares neither underflow nor overflow
     peak = np.abs(X).max(axis=(-2, -1))
     unit = X / np.where(peak > 0, peak, 1.0)[..., None, None]
@@ -310,7 +307,7 @@ def operator_norm(
     """
     M = np.asarray(A, dtype=float)
     bundle = FiberBundle(dims=[M.shape[1], M.shape[0]], metrics=[phi_src, phi_dst])
-    return float(metric_norms(bundle, M[None], np.array([0]), np.array([1]))[0])
+    return float(metric_norms(bundle, M[None], np.array([0]), np.array([1]), 0.0))
 
 
 def max_norm(bundle: FiberBundle | SampleBundles, part, *key: np.ndarray,

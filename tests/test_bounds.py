@@ -101,9 +101,12 @@ def test_gate_holds_where_b_squared_underflows():
     """A subnormal b0, as a corrupted trace may hold, is a failed hypothesis, not a crash."""
     b0 = 2.225073858507203e-309
     assert gate_holds(b0, 0.01) and not gate_holds(b0, math.nan)
+    assert not gate_holds(b0, math.inf)  # b0^-2 is finite, so an infinite c is outside
     report = check_quadratic_decay([b0, 1.0], [0.01, 0.0])
     assert not report.hypothesis_ok
     assert [r.ok for r in report.rows[:2]] == [False, True]  # b0_ge_1 fails, eps_le_2_3 holds
+    report = check_quadratic_decay([b0, 1.0], [math.inf, 0.0])
+    assert [r.ok for r in report.rows[:2]] == [False, False]  # eps = 6 * 0 * inf fails too
     with pytest.raises(GateViolation):
         envelope(b0, 0.01, 3)
 
