@@ -1,9 +1,10 @@
 """Finite groupoids with explicit composition tables.
 
 Arrows are dense integer ids 0..n_arrows-1.  Objects carry arbitrary hashable
-labels and are addressed by position.  Composition is a partial table:
-``compose[(g2, g1)] = g2g1`` is defined exactly when ``src(g2) == tgt(g1)``
-(first apply g1, then g2).
+labels and are addressed by position.  Composition is a partial table held as
+rows: ``compose`` is a read-only ``(e, 3)`` int64 array with one row
+``(g2, g1, g2g1)`` per listed pair, and a pair is defined exactly when
+``src(g2) == tgt(g1)`` (first apply g1, then g2).
 """
 
 from __future__ import annotations
@@ -98,17 +99,20 @@ class ValidationReport:
 class FiniteGroupoid:
     """A finite groupoid given by explicit source/target/compose/unit/inverse tables.
 
-    Construction does not validate the axioms; call :meth:`validate` to get a
-    report listing every violation (corrupted tables are data, not errors).
+    ``compose`` rows are held as :func:`compose_rows` makes them.  Construction does not
+    validate the axioms; :meth:`validate` reports every violation (corrupted tables are data).
     """
 
     objects: list[Hashable]
     src: list[int]
     tgt: list[int]
-    compose: dict[tuple[int, int], int]
+    compose: np.ndarray
     unit: list[int]
     inverse: list[int]
     arrow_labels: list[Hashable] | None = None
+
+    def __post_init__(self) -> None:
+        self.compose = compose_rows(self.compose)
 
     @property
     def n_objects(self) -> int:
@@ -138,11 +142,27 @@ class FiniteGroupoid:
         return int(T.table[g2, g1])
 
     @cached_property
+    def composition_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(table, defined)``, read-only and built once: ``table[g2, g1]`` is the composite
+        that a row of :attr:`compose` gives the pair (g2, g1) of arrow ids, where
+        ``defined[g2, g1]``.  A composite may be any int64, so a mask marks the undefined pairs."""
+        m = self.n_arrows
+        keys = self.compose[:, :2]
+        g2, g1, g21 = self.compose[((0 <= keys) & (keys < m)).all(axis=1)].T
+        table = np.zeros((m, m), dtype=np.int64)
+        defined = np.zeros((m, m), dtype=bool)
+        table[g2, g1] = g21
+        defined[g2, g1] = True
+        table.flags.writeable = defined.flags.writeable = False
+        return table, defined
+
+    @cached_property
     def tables(self) -> "CompositionTables":
         """Integer index tables over the composition, built on first use.
 
-        The tables are a snapshot: built once per instance from the tables as
-        they stand then.  :meth:`validate` never reads them.
+        The tables are a snapshot: built once per instance from
+        :attr:`composition_table` and the source, target and inverse lists as
+        they stand then.  :meth:`validate` reads the same composition table.
         """
         return CompositionTables.build(self)
 
@@ -151,9 +171,9 @@ class FiniteGroupoid:
     def validate(self) -> ValidationReport:
         """Check every groupoid axiom; one report row per violation.
 
-        Reads a :func:`composition_table` built afresh from the tables as they
-        stand.  Rows come as: compose entries in dict order, missing pairs (g1,
-        then g2), unit laws by (object, arrow), associativity by (g2, g3, g1),
+        Reads :attr:`composition_table`, and the other tables as they stand.
+        Rows come as: compose entries in row order, missing pairs (g1, then
+        g2), unit laws by (object, arrow), associativity by (g2, g3, g1),
         inverses, then units that are not their own inverse.
         """
         rep = ValidationReport()
@@ -188,21 +208,20 @@ class FiniteGroupoid:
             dupes = [e for e in set(self.unit) if self.unit.count(e) > 1]
             rep.add("unit", tuple(dupes), f"unit arrows shared between objects: {dupes}")
 
-        entries, T, defined = composition_table(self.compose, m)
-        keys = list(self.compose)
+        T, defined = self.composition_table
         src, tgt, unit, inverse = (np.asarray(a, dtype=np.intp)
                                    for a in (self.src, self.tgt, self.unit, self.inverse))
         ids = np.arange(m)
 
         # composition domain: defined iff source matches target
-        known = ((0 <= entries) & (entries < m)).all(axis=1)
-        g2, g1, g21 = np.where(known, entries.T, 0)
+        known = ((0 <= self.compose) & (self.compose < m)).all(axis=1)
+        g2, g1, g21 = np.where(known, self.compose.T, 0)
         off = src[g2] != tgt[g1]
         ends = (src[g21] != src[g1]) | (tgt[g21] != tgt[g2])
         for i in np.flatnonzero(~known | off | ends).tolist():
-            a2, a1, a21 = entries[i].tolist()
+            a2, a1, a21 = self.compose[i].tolist()
             if not known[i]:
-                rep.add("compose", keys[i], "composition entry references unknown arrow")
+                rep.add("compose", (a2, a1), "composition entry references unknown arrow")
             elif off[i]:
                 rep.add("compose", (a2, a1), f"compose defined on non-composable pair ({a2},{a1})")
             else:
@@ -223,9 +242,9 @@ class FiniteGroupoid:
             left = (tgt == x) & defined[e, :] & (T[e, :] != ids)
             for g in np.flatnonzero(right | left).tolist():
                 if right[g]:
-                    rep.add("unit", (g, e), f"right unit law fails: {g}*1_{x} = {self.compose[g, e]}")
+                    rep.add("unit", (g, e), f"right unit law fails: {g}*1_{x} = {T[g, e]}")
                 if left[g]:
-                    rep.add("unit", (e, g), f"left unit law fails: 1_{x}*{g} = {self.compose[e, g]}")
+                    rep.add("unit", (e, g), f"left unit law fails: 1_{x}*{g} = {T[e, g]}")
 
         # one block per middle arrow g2: g3 leaves tgt g2 and g1 arrives at src g2
         leaving = [np.flatnonzero(src == x) for x in range(n)]
@@ -241,8 +260,7 @@ class FiniteGroupoid:
                 rep.add(
                     "assoc",
                     (int(g3[i]), b2, int(g1[j])),
-                    f"associativity fails at ({g3[i]},{b2},{g1[j]}): "
-                    f"{self.compose[g3[i], g21[j]]} != {self.compose[g32[i], g1[j]]}",
+                    f"associativity fails at ({g3[i]},{b2},{g1[j]}): {left[i, j]} != {right[i, j]}",
                 )
 
         swap = (src[inverse] != tgt) | (tgt[inverse] != src)
@@ -305,18 +323,16 @@ class FiniteGroupoid:
         keep_obj = sorted(want)
         obj_new = {x: i for i, x in enumerate(keep_obj)}
         kept = [g for g in self.arrows() if self.src[g] in want]
-        arr_new = {g: i for i, g in enumerate(kept)}
+        arr_new = np.full(self.n_arrows, -1)
+        arr_new[kept] = np.arange(len(kept))
+        rows = arr_new[self.compose]
         sub = FiniteGroupoid(
             objects=[self.objects[x] for x in keep_obj],
             src=[obj_new[self.src[g]] for g in kept],
             tgt=[obj_new[self.tgt[g]] for g in kept],
-            compose={
-                (arr_new[g2], arr_new[g1]): arr_new[g21]
-                for (g2, g1), g21 in self.compose.items()
-                if g2 in arr_new and g1 in arr_new
-            },
-            unit=[arr_new[self.unit[x]] for x in keep_obj],
-            inverse=[arr_new[self.inverse[g]] for g in kept],
+            compose=rows[(rows[:, :2] >= 0).all(axis=1)],
+            unit=arr_new[[self.unit[x] for x in keep_obj]].tolist(),
+            inverse=arr_new[[self.inverse[g] for g in kept]].tolist(),
             arrow_labels=None
             if self.arrow_labels is None
             else [self.arrow_labels[g] for g in kept],
@@ -332,7 +348,7 @@ class FiniteGroupoid:
                 {"id": g, "src": self.objects[self.src[g]], "tgt": self.objects[self.tgt[g]]}
                 for g in self.arrows()
             ],
-            "compose": [[g2, g1, g21] for (g2, g1), g21 in sorted(self.compose.items())],
+            "compose": self.compose[np.lexsort((self.compose[:, 1], self.compose[:, 0]))].tolist(),
             "units": {str(self.objects[x]): self.unit[x] for x in range(self.n_objects)},
             "inverses": {str(g): self.inverse[g] for g in self.arrows()},
         }
@@ -347,29 +363,34 @@ class FiniteGroupoid:
             raise ValueError("arrow ids must be dense integers 0..n-1")
         ids = {str(g): g for g in range(m)}
 
-        def arrow(value: Any, where: str) -> int:
+        def arrow(value: Any, where: str) -> None:
             if type(value) is not int or not 0 <= value < m:
                 raise ValueError(f"{where}: {value!r} is not an arrow id 0..{m - 1}")
-            return value
 
         for a, end in itertools.product(arrows, ("src", "tgt")):
             if str(a[end]) not in index:
                 raise ValueError(f"arrow {a['id']}: {end} {a[end]!r} is not an object")
         src = [index[str(a["src"])] for a in arrows]
         tgt = [index[str(a["tgt"])] for a in arrows]
-        compose = {}
-        for g2, g1, g21 in d["compose"]:
-            where = f"compose entry {[g2, g1, g21]!r}"
-            compose[(arrow(g2, where), arrow(g1, where))] = arrow(g21, where)
-        unit = [0] * len(objects)
-        for key, e in json_object(d["units"], "units").items():
+        compose = [(g2, g1, g21) for g2, g1, g21 in d["compose"]]
+        flat = list(itertools.chain.from_iterable(compose))
+        if list(map(type, flat)).count(int) < len(flat) or flat and not 0 <= min(flat) <= max(flat) < m:
+            i = next(i for i, g in enumerate(flat) if type(g) is not int or not 0 <= g < m)
+            arrow(flat[i], f"compose entry {list(compose[i // 3])!r}")
+        units = json_object(d["units"], "units")
+        for key, e in units.items():
             if key not in index:
                 raise ValueError(f"units key {key!r} is not an object")
-            unit[index[key]] = arrow(e, f"units[{key!r}]")
-        inverse = [0] * m
-        for key, gi in json_object(d["inverses"], "inverses").items():
-            inverse[arrow(ids.get(key, key), "inverses key")] = arrow(gi, f"inverses[{key!r}]")
-        return cls(objects, src, tgt, compose, unit, inverse)
+            arrow(e, f"units[{key!r}]")
+        inverses = json_object(d["inverses"], "inverses")
+        for key, gi in inverses.items():
+            arrow(ids.get(key, key), "inverses key")
+            arrow(gi, f"inverses[{key!r}]")
+        for what, table, keys in (("units", units, index), ("inverses", inverses, ids)):
+            for key in keys:
+                if key not in table:
+                    raise ValueError(f"{what}: missing key {key!r}")
+        return cls(objects, src, tgt, compose, [units[str(x)] for x in objects], [inverses[k] for k in ids])
 
     def save(self, path: str) -> None:
         write_json(self.to_json_dict(), path)
@@ -379,26 +400,25 @@ class FiniteGroupoid:
         return read_json(path, cls.from_json_dict)
 
 
-def composition_table(
-    compose: dict[tuple[int, int], int], m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The compose dict of an m-arrow groupoid as arrays: ``(entries, table, defined)``.
-
-    ``entries`` has one row ``(g2, g1, g21)`` per dict entry, in dict order, with each id
-    outside 0..m-1 (it may not fit an int64) coded as a negative number of its own.  On
-    every pair of arrow ids, ``table`` where ``defined`` gives what ``compose.get`` gives,
-    so coded; a mask, not a sentinel, marks the undefined pairs.
-    """
-    codes: dict[int, int] = {}
-    flat = (g if 0 <= g < m else codes.setdefault(g, -1 - len(codes))
-            for key, g21 in compose.items() for g in (*key, g21))
-    entries = np.fromiter(flat, dtype=np.intp, count=3 * len(compose)).reshape(-1, 3)
-    g2, g1, g21 = entries[(entries[:, :2] >= 0).all(axis=1)].T
-    table = np.zeros((m, m), dtype=np.intp)
-    defined = np.zeros((m, m), dtype=bool)
-    table[g2, g1] = g21
-    defined[g2, g1] = True
-    return entries, table, defined
+def compose_rows(rows: Any) -> np.ndarray:
+    """``(g2, g1, g21)`` rows as a read-only ``(e, 3)`` int64 array, in their order.  ValueError
+    names the first row that is not three integers that fit an int64, or whose pair an earlier
+    row lists; ids outside 0..m-1 are kept for :meth:`FiniteGroupoid.validate`."""
+    a = np.asarray(rows)
+    if a.dtype.kind != "i" or a.shape[1:] != (3,):
+        for row in rows:
+            if len(row) != 3 or np.asarray(row).dtype.kind != "i":
+                raise ValueError(f"compose entry {list(row)!r} is not three integers that fit an int64")
+        a = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    a = a.astype(np.int64)  # a copy: the caller holds no writable view of it
+    order = np.lexsort((a[:, 1], a[:, 0]))
+    pairs = a[order, :2]
+    again = order[1:][(pairs[1:] == pairs[:-1]).all(axis=1)]
+    if again.size:
+        g2, g1, g21 = a[again.min()].tolist()
+        raise ValueError(f"compose entry {[g2, g1, g21]}: pair ({g2},{g1}) is already listed")
+    a.flags.writeable = False
+    return a
 
 
 def look_up(
@@ -417,7 +437,7 @@ class CompositionTables:
     """The composition of a finite groupoid as integer arrays, ascending by arrow id.
 
     * ``table[g2, g1]`` is the composite g2 g1 where ``defined[g2, g1]``: the
-      dense table of :func:`composition_table`.
+      dense table of :attr:`FiniteGroupoid.composition_table`.
     * Target fibers: ``fiber[fiber_start[x]:fiber_start[x + 1]]`` are the
       arrows with target x; ``fiber_pos[a]`` is the place of a in its fiber.
     * Averaging triples ``(avg_g, avg_k, avg_gk)``: every arrow g with every
@@ -466,7 +486,7 @@ class CompositionTables:
         avg_g = np.repeat(np.arange(m), row_len)
         avg_k = fiber[fiber_start[src[avg_g]] + np.arange(len(avg_g)) - row_start[avg_g]]
 
-        _, table, defined = composition_table(G.compose, m)
+        table, defined = G.composition_table
         avg_gk, ok = look_up(table, defined, avg_g, avg_k)
         if not ok.all():
             t = np.argmin(ok)
@@ -502,25 +522,23 @@ def group_from_table(labels: Sequence[Hashable], mul: Callable[[Any, Any], Any])
     labels = list(labels)
     pos = {x: i for i, x in enumerate(labels)}
     m = len(labels)
-    compose = {(a, b): pos[mul(labels[a], labels[b])] for a in range(m) for b in range(m)}
+    table = np.array([[pos[mul(a, b)] for b in labels] for a in labels], dtype=np.int64).reshape(m, m)
     # identity: the unique e with e*x = x for all x
-    unit_candidates = [e for e in range(m) if all(compose[(e, x)] == x for x in range(m))]
+    unit_candidates = np.flatnonzero((table == np.arange(m)).all(axis=1)).tolist()
     if len(unit_candidates) != 1:
         raise ValueError(f"multiplication table has {len(unit_candidates)} identities")
     e = unit_candidates[0]
-    inverse = [0] * m
-    for a in range(m):
-        inv = [b for b in range(m) if compose[(a, b)] == e and compose[(b, a)] == e]
-        if len(inv) != 1:
-            raise ValueError(f"element {labels[a]} has no two-sided inverse")
-        inverse[a] = inv[0]
+    a, inverse = np.nonzero((table == e) & (table.T == e))
+    lonely = np.flatnonzero(np.bincount(a, minlength=m) != 1)
+    if lonely.size:
+        raise ValueError(f"element {labels[lonely[0]]} has no two-sided inverse")
     return FiniteGroupoid(
         objects=["*"],
         src=[0] * m,
         tgt=[0] * m,
-        compose=compose,
+        compose=np.stack((*np.indices((m, m)).reshape(2, -1), table.ravel()), axis=1),
         unit=[e],
-        inverse=inverse,
+        inverse=inverse.tolist(),
         arrow_labels=labels,
     )
 
@@ -536,36 +554,24 @@ def symmetric_group(n: int) -> FiniteGroupoid:
 
 
 def trivial_groupoid(objects: Sequence[Hashable] = ("*",)) -> FiniteGroupoid:
-    """Only unit arrows: the discrete groupoid on the given objects."""
-    objects = list(objects)
-    n = len(objects)
-    return FiniteGroupoid(
-        objects=objects,
-        src=list(range(n)),
-        tgt=list(range(n)),
-        compose={(x, x): x for x in range(n)},
-        unit=list(range(n)),
-        inverse=list(range(n)),
-    )
+    """Only unit arrows: the discrete groupoid on the given objects, which the trivial
+    group's action groupoid is."""
+    return action_groupoid(FiniteGroupAction(cyclic_group(1), list(objects), lambda g, u: u))
 
 
 def pair_groupoid(objects: Sequence[Hashable]) -> FiniteGroupoid:
-    """One arrow between every ordered pair of objects."""
+    """One arrow between every ordered pair of objects; arrow i -> j has id i*n+j."""
     objects = list(objects)
     n = len(objects)
-    aid = lambda i, j: i * n + j  # arrow i -> j
-    compose = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                compose[(aid(j, k), aid(i, j))] = aid(i, k)
+    # x -> y, then y -> z, is x -> z
+    x, y, z = np.indices((n, n, n)).reshape(3, -1)
     return FiniteGroupoid(
         objects=objects,
         src=[i for i in range(n) for _ in range(n)],
         tgt=[j for _ in range(n) for j in range(n)],
-        compose=compose,
-        unit=[aid(i, i) for i in range(n)],
-        inverse=[aid(j, i) for i in range(n) for j in range(n)],
+        compose=np.stack((y * n + z, x * n + y, x * n + z), axis=1),
+        unit=[i * n + i for i in range(n)],
+        inverse=[j * n + i for i in range(n) for j in range(n)],
         arrow_labels=[(objects[i], objects[j]) for i in range(n) for j in range(n)],
     )
 
@@ -593,54 +599,47 @@ def action_groupoid(action: FiniteGroupAction) -> FiniteGroupoid:
     """Action groupoid: arrows (g, u) with source u and target g.u.
 
     Arrow order is (group arrow, point) ascending, so ids are g*len(points)+u.
-    Raises MalformedAction if the action violates identity or compatibility.
+    Calls ``act`` once per (g, u).  Raises MalformedAction if the action leaves
+    the point set or violates identity (checked at each point) or compatibility
+    (then at each (g2, g1, u) ascending), naming the first failure.
     """
     G = action.group
     pts = list(action.points)
     pt_index = {u: i for i, u in enumerate(pts)}
     labels = G.arrow_labels
     assert labels is not None
-    e = G.unit[0]
+    m, P, e = G.n_arrows, len(pts), G.unit[0]
+    out = [[action.act(labels[g], u) for u in pts] for g in range(m)]
+    # g.u as a point index; -1 where it leaves the point set
+    img = np.array([[pt_index.get(v, -1) for v in row] for row in out], dtype=np.int64).reshape(m, P)
 
     def act_idx(g: int, ui: int) -> int:
-        out = action.act(labels[g], pts[ui])
-        if out not in pt_index:
-            raise MalformedAction(f"action leaves the point set: {labels[g]}.{pts[ui]} = {out}")
-        return pt_index[out]
+        if img[g, ui] < 0:
+            raise MalformedAction(f"action leaves the point set: {labels[g]}.{pts[ui]} = {out[g][ui]}")
+        return img[g, ui]
 
-    for ui in range(len(pts)):
+    for ui in range(P):
         if act_idx(e, ui) != ui:
             raise MalformedAction(f"identity does not fix point {pts[ui]}")
     # the tables are built only when every composable pair is defined: in a group, all pairs
-    prod = G.tables.table.tolist()
-    for g2 in G.arrows():
-        for g1 in G.arrows():
-            g21 = prod[g2][g1]
-            for ui in range(len(pts)):
-                if act_idx(g21, ui) != act_idx(g2, act_idx(g1, ui)):
-                    raise MalformedAction(
-                        f"compatibility fails at ({labels[g2]}, {labels[g1]}, {pts[ui]})"
-                    )
-
-    np_ = len(pts)
-    aid = lambda g, ui: g * np_ + ui
-    src = [ui for g in G.arrows() for ui in range(np_)]
-    tgt = [act_idx(g, ui) for g in G.arrows() for ui in range(np_)]
-    compose = {}
-    for g2 in G.arrows():
-        for g1 in G.arrows():
-            g21 = prod[g2][g1]
-            for ui in range(np_):
-                # (g2, g1.u) after (g1, u) = (g2 g1, u)
-                compose[(aid(g2, act_idx(g1, ui)), aid(g1, ui))] = aid(g21, ui)
-    unit = [aid(e, ui) for ui in range(np_)]
-    inverse = [aid(G.inverse[g], act_idx(g, ui)) for g in G.arrows() for ui in range(np_)]
+    g2, g1, u = np.indices((m, m, P)).reshape(3, -1)
+    g21, g1u = G.tables.table[g2, g1], img[g1, u]
+    # an index of -1 reads the last column; the triple is flagged by g1u < 0 first
+    left, right = img[g21, u], img[g2, g1u]
+    bad = np.flatnonzero((left < 0) | (g1u < 0) | (left != right))
+    if bad.size:
+        t = bad[0]
+        # a point outside the set is named where act first met one: g21.u, g1.u, g2.(g1.u)
+        act_idx(g21[t], u[t])
+        act_idx(g2[t], act_idx(g1[t], u[t]))
+        raise MalformedAction(f"compatibility fails at ({labels[g2[t]]}, {labels[g1[t]]}, {pts[u[t]]})")
     return FiniteGroupoid(
         objects=pts,
-        src=src,
-        tgt=tgt,
-        compose=compose,
-        unit=unit,
-        inverse=inverse,
-        arrow_labels=[(labels[g], pts[ui]) for g in G.arrows() for ui in range(np_)],
+        src=[ui for _ in range(m) for ui in range(P)],
+        tgt=img.ravel().tolist(),
+        # (g2, g1.u) after (g1, u) = (g2 g1, u)
+        compose=np.stack((g2 * P + g1u, g1 * P + u, g21 * P + u), axis=1),
+        unit=[e * P + ui for ui in range(P)],
+        inverse=(np.asarray(G.inverse)[:, None] * P + img).ravel().tolist(),
+        arrow_labels=[(labels[g], u) for g in range(m) for u in pts],
     )

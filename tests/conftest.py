@@ -38,17 +38,22 @@ def two_orbit_disjoint():
         objects=[1, 2, 3],
         src=[0, 1, 1, 0, 2],
         tgt=[0, 1, 0, 1, 2],
-        compose={
-            (0, 0): 0, (1, 1): 1, (4, 4): 4,
-            (0, 2): 2, (2, 1): 2, (3, 2): 1,
-            (1, 3): 3, (3, 0): 3, (2, 3): 0,
-        },
+        compose=[
+            (0, 0, 0), (1, 1, 1), (4, 4, 4),
+            (0, 2, 2), (2, 1, 2), (3, 2, 1),
+            (1, 3, 3), (3, 0, 3), (2, 3, 0),
+        ],
         unit=[0, 1, 4],
         inverse=[0, 1, 3, 2, 4],
     )
 
 
 # -- references: the list scans the composition tables replaced --------------------
+
+
+def compose_dict(G):
+    """The compose rows of G as a dict {(g2, g1): g21}."""
+    return {(g2, g1): g21 for g2, g1, g21 in G.compose.tolist()}
 
 
 def source_fiber(G, x):

@@ -15,7 +15,7 @@ import pytest
 from groupavg import averaging, bounds, circle, cli
 from groupavg.circle import CircleProfile, save_profile_csv
 from groupavg.cli import main
-from groupavg.groupoid import action_groupoid
+from groupavg.groupoid import action_groupoid, cyclic_group
 from groupavg.haar import HaarSystem, counting_haar
 from groupavg import presets
 
@@ -91,12 +91,40 @@ def test_validate_wrong_json_type_named(tmp_path, capsys, doc, named):
         (lambda d: d["units"].update({"0": 18}), "units['0']: 18 is not an arrow id 0..17"),
         (lambda d: d["arrows"][5].update(id=5.0), "arrow ids must be dense integers"),
         (lambda d: d["units"].update(zz=0), "units key 'zz' is not an object"),
+        (lambda d: d["compose"].append([0, 18, -1]), "compose entry [0, 18, -1]: 18 is not an arrow id 0..17"),
+        (lambda d: d["compose"].insert(3, [1, True, 1]), "compose entry [1, True, 1]: True is not an arrow id 0..17"),
+        (lambda d: d["compose"].insert(0, [0, 0, 1]), "compose entry [0, 0, 0]: pair (0,0) is already listed"),
+        (lambda d: d["units"].pop("1"), "units: missing key '1'"),
+        (lambda d: d["inverses"].pop("5"), "inverses: missing key '5'"),
     ],
     ids=["inverses_key_99", "inverses_key_minus_1", "compose_entry_fractional",
-         "inverse_value_float", "unit_out_of_range", "arrow_id_float", "units_key_not_object"],
+         "inverse_value_float", "unit_out_of_range", "arrow_id_float", "units_key_not_object",
+         "compose_id_out_of_range", "compose_id_bool", "pair_listed_twice", "unit_missing",
+         "inverse_missing"],
 )
 def test_validate_rejects_bad_ids(tmp_path, capsys, s3_groupoid, corrupt, named):
     doc = s3_groupoid.to_json_dict()
+    corrupt(doc)
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--groupoid", str(path)]) == 2
+    assert f"{path}: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        # the first listing of a pair used to be dropped without a word
+        (lambda d: d["compose"].insert(1, [0, 1, 0]), "compose entry [0, 1, 1]: pair (0,1) is already listed"),
+        # missing entries used to read arrow 0
+        (lambda d: d.update(units={}, inverses={"1": 1}), "units: missing key '*'"),
+        (lambda d: d.update(inverses={"1": 1}), "inverses: missing key '0'"),
+    ],
+    ids=["pair_listed_twice", "units_empty", "inverse_missing"],
+)
+def test_validate_names_an_incomplete_or_doubled_z2_table(tmp_path, capsys, corrupt, named):
+    doc = cyclic_group(2).to_json_dict()
+    assert doc["compose"][1] == [0, 1, 1]
     corrupt(doc)
     path = tmp_path / "groupoid.json"
     path.write_text(json.dumps(doc))
@@ -747,6 +775,9 @@ def test_bad_profile_file_exits_2(tmp_path, capsys, text, named):
     [
         ("s3", "groupoid", lambda d: d.pop("compose"), "missing key 'compose'"),
         ("s3", "groupoid", lambda d: d["arrows"][4].update(src=9), "arrow 4: src 9 is not an object"),
+        ("s3", "groupoid", lambda d: d["compose"].append(d["compose"][7]),
+         "compose entry [1, 5, 5]: pair (1,5) is already listed"),
+        ("s3", "groupoid", lambda d: d.update(units={}), "units: missing key '0'"),
         ("s3", "bundle", lambda d: d.pop("1"), "missing key '1'"),
         ("s3", "bundle", lambda d: d["2"].pop("dim"), "missing key 'dim'"),
         ("s3", "psrep", lambda d: d["3"].pop("data"), "missing key 'data'"),
@@ -762,7 +793,8 @@ def test_bad_profile_file_exits_2(tmp_path, capsys, text, named):
         ("z2", "bundle", lambda d: d["3"].update(gram={"shape": [2, 2], "data": [1.0, float("nan"), float("nan"), 1.0]}),
          "metric of object 3 has non-finite entries"),
     ],
-    ids=["groupoid_without_compose", "arrow_src_not_object", "bundle_without_object",
+    ids=["groupoid_without_compose", "arrow_src_not_object", "groupoid_pair_listed_twice",
+         "groupoid_units_empty", "bundle_without_object",
          "bundle_object_without_dim", "psrep_entry_without_data", "inverses_is_list",
          "bundle_object_is_number", "gram_is_list", "psrep_entry_is_list", "psrep_shape_is_text",
          "gram_is_nan", "psrep_entry_too_large_for_a_float", "gram_is_nan_on_a_labelled_object"],

@@ -1,13 +1,17 @@
 """Groupoid axioms, builders, divisible pairs, orbits, restriction, JSON I/O."""
 
 import dataclasses
+import itertools
+import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import composable_pairs, source_fiber, target_fiber
+from conftest import composable_pairs, compose_dict, source_fiber, target_fiber
+from groupavg import presets
 from groupavg.groupoid import (
     FiniteGroupAction,
     FiniteGroupoid,
@@ -16,6 +20,7 @@ from groupavg.groupoid import (
     ValidationReport,
     action_groupoid,
     cyclic_group,
+    group_from_table,
     pair_groupoid,
     symmetric_group,
     trivial_groupoid,
@@ -31,9 +36,11 @@ def swap_action_on_two():
 
 
 def validate_ref(self) -> ValidationReport:
-    """``FiniteGroupoid.validate`` as it was on the compose dict, kept as the oracle."""
+    """``FiniteGroupoid.validate`` as it was on the compose dict, kept as the oracle; the
+    dict is built from the compose rows, in row order."""
     rep = ValidationReport()
     n, m = self.n_objects, self.n_arrows
+    compose = compose_dict(self)
 
     if len(self.tgt) != m:
         rep.add("tables", (), f"tgt table has {len(self.tgt)} entries, expected {m}")
@@ -65,7 +72,7 @@ def validate_ref(self) -> ValidationReport:
         rep.add("unit", tuple(dupes), f"unit arrows shared between objects: {dupes}")
 
     # composition domain: defined iff source matches target
-    for (g2, g1), g21 in self.compose.items():
+    for (g2, g1), g21 in compose.items():
         if not (0 <= g1 < m and 0 <= g2 < m and 0 <= g21 < m):
             rep.add("compose", (g2, g1), "composition entry references unknown arrow")
             continue
@@ -79,11 +86,11 @@ def validate_ref(self) -> ValidationReport:
                     f"composite {g21} of ({g2},{g1}) has wrong source or target",
                 )
     for g2, g1 in composable_pairs(self):
-        if (g2, g1) not in self.compose:
+        if (g2, g1) not in compose:
             rep.add("compose", (g2, g1), f"composable pair ({g2},{g1}) missing from table")
 
     def comp_ok(g2: int, g1: int) -> int | None:
-        return self.compose.get((g2, g1))
+        return compose.get((g2, g1))
 
     for x in range(n):
         e = self.unit[x]
@@ -170,10 +177,10 @@ def test_corrupted_inverse_table_reports_only_that_arrow():
 
 def test_corrupted_compose_table_reported():
     P = pair_groupoid([0, 1])
-    bad_compose = dict(P.compose)
+    bad_compose = compose_dict(P)
     victim = next(k for k, v in bad_compose.items() if v != k[0])
     bad_compose[victim] = victim[0]
-    bad = dataclasses.replace(P, compose=bad_compose)
+    bad = dataclasses.replace(P, compose=[(*k, v) for k, v in bad_compose.items()])
     report = bad.validate()
     assert not report.ok
     assert any(v.rule in ("compose", "assoc", "unit", "inverse") for v in report.violations)
@@ -192,17 +199,17 @@ ORACLE_GROUPOIDS = {
 @st.composite
 def corrupted_groupoid(draw, clean):
     """``clean`` with one to four corruptions of its tables: dropped, retargeted or
-    off-domain compose entries (composites -1, m, m + 5 and +-2**70 included, and
-    added keys that hold 2**63 or -2**63 - 1), and bent inverses, units, sources
-    and targets.  Ids of +-2**70 and of 2**63 or -2**63 - 1 do not fit an int64.
+    off-domain compose entries (composites -1, m and m + 5 included, and added
+    keys that hold -2 or m + 1), and bent inverses, units, sources and targets.
     Keys and composites draw different ids outside 0..m-1: the table reads a key
     that holds such an id as undefined, where the dict walk could look it up by
-    a composite equal to that id."""
+    a composite equal to that id.  Ids that do not fit an int64 cannot be built
+    (see test_compose_rejects_ids_beyond_int64)."""
     m, n = clean.n_arrows, clean.n_objects
     arrow = st.integers(0, m - 1)
-    composite = st.one_of(arrow, st.sampled_from([-1, m, m + 5, 2**70, -2**70]))
-    key = st.one_of(arrow, arrow, st.sampled_from([2**63, -2**63 - 1]))
-    compose, unit = dict(clean.compose), list(clean.unit)
+    composite = st.one_of(arrow, st.sampled_from([-1, m, m + 5]))
+    key = st.one_of(arrow, arrow, st.sampled_from([-2, m + 1]))
+    compose, unit = compose_dict(clean), list(clean.unit)
     inverse, src, tgt = list(clean.inverse), list(clean.src), list(clean.tgt)
     ops = ["drop", "retarget", "add", "inverse", "unit", "src", "tgt"]
     for op in draw(st.lists(st.sampled_from(ops), min_size=1, max_size=4)):
@@ -218,6 +225,7 @@ def corrupted_groupoid(draw, clean):
             unit[draw(st.integers(0, n - 1))] = draw(st.one_of(arrow, st.just(m)))
         elif op in ("src", "tgt"):
             (src if op == "src" else tgt)[draw(arrow)] = draw(st.integers(0, n - 1))
+    compose = [(*k, v) for k, v in compose.items()]
     return dataclasses.replace(clean, compose=compose, unit=unit, inverse=inverse, src=src, tgt=tgt)
 
 
@@ -241,7 +249,7 @@ def test_validate_matches_dict_oracle_on_clean_groupoids(s3_groupoid, z2_groupoi
 
 def test_mul_names_a_missing_composable_pair():
     G = pair_groupoid([0, 1])
-    holed = dataclasses.replace(G, compose={k: v for k, v in G.compose.items() if k != (0, 0)})
+    holed = dataclasses.replace(G, compose=[r for r in G.compose.tolist() if r[:2] != [0, 0]])
     with pytest.raises(ValueError, match="composable pair \\(0,0\\) missing from table"):
         holed.mul(0, 0)
     with pytest.raises(ValueError, match="composable pair \\(0,0\\) missing from table"):
@@ -308,6 +316,245 @@ def test_malformed_action_compatibility():
         action_groupoid(act)
 
 
+# -- builders: the dict-building builders they replaced, kept as the oracle -----------
+#
+# Each returns the constructor's fields with ``compose`` as the dict {(g2, g1): g21}.
+
+
+def group_from_table_ref(labels, mul):
+    labels = list(labels)
+    pos = {x: i for i, x in enumerate(labels)}
+    m = len(labels)
+    compose = {(a, b): pos[mul(labels[a], labels[b])] for a in range(m) for b in range(m)}
+    # identity: the unique e with e*x = x for all x
+    unit_candidates = [e for e in range(m) if all(compose[(e, x)] == x for x in range(m))]
+    if len(unit_candidates) != 1:
+        raise ValueError(f"multiplication table has {len(unit_candidates)} identities")
+    e = unit_candidates[0]
+    inverse = [0] * m
+    for a in range(m):
+        inv = [b for b in range(m) if compose[(a, b)] == e and compose[(b, a)] == e]
+        if len(inv) != 1:
+            raise ValueError(f"element {labels[a]} has no two-sided inverse")
+        inverse[a] = inv[0]
+    return dict(objects=["*"], src=[0] * m, tgt=[0] * m, compose=compose, unit=[e],
+                inverse=inverse, arrow_labels=labels)
+
+
+def pair_groupoid_ref(objects):
+    objects = list(objects)
+    n = len(objects)
+    aid = lambda i, j: i * n + j  # arrow i -> j
+    compose = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                compose[(aid(j, k), aid(i, j))] = aid(i, k)
+    return dict(
+        objects=objects,
+        src=[i for i in range(n) for _ in range(n)],
+        tgt=[j for _ in range(n) for j in range(n)],
+        compose=compose,
+        unit=[aid(i, i) for i in range(n)],
+        inverse=[aid(j, i) for i in range(n) for j in range(n)],
+        arrow_labels=[(objects[i], objects[j]) for i in range(n) for j in range(n)],
+    )
+
+
+def action_groupoid_ref(action):
+    G = action.group
+    pts = list(action.points)
+    pt_index = {u: i for i, u in enumerate(pts)}
+    labels = G.arrow_labels
+    e = G.unit[0]
+
+    def act_idx(g, ui):
+        out = action.act(labels[g], pts[ui])
+        if out not in pt_index:
+            raise MalformedAction(f"action leaves the point set: {labels[g]}.{pts[ui]} = {out}")
+        return pt_index[out]
+
+    for ui in range(len(pts)):
+        if act_idx(e, ui) != ui:
+            raise MalformedAction(f"identity does not fix point {pts[ui]}")
+    prod = compose_dict(G)
+    for g2 in G.arrows():
+        for g1 in G.arrows():
+            g21 = prod[(g2, g1)]
+            for ui in range(len(pts)):
+                if act_idx(g21, ui) != act_idx(g2, act_idx(g1, ui)):
+                    raise MalformedAction(
+                        f"compatibility fails at ({labels[g2]}, {labels[g1]}, {pts[ui]})"
+                    )
+
+    np_ = len(pts)
+    aid = lambda g, ui: g * np_ + ui
+    compose = {}
+    for g2 in G.arrows():
+        for g1 in G.arrows():
+            g21 = prod[(g2, g1)]
+            for ui in range(np_):
+                # (g2, g1.u) after (g1, u) = (g2 g1, u)
+                compose[(aid(g2, act_idx(g1, ui)), aid(g1, ui))] = aid(g21, ui)
+    return dict(
+        objects=pts,
+        src=[ui for g in G.arrows() for ui in range(np_)],
+        tgt=[act_idx(g, ui) for g in G.arrows() for ui in range(np_)],
+        compose=compose,
+        unit=[aid(e, ui) for ui in range(np_)],
+        inverse=[aid(G.inverse[g], act_idx(g, ui)) for g in G.arrows() for ui in range(np_)],
+        arrow_labels=[(labels[g], pts[ui]) for g in G.arrows() for ui in range(np_)],
+    )
+
+
+def saved_ref(fields):
+    """The bytes ``FiniteGroupoid.save`` wrote for these fields when compose was a dict."""
+    objects, src, tgt = fields["objects"], fields["src"], fields["tgt"]
+    doc = {
+        "objects": list(objects),
+        "arrows": [{"id": g, "src": objects[src[g]], "tgt": objects[tgt[g]]} for g in range(len(src))],
+        "compose": [[g2, g1, g21] for (g2, g1), g21 in sorted(fields["compose"].items())],
+        "units": {str(objects[x]): fields["unit"][x] for x in range(len(objects))},
+        "inverses": {str(g): fields["inverse"][g] for g in range(len(src))},
+    }
+    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+
+
+def sn_action(n):
+    return FiniteGroupAction(symmetric_group(n), list(range(n)), lambda p, u: p[u])
+
+
+def two_orbit_disjoint_ref():
+    """The conftest groupoid as it was written, with a compose dict."""
+    return dict(
+        objects=[1, 2, 3], src=[0, 1, 1, 0, 2], tgt=[0, 1, 0, 1, 2],
+        compose={(0, 0): 0, (1, 1): 1, (4, 4): 4, (0, 2): 2, (2, 1): 2, (3, 2): 1,
+                 (1, 3): 3, (3, 0): 3, (2, 3): 0},
+        unit=[0, 1, 4], inverse=[0, 1, 3, 2, 4], arrow_labels=None,
+    )
+
+
+S3_MUL = lambda p, q: tuple(p[q[i]] for i in range(3))
+BUILDERS = {
+    "z2_swap_two": (lambda: action_groupoid(swap_action_on_two()),
+                    lambda: action_groupoid_ref(swap_action_on_two())),
+    "z2_swap_three": (lambda: action_groupoid(presets.z2_swap_action()),
+                      lambda: action_groupoid_ref(presets.z2_swap_action())),
+    "pair3": (lambda: pair_groupoid(["a", "b", "c"]), lambda: pair_groupoid_ref(["a", "b", "c"])),
+    "s3_group": (lambda: group_from_table(sorted(itertools.permutations(range(3))), S3_MUL),
+                 lambda: group_from_table_ref(sorted(itertools.permutations(range(3))), S3_MUL)),
+    "s3_action": (lambda: action_groupoid(sn_action(3)), lambda: action_groupoid_ref(sn_action(3))),
+    "s4_action": (lambda: action_groupoid(sn_action(4)), lambda: action_groupoid_ref(sn_action(4))),
+    "s5_action": (lambda: action_groupoid(sn_action(5)), lambda: action_groupoid_ref(sn_action(5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS) + ["two_orbit_disjoint"])
+def test_builders_match_dict_oracle(name, tmp_path, two_orbit_disjoint):
+    if name == "two_orbit_disjoint":
+        G, ref = two_orbit_disjoint, two_orbit_disjoint_ref()
+    else:
+        G, ref = (make() for make in BUILDERS[name])
+    assert sorted(map(tuple, G.compose.tolist())) == sorted((*k, v) for k, v in ref["compose"].items())
+    for field in ("objects", "src", "tgt", "unit", "inverse", "arrow_labels"):
+        assert getattr(G, field) == ref[field]
+    G.save(str(tmp_path / "G.json"))
+    assert (tmp_path / "G.json").read_bytes() == saved_ref(ref)
+
+
+MALFORMED_ACTIONS = {
+    "identity": (cyclic_group(2), [1, 2], lambda g, u: 1),
+    "compatibility": (cyclic_group(2), [1, 2], lambda g, u: 2 if g == 1 else u),
+    "leaves": (cyclic_group(3), [0, 1, 2], lambda g, u: 7 if (g, u) == (2, 1) else (g + u) % 3),
+    "leaves_at_identity": (cyclic_group(2), [1, 2], lambda g, u: 5 if g == 0 and u == 2 else u),
+    "identity_before_leaves": (cyclic_group(2), [1, 2], lambda g, u: 9 if g else 1),
+    # at the first triple (1, 1, 0), act leaves the set at both g21.u = 2.0 and g1.u = 1.0
+    "leaves_at_the_composite_first": (group_from_table([1, 2, 0], lambda a, b: (a + b) % 3), [0, 1, 2],
+                                      lambda g, u: 9 if g and u == 0 else (g + u) % 3),
+    # the identity is arrow 2, so compatibility is checked at g2 = 1 before act meets 2.2
+    "compatibility_before_leaves": (group_from_table([1, 2, 0], lambda a, b: (a + b) % 3), [0, 1, 2],
+                                    lambda g, u: {(1, 0): 0, (2, 2): "x"}.get((g, u), (g + u) % 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ACTIONS))
+def test_malformed_action_messages_match_dict_oracle(name):
+    action = FiniteGroupAction(*MALFORMED_ACTIONS[name])
+    with pytest.raises(MalformedAction) as ref:
+        action_groupoid_ref(action)
+    with pytest.raises(MalformedAction) as new:
+        action_groupoid(action)
+    assert str(new.value) == str(ref.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), n_pts=st.integers(1, 3))
+def test_action_groupoid_matches_dict_oracle_on_random_maps(data, n, n_pts):
+    """Any map Z/n x points -> points or beyond, with the elements in any arrow order: the
+    same groupoid, or the same first MalformedAction."""
+    labels = data.draw(st.permutations(range(n)))
+    image = data.draw(st.lists(st.sampled_from(list(range(n_pts)) + [9, 9]), min_size=n * n_pts,
+                               max_size=n * n_pts))
+    group = group_from_table(labels, lambda a, b: (a + b) % n)
+    action = FiniteGroupAction(group, list(range(n_pts)), lambda g, u: image[g * n_pts + u])
+    try:
+        ref = action_groupoid_ref(action)
+    except MalformedAction as exc:
+        with pytest.raises(MalformedAction) as new:
+            action_groupoid(action)
+        assert str(new.value) == str(exc)
+        return
+    G = action_groupoid(action)
+    assert compose_dict(G) == ref["compose"]
+    assert (G.src, G.tgt, G.unit, G.inverse) == (ref["src"], ref["tgt"], ref["unit"], ref["inverse"])
+
+
+# -- the compose rows ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("big", [2**70, -2**70, 2**63, -2**63 - 1])
+@pytest.mark.parametrize("place", [0, 1, 2], ids=["key_g2", "key_g1", "composite"])
+def test_compose_rejects_ids_beyond_int64(big, place):
+    G = pair_groupoid([0, 1])
+    row = [0, 0, 0]
+    row[place] = big
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(G, compose=G.compose.tolist() + [row])
+    assert str(exc.value) == f"compose entry {row!r} is not three integers that fit an int64"
+
+
+@pytest.mark.parametrize("row", [[0, 1.5, 0], [0, 1, "2"], [0, None, 1], [0, 1]])
+def test_compose_rejects_a_row_that_is_not_three_integers(row):
+    with pytest.raises(ValueError, match=f"^compose entry {re.escape(repr(row))} is not three"):
+        dataclasses.replace(pair_groupoid([0, 1]), compose=[row])
+
+
+def test_compose_rejects_a_pair_listed_twice():
+    Z2 = cyclic_group(2)
+    rows = [[0, 0, 0], [0, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
+    with pytest.raises(ValueError, match=r"^compose entry \[0, 1, 1\]: pair \(0,1\) is already listed$"):
+        dataclasses.replace(Z2, compose=rows)
+    # ids outside 0..m-1 are rows like any other
+    with pytest.raises(ValueError, match=r"^compose entry \[5, -1, 3\]: pair \(5,-1\) is already listed$"):
+        dataclasses.replace(Z2, compose=[[5, -1, 0], [0, 0, 0], [5, -1, 3]])
+
+
+def test_compose_is_a_read_only_copy_and_keeps_ids_outside_the_arrows():
+    G = pair_groupoid([0, 1])
+    given = np.vstack([G.compose, [[0, 0, -1], [4, 0, 9]]])[1:]  # (0, 0) now gives -1
+    bent = dataclasses.replace(G, compose=given)
+    given[0, 2] = 7
+    assert bent.compose.dtype == np.int64 and bent.compose.shape == (len(G.compose) + 1, 3)
+    assert not bent.compose.flags.writeable
+    assert bent.compose[0].tolist() == G.compose[1].tolist()
+    with pytest.raises(ValueError):
+        bent.compose[0, 0] = 1
+    reported = rows(bent.validate())
+    assert ("compose", (4, 0), "composition entry references unknown arrow") in reported
+    assert ("compose", (0, 0), "composition entry references unknown arrow") in reported
+    assert reported == rows(validate_ref(bent))
+
+
 # -- divisible pairs ---------------------------------------------------------
 
 
@@ -319,8 +566,9 @@ def divisible_triples(G):
 
 def divisible_pairs_ref(G):
     """All (g, h, g h^-1) with src(g) == src(h), read off the compose dict."""
+    compose = compose_dict(G)
     return [
-        (g, h, G.compose[(g, G.inverse[h])])
+        (g, h, compose[(g, G.inverse[h])])
         for g in G.arrows()
         for h in G.arrows()
         if G.src[g] == G.src[h]
@@ -346,7 +594,7 @@ def test_divisible_pair_quotient_solves_division(z2_groupoid, s3_groupoid):
     for G in (z2_groupoid, s3_groupoid):
         for g, h, q in divisible_triples(G):
             assert G.src[g] == G.src[h]
-            assert q == G.compose[(g, G.inverse[h])]
+            assert q == compose_dict(G)[(g, G.inverse[h])]
             assert G.mul(q, h) == g
 
 
@@ -417,7 +665,7 @@ def test_json_roundtrip(tmp_path, z2_groupoid):
     assert back.objects == z2_groupoid.objects
     assert back.src == z2_groupoid.src
     assert back.tgt == z2_groupoid.tgt
-    assert back.compose == z2_groupoid.compose
+    assert compose_dict(back) == compose_dict(z2_groupoid)
     assert back.unit == z2_groupoid.unit
     assert back.inverse == z2_groupoid.inverse
     assert back.validate().ok
@@ -446,6 +694,7 @@ def test_from_json_rejects_sparse_arrow_ids():
 def test_tables_match_dict_definitions(make):
     G = make()
     T = G.tables
+    compose = compose_dict(G)
     # target fibers, in ascending arrow order
     for x in range(G.n_objects):
         fiber = T.fiber[T.fiber_start[x] : T.fiber_start[x + 1]].tolist()
@@ -453,7 +702,7 @@ def test_tables_match_dict_definitions(make):
         assert [T.fiber_pos[a] for a in fiber] == list(range(len(fiber)))
     # averaging triples (g, k, gk), k ascending in the target fiber of src g
     triples = [
-        (g, k, G.compose[(g, k)]) for g in G.arrows() for k in target_fiber(G, G.src[g])
+        (g, k, compose[(g, k)]) for g in G.arrows() for k in target_fiber(G, G.src[g])
     ]
     assert list(zip(T.avg_g.tolist(), T.avg_k.tolist(), T.avg_gk.tolist())) == triples
     for g in G.arrows():
@@ -464,7 +713,7 @@ def test_tables_match_dict_definitions(make):
     assert sorted(divisible) == sorted(divisible_pairs_ref(G))
     # composable triples, g1 ascending, then g2
     pairs = list(zip(T.pair_g2.tolist(), T.pair_g1.tolist(), T.pair_g21.tolist()))
-    assert pairs == [(g2, g1, G.compose[(g2, g1)]) for g2, g1 in composable_pairs(G)]
+    assert pairs == [(g2, g1, compose[(g2, g1)]) for g2, g1 in composable_pairs(G)]
 
 
 def test_tables_orbit_ids_follow_orbits(z2_groupoid, two_orbit_disjoint, s3_groupoid):
@@ -477,7 +726,7 @@ def test_tables_orbit_ids_follow_orbits(z2_groupoid, two_orbit_disjoint, s3_grou
 def test_tables_reject_inconsistent_composition():
     G = pair_groupoid([0, 1])
     # arrow 1 is 0 -> 1 and arrow 0 the unit at 0: their composite must be 0 -> 1
-    bent = dataclasses.replace(G, compose={**G.compose, (1, 0): 0})
+    bent = dataclasses.replace(G, compose=[(*k, v) for k, v in {**compose_dict(G), (1, 0): 0}.items()])
     assert not bent.validate().ok
     with pytest.raises(ValueError, match="inconsistent at \\(1,0\\)"):
         bent.tables

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import target_fiber
+from conftest import compose_dict, target_fiber
 from groupavg.groupoid import (
     FiniteGroupAction,
     NotInvariant,
@@ -79,6 +79,7 @@ def test_invariance_violation_listed(z2_groupoid):
 def check_haar_ref(nu):
     """``check_haar`` as it was: the m^2 double loop over (g, k), composing with the dict."""
     G = nu.groupoid
+    compose = compose_dict(G)
     zero = Fraction(0) if any(isinstance(w, Fraction) for w in nu.weights) else 0.0
     sums = [zero] * G.n_objects
     for k in G.arrows():
@@ -91,7 +92,7 @@ def check_haar_ref(nu):
         for k in G.arrows():
             if G.tgt[k] != x:
                 continue
-            amt = abs(nu.weights[G.compose[(g, k)]] - nu.weights[k])
+            amt = abs(nu.weights[compose[(g, k)]] - nu.weights[k])
             if amt > INVARIANCE_TOL:
                 violations.append((g, k, float(amt)))
     return HaarReport(float(max_norm), violations)

@@ -445,8 +445,8 @@ def two_orbit_disjoint_rep(rng):
     """Swap groupoid on {1,2} glued with a bare unit over {3} (the conftest groupoid)."""
     G = FiniteGroupoid(
         objects=[1, 2, 3], src=[0, 1, 1, 0, 2], tgt=[0, 1, 0, 1, 2],
-        compose={(0, 0): 0, (1, 1): 1, (4, 4): 4, (0, 2): 2, (2, 1): 2, (3, 2): 1,
-                 (1, 3): 3, (3, 0): 3, (2, 3): 0},
+        compose=[(0, 0, 0), (1, 1, 1), (4, 4, 4), (0, 2, 2), (2, 1, 2), (3, 2, 1),
+                 (1, 3, 3), (3, 0, 3), (2, 3, 0)],
         unit=[0, 1, 4], inverse=[0, 1, 3, 2, 4],
     )
     A = presets.conditioned(rng, 2, 0.8, 1.25)
