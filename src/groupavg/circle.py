@@ -1,16 +1,15 @@
 """Scalar pseudo-representations of the twisted circle action, on periodic grids.
 
-The circle acts on itself through a degree-k covering: a rotation theta moves
-the point a to k*theta + a (all coordinates in units of full turns, so
-everything lives on [0,1) and the grid is the N-point torus in each variable).
-A scalar pseudo-representation is a grid function Lambda(theta, a); it is
-multiplicative when
+The circle acts on itself through a degree-k covering: a rotation theta moves the point a to
+k*theta + a (all coordinates in units of full turns, so everything lives on [0,1) and the grid is
+the N-point torus in each variable).  A scalar pseudo-representation is a grid function
+Lambda(theta, a); it is multiplicative when
 
     Lambda(theta' + theta, a) = Lambda(theta', k*theta + a) * Lambda(theta, a),
     Lambda(0, a) = 1.
 
-Multiplicative solutions are parameterized by a single 1/k-periodic profile f
-with f(0) = 0 and f > -1/k, through the vertical-component field
+Multiplicative solutions are parameterized by a single 1/k-periodic profile f with f(0) = 0 and
+f > -1/k, through the vertical-component field
 
     X(theta, a) = [f(theta + a/k) - f(a/k)] / (1 + k f(a/k)),   Lambda = 1 + k X.
 
@@ -19,13 +18,16 @@ The left-invariant average on this groupoid is the plain rotation mean
     (avg Lambda)(theta, a) = (1/N) sum_j Lambda(theta + j/N, a - k j/N)
                                        / Lambda(j/N, a - k j/N),
 
-the rectangle rule for the continuum integral (exact for trigonometric
-polynomials of degree < N).
+the rectangle rule for the continuum integral (exact for trigonometric polynomials of degree < N).
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -40,14 +42,15 @@ PERIODICITY_TOL = 1e-12
 # the k N refined samples of a profile.
 MAX_N = 1024
 MAX_TWIST = 64
+# worker threads of the O(N^3) kernels: at most 2, so that order-0 scratch stays at 2 N^2
+_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 class NonInvertibleNode(NonInvertible):
     """Lambda vanishes (|value| <= 1e-12) at a grid node needed by the average."""
 
     def __init__(self, node: tuple[int, int], value: float):
-        self.node = node
-        self.value = value
+        self.node, self.value = node, value
         self.extras = {"bad_node_theta": float(node[0]), "bad_node_a": float(node[1])}
         super().__init__(None, f"|Lambda| = {abs(value):.3e} <= {NODE_FLOOR} at grid node {node}")
 
@@ -68,11 +71,8 @@ def _check_twist(twist) -> int:
 
 @dataclass
 class TorusGridFn:
-    """Samples of a doubly periodic function: values[l, i] = F(l/N, i/N).
-
-    First index is the rotation variable theta, second the point variable a;
-    ``twist`` is the covering degree k.
-    """
+    """Samples of a doubly periodic function: values[l, i] = F(l/N, i/N), the first index the
+    rotation variable theta, the second the point variable a; ``twist`` is the covering degree k."""
 
     values: np.ndarray
     twist: int
@@ -112,8 +112,7 @@ class CircleProfile:
 
     @classmethod
     def from_function(cls, f, M: int, k: int) -> "CircleProfile":
-        grid = np.arange(M) / M
-        return cls(np.asarray([f(t) for t in grid], dtype=float), k)
+        return cls(np.asarray([f(t) for t in np.arange(M) / M], dtype=float), k)
 
     def twist_periodicity_defect(self) -> float:
         """max |f(t) - f(t + 1/k)| over the sample grid; requires k | M."""
@@ -141,13 +140,11 @@ def trig_resample(v: np.ndarray, m: int) -> np.ndarray:
 def from_profile(profile, N: int, k: int | None = None) -> tuple[TorusGridFn, TorusGridFn]:
     """Closed-form connection field X and its effect Lambda = 1 + kX on the N-grid.
 
-    ``profile`` is a CircleProfile (twist taken from it) or a callable f(t), sampled
-    into one at resolution k*N; a CircleProfile with fewer samples is refined by
-    trigonometric interpolation.  Raises NonPeriodicProfile when f is not
-    1/k-periodic (then no doubly periodic X exists: the values f(j/k) form a
-    strictly monotone escaping sequence instead, see profile_twist_orbit), and
-    ProfileOutOfRange when some 1 + k f <= 0.
-    """
+    ``profile`` is a CircleProfile (twist taken from it) or a callable f(t), sampled into one at
+    resolution k*N; a CircleProfile with fewer samples is refined by trigonometric interpolation.
+    Raises NonPeriodicProfile when f is not 1/k-periodic (then no doubly periodic X exists: the
+    values f(j/k) form a strictly monotone escaping sequence instead, see profile_twist_orbit),
+    and ProfileOutOfRange when some 1 + k f <= 0."""
     if not isinstance(profile, CircleProfile):
         if k is None:
             raise ValueError("twist k is required with a callable profile")
@@ -162,9 +159,7 @@ def from_profile(profile, N: int, k: int | None = None) -> tuple[TorusGridFn, To
     scale = max(1.0, float(np.abs(fine).max()))
     defect = refined.twist_periodicity_defect()
     if defect > PERIODICITY_TOL * scale:
-        raise NonPeriodicProfile(
-            f"profile is not 1/{k}-periodic: max |f(t) - f(t + 1/{k})| = {defect:.3e}"
-        )
+        raise NonPeriodicProfile(f"profile is not 1/{k}-periodic: max |f(t) - f(t + 1/{k})| = {defect:.3e}")
     denom = 1.0 + k * fine
     if denom.min() <= 0.0:
         i = int(np.argmin(denom))
@@ -188,11 +183,9 @@ def limit_profile(L: TorusGridFn) -> CircleProfile:
 
 
 def _twisted_row(N: int, k: int):
-    """row -> the read-only (N, N) view R[l, i] = row[(k l + i) mod N], the row read at k theta + a.
-
-    The row is tiled k' + 1 times (k' = k mod N) into one held buffer, and R is a window over it
-    with row stride k' and column stride 1: its last element, k'(N - 1) + N - 1, is in the buffer.
-    """
+    """row -> the read-only (N, N) view R[l, i] = row[(k l + i) mod N], the row read at k theta + a:
+    the row is tiled k' + 1 times (k' = k mod N) into one held buffer, and R is a window over it
+    with row stride k' and column stride 1: its last element, k'(N - 1) + N - 1, is in the buffer."""
     k %= N
     tiled = np.empty((k + 1, N))
     view = np.lib.stride_tricks.as_strided(
@@ -205,21 +198,46 @@ def _twisted_row(N: int, k: int):
     return at
 
 
-def _rotated_minus(V: np.ndarray, lp: int, B: np.ndarray, out: np.ndarray) -> None:
-    """out[l] = V[(lp + l) mod N] - B[l], as two row blocks."""
-    n = len(V) - lp
-    np.subtract(V[lp:], B[:n], out=out[:n])
-    np.subtract(V[:lp], B[n:], out=out[n:])
+def _on_blocks(N: int, fn) -> list:
+    """[fn(lo, hi)] over min(_THREADS, N) contiguous blocks of 0..N-1: the first on the caller, the
+    rest on plain threads in copies of its context (so np.errstate holds there), all joined before
+    a worker's exception is raised here.  Workers run private closures, public ones stay here."""
+    T = min(_THREADS, N) or 1
+    cuts, out, errors = [N * t // T for t in range(T + 1)], [None] * T, []
+
+    def run(t: int) -> None:
+        try:
+            out[t] = fn(cuts[t], cuts[t + 1])
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, t)) for t in range(1, T)]
+    for w in workers:
+        w.start()
+    run(0)
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
-def _defect_slices(L: TorusGridFn):
+def _defect_slices(L: TorusGridFn, effect: np.ndarray | None = None):
     """(lp, out) -> writes the theta' = lp/N slice of the defect field (see
-    :func:`cocycle_defect_field`) into ``out``, through one held product buffer."""
-    V, twisted, prod = L.values, _twisted_row(L.N, L.twist), np.empty((L.N, L.N))
+    :func:`cocycle_defect_field`) into ``out``: the product first, then the rotated rows minus
+    it, in place.  Given the ``effect`` 1 + k X of a connection L = X, the slice of
+    :func:`connection_residual` instead: (rotated - X) - product, three operands, so through a
+    product buffer.  Each writer holds its own twisted-row tile."""
+    V, twisted = L.values, _twisted_row(L.N, L.twist)
+    prod = None if effect is None else np.empty_like(V)
 
     def slice_at(lp: int, out: np.ndarray) -> None:
-        np.multiply(twisted(V[lp]), V, out=prod)
-        _rotated_minus(V, lp, prod, out)
+        # out[l] = V[(lp + l) mod N] - B[l], as two row blocks
+        n, B = len(V) - lp, np.multiply(twisted(V[lp]), V, out=out) if effect is None else V
+        np.subtract(V[lp:], B[:n], out=out[:n])
+        np.subtract(V[:lp], B[n:], out=out[n:])
+        if effect is not None:
+            np.subtract(out, np.multiply(twisted(V[lp]), effect, out=prod), out=out)
 
     return slice_at
 
@@ -234,7 +252,7 @@ def cocycle_defect_field(L: TorusGridFn) -> np.ndarray:
 
 def multiplicativity_residual(L: TorusGridFn) -> tuple[float, float]:
     """(res_cocycle, res_unit): sups over all grid triples / the unit row."""
-    return float(_defect_sups(_defect_slices(L), L.N, 0)[0]), float(np.abs(L.values[0] - 1.0).max())
+    return float(_defect_sups(partial(_defect_slices, L), L.N, 0)[0]), float(np.abs(L.values[0] - 1.0).max())
 
 
 def connection_residual(X: TorusGridFn) -> float:
@@ -243,46 +261,45 @@ def connection_residual(X: TorusGridFn) -> float:
     X(theta'+theta, a) = X(theta, a) + X(theta', k theta + a) (1 + k X(theta, a)).
     Algebraically, effect residual = k * connection residual, triple by triple.
     """
-    V, N, k = X.values, X.N, X.twist
-    twisted, effect, prod = _twisted_row(N, k), 1.0 + k * V, np.empty((N, N))
-
-    def slice_at(lp: int, out: np.ndarray) -> None:
-        _rotated_minus(V, lp, V, out)
-        np.subtract(out, np.multiply(twisted(V[lp]), effect, out=prod), out=out)
-
-    return float(_defect_sups(slice_at, N, 0)[0])
+    effect = 1.0 + X.twist * X.values
+    return float(_defect_sups(partial(_defect_slices, X, effect), X.N, 0)[0])
 
 
 def average_circle(L: TorusGridFn) -> TorusGridFn:
-    """Rotation mean of Lambda-translate ratios; exact fixed points are the
-    multiplicative fields.  Unitality is preserved exactly (each j-term has
-    value 1 on the theta = 0 row).  Raises NonInvertibleNode at the first node
-    with |Lambda| <= 1e-12, e.g. the degenerate identically-zero effect of the
-    constant connection X = -1/k."""
+    """Rotation mean of Lambda-translate ratios; exact fixed points are the multiplicative fields.
+    Unitality is preserved exactly (each j-term has value 1 on the theta = 0 row).  Raises
+    NonInvertibleNode at the first node with |Lambda| <= 1e-12, e.g. the degenerate
+    identically-zero effect of the constant connection X = -1/k.  Row blocks of the mean run on
+    :func:`_on_blocks`, each summing its j-terms in ascending j."""
     V, N, k = L.values, L.N, L.twist
     small = np.abs(V) <= NODE_FLOOR
     if small.any():
-        node = np.argwhere(small)[0]
-        li = (int(node[0]), int(node[1]))
+        li = tuple(int(x) for x in np.argwhere(small)[0])
         raise NonInvertibleNode(li, float(V[li]))
-    acc, rolled, ratio = np.zeros_like(V), np.empty_like(V), np.empty_like(V)
-    for j in range(N):
-        # the j-term is rolled[(l + j) mod N] / rolled[j], with V rolled right by s = k j columns
-        n, s = N - j, k * j % N
-        rolled[:, s:], rolled[:, :s] = V[:, : N - s], V[:, N - s:]
-        np.divide(rolled[j:], rolled[j], out=ratio[:n])
-        np.divide(rolled[:j], rolled[j], out=ratio[n:])
-        np.add(acc, ratio, out=acc)
-    return TorusGridFn(acc / N, k)
+    acc = np.zeros_like(V)
+
+    def rows(lo: int, hi: int) -> None:
+        # acc[l] += V[(l + j) mod N] / V[j], both rolled right by s = k j columns: divided
+        # straight from V's column blocks, in row blocks before and after the wrap
+        out, ratio = acc[lo:hi], np.empty((hi - lo, N))
+        for j in range(N):
+            s, r = k * j % N, (lo + j) % N
+            n = min(hi - lo, N - r)
+            for dst, src in ((ratio[:n], V[r:r + n]), (ratio[n:], V[: hi - lo - n])):
+                np.divide(src[:, : N - s], V[j, : N - s], out=dst[:, s:])
+                np.divide(src[:, N - s:], V[j, N - s:], out=dst[:, :s])
+            np.add(out, ratio, out=out)
+        np.divide(out, N, out=out)
+
+    _on_blocks(N, rows)
+    return TorusGridFn(acc, k)
 
 
 def group_bundle_average(X: TorusGridFn) -> TorusGridFn:
     """Untwisted (group bundle) vertical average: (1/N) sum_j [X(phi+j/N, a) - X(j/N, a)].
 
-    Identically zero in exact arithmetic (the two Riemann sums run over the
-    same sample set); computed honestly so the caller can assert the
-    annihilation down to rounding.
-    """
+    Identically zero in exact arithmetic (the two Riemann sums run over the same sample set);
+    computed honestly so the caller can assert the annihilation down to rounding."""
     V, N = X.values, X.N
     acc, base = np.zeros_like(V), np.zeros(N)
     for j in range(N):
@@ -295,12 +312,9 @@ def group_bundle_average(X: TorusGridFn) -> TorusGridFn:
 
 
 def discrete_seminorm(F: TorusGridFn, r: int) -> float:
-    """Sup norm plus N-scaled central differences of orders <= r (r in {0,1,2}).
-
-    Differences are taken in each grid variable separately (no mixed terms);
-    step h = 1/N, so order 1 scales by N/2 and order 2 by N^2.
-    """
-    D, T = _scratch(F.N, _order(r))
+    """Sup norm plus N-scaled central differences of orders <= r (r in {0,1,2}), in each grid
+    variable separately (no mixed terms); step h = 1/N, so order 1 scales by N/2, order 2 by N^2."""
+    D, T = np.empty((F.N, F.N)), np.empty((F.N, F.N)) if _order(r) == 2 else None
     return float(_scaled(_slice_maxima(F.values, r, D, T), F.N).max())
 
 
@@ -309,11 +323,6 @@ def _order(r: int) -> int:
     if r not in (0, 1, 2):
         raise ValueError(f"seminorm order {r} not supported (use 0, 1 or 2)")
     return r
-
-
-def _scratch(N: int, order: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The difference buffer of :func:`_slice_maxima` and, at order 2, its 2.0*S buffer."""
-    return np.empty((N, N)), np.empty((N, N)) if order == 2 else None
 
 
 def _scaled(maxima, N: int) -> np.ndarray:
@@ -352,9 +361,9 @@ def _central_absmax(S: np.ndarray, axis: int, D: np.ndarray, two_s=None) -> floa
 
 def _slice_maxima(S: np.ndarray, order: int, D: np.ndarray, T=None, halo=None) -> list:
     """Unscaled maxima of |S| and of its order-q central differences (q <= ``order``), along
-    S's axes and across the (prev, next) ``halo``, all written into the scratch D (which may be
-    S itself at order 0) and, at order 2, T = 2.0*S.  Each sup is taken before any scaling and
-    the second differences keep the order (hi - 2.0*S) + lo, so every maximum is exact."""
+    S's axes and across the (prev, next) ``halo``, all written into the scratch D and, at order 2,
+    T = 2.0*S.  Each sup is taken before any scaling and the second differences keep the order
+    (hi - 2.0*S) + lo, so every maximum is exact."""
     maxima = [np.abs(S, out=D).max()]
     if order == 2:
         np.multiply(S, 2.0, out=T)
@@ -367,19 +376,24 @@ def _slice_maxima(S: np.ndarray, order: int, D: np.ndarray, T=None, halo=None) -
     return maxima
 
 
-def _defect_sups(slice_at, N: int, order: int) -> np.ndarray:
+def _defect_sups(slices, N: int, order: int) -> np.ndarray:
     """Scaled :func:`_slice_maxima` of the field whose theta' = lp/N slice ``slice_at(lp, out)``
-    writes, in one pass over theta' with a (prev, next) halo: no N^3 field and no N^2 allocation
-    per step.  The halo is one (3, N, N) ring whose slots rotate by index; order 0 holds a
-    single slice and takes |S| in place.  A NaN anywhere makes the sups NaN."""
+    writes, with ``slice_at = slices()``, in one pass over theta' with a (prev, next) halo: no N^3
+    field and no N^2 allocation per step.  The halo is one (3, N, N) ring whose slots rotate by
+    index.  Order 0 splits theta' into :func:`_on_blocks`, each with its own writer and one slice
+    that takes |S| in place, and joins their sups by np.maximum: exact, and a NaN stays NaN."""
     maxima = np.zeros(order + 1)
     if not order:
-        cur = np.empty((N, N))
-        for lp in range(N):
-            slice_at(lp, cur)
-            maxima = np.maximum(maxima, _slice_maxima(cur, 0, cur))
-        return maxima
-    ring, (D, T) = np.empty((3, N, N)), _scratch(N, order)
+        def sups(lo: int, hi: int) -> np.ndarray:
+            slice_at, cur, m = slices(), np.empty((N, N)), maxima
+            for lp in range(lo, hi):
+                slice_at(lp, cur)
+                m = np.maximum(m, _absmax(cur))
+            return m
+
+        return reduce(np.maximum, _on_blocks(N, sups))
+    slice_at, ring, D = slices(), np.empty((3, N, N)), np.empty((N, N))
+    T = np.empty((N, N)) if order == 2 else None
     slice_at(N - 1, ring[0])
     slice_at(0, ring[1])
     for lp in range(N):
@@ -410,24 +424,22 @@ def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64,
                    row0: tuple[float, float] | None = None) -> IterationTrace:
     """Repeated rotation averaging of a unital grid effect; see :func:`averaging.drive`.
 
-    Rows carry b = max |Lambda|, c = the r = 0 cocycle residual, the unit-row
-    defect, and (in extras) discrete seminorms of the full defect field for
-    each requested order; a vanishing node adds its indices to the last row.
-    The gate is the scalar inequality c <= (1/9) b^(-2) on the grid.
+    Rows carry b = max |Lambda|, c = the r = 0 cocycle residual, the unit-row defect, and (in
+    extras) discrete seminorms of the full defect field for each requested order; a vanishing
+    node adds its indices to the last row.  The gate is c <= (1/9) b^(-2) on the grid.
 
-    Each row runs one defect pass, of the highest requested order: with no
-    orders (``seminorm_orders=()``) that is the order-0 pass, which holds two
-    N^2 buffers, against the (3, N, N) ring of order 1.  ``row0`` is the (b, c)
-    of ``L0`` from a gate pass the caller already ran (:func:`multiplicativity_residual`
-    gives the same c); row 0 then runs no pass unless it needs an order above 0.
-    """
+    Each row runs one defect pass, of the highest requested order: with no orders
+    (``seminorm_orders=()``) that is the order-0 pass, one N^2 slice per worker, against the
+    (3, N, N) ring of order 1.  ``row0`` is the (b, c) of ``L0`` from a gate pass the caller
+    already ran (:func:`multiplicativity_residual` gives the same c); row 0 then runs no pass
+    unless it needs an order above 0."""
     order = max(map(_order, seminorm_orders), default=0)
 
     def gauges(lam: TorusGridFn):
         if lam is L0 and row0 is not None and not order:
             b, sups = row0[0], [row0[1]]
         else:
-            b, sups = float(np.abs(lam.values).max()), _defect_sups(_defect_slices(lam), lam.N, order)
+            b, sups = float(np.abs(lam.values).max()), _defect_sups(partial(_defect_slices, lam), lam.N, order)
         return (b, float(sups[0]), float(np.abs(lam.values[0] - 1.0).max()),
                 {f"c_sem_r{r}": float(np.max(sups[: r + 1])) for r in seminorm_orders})
 
@@ -439,10 +451,7 @@ def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64,
 
 def save_grid_csv(F: TorusGridFn, path: str) -> None:
     """Header line "N,k", then N rows of N comma-separated values."""
-    lines = [f"{F.N},{F.twist}"]
-    for row in F.values:
-        lines.append(",".join(repr(float(x)) for x in row))
-    write_lines(lines, path)
+    write_lines([f"{F.N},{F.twist}"] + [",".join(repr(float(x)) for x in row) for row in F.values], path)
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:

@@ -114,6 +114,18 @@ class FiniteGroupoid:
     def __post_init__(self) -> None:
         self.compose = compose_rows(self.compose)
 
+    def __eq__(self, other: object) -> bool:
+        """Field by field, with the compose rows compared in (g2, g1) order, so as a set."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.sorted_compose(), other.sorted_compose()) and all(
+            getattr(self, f) == getattr(other, f)
+            for f in ("objects", "src", "tgt", "unit", "inverse", "arrow_labels"))
+
+    def sorted_compose(self) -> np.ndarray:
+        """The compose rows in ascending (g2, g1) order."""
+        return self.compose[np.lexsort((self.compose[:, 1], self.compose[:, 0]))]
+
     @property
     def n_objects(self) -> int:
         return len(self.objects)
@@ -348,7 +360,7 @@ class FiniteGroupoid:
                 {"id": g, "src": self.objects[self.src[g]], "tgt": self.objects[self.tgt[g]]}
                 for g in self.arrows()
             ],
-            "compose": self.compose[np.lexsort((self.compose[:, 1], self.compose[:, 0]))].tolist(),
+            "compose": self.sorted_compose().tolist(),
             "units": {str(self.objects[x]): self.unit[x] for x in range(self.n_objects)},
             "inverses": {str(g): self.inverse[g] for g in self.arrows()},
         }
@@ -404,7 +416,10 @@ def compose_rows(rows: Any) -> np.ndarray:
     """``(g2, g1, g21)`` rows as a read-only ``(e, 3)`` int64 array, in their order.  ValueError
     names the first row that is not three integers that fit an int64, or whose pair an earlier
     row lists; ids outside 0..m-1 are kept for :meth:`FiniteGroupoid.validate`."""
-    a = np.asarray(rows)
+    try:
+        a = np.asarray(rows)
+    except ValueError:  # rows of different lengths: the loop names the first bad one
+        a = np.empty(0)
     if a.dtype.kind != "i" or a.shape[1:] != (3,):
         for row in rows:
             if len(row) != 3 or np.asarray(row).dtype.kind != "i":

@@ -1,7 +1,7 @@
 """Bundled example groupoids, representations and seeded random generators.
 
-Everything here is deterministic given a numpy Generator, so the CLI can
-promise byte-identical artifacts for a fixed config and seed.
+Everything here is deterministic given a numpy Generator, so the CLI can promise byte-identical
+artifacts for a fixed config and seed, on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import numpy as np
 
 from .groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, symmetric_group, cyclic_group
 from .bounds import gate_holds
+from .circle import _on_blocks
 from .psrep import FiberBundle, PseudoRep, b_norm, c_norm
 
 # the gate-rescale loop accepts a candidate a tenth inside the gate
@@ -67,13 +68,8 @@ def permutation_plane_rep(n: int) -> dict[tuple, np.ndarray]:
     """The (n-1)-dim orthogonal representation of S_n: permutation matrices
     restricted to the plane orthogonal to the all-ones vector."""
     basis = np.linalg.qr(np.eye(n) - 1.0 / n)[0][:, : n - 1]
-    out = {}
-    for p in itertools.permutations(range(n)):
-        P = np.zeros((n, n))
-        for j, pj in enumerate(p):
-            P[pj, j] = 1.0
-        out[p] = basis.T @ P @ basis
-    return out
+    # the permutation matrix of p has its 1 of column j in row p[j]
+    return {p: basis.T @ np.eye(n)[:, list(p)] @ basis for p in itertools.permutations(range(n))}
 
 
 def action_representation(
@@ -90,10 +86,7 @@ def action_representation(
     dim = frames[0].shape[0]
     bundle = FiberBundle.uniform(AG.n_objects, dim)
     inv_frames = [np.linalg.inv(P) for P in frames]
-    maps = []
-    for a in AG.arrows():
-        glabel, _ = AG.arrow_labels[a]
-        maps.append(inv_frames[AG.tgt[a]] @ rho[glabel] @ frames[AG.src[a]])
+    maps = [inv_frames[AG.tgt[a]] @ rho[AG.arrow_labels[a][0]] @ frames[AG.src[a]] for a in AG.arrows()]
     return PseudoRep(AG, bundle, maps)
 
 
@@ -110,9 +103,7 @@ def z2_example_rep(rng: np.random.Generator, dim: int = 2) -> tuple[FiniteGroupo
     """Genuine rank-``dim`` representation of the two-orbit Z/2 action groupoid."""
     act = z2_swap_action()
     AG = action_groupoid(act)
-    sign = np.eye(dim)
-    sign[0, 0] = -1.0
-    rho = {0: np.eye(dim), 1: sign}
+    rho = {0: np.eye(dim), 1: np.diag([-1.0] + [1.0] * (dim - 1))}
     frames = [conditioned(rng, dim, 0.8, 1.25) for _ in range(3)]
     return AG, action_representation(act, AG, rho, frames)
 
@@ -121,12 +112,11 @@ def random_pseudorep(
     G: FiniteGroupoid, rng: np.random.Generator, dim: int = 2, metrics: bool = False,
     count: int | None = None,
 ) -> PseudoRep | list[PseudoRep]:
-    """Invertible pseudo-representation: every arrow an independent conditioned
-    matrix with singular values in [0.5, 1.5] (units included, so generally not unital).
+    """Invertible pseudo-representation: every arrow an independent conditioned matrix with
+    singular values in [0.5, 1.5] (units included, so generally not unital).
 
-    With ``count`` (and no metrics), a list of that many sharing one bundle, equal to as
-    many single draws in turn: one :func:`conditioned` call draws all their maps.
-    """
+    With ``count`` (and no metrics), a list of that many sharing one bundle, equal to as many
+    single draws in turn: one :func:`conditioned` call draws all their maps."""
     if count is not None and metrics:
         raise ValueError("samples drawn together have no metrics")
     mets = [random_spd(rng, dim) for _ in range(G.n_objects)] if metrics else []
@@ -160,12 +150,11 @@ def random_unital_pseudorep(rep0: PseudoRep, rng: np.random.Generator, delta: fl
 
 
 def rescale_to_gate(make, gauges, delta: float):
-    """The first of make(delta), make(0.7 delta), ... whose gauges (b, c) pass
-    the gate c <= 0.9 (1/9) b^(-2), with the amplitude used and those gauges.
+    """The first of make(delta), make(0.7 delta), ... whose gauges (b, c) pass the gate
+    c <= 0.9 (1/9) b^(-2), with the amplitude used and those gauges.
 
-    A candidate whose gauges overflow fails the gate.  Raises ValueError
-    naming ``delta`` when none of the first 200 amplitudes passes.
-    """
+    A candidate whose gauges overflow fails the gate.  Raises ValueError naming ``delta`` when
+    none of the first 200 amplitudes passes."""
     scale = delta
     for _ in range(200):
         cand = make(scale)
@@ -178,16 +167,12 @@ def rescale_to_gate(make, gauges, delta: float):
     raise ValueError(f"perturbation amplitude {delta!r} does not pass the gate in 200 rescales")
 
 
-def gated_perturbation(
-    rep0: PseudoRep, rng: np.random.Generator, delta: float
-) -> tuple[PseudoRep, float]:
+def gated_perturbation(rep0: PseudoRep, rng: np.random.Generator, delta: float) -> tuple[PseudoRep, float]:
     """Perturb a representation and rescale the noise to the global gate.
 
-    The global gate c <= (1/9) b^(-2) implies the per-orbit gate (orbit values
-    are dominated by the global ones), and makes the doubly exponential
-    envelope at (b0, c0) a theorem for the whole trace.  Returns the gated
-    pseudo-representation and the final noise amplitude actually used.
-    """
+    The global gate c <= (1/9) b^(-2) implies the per-orbit gate (orbit values are dominated by
+    the global ones), and makes the doubly exponential envelope at (b0, c0) a theorem for the
+    whole trace.  Returns the gated pseudo-representation and the noise amplitude used."""
     noise = perturb_rep(rep0, rng, 1.0)
     diff = [noise.maps[g] - rep0.maps[g] for g in rep0.groupoid.arrows()]
 
@@ -201,15 +186,20 @@ def gated_perturbation(
 
 
 def smooth_torus_field(rng: np.random.Generator, N: int) -> np.ndarray:
-    """Random real trigonometric polynomial of degree <= 3 on the N x N torus, over 16:
-    the constant term, then a cos and a sin coefficient for each mode (m, n) in row
-    order, all uniform in [-1, 1]."""
-    theta = np.arange(N)[:, None] / N
-    a = np.arange(N)[None, :] / N
-    out = np.full((N, N), rng.uniform(-1.0, 1.0))
-    for m, n in itertools.product(range(4), repeat=2):
-        if m or n:
-            cm, sm = rng.uniform(-1.0, 1.0, size=2)
+    """Random real trigonometric polynomial of degree <= 3 on the N x N torus, over 16: the
+    constant term, then a cos and a sin coefficient for each mode (m, n) in row order, all uniform
+    in [-1, 1] and drawn first.  Row blocks then add (out + cm cos) + sm sin in place, in order."""
+    const, coeffs = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0, size=(15, 2))
+    modes = [mn for mn in itertools.product(range(4), repeat=2) if any(mn)]
+    a, out = np.arange(N)[None, :] / N, np.full((N, N), const)
+
+    def rows(lo: int, hi: int) -> None:
+        theta, block, term = np.arange(lo, hi)[:, None] / N, out[lo:hi], np.empty((hi - lo, N))
+        for (m, n), (cm, sm) in zip(modes, coeffs):
             phase = 2 * np.pi * (m * theta + n * a)
-            out = out + cm * np.cos(phase) + sm * np.sin(phase)
-    return out / 16
+            for c, f in ((cm, np.cos), (sm, np.sin)):
+                np.add(block, np.multiply(c, f(phase, out=term), out=term), out=block)
+        np.divide(block, 16, out=block)
+
+    _on_blocks(N, rows)
+    return out

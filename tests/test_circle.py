@@ -1,6 +1,7 @@
 """Discretized-circle connections: closed forms, averaging, and seminorms."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from groupavg.circle import (
     save_profile_csv,
     trig_resample,
 )
-from groupavg import presets
+from groupavg import circle, presets
 
 
 def f_sin(t):
@@ -365,23 +366,47 @@ def test_iterate_circle_holds_no_cubic_field():
 
 
 @pytest.mark.parametrize("order, budget", [(0, 1), (1, 3), (2, 3)])
-def test_defect_pass_reuses_its_slice_buffers(order, budget, rng):
+def test_defect_pass_reuses_its_slice_buffers(order, budget, rng, monkeypatch):
+    # order 0 holds one slice buffer per worker; the halo ring of orders 1-2 stays serial
     N = 64
     L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), 2)
-    write, outs = _defect_slices(L), []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(circle, "_THREADS", threads)
+        outs = []
 
-    def slice_at(lp, out):
-        outs.append(out)  # held, so a buffer freed and allocated again cannot pass as reused
-        write(lp, out)
+        def slices():
+            write = _defect_slices(L)
 
-    sups = _defect_sups(slice_at, N, order)
-    distinct = []
-    for out in outs:
-        if not any(np.shares_memory(out, d) for d in distinct):
-            distinct.append(out)
-    assert len(outs) == N + (2 if order else 0)
-    assert len(distinct) <= budget
-    assert np.array_equal(sups, _defect_sups(_defect_slices(L), N, order))
+            def slice_at(lp, out):
+                outs.append(out)  # held, so a buffer freed and allocated again cannot pass as reused
+                write(lp, out)
+
+            return slice_at
+
+        sups = _defect_sups(slices, N, order)
+        distinct = []
+        for out in outs:
+            if not any(np.shares_memory(out, d) for d in distinct):
+                distinct.append(out)
+        assert len(outs) == N + (2 if order else 0)
+        assert len(distinct) <= (threads * budget if not order else budget)
+        assert np.array_equal(sups, _defect_sups(partial(_defect_slices, L), N, order))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_order_0_pass_holds_one_slice_per_worker(threads, rng, monkeypatch):
+    # the slice writer multiplies into the slice and subtracts in place: no product buffer.
+    # A quarter slice per worker covers its twisted-row tile and numpy's 64 KiB ufunc buffer.
+    monkeypatch.setattr(circle, "_THREADS", threads)
+    N = 256
+    L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), 3)
+    tracemalloc.start()
+    try:
+        multiplicativity_residual(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * threads * N * N * 8, f"peak {peak} bytes for {threads} workers"
 
 
 @settings(max_examples=20, deadline=None)

@@ -529,6 +529,30 @@ def test_compose_rejects_a_row_that_is_not_three_integers(row):
         dataclasses.replace(pair_groupoid([0, 1]), compose=[row])
 
 
+@pytest.mark.parametrize("rows, named", [([[0, 0, 0], [0, 1]], [0, 1]), ([[0, 1], [0, 0, 0]], [0, 1]),
+                                         ([[0, 0, 0], [1, 1, 1, 1]], [1, 1, 1, 1])])
+def test_compose_names_the_first_row_of_ragged_rows(rows, named):
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(pair_groupoid([0, 1]), compose=rows)
+    assert str(exc.value) == f"compose entry {named!r} is not three integers that fit an int64"
+
+
+def test_groupoids_compare_by_value_with_compose_rows_as_a_set():
+    S3 = symmetric_group(3)
+    assert cyclic_group(2) == cyclic_group(2) and not cyclic_group(2) != cyclic_group(2)
+    assert dataclasses.replace(S3, compose=S3.compose[::-1]) == S3
+    assert action_groupoid(presets.s3_action()) == action_groupoid(presets.s3_action())
+    # a different composite, arrow label, unit, object or group is a different groupoid
+    bent = S3.compose.copy()
+    bent[0, 2] = (bent[0, 2] + 1) % S3.n_arrows
+    assert dataclasses.replace(S3, compose=bent) != S3
+    assert dataclasses.replace(S3, arrow_labels=None) != S3
+    assert dataclasses.replace(S3, unit=[1]) != S3
+    assert dataclasses.replace(S3, objects=["x"]) != S3
+    assert cyclic_group(2) != cyclic_group(3) and cyclic_group(2) != pair_groupoid([0, 1])
+    assert cyclic_group(2) != "Z/2"
+
+
 def test_compose_rejects_a_pair_listed_twice():
     Z2 = cyclic_group(2)
     rows = [[0, 0, 0], [0, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]]

@@ -1,27 +1,30 @@
 """The shared iteration driver against the two loops it replaced.
 
-The references below are the standalone finite and circle iteration loops,
-the per-orbit gate and one-step estimates on restricted subgroupoids, the
+The references below are the standalone finite and circle iteration loops, the
+per-orbit gate and one-step estimates on restricted subgroupoids, the
 gather-built circle defect field, the sliced cocycle residual, the whole-field
 seminorm and the two residual loops it was streamed from, the np.roll rotation
-and group bundle averages, the two trace column formulas, the per-matrix random
-draws, the identity verifier of one sample at a time and the norm maximum with
-an SVD of every map, kept verbatim in their old operation order.  Every
-comparison is exact, except that the one-step
-estimates may move in the last ulp (the reference renormalizes the restricted
-Haar weights): the driver, the per-orbit gauges, the slice-built field, the
-streamed defect pass, the buffered averages, the bounds module, the batched
-draws, the pruned norm maximum and the identity check over a sample axis must
-reproduce them bit for bit, except the second identity's residual: summed by one
-matrix product per object, it is held to 1e-3 of its tolerance.
+and group bundle averages, the whole-grid noise field, the two trace column
+formulas, the per-matrix random draws, the identity verifier of one sample at a
+time and the norm maximum with an SVD of every map, kept verbatim in their old
+operation order. Every comparison is exact, except that the one-step estimates
+may move in the last ulp (the reference renormalizes the restricted Haar
+weights): the driver, the per-orbit gauges, the slice-built field, the streamed
+defect pass, the buffered averages and noise field on any number of worker
+threads, the bounds module, the batched draws, the pruned norm maximum and the
+identity check over a sample axis must reproduce them bit for bit, except the
+second identity's residual: summed by one matrix product per object, it is held
+to 1e-3 of its tolerance.
 """
 
+import itertools
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
-from groupavg import averaging, presets, psrep
+from groupavg import averaging, circle, presets, psrep
 from groupavg.averaging import (
     GatePrecondition,
     IdentityReport,
@@ -212,6 +215,18 @@ def average_circle_ref(L: TorusGridFn) -> np.ndarray:
         den = np.roll(V[j], k * j)[None, :]
         acc = acc + num / den
     return acc / N
+
+
+def smooth_torus_field_ref(rng: np.random.Generator, N: int) -> np.ndarray:
+    theta = np.arange(N)[:, None] / N
+    a = np.arange(N)[None, :] / N
+    out = np.full((N, N), rng.uniform(-1.0, 1.0))
+    for m, n in itertools.product(range(4), repeat=2):
+        if m or n:
+            cm, sm = rng.uniform(-1.0, 1.0, size=2)
+            phase = 2 * np.pi * (m * theta + n * a)
+            out = out + cm * np.cos(phase) + sm * np.sin(phase)
+    return out / 16
 
 
 def group_bundle_average_ref(X: TorusGridFn) -> np.ndarray:
@@ -620,7 +635,7 @@ def test_slice_built_defect_field_is_bit_equal(N, k, rng):
 def test_streamed_defect_pass_equals_whole_field(N, k, r, rng):
     L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), k)
     field = defect_field_ref(L)
-    sups = _defect_sups(_defect_slices(L), N, r)
+    sups = _defect_sups(partial(_defect_slices, L), N, r)
     # entry q is the sup of the order-q differences alone; their running max is the seminorm
     assert np.maximum.accumulate(sups).tolist() == [_fd_sup(field, q, N) for q in range(r + 1)]
     assert discrete_seminorm(L, r) == _fd_sup(L.values, r, N)
@@ -639,6 +654,71 @@ def test_seminorm_of_column_major_grid_equals_whole_field(r, rng):
 def test_buffered_rotation_average_is_bit_equal(N, k, rng):
     L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), k)
     assert np.array_equal(average_circle(L).values, average_circle_ref(L))
+
+
+# -- the kernels on row blocks: bit-equal on any worker count ------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64])
+@pytest.mark.parametrize("N", [255, 256, 257])
+def test_block_kernels_are_bit_equal(N, k, rng, monkeypatch):
+    L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), k)
+    X = connection_from_effect(L)
+    avg, res, conn = average_circle_ref(L), multiplicativity_residual_ref(L), connection_residual_ref(X)
+    assert res == residual_ref(L)
+    for workers in (1, 3):  # one block, and uneven blocks; the default is min(2, CPUs)
+        monkeypatch.setattr(circle, "_THREADS", workers)
+        assert np.array_equal(average_circle(L).values, avg)
+        assert multiplicativity_residual(L) == res
+        assert connection_residual(X) == conn
+    # the fused slice writer that cocycle_defect_field and the order 1-2 ring also use
+    write, out, cols = _defect_slices(L), np.empty((N, N)), _twist_cols(N, k)
+    for lp in (0, 1, N // 2, N - 1):
+        write(lp, out)
+        assert np.array_equal(out, _defect_slice(L.values, lp, cols))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("N", [1, 4, 255, 256, 257])
+def test_block_torus_field_is_bit_equal(N, workers, monkeypatch):
+    monkeypatch.setattr(circle, "_THREADS", workers)
+    ours, ref = np.random.default_rng(N), np.random.default_rng(N)
+    assert np.array_equal(presets.smooth_torus_field(ours, N), smooth_torus_field_ref(ref, N))
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("nan_lp", [0, 47, 63], ids=["first_block", "second_block", "last"])
+def test_nan_in_one_block_makes_the_sup_nan(nan_lp, monkeypatch):
+    monkeypatch.setattr(circle, "_THREADS", 2)
+    N = 64
+
+    def slices():
+        def slice_at(lp, out):
+            out.fill(1.0)
+            out[3, 5] = np.nan if lp == nan_lp else 1.0
+        return slice_at
+
+    assert np.isnan(_defect_sups(slices, N, 0)).all()
+    L = TorusGridFn(np.ones((N, N)), 2)
+    L.values[40, 7] = np.nan  # a row of the second block of the rotation average
+    assert np.isnan(multiplicativity_residual(L)[0])
+    assert np.isnan(average_circle(L).values).any()
+
+
+def test_worker_exception_and_errstate_reach_the_caller(monkeypatch):
+    monkeypatch.setattr(circle, "_THREADS", 2)
+
+    def fail_late(lo, hi):
+        if lo:
+            raise KeyError(f"block {lo}:{hi}")
+        return lo
+
+    with pytest.raises(KeyError, match="block 4:8"):
+        circle._on_blocks(8, fail_late)
+    assert circle._on_blocks(8, lambda lo, hi: (lo, hi)) == [(0, 4), (4, 8)]
+    big = np.full(8, 1e300)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        circle._on_blocks(8, lambda lo, hi: big[lo:hi] * big[lo:hi] if lo else None)
 
 
 @pytest.mark.parametrize("b0, c0", [(1.0, 1.0 / 9.0), (1.3, 0.01), (2.0, 1e-4)])
