@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -46,15 +46,18 @@ class GatePrecondition(ValueError):
     """One-step estimates require c < 1 on every orbit."""
 
 
-def fiber_sum(first: np.ndarray, F: int, term: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The sum over j < F of term(first + j), added from zero one fiber position at a time.
-
-    ``first`` holds the first averaging triple of each row of a block, so ``first + j`` are
-    the rows' j-th triples; ``term`` gives their weighted terms, with any sample axes."""
-    acc = 0.0
-    for j in range(F):
-        acc = acc + term(first + j)
-    return acc
+def haar_mean(like: Stacks, T: CompositionTables, w: np.ndarray, term) -> Stacks:
+    """Per arrow g, the Haar mean over its fiber: the sum over g's averaging triples t of
+    w[k_t] * term(t), added from zero one fiber position at a time in ascending k.  ``term``
+    maps a block's triples to their stacked terms, with any sample axes; the result has the
+    shapes and samples of ``like``."""
+    out = like.empty_like()
+    for g, _ in blocks(like.group, T.row_len):  # row_len is a key column: the yielded width is 1
+        first, acc = T.row_start[g], 0.0
+        for j in range(T.row_len[g[0]]):
+            acc = acc + w[T.avg_k[first + j], None, None] * term(first + j)
+        out.put(g, acc)
+    return out
 
 
 def average(rep: PseudoRep, nu: HaarSystem) -> PseudoRep:
@@ -75,13 +78,8 @@ def _average(st: Stacks, T: CompositionTables, nu: HaarSystem) -> tuple[Stacks, 
     """
     if len(nu.weights) != len(st.group):
         raise ValueError("Haar system belongs to a different groupoid")
-    w = nu.array
     inv = invert_stacks(st)
-    out = st.empty_like()
-    for g, _ in blocks(st.group, T.row_len):
-        out.put(g, fiber_sum(T.row_start[g], T.row_len[g[0]], lambda t: w[T.avg_k[t], None, None]
-                             * (st.take(T.avg_gk[t]) @ inv.take(T.avg_k[t]))))
-    return out, inv
+    return haar_mean(st, T, nu.array, lambda t: st.take(T.avg_gk[t]) @ inv.take(T.avg_k[t])), inv
 
 
 @dataclass
@@ -146,10 +144,7 @@ def _identities(reps: Sequence[PseudoRep], nu: HaarSystem) -> list[IdentityRepor
     D = cocycles(st, inv, T)
 
     # first identity; mean[g] is the Haar mean of Delta(gk, k) over k
-    mean = st.empty_like()
-    for g, _ in blocks(st.group, T.row_len):
-        mean.put(g, fiber_sum(T.row_start[g], T.row_len[g[0]],
-                              lambda t: w[T.avg_k[t], None, None] * D.take(t)))
+    mean = haar_mean(st, T, w, D.take)
     res_a = max_norm(
         bundle,
         lambda g, _: (avg.take(g) - st.take(g) - mean.take(g), T.src[g], T.tgt[g]),

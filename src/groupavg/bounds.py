@@ -276,8 +276,8 @@ def load_trace_csv(path: str) -> tuple[list[float], list[float]]:
     """(b, c) columns of a trace CSV written by the averaging module.
 
     Raises ValueError naming the file and the missing column, or the row
-    without a number in it.  Non-finite numbers are read as they are: a
-    Diverged trace holds them.
+    without a number in it or with a negative one (b and c are norms).
+    Non-finite numbers are read as they are: a Diverged trace holds them.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -298,6 +298,8 @@ def load_trace_csv(path: str) -> tuple[list[float], list[float]]:
                 vals.append(float(r[col]))
             except ValueError:
                 raise ValueError(f"{path}: trace row {n}: {col!r} value {r[col]!r} is not a number") from None
+            if vals[-1] < 0:
+                raise ValueError(f"{path}: trace row {n}: {col!r} value {r[col]!r} is negative")
     return cols["b"], cols["c"]
 
 

@@ -378,29 +378,25 @@ def _slice_maxima(S: np.ndarray, order: int, D: np.ndarray, T=None, halo=None) -
 
 def _defect_sups(slices, N: int, order: int) -> np.ndarray:
     """Scaled :func:`_slice_maxima` of the field whose theta' = lp/N slice ``slice_at(lp, out)``
-    writes, with ``slice_at = slices()``, in one pass over theta' with a (prev, next) halo: no N^3
-    field and no N^2 allocation per step.  The halo is one (3, N, N) ring whose slots rotate by
-    index.  Order 0 splits theta' into :func:`_on_blocks`, each with its own writer and one slice
-    that takes |S| in place, and joins their sups by np.maximum: exact, and a NaN stays NaN."""
-    maxima = np.zeros(order + 1)
-    if not order:
-        def sups(lo: int, hi: int) -> np.ndarray:
-            slice_at, cur, m = slices(), np.empty((N, N)), maxima
-            for lp in range(lo, hi):
-                slice_at(lp, cur)
-                m = np.maximum(m, _absmax(cur))
-            return m
+    writes, with ``slice_at = slices()``, in one pass over theta': no N^3 field and no N^2
+    allocation per step.  A pass holds a ring of the 2h + 1 slices within h of theta', whose slots
+    rotate by index: at orders 1-2, h = 1, one (3, N, N) ring run serially over 0..N-1; at order 0,
+    h = 0, one slice per :func:`_on_blocks` worker, which takes |S| in place.  The sups of the
+    blocks are joined by np.maximum: exact, and a NaN stays NaN."""
+    h = min(order, 1)
 
-        return reduce(np.maximum, _on_blocks(N, sups))
-    slice_at, ring, D = slices(), np.empty((3, N, N)), np.empty((N, N))
-    T = np.empty((N, N)) if order == 2 else None
-    slice_at(N - 1, ring[0])
-    slice_at(0, ring[1])
-    for lp in range(N):
-        prev, cur, nxt = ring[lp % 3], ring[(lp + 1) % 3], ring[(lp + 2) % 3]
-        slice_at((lp + 1) % N, nxt)
-        maxima = np.maximum(maxima, _slice_maxima(cur, order, D, T, (prev, nxt)))
-    return _scaled(maxima, N)
+    def sups(lo: int, hi: int) -> np.ndarray:
+        slice_at, ring, maxima = slices(), np.empty((2 * h + 1, N, N)), np.zeros(order + 1)
+        D, T = np.empty((N, N)) if h else ring[0], np.empty((N, N)) if order == 2 else None
+        for lp in range(lo - h, lo + h):
+            slice_at(lp % N, ring[lp % len(ring)])
+        for lp in range(lo, hi):
+            slice_at((lp + h) % N, ring[(lp + h) % len(ring)])
+            halo = (ring[(lp - 1) % len(ring)], ring[(lp + 1) % len(ring)]) if h else None
+            maxima = np.maximum(maxima, _slice_maxima(ring[lp % len(ring)], order, D, T, halo))
+        return maxima
+
+    return _scaled(reduce(np.maximum, [sups(0, N)] if order else _on_blocks(N, sups)), N)
 
 
 def profile_twist_orbit(step_value: float, k: int) -> list[float]:

@@ -369,6 +369,9 @@ class FiniteGroupoid:
     def from_json_dict(cls, d: dict) -> "FiniteGroupoid":
         objects = list(d["objects"])
         index = {str(x): i for i, x in enumerate(objects)}
+        if len(index) < len(objects):  # a file names an object by str(label)
+            x = next(x for i, x in enumerate(objects) if index[str(x)] != i)
+            raise ValueError(f"objects {x!r} and {objects[index[str(x)]]!r} share the label {str(x)!r}")
         arrows = sorted((json_object(a, "an arrow") for a in d["arrows"]), key=lambda a: a["id"])
         m = len(arrows)
         if [a["id"] for a in arrows] != list(range(m)) or any(type(a["id"]) is not int for a in arrows):

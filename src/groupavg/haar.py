@@ -77,18 +77,22 @@ class HaarSystem:
 class HaarReport:
     max_normalization_residual: float
     invariance_violations: list[tuple[int, int, float]] = field(default_factory=list)
+    negative_weights: list[tuple[int, float]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return (
             self.max_normalization_residual <= NORMALIZATION_TOL
             and not self.invariance_violations
+            and not self.negative_weights
         )
 
     def __str__(self) -> str:
         lines = [f"max normalization residual: {self.max_normalization_residual:.3e}"]
         for g, k, amt in self.invariance_violations:
             lines.append(f"invariance violated at (g={g}, k={k}): |w(gk)-w(k)| = {amt:.3e}")
+        for k, w in self.negative_weights:
+            lines.append(f"negative weight at arrow {k}: w = {w:.3e}")
         return "\n".join(lines)
 
 
@@ -106,7 +110,8 @@ def counting_haar(G: FiniteGroupoid, exact: bool = False) -> HaarSystem:
 
 
 def check_haar(nu: HaarSystem) -> HaarReport:
-    """Normalization and left-invariance residuals; exact when weights are Fractions.
+    """Normalization and left-invariance residuals, and the negative weights (a Haar system is a
+    measure; a zero weight is allowed); exact when weights are Fractions.
     Invariance runs over the averaging triples (g, k, gk), g ascending, then k."""
     G = nu.groupoid
     zero = Fraction(0) if any(isinstance(w, Fraction) for w in nu.weights) else 0.0
@@ -121,7 +126,8 @@ def check_haar(nu: HaarSystem) -> HaarReport:
         amt = abs(nu.weights[gk] - nu.weights[k])
         if amt > INVARIANCE_TOL:
             violations.append((g, k, float(amt)))
-    return HaarReport(float(max_norm), violations)
+    negative = [(k, float(w)) for k, w in enumerate(nu.weights) if w < 0]
+    return HaarReport(float(max_norm), violations, negative)
 
 
 def restrict_haar(

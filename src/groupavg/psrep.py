@@ -315,15 +315,15 @@ def max_norm(bundle: FiberBundle | SampleBundles, part, *key: np.ndarray,
              n_orbits: int = 1) -> list:
     """Largest metric norm over the work items of each orbit; 0.0 for an orbit with none.
 
-    ``orbit[i]`` is item i's orbit id, below ``n_orbits``; with more than one orbit it is one
-    more key column for :func:`blocks`.  ``part(items, width)`` returns the stacked maps of a
-    block with their source and target objects.  On maps with a sample axis, an orbit's entry
-    is a list with one maximum per sample.
+    ``orbit[i]`` is item i's orbit id, below ``n_orbits`` (zeros when None), and the first key
+    column for :func:`blocks`.  ``part(items, width)`` returns the stacked maps of a block with
+    their source and target objects.  On maps with a sample axis, an orbit's entry is a list
+    with one maximum per sample.
     """
-    split = n_orbits > 1
+    orbit = np.zeros(len(key[0]), dtype=np.intp) if orbit is None else orbit
     worst = [np.float64(0.0)] * n_orbits
-    for items, F in blocks(*(orbit, *key) if split else key, width=width):
-        o = int(orbit[items[0]]) if split else 0
+    for items, F in blocks(orbit, *key, width=width):
+        o = int(orbit[items[0]])
         worst[o] = metric_norms(bundle, *part(items, F), worst[o])
     return [w.tolist() for w in worst]
 

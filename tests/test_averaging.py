@@ -17,8 +17,8 @@ from groupavg.averaging import (
     write_trace_csv,
     write_verdict_json,
 )
-from groupavg.groupoid import FiniteGroupAction, action_groupoid, cyclic_group
-from groupavg.haar import counting_haar, restrict_haar
+from groupavg.groupoid import FiniteGroupAction, action_groupoid, cyclic_group, pair_groupoid
+from groupavg.haar import HaarSystem, check_haar, counting_haar, restrict_haar
 from groupavg.psrep import (
     FiberBundle,
     PseudoRep,
@@ -135,6 +135,39 @@ def test_step_estimates_gated_inputs(seed):
     rep, _ = presets.gated_perturbation(base, rng, 5e-3)
     rows = verify_step_estimates(rep, counting_haar(G))
     assert all(row.ok for row in rows)
+
+
+def unital_near_identity(G, rng, d):
+    """Identity maps on the units; I plus entrywise U(-0.05, 0.05) on every other arrow."""
+    units = set(G.unit)
+    return PseudoRep(G, FiberBundle.uniform(G.n_objects, d), [
+        np.eye(d) if g in units else np.eye(d) + rng.uniform(-0.05, 0.05, (d, d)) for g in G.arrows()])
+
+
+def source_weighted_haar(G, p):
+    """Weight p[src k] on arrow k: left invariant, and normalized when p sums to 1."""
+    return HaarSystem(G, [p[G.src[k]] for k in G.arrows()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 4), d=st.integers(1, 2))
+def test_step_estimates_under_a_non_counting_haar_system(seed, n, d):
+    rng = np.random.default_rng(seed)
+    G = pair_groupoid(list(range(n)))
+    p = rng.uniform(0.05, 1.0, n)
+    nu = source_weighted_haar(G, p / p.sum())
+    assert check_haar(nu).ok
+    assert all(row.ok for row in verify_step_estimates(unital_near_identity(G, rng, d), nu))
+
+
+def test_step_estimates_fail_under_negative_weights():
+    # normalized and left invariant, but no measure: check_haar refuses it, and the
+    # one-step bound breaks on some inputs that hold it under every positive system
+    G = pair_groupoid([0, 1])
+    nu = source_weighted_haar(G, [1.5, -0.5])
+    assert not check_haar(nu).ok
+    rng = np.random.default_rng(0)
+    assert not all(row.ok for _ in range(50) for row in verify_step_estimates(unital_near_identity(G, rng, 1), nu))
 
 
 def test_step_estimates_gate_precondition():

@@ -15,8 +15,9 @@ import pytest
 from groupavg import averaging, bounds, circle, cli
 from groupavg.circle import CircleProfile, save_profile_csv
 from groupavg.cli import main
-from groupavg.groupoid import action_groupoid, cyclic_group
+from groupavg.groupoid import action_groupoid, cyclic_group, pair_groupoid
 from groupavg.haar import HaarSystem, counting_haar
+from groupavg.psrep import FiberBundle, PseudoRep
 from groupavg import presets
 
 
@@ -151,6 +152,51 @@ def test_validate_bad_haar_weights(tmp_path, groupoid_file, z2_groupoid, capsys)
     path = tmp_path / "haar.json"
     skew.save(str(path))
     assert main(["validate", "--groupoid", groupoid_file, "--haar", str(path)]) == 1
+
+
+def negative_pair_haar():
+    """The Haar weights 1.5 on each arrow from object 0 of a pair groupoid on two objects and
+    -0.5 on each arrow from object 1: normalized and left invariant, but no measure."""
+    G = pair_groupoid([0, 1])
+    return HaarSystem(G, [1.5 if G.src[k] == 0 else -0.5 for k in G.arrows()])
+
+
+def test_validate_names_negative_haar_weights(tmp_path, capsys):
+    nu = negative_pair_haar()
+    path, haar_path = tmp_path / "pair.json", tmp_path / "haar.json"
+    nu.groupoid.save(str(path))
+    nu.save(str(haar_path))
+    assert main(["validate", "--groupoid", str(path), "--haar", str(haar_path)]) == 1
+    out = capsys.readouterr().out
+    assert all(f"negative weight at arrow {k}" in out for k, w in enumerate(nu.weights) if w < 0)
+
+
+def test_run_rejects_negative_haar_weights(tmp_path, capsys):
+    nu = negative_pair_haar()
+    G = nu.groupoid
+    cfg, _ = write_finite_inputs(tmp_path, PseudoRep(G, FiberBundle.uniform(2, 1), [np.eye(1) for _ in G.arrows()]), nu)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "haar weights fail the Haar checks" in err and "negative weight at arrow 2" in err
+
+
+@pytest.mark.parametrize("labels, named", [
+    ([1, "1"], "objects 1 and '1' share the label '1'"),
+    (["a", "a"], "objects 'a' and 'a' share the label 'a'"),
+], ids=["int_and_str", "repeated"])
+def test_colliding_object_labels_named_on_validate_and_run(tmp_path, capsys, labels, named):
+    # a file names objects by str(label), so two labels with one str would be one object
+    doc = {"objects": labels, "arrows": [{"id": i, "src": x, "tgt": x} for i, x in enumerate(labels)],
+           "compose": [[0, 0, 0], [1, 1, 1]], "units": {str(x): i for i, x in enumerate(labels)},
+           "inverses": {"0": 0, "1": 1}}
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--groupoid", str(path)]) == 2
+    assert f"{path}: {named}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "finite_iterate", "groupoid": str(path)}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: {named}" in capsys.readouterr().err
 
 
 # -- run: finite kinds ----------------------------------------------------------------
@@ -423,8 +469,9 @@ def test_bounds_check_flags_corruption(tmp_path, capsys):
         ("i,c,b\n0,0.1\n1,0.01,1\n", "trace row 0 is short: no 'b' value"),
         ("i,b,c\n0,1,0.01\n1,1,x\n", "trace row 1: 'c' value 'x' is not a number"),
         ("i,b,c\n0,1," + "0" * 200_000 + "\n", "field larger than field limit"),
+        ("i,b,c\n0,1.0,0.01\n1,1.0,-0.5\n", "trace row 1: 'c' value '-0.5' is negative"),
     ],
-    ids=["no_c_column", "short_row", "not_a_number", "field_too_long"],
+    ids=["no_c_column", "short_row", "not_a_number", "field_too_long", "negative_c"],
 )
 def test_bounds_check_malformed_trace_named(tmp_path, capsys, text, named):
     trace = tmp_path / "trace.csv"

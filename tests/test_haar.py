@@ -76,6 +76,22 @@ def test_invariance_violation_listed(z2_groupoid):
     assert not report.ok
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_negative_weights_fail_the_check(exact):
+    # normalized and left invariant, so only the sign tells that this is no measure
+    G = pair_groupoid([0, 1])
+    hi, lo = (Fraction(3, 2), Fraction(-1, 2)) if exact else (1.5, -0.5)
+    report = check_haar(HaarSystem(G, [hi if G.src[k] == 0 else lo for k in G.arrows()]))
+    assert report.max_normalization_residual == 0
+    assert report.invariance_violations == []
+    assert report.negative_weights == [(k, -0.5) for k in G.arrows() if G.src[k] == 1]
+    assert not report.ok
+    for k, _ in report.negative_weights:
+        assert f"negative weight at arrow {k}: w = -5.000e-01" in str(report)
+    # an absent arrow weighs 0: zero weights stay allowed
+    assert check_haar(HaarSystem(G, [1.0 if G.src[k] == 0 else 0.0 for k in G.arrows()])).ok
+
+
 def check_haar_ref(nu):
     """``check_haar`` as it was: the m^2 double loop over (g, k), composing with the dict."""
     G = nu.groupoid
