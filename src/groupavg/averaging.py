@@ -171,7 +171,7 @@ def _identities(reps: Sequence[PseudoRep], nu: HaarSystem) -> list[IdentityRepor
             R = avg.take(T.table[g2[:, None], g1])
             R -= avg.take(g2)[:, :, None] @ avg.take(g1)[:, None]
             R -= P.reshape(S, len(g2), d, n1, d).transpose(0, 1, 3, 2, 4)
-            res.append(R.reshape(S, -1, d, d))
+            res.append(R.reshape(S, len(g2) * n1, d, d))
         R = res[0] if len(res) == 1 else np.concatenate(res, axis=-3)
         return R, np.tile(T.src[g1], len(rows)), np.repeat(T.tgt[rows], n1)
 

@@ -38,7 +38,6 @@ DEFAULTS = {
     "N": 64,
     "k": 2,
     "perturb": 1e-3,
-    "count": 0,  # 0 = per-kind default
     "gate_rescale": True,
 }
 
@@ -194,7 +193,7 @@ def kind_finite_iterate(p: dict) -> list[str]:
 def kind_finite_identities(p: dict) -> list[str]:
     out = ensure_out(p)
     rng = np.random.default_rng(p["seed"])
-    count = p["count"] or KIND_COUNTS["finite_identities"]
+    count = p.get("count", KIND_COUNTS["finite_identities"])
     G = action_groupoid(presets.s3_action())
     nu = counting_haar(G)
     lines = ["i,residual_a,residual_b,tol,pass"]
@@ -303,7 +302,7 @@ def kind_bounds_check(p: dict) -> list[str]:
 def kind_group_bundle(p: dict) -> list[str]:
     out = ensure_out(p)
     rng = np.random.default_rng(p["seed"])
-    count = p["count"] or KIND_COUNTS["group_bundle"]
+    count = p.get("count", KIND_COUNTS["group_bundle"])
     lines = ["i,max_abs_average,tol,pass"]
     failures = []
     for i in range(count):

@@ -460,13 +460,13 @@ class CompositionTables:
       arrows with target x; ``fiber_pos[a]`` is the place of a in its fiber.
     * Averaging triples ``(avg_g, avg_k, avg_gk)``: every arrow g with every
       k in the target fiber of src(g).  The ``row_len[g]`` triples of g
-      start at ``row_start[g]``.
+      start at ``row_start[g]``.  The pairs (g, k) with tgt k = src g are
+      exactly the composable pairs (g2, g1), so these run over each composable
+      pair once, with its composite g2 g1 = ``avg_gk``.
     * Divisible triples ``(avg_gk, avg_k, div_q)`` with ``div_q = gk k^(-1)``,
       looked up in the table.  ``(g, k) -> (gk, k)`` is a bijection onto the
       divisible pairs, so these run over each divisible pair once, in the
       layout of the averaging triples.
-    * Composable triples ``(pair_g2, pair_g1, pair_g21)``: every (g2, g1) with
-      src(g2) == tgt(g1), g1 ascending, then g2.
     * ``orbit[x]``: the place of object x's orbit among the ``n_orbits`` of :meth:`FiniteGroupoid.orbits`.
     """
 
@@ -483,9 +483,6 @@ class CompositionTables:
     avg_k: np.ndarray
     avg_gk: np.ndarray
     div_q: np.ndarray
-    pair_g2: np.ndarray
-    pair_g1: np.ndarray
-    pair_g21: np.ndarray
     orbit: np.ndarray
     n_orbits: int
 
@@ -521,15 +518,12 @@ class CompositionTables:
         if bad.size:
             t = bad[0]
             raise ValueError(f"composition table is inconsistent at ({avg_g[t]},{avg_k[t]})")
-        # (g, k) with tgt k = src g are exactly the composable pairs (g2, g1)
-        pairs = np.lexsort((avg_g, avg_k))
         orbits = G.orbits()
         orbit = np.empty(G.n_objects, dtype=np.intp)
         for o, block in enumerate(orbits):
             orbit[block] = o
         return cls(table, defined, src, tgt, fiber_start, fiber, fiber_pos, row_start, row_len,
-                   avg_g, avg_k, avg_gk, div_q, avg_g[pairs], avg_k[pairs], avg_gk[pairs], orbit,
-                   len(orbits))
+                   avg_g, avg_k, avg_gk, div_q, orbit, len(orbits))
 
 
 # -- builders ----------------------------------------------------------------
@@ -617,13 +611,16 @@ def action_groupoid(action: FiniteGroupAction) -> FiniteGroupoid:
     """Action groupoid: arrows (g, u) with source u and target g.u.
 
     Arrow order is (group arrow, point) ascending, so ids are g*len(points)+u.
-    Calls ``act`` once per (g, u).  Raises MalformedAction if the action leaves
-    the point set or violates identity (checked at each point) or compatibility
-    (then at each (g2, g1, u) ascending), naming the first failure.
+    Calls ``act`` once per (g, u).  Raises MalformedAction if a point is listed twice,
+    or if the action leaves the point set or violates identity (checked at each point) or
+    compatibility (then at each (g2, g1, u) ascending), naming the first failure.
     """
     G = action.group
     pts = list(action.points)
     pt_index = {u: i for i, u in enumerate(pts)}
+    if len(pt_index) < len(pts):  # equal points share one index
+        i = next(i for i, u in enumerate(pts) if pt_index[u] != i)
+        raise MalformedAction(f"point {pts[i]!r} is listed twice, at positions {i} and {pt_index[pts[i]]}")
     labels = G.arrow_labels
     assert labels is not None
     m, P, e = G.n_arrows, len(pts), G.unit[0]

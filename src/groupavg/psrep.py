@@ -408,15 +408,16 @@ def arrow_norms_by_orbit(
 
 
 def c_by_orbit(rep: PseudoRep) -> list[float]:
-    """c of each orbit of :meth:`FiniteGroupoid.orbits`: its largest multiplicativity defect."""
+    """c of each orbit of :meth:`FiniteGroupoid.orbits`: its largest multiplicativity defect,
+    over the composable pairs (g2, g1) = (g, k) of the averaging triples."""
     T, st = rep.groupoid.tables, rep.stacks()
 
-    def part(p: np.ndarray, _: int):
-        g2, g1 = T.pair_g2[p], T.pair_g1[p]
-        return st.take(T.pair_g21[p]) - st.take(g2) @ st.take(g1), T.src[g1], T.tgt[g2]
+    def part(t: np.ndarray, _: int):
+        g2, g1 = T.avg_g[t], T.avg_k[t]
+        return st.take(T.avg_gk[t]) - st.take(g2) @ st.take(g1), T.src[g1], T.tgt[g2]
 
-    return max_norm(rep.bundle, part, st.group[T.pair_g2], st.group[T.pair_g1],
-                    orbit=T.orbit[T.src[T.pair_g1]], n_orbits=T.n_orbits)
+    return max_norm(rep.bundle, part, st.group[T.avg_g], st.group[T.avg_k],
+                    orbit=T.orbit[T.src[T.avg_k]], n_orbits=T.n_orbits)
 
 
 def b_norm(rep: PseudoRep) -> float:

@@ -17,7 +17,13 @@ from groupavg.averaging import (
     write_trace_csv,
     write_verdict_json,
 )
-from groupavg.groupoid import FiniteGroupAction, action_groupoid, cyclic_group, pair_groupoid
+from groupavg.groupoid import (
+    FiniteGroupAction,
+    action_groupoid,
+    cyclic_group,
+    pair_groupoid,
+    trivial_groupoid,
+)
 from groupavg.haar import HaarSystem, check_haar, counting_haar, restrict_haar
 from groupavg.psrep import (
     FiberBundle,
@@ -92,6 +98,15 @@ def test_identities_identity_rep(z2_groupoid, z2_haar):
     assert report.ok
     assert report.residual_a <= 1e-14
     assert report.residual_b <= 1e-14
+
+
+@pytest.mark.parametrize("dims", [[0], [0, 0, 2]], ids=["one_object_dim_0", "z2_dims_0_0_2"])
+def test_identities_on_zero_dimensional_fibers(dims):
+    G = trivial_groupoid() if len(dims) == 1 else action_groupoid(presets.z2_swap_action())
+    rep = PseudoRep(G, FiberBundle(dims), [np.eye(dims[G.src[g]]) for g in G.arrows()])
+    report = verify_fundamental_identities(rep, counting_haar(G))
+    assert report.ok
+    assert (report.residual_a, report.residual_b) == (0.0, 0.0)
 
 
 @settings(max_examples=25, deadline=None)

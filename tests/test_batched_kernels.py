@@ -16,7 +16,7 @@ from groupavg import presets, psrep
 from groupavg.averaging import average, verify_fundamental_identities
 from groupavg.groupoid import action_groupoid
 from groupavg.haar import counting_haar
-from groupavg.psrep import COND_LIMIT, FiberBundle, NonInvertible, PseudoRep, c_norm
+from groupavg.psrep import COND_LIMIT, FiberBundle, NonInvertible, PseudoRep, c_by_orbit, c_norm
 
 
 # -- oracles -----------------------------------------------------------------------
@@ -175,15 +175,20 @@ def test_mixed_dims_make_two_shape_groups():
     assert sorted(A.shape for A in rep.stacks().arrays) == [(2, 3, 3), (4, 2, 2)]
 
 
-def test_small_blocks_change_nothing(monkeypatch):
-    """Cutting the work into many small blocks gives the same bits."""
-    G = s3()
-    rep = random_rep(G, np.random.default_rng(5), [2, 2, 2], True)
-    nu = counting_haar(G)
-    whole = average(rep, nu), c_norm(rep), verify_fundamental_identities(rep, nu)
-    monkeypatch.setattr(psrep, "BLOCK_TERMS", 5)
-    cut = average(rep, nu), c_norm(rep), verify_fundamental_identities(rep, nu)
-    for g in G.arrows():
-        assert np.array_equal(whole[0].maps[g], cut[0].maps[g])
-    assert whole[1] == cut[1]
-    assert whole[2] == cut[2]
+def test_small_blocks_change_nothing(monkeypatch, two_orbit_disjoint):
+    """Cutting the work into many small blocks gives the same bits, on one orbit and on two."""
+    inputs = [(s3(), [2, 2, 2]), (two_orbit_disjoint, [2, 2, 2])]
+    inputs += [(make(), dims) for make, dims, _ in (CASES["z2_two_orbits"], CASES["z2_mixed_dims"])]
+    whole_block = psrep.BLOCK_TERMS
+    for G, dims in inputs:
+        rep = random_rep(G, np.random.default_rng(5), dims, True)
+        nu = counting_haar(G)
+        runs = []
+        for block in (whole_block, 5):
+            monkeypatch.setattr(psrep, "BLOCK_TERMS", block)
+            runs.append((average(rep, nu), c_by_orbit(rep), c_norm(rep),
+                         verify_fundamental_identities(rep, nu)))
+        whole, cut = runs
+        for g in G.arrows():
+            assert np.array_equal(whole[0].maps[g], cut[0].maps[g])
+        assert len(whole[1]) == len(G.orbits()) and whole[1:] == cut[1:]

@@ -316,6 +316,19 @@ def test_malformed_action_compatibility():
         action_groupoid(act)
 
 
+@pytest.mark.parametrize("points, where", [(["a", "a"], "'a' is listed twice, at positions 0 and 1"),
+                                           ([1, 1.0], "1 is listed twice, at positions 0 and 1"),
+                                           ([0, 1, 2, 1], "1 is listed twice, at positions 1 and 3")],
+                         ids=["same_str", "int_and_float", "later"])
+def test_repeated_point_is_named(points, where):
+    with pytest.raises(MalformedAction) as exc:
+        trivial_groupoid(points)
+    assert str(exc.value) == f"point {where}"
+    # named before the action is applied, so the identity is not blamed
+    with pytest.raises(MalformedAction, match="listed twice"):
+        action_groupoid(FiniteGroupAction(cyclic_group(2), points, lambda g, u: u))
+
+
 # -- builders: the dict-building builders they replaced, kept as the oracle -----------
 #
 # Each returns the constructor's fields with ``compose`` as the dict {(g2, g1): g21}.
@@ -735,9 +748,9 @@ def test_tables_match_dict_definitions(make):
     # divisible triples cover each divisible pair once
     divisible = list(zip(T.avg_gk.tolist(), T.avg_k.tolist(), T.div_q.tolist()))
     assert sorted(divisible) == sorted(divisible_pairs_ref(G))
-    # composable triples, g1 ascending, then g2
-    pairs = list(zip(T.pair_g2.tolist(), T.pair_g1.tolist(), T.pair_g21.tolist()))
-    assert pairs == [(g2, g1, compose[(g2, g1)]) for g2, g1 in composable_pairs(G)]
+    # averaging triples cover each composable pair once
+    composable = list(zip(T.avg_g.tolist(), T.avg_k.tolist(), T.avg_gk.tolist()))
+    assert sorted(composable) == sorted((g2, g1, compose[(g2, g1)]) for g2, g1 in composable_pairs(G))
 
 
 def test_tables_orbit_ids_follow_orbits(z2_groupoid, two_orbit_disjoint, s3_groupoid):

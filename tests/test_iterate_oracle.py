@@ -388,17 +388,17 @@ def verify_identities_ref(rep, nu):
     )
 
     def second(p, F):
-        g2, g1 = T.pair_g2[p], T.pair_g1[p]
+        g2, g1 = T.avg_g[p], T.avg_k[p]
         t1 = T.row_start[g1][:, None] + np.arange(F)
         t2 = T.row_start[g2][:, None] + T.fiber_pos[T.avg_gk[t1]]
         wk = w[T.avg_k[t1]]
         left = D.take(t2)
-        lhs = avg.take(T.pair_g21[p]) - avg.take(g2) @ avg.take(g1)
+        lhs = avg.take(T.avg_gk[p]) - avg.take(g2) @ avg.take(g1)
         single = fiber_sum_ref(wk, left @ D.take(t1))
         return lhs - (single - fiber_sum_ref(wk, left) @ mean.take(g1)), T.src[g1], T.tgt[g2]
 
     res_b = max_norm_ref(
-        rep.bundle, second, st.group[T.pair_g2], st.group[T.pair_g1], width=T.row_len[T.pair_g1]
+        rep.bundle, second, st.group[T.avg_g], st.group[T.avg_k], width=T.row_len[T.avg_k]
     )
 
     b = b_norm(rep)
