@@ -24,6 +24,7 @@ the rectangle rule for the continuum integral (exact for trigonometric polynomia
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -164,7 +165,7 @@ def from_profile(profile, N: int, k: int | None = None) -> tuple[TorusGridFn, To
     if denom.min() <= 0.0:
         i = int(np.argmin(denom))
         raise ProfileOutOfRange(f"1 + k f({i}/{k * N}) = {denom[i]:.3e} <= 0")
-    ls, isx = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    ls, isx = np.arange(N)[:, None], np.arange(N)
     X = (fine[(k * ls + isx) % (k * N)] - fine[isx]) / denom[isx]
     return TorusGridFn(X, k), TorusGridFn(1.0 + k * X, k)
 
@@ -183,17 +184,18 @@ def limit_profile(L: TorusGridFn) -> CircleProfile:
 
 
 def _twisted_row(N: int, k: int):
-    """row -> the read-only (N, N) view R[l, i] = row[(k l + i) mod N], the row read at k theta + a:
-    the row is tiled k' + 1 times (k' = k mod N) into one held buffer, and R is a window over it
-    with row stride k' and column stride 1: its last element, k'(N - 1) + N - 1, is in the buffer."""
+    """(row, out) -> ``out`` set to R[l, i] = row[(k l + i) mod N], the row read at k theta + a: the
+    row is tiled k' + 1 times (k' = k mod N) into one held buffer, and R is a window over it with row
+    stride k' and column stride 1 (last element k'(N - 1) + N - 1), copied whole: ufuncs buffer it."""
     k %= N
     tiled = np.empty((k + 1, N))
     view = np.lib.stride_tricks.as_strided(
         tiled, (N, N), (k * tiled.itemsize, tiled.itemsize), writeable=False)
 
-    def at(row: np.ndarray) -> np.ndarray:
+    def at(row: np.ndarray, out: np.ndarray) -> np.ndarray:
         tiled[:] = row
-        return view
+        np.copyto(out, view)
+        return out
 
     return at
 
@@ -233,11 +235,11 @@ def _defect_slices(L: TorusGridFn, effect: np.ndarray | None = None):
 
     def slice_at(lp: int, out: np.ndarray) -> None:
         # out[l] = V[(lp + l) mod N] - B[l], as two row blocks
-        n, B = len(V) - lp, np.multiply(twisted(V[lp]), V, out=out) if effect is None else V
+        n, B = len(V) - lp, np.multiply(twisted(V[lp], out), V, out=out) if effect is None else V
         np.subtract(V[lp:], B[:n], out=out[:n])
         np.subtract(V[:lp], B[n:], out=out[n:])
         if effect is not None:
-            np.subtract(out, np.multiply(twisted(V[lp]), effect, out=prod), out=out)
+            np.subtract(out, np.multiply(twisted(V[lp], prod), effect, out=prod), out=out)
 
     return slice_at
 
@@ -272,11 +274,11 @@ def average_circle(L: TorusGridFn) -> TorusGridFn:
     identically-zero effect of the constant connection X = -1/k.  Row blocks of the mean run on
     :func:`_on_blocks`, each summing its j-terms in ascending j."""
     V, N, k = L.values, L.N, L.twist
-    small = np.abs(V) <= NODE_FLOOR
-    if small.any():
-        li = tuple(int(x) for x in np.argwhere(small)[0])
+    acc = np.abs(V, out=np.empty_like(V))  # |Lambda| for the node check, then the sum
+    if (acc <= NODE_FLOOR).any():
+        li = tuple(int(x) for x in np.argwhere(acc <= NODE_FLOOR)[0])
         raise NonInvertibleNode(li, float(V[li]))
-    acc = np.zeros_like(V)
+    acc.fill(0.0)
 
     def rows(lo: int, hi: int) -> None:
         # acc[l] += V[(l + j) mod N] / V[j], both rolled right by s = k j columns: divided
@@ -446,8 +448,9 @@ def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64,
 
 
 def save_grid_csv(F: TorusGridFn, path: str) -> None:
-    """Header line "N,k", then N rows of N comma-separated values."""
-    write_lines([f"{F.N},{F.twist}"] + [",".join(repr(float(x)) for x in row) for row in F.values], path)
+    """Header line "N,k", then N rows of N comma-separated values, each formatted as it is written."""
+    rows = (",".join(repr(float(x)) for x in row) for row in F.values)
+    write_lines(itertools.chain([f"{F.N},{F.twist}"], rows), path)
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:

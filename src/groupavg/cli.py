@@ -236,27 +236,29 @@ def kind_circle_profile(p: dict) -> list[str]:
     circle.save_grid_csv(X, os.path.join(out, "connection.csv"))
     circle.save_grid_csv(lam, os.path.join(out, "effect.csv"))
     res_c, res_u = circle.multiplicativity_residual(lam)
+    # the rounding of the closed form grows linearly in k (see README): 1e-13 up to k = 14
+    tol = max(1e-13, 32 * lam.twist * 2.0**-52)
     write_json(
         {"kind": "circle_profile", "N": p["N"], "k": lam.twist,
-         "res_cocycle": res_c, "res_unit": res_u, "tol": 1e-13},
+         "res_cocycle": res_c, "res_unit": res_u, "tol": tol},
         os.path.join(out, "residuals.json"),
     )
     failures = []
-    if res_c > 1e-13:
-        failures.append(f"cocycle residual {res_c!r} > 1e-13")
-    if res_u > 1e-13:
-        failures.append(f"unit residual {res_u!r} > 1e-13")
+    if res_c > tol:
+        failures.append(f"cocycle residual {res_c!r} > {tol!r}")
+    if res_u > tol:
+        failures.append(f"unit residual {res_u!r} > {tol!r}")
     return failures
 
 
 def kind_circle_iterate(p: dict) -> list[str]:
     out = ensure_out(p)
     rng = np.random.default_rng(p["seed"])
-    _, lam_star = circle.from_profile(default_profile(p), p["N"], p["k"])
     noise = presets.smooth_torus_field(rng, p["N"])
     noise[0, :] = 0.0  # keep the unit row exact
 
-    def make(scale: float) -> circle.TorusGridFn:
+    def make(scale: float) -> circle.TorusGridFn:  # the exact field lives as long as one candidate
+        lam_star = circle.from_profile(default_profile(p), p["N"], p["k"])[1]
         return circle.TorusGridFn(lam_star.values + scale * noise, p["k"])
 
     if p["gate_rescale"]:
@@ -268,6 +270,7 @@ def kind_circle_iterate(p: dict) -> list[str]:
         log(f"perturbation amplitude after gate rescale: {scale!r}")
     else:
         lam0, scale, row0 = make(p["perturb"]), p["perturb"], None
+    del noise, make  # the average holds only its input, the iterate and its own blocks
     # the artifacts hold c, not the seminorms: one order-0 pass per row, and none for
     # row 0 when the gate pass gave its (b, c)
     trace = circle.iterate_circle(lam0, tol_c=p["tol_c"], max_iter=p["max_iter"],

@@ -50,9 +50,12 @@ def arrow_keyed(d: dict, m: int, what: str) -> dict[int, Any]:
 
 
 def write_lines(lines: Iterable[str], path: str) -> None:
-    """``lines`` as the UTF-8 text file ``path``, each line ended by LF."""
+    """``lines``, written one by one, as the UTF-8 text file ``path``; each ends by LF (none: one LF)."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(next(lines, ""))
+        fh.writelines("\n" + line for line in lines)
+        fh.write("\n")
 
 
 def write_json(doc: Any, path: str) -> None:

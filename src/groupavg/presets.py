@@ -194,9 +194,10 @@ def smooth_torus_field(rng: np.random.Generator, N: int) -> np.ndarray:
     a, out = np.arange(N)[None, :] / N, np.full((N, N), const)
 
     def rows(lo: int, hi: int) -> None:
-        theta, block, term = np.arange(lo, hi)[:, None] / N, out[lo:hi], np.empty((hi - lo, N))
+        theta, block = np.arange(lo, hi)[:, None] / N, out[lo:hi]
+        term, phase = np.empty((hi - lo, N)), np.empty((hi - lo, N))
         for (m, n), (cm, sm) in zip(modes, coeffs):
-            phase = 2 * np.pi * (m * theta + n * a)
+            np.multiply(np.add(m * theta, n * a, out=phase), 2 * np.pi, out=phase)
             for c, f in ((cm, np.cos), (sm, np.sin)):
                 np.add(block, np.multiply(c, f(phase, out=term), out=term), out=block)
         np.divide(block, 16, out=block)

@@ -355,6 +355,17 @@ def test_circle_profile_default_in_range_at_high_twist(tmp_path, k):
     run_ok(["run", "circle_profile", "--N", "32", "--k", str(k), "--out", str(tmp_path / "prof")])
 
 
+@pytest.mark.parametrize("N, k, tol", [(64, 14, 1e-13), (256, 48, 32 * 48 * 2.0**-52),
+                                       (512, 64, 32 * 64 * 2.0**-52)])
+def test_circle_profile_tolerance_is_linear_in_the_twist(tmp_path, N, k, tol):
+    # the closed form's rounding grows linearly in k: a fixed 1e-13 failed these valid grids
+    out = tmp_path / "prof"
+    run_ok(["run", "circle_profile", "--N", str(N), "--k", str(k), "--out", str(out)])
+    doc = json.loads((out / "residuals.json").read_text())
+    assert doc["tol"] == tol
+    assert doc["res_cocycle"] <= tol
+
+
 def test_circle_profile_from_file(tmp_path):
     for k in (2, 3):
         prof_path = tmp_path / f"profile{k}.csv"
@@ -685,6 +696,17 @@ def exit_and_peak(argv) -> tuple[int, int]:
         return main(argv), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["circle_iterate", "circle_profile"])
+def test_circle_kind_peaks_below_six_grids(tmp_path, monkeypatch, kind):
+    # no grid outlives its use: the iterate run drops its noise and exact field after the
+    # gate and holds no index grid; the profile run writes its grid CSVs line by line
+    monkeypatch.setattr(circle, "_THREADS", 2)
+    N = 256
+    code, peak = exit_and_peak(["run", kind, "--N", str(N), "--seed", "1", "--out", str(tmp_path)])
+    assert code == 0
+    assert peak < 6 * N * N * 8, f"peak {peak / (8 * N * N):.2f} N^2 doubles"
 
 
 @pytest.mark.parametrize(

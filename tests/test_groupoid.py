@@ -24,6 +24,7 @@ from groupavg.groupoid import (
     pair_groupoid,
     symmetric_group,
     trivial_groupoid,
+    write_lines,
 )
 
 
@@ -773,3 +774,12 @@ def test_tables_are_built_lazily():
     G = symmetric_group(3)
     assert "tables" not in vars(G)
     assert G.tables is G.tables
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["a"], ["i,b,c", "", "0,1.0,0.5"]])
+@pytest.mark.parametrize("as_iter", [False, True], ids=["list", "generator"])
+def test_write_lines_writes_the_joined_text(tmp_path, lines, as_iter):
+    # written line by line: the bytes of the joined text, and one LF for no lines
+    path = tmp_path / "lines.txt"
+    write_lines((line for line in lines) if as_iter else lines, str(path))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
