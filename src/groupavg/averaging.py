@@ -13,10 +13,9 @@ quadratically; iterating it converges to a representation.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .haar import HaarSystem
 from .psrep import (
     NonInvertible,
     PseudoRep,
+    PseudoRepBatch,
     SampleBundles,
     Stacks,
     arrow_norms_by_orbit,
@@ -95,7 +95,7 @@ class IdentityReport:
 
 
 def verify_fundamental_identities(
-    reps: PseudoRep | Iterable[PseudoRep], nu: HaarSystem
+    reps: PseudoRep | PseudoRepBatch | Sequence[PseudoRep], nu: HaarSystem
 ) -> IdentityReport | list[IdentityReport]:
     """Recompute both exact identities for the averaging step and report residuals.
 
@@ -106,23 +106,22 @@ def verify_fundamental_identities(
     invertible input (unital or not); residuals are pure rounding and must stay
     below 1e-12 * (1 + b)^3.
 
-    Given samples on one groupoid, with the same fiber dimensions, returns one
-    report per sample.  They are checked together, in runs of :func:`identity_run`
-    samples, and each report has the bits of a check of its sample alone.  A run
-    that raises is checked again one sample at a time, so the error is the first
-    failing sample's.
+    Given samples on one groupoid, as a :class:`PseudoRepBatch` or as pseudo-representations
+    with the same fiber dimensions, returns one report per sample.  They are checked
+    together, in runs of :func:`identity_run` samples, and each report has the bits of a
+    check of its sample alone.  A run that raises is checked again one sample at a time, so
+    the error is the first failing sample's.
     """
     if isinstance(reps, PseudoRep):
         return _identities([reps], nu)[0]
-    it, step, reports = iter(reps), identity_run(nu.groupoid), []
-    while run := list(itertools.islice(it, step)):
+    step, reports = identity_run(nu.groupoid), []
+    for s in range(0, len(reps), step):
         try:
-            reports += _identities(run, nu)
+            reports += _identities(reps[s : s + step], nu)
         except Exception:
-            for rep in run:
-                _identities([rep], nu)
+            for i in range(s, min(s + step, len(reps))):
+                _identities(reps[i : i + 1], nu)
             raise
-        del run  # before the next run is drawn
     return reports
 
 
@@ -132,13 +131,18 @@ def identity_run(G: FiniteGroupoid) -> int:
     return max(1, psrep.BLOCK_TERMS // max(1, len(G.tables.avg_g)))
 
 
-def _identities(reps: Sequence[PseudoRep], nu: HaarSystem) -> list[IdentityReport]:
-    """The identity reports of samples on one groupoid, their maps stacked on a sample axis."""
-    G = reps[0].groupoid
-    if any(rep.groupoid is not G for rep in reps):
-        raise ValueError("samples must share one groupoid")
-    bundle = SampleBundles([rep.bundle for rep in reps])
-    T, st = G.tables, Stacks.of_samples([rep.maps for rep in reps])
+def _identities(run: PseudoRepBatch | Sequence[PseudoRep], nu: HaarSystem) -> list[IdentityReport]:
+    """The identity reports of a run of samples on one groupoid, their maps on a sample axis:
+    a batch's stack as it is, a list's through :meth:`Stacks.of_samples`."""
+    if isinstance(run, PseudoRepBatch):  # the shared bundle's factors broadcast over samples
+        G, bundle = run.groupoid, run.bundle
+        st = Stacks(np.zeros(G.n_arrows, dtype=np.intp), [run.maps])
+    else:
+        G = run[0].groupoid
+        if any(rep.groupoid is not G for rep in run):
+            raise ValueError("samples must share one groupoid")
+        bundle, st = SampleBundles([rep.bundle for rep in run]), Stacks.of_samples([rep.maps for rep in run])
+    T = G.tables
     avg, inv = _average(st, T, nu)
     w = nu.array
     D = cocycles(st, inv, T)

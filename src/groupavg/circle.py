@@ -432,16 +432,20 @@ def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64,
     already ran (:func:`multiplicativity_residual` gives the same c); row 0 then runs no pass
     unless it needs an order above 0."""
     order = max(map(_order, seminorm_orders), default=0)
+    first = [row0] if row0 is not None and not order else []  # read once, by row 0
 
     def gauges(lam: TorusGridFn):
-        if lam is L0 and row0 is not None and not order:
-            b, sups = row0[0], [row0[1]]
+        if first:
+            b, *sups = first.pop()
         else:
             b, sups = float(np.abs(lam.values).max()), _defect_sups(partial(_defect_slices, lam), lam.N, order)
         return (b, float(sups[0]), float(np.abs(lam.values[0] - 1.0).max()),
                 {f"c_sem_r{r}": float(np.max(sups[: r + 1])) for r in seminorm_orders})
 
-    return drive(L0, average_circle, gauges, tol_c, max_iter)
+    # drive holds the only reference to each iterate, so L0 is freed once L1 exists
+    start = [L0]
+    del L0
+    return drive(start.pop(), average_circle, gauges, tol_c, max_iter)
 
 
 # -- CSV formats ---------------------------------------------------------------

@@ -199,9 +199,10 @@ def kind_finite_identities(p: dict) -> list[str]:
     lines = ["i,residual_a,residual_b,tol,pass"]
     failures = []
     run = averaging.identity_run(G)
-    reps = (rep for n in range(0, count, run)
-            for rep in presets.random_pseudorep(G, rng, count=min(run, count - n)))
-    for i, r in enumerate(averaging.verify_fundamental_identities(reps, nu)):
+    reports = (r for n in range(0, count, run)
+               for r in averaging.verify_fundamental_identities(
+                   presets.random_pseudorep(G, rng, count=min(run, count - n)), nu))
+    for i, r in enumerate(reports):
         lines.append(f"{i},{r.residual_a!r},{r.residual_b!r},{r.tol!r},{str(r.ok).lower()}")
         if not r.ok:
             failures.append(
@@ -262,18 +263,20 @@ def kind_circle_iterate(p: dict) -> list[str]:
         return circle.TorusGridFn(lam_star.values + scale * noise, p["k"])
 
     if p["gate_rescale"]:
-        lam0, scale, row0 = presets.rescale_to_gate(
+        gated = list(presets.rescale_to_gate(
             make,
             lambda L: (float(np.abs(L.values).max()), circle.multiplicativity_residual(L)[0]),
             p["perturb"],
-        )
-        log(f"perturbation amplitude after gate rescale: {scale!r}")
+        ))
+        log(f"perturbation amplitude after gate rescale: {gated[1]!r}")
     else:
-        lam0, scale, row0 = make(p["perturb"]), p["perturb"], None
-    del noise, make  # the average holds only its input, the iterate and its own blocks
+        gated = [make(p["perturb"]), p["perturb"], None]
+    del noise, make  # each average holds only its input and its own blocks
+    scale, row0 = gated[1:]
     # the artifacts hold c, not the seminorms: one order-0 pass per row, and none for
-    # row 0 when the gate pass gave its (b, c)
-    trace = circle.iterate_circle(lam0, tol_c=p["tol_c"], max_iter=p["max_iter"],
+    # row 0 when the gate pass gave its (b, c).  The gated field is popped, so that
+    # iterate_circle holds its only reference and frees it once it is averaged.
+    trace = circle.iterate_circle(gated.pop(0), tol_c=p["tol_c"], max_iter=p["max_iter"],
                                   seminorm_orders=(), row0=row0)
     extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": p["k"],
              "perturb": scale}
@@ -310,8 +313,8 @@ def kind_group_bundle(p: dict) -> list[str]:
     failures = []
     for i in range(count):
         X = circle.TorusGridFn(presets.smooth_torus_field(rng, p["N"]), p["k"])
-        avg = circle.group_bundle_average(X)
-        worst = float(np.abs(avg.values).max())
+        worst = float(np.abs(circle.group_bundle_average(X).values).max())
+        del X  # no grid of this sample is held while the next is drawn
         ok = worst <= 1e-13
         lines.append(f"{i},{worst!r},1e-13,{str(ok).lower()}")
         if not ok:

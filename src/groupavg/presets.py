@@ -13,7 +13,7 @@ import numpy as np
 from .groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, symmetric_group, cyclic_group
 from .bounds import gate_holds
 from .circle import _on_blocks
-from .psrep import FiberBundle, PseudoRep, b_norm, c_norm
+from .psrep import FiberBundle, PseudoRep, PseudoRepBatch, b_norm, c_norm
 
 # the gate-rescale loop accepts a candidate a tenth inside the gate
 RESCALE_SAFETY = 0.9
@@ -50,13 +50,14 @@ def conditioned(
     each matrix draws its singular values, then its two orthogonal factors, and
     one stacked QR factors them all.
     """
-    lead = () if batch is None else (batch,)
-    s, a = np.empty(lead + (n,)), np.empty(lead + (2, n, n))
-    for i in np.ndindex(lead):
+    S = 1 if batch is None else batch
+    s, a = np.empty((S, n)), np.empty((S, 2, n, n))
+    for i in range(S):
         s[i] = rng.uniform(smin, smax, size=n)
-        a[i] = rng.standard_normal((2, n, n))
+        rng.standard_normal(out=a[i])
     q = _signed_q(a)
-    return (q[..., 0, :, :] * s[..., None, :]) @ q[..., 1, :, :]
+    out = (q[:, 0] * s[:, None, :]) @ q[:, 1]
+    return out if batch is not None else out[0]
 
 
 def random_spd(rng: np.random.Generator, n: int, emin: float = 0.5, emax: float = 2.0) -> np.ndarray:
@@ -111,19 +112,20 @@ def z2_example_rep(rng: np.random.Generator, dim: int = 2) -> tuple[FiniteGroupo
 def random_pseudorep(
     G: FiniteGroupoid, rng: np.random.Generator, dim: int = 2, metrics: bool = False,
     count: int | None = None,
-) -> PseudoRep | list[PseudoRep]:
+) -> PseudoRep | PseudoRepBatch:
     """Invertible pseudo-representation: every arrow an independent conditioned matrix with
     singular values in [0.5, 1.5] (units included, so generally not unital).
 
-    With ``count`` (and no metrics), a list of that many sharing one bundle, equal to as many
-    single draws in turn: one :func:`conditioned` call draws all their maps."""
+    With ``count`` (and no metrics), a batch of that many sharing one bundle, equal to as many
+    single draws in turn: one :func:`conditioned` call draws all their maps, stacked."""
     if count is not None and metrics:
         raise ValueError("samples drawn together have no metrics")
     mets = [random_spd(rng, dim) for _ in range(G.n_objects)] if metrics else []
     bundle = FiberBundle([dim] * G.n_objects, mets)
     maps = conditioned(rng, dim, 0.5, 1.5, (1 if count is None else count) * G.n_arrows)
-    reps = [PseudoRep(G, bundle, list(m)) for m in maps.reshape(-1, G.n_arrows, dim, dim)]
-    return reps if count is not None else reps[0]
+    if count is None:
+        return PseudoRep(G, bundle, list(maps))
+    return PseudoRepBatch(G, bundle, maps.reshape(count, G.n_arrows, dim, dim))
 
 
 def perturb_rep(rep: PseudoRep, rng: np.random.Generator, delta: float) -> PseudoRep:
@@ -136,17 +138,6 @@ def perturb_rep(rep: PseudoRep, rng: np.random.Generator, delta: float) -> Pseud
         if g not in units:
             out.maps[g] = out.maps[g] + noise
     return out
-
-
-def random_unital_pseudorep(rep0: PseudoRep, rng: np.random.Generator, delta: float) -> PseudoRep:
-    """Unital input with defect c < 0.9: perturb a genuine representation off
-    the units and shrink the perturbation until under that cap."""
-    for _ in range(60):
-        cand = perturb_rep(rep0, rng, delta)
-        if c_norm(cand) < 0.9:
-            return cand
-        delta *= 0.6
-    raise RuntimeError("could not reach requested defect cap")
 
 
 def rescale_to_gate(make, gauges, delta: float):

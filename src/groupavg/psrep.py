@@ -296,20 +296,6 @@ def metric_norms(
     return np.maximum(low, s.max(axis=-1))
 
 
-def operator_norm(
-    A: np.ndarray, phi_src: np.ndarray | None = None, phi_dst: np.ndarray | None = None
-) -> float:
-    """Metric-weighted spectral norm; plain largest singular value when metrics are None.
-
-    ``phi_src``/``phi_dst`` are raw Gram matrices, factored here on every call.
-    Code on the hot path should go through :func:`metric_norms` with a
-    :class:`FiberBundle`, which caches the factors per object.
-    """
-    M = np.asarray(A, dtype=float)
-    bundle = FiberBundle(dims=[M.shape[1], M.shape[0]], metrics=[phi_src, phi_dst])
-    return float(metric_norms(bundle, M[None], np.array([0]), np.array([1]), 0.0))
-
-
 def max_norm(bundle: FiberBundle | SampleBundles, part, *key: np.ndarray,
              width: np.ndarray | int = 1, orbit: np.ndarray | None = None,
              n_orbits: int = 1) -> list:
@@ -391,6 +377,33 @@ class PseudoRep:
     @classmethod
     def load(cls, path: str, groupoid: FiniteGroupoid, bundle: FiberBundle) -> "PseudoRep":
         return read_json(path, lambda d: cls.from_json_dict(d, groupoid, bundle))
+
+
+@dataclass
+class PseudoRepBatch:
+    """Samples on one groupoid and a bundle of one fiber dimension d, their maps stacked:
+    ``maps[s, g]`` is arrow g's d x d matrix in sample s.  Checked like a :class:`PseudoRep`,
+    by one shape test and one ``isfinite`` pass over the stack."""
+
+    groupoid: FiniteGroupoid
+    bundle: FiberBundle
+    maps: np.ndarray
+
+    def __post_init__(self) -> None:
+        G, dims, shape = self.groupoid, self.bundle.dims, np.shape(self.maps)
+        if (len(shape) != 4 or shape[1:] != (G.n_arrows, shape[3], shape[3])
+                or dims != [shape[3]] * G.n_objects):
+            raise ValueError(f"maps of shape {shape} for {G.n_arrows} arrows on fibers {dims}")
+        self.maps = np.asarray(self.maps, dtype=float)
+        if not np.isfinite(self.maps).all():
+            s, g = np.argwhere(~np.isfinite(self.maps))[0, :2]
+            raise ValueError(f"sample {s}, arrow {g}: matrix has non-finite entries")
+
+    def __len__(self) -> int:
+        return len(self.maps)
+
+    def __getitem__(self, s: slice) -> "PseudoRepBatch":
+        return PseudoRepBatch(self.groupoid, self.bundle, self.maps[s])
 
 
 def b_by_orbit(rep: PseudoRep) -> list[float]:
@@ -492,18 +505,6 @@ def cocycles(st: Stacks, inv: Stacks, T: CompositionTables) -> Stacks:
     return D
 
 
-def delta_cocycle(rep: PseudoRep, g: int, h: int) -> np.ndarray:
-    """Difference cocycle on the divisible pair (g, h): lambda_g lambda_h^(-1) - lambda_{gh^(-1)}.
-
-    Returns the matrix of a map fiber(tgt h) -> fiber(tgt g).
-    """
-    G = rep.groupoid
-    if G.src[g] != G.src[h]:
-        raise ValueError(f"({g},{h}) is not a divisible pair: sources differ")
-    q = G.mul(g, G.inverse[h])
-    return cocycle(rep.maps[g], invert_arrow(rep, h), rep.maps[q])
-
-
 @dataclass
 class OrbitGateRow:
     objects: list[int]
@@ -523,17 +524,6 @@ class GateReport:
 
     def failed_orbits(self) -> list[list[int]]:
         return [r.objects for r in self.rows if not r.ok]
-
-
-def restrict_rep(rep: PseudoRep, objs: Sequence[int]) -> PseudoRep:
-    """Restriction to the full subgroupoid on a union of orbits."""
-    sub, kept = rep.groupoid.restrict(objs)
-    keep_obj = sorted(set(objs))
-    bundle = FiberBundle(
-        dims=[rep.bundle.dims[x] for x in keep_obj],
-        metrics=[rep.bundle.metrics[x] for x in keep_obj],
-    )
-    return PseudoRep(sub, bundle, [rep.maps[g].copy() for g in kept])
 
 
 def is_nearly_multiplicative(rep: PseudoRep) -> GateReport:

@@ -1,9 +1,12 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
 from groupavg.groupoid import FiniteGroupoid, action_groupoid
 from groupavg.haar import counting_haar
 from groupavg import presets
+from groupavg.psrep import FiberBundle, PseudoRep, c_norm, cocycle, invert_arrow, metric_norms
 
 
 @pytest.fixture
@@ -74,3 +77,54 @@ def composable_pairs(G):
     for g1 in G.arrows():
         for g2 in by_src.get(G.tgt[g1], []):
             yield (g2, g1)
+
+
+# -- helpers of the tests that no run of the package calls ------------------------------
+
+
+def operator_norm(
+    A: np.ndarray, phi_src: np.ndarray | None = None, phi_dst: np.ndarray | None = None
+) -> float:
+    """Metric-weighted spectral norm; plain largest singular value when metrics are None.
+
+    ``phi_src``/``phi_dst`` are raw Gram matrices, factored here on every call.
+    Code on the hot path should go through :func:`metric_norms` with a
+    :class:`FiberBundle`, which caches the factors per object.
+    """
+    M = np.asarray(A, dtype=float)
+    bundle = FiberBundle(dims=[M.shape[1], M.shape[0]], metrics=[phi_src, phi_dst])
+    return float(metric_norms(bundle, M[None], np.array([0]), np.array([1]), 0.0))
+
+
+def delta_cocycle(rep: PseudoRep, g: int, h: int) -> np.ndarray:
+    """Difference cocycle on the divisible pair (g, h): lambda_g lambda_h^(-1) - lambda_{gh^(-1)}.
+
+    Returns the matrix of a map fiber(tgt h) -> fiber(tgt g).
+    """
+    G = rep.groupoid
+    if G.src[g] != G.src[h]:
+        raise ValueError(f"({g},{h}) is not a divisible pair: sources differ")
+    q = G.mul(g, G.inverse[h])
+    return cocycle(rep.maps[g], invert_arrow(rep, h), rep.maps[q])
+
+
+def restrict_rep(rep: PseudoRep, objs: Sequence[int]) -> PseudoRep:
+    """Restriction to the full subgroupoid on a union of orbits."""
+    sub, kept = rep.groupoid.restrict(objs)
+    keep_obj = sorted(set(objs))
+    bundle = FiberBundle(
+        dims=[rep.bundle.dims[x] for x in keep_obj],
+        metrics=[rep.bundle.metrics[x] for x in keep_obj],
+    )
+    return PseudoRep(sub, bundle, [rep.maps[g].copy() for g in kept])
+
+
+def random_unital_pseudorep(rep0: PseudoRep, rng: np.random.Generator, delta: float) -> PseudoRep:
+    """Unital input with defect c < 0.9: perturb a genuine representation off
+    the units and shrink the perturbation until under that cap."""
+    for _ in range(60):
+        cand = presets.perturb_rep(rep0, rng, delta)
+        if c_norm(cand) < 0.9:
+            return cand
+        delta *= 0.6
+    raise RuntimeError("could not reach requested defect cap")

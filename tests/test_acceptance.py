@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_unital_pseudorep, restrict_rep
 from groupavg import presets
 from groupavg.averaging import average, iterate, verify_fundamental_identities, verify_step_estimates
 from groupavg.bounds import check_coupled_decay, check_quadratic_decay, envelope
@@ -26,7 +27,7 @@ from groupavg.circle import (
     multiplicativity_residual,
 )
 from groupavg.haar import counting_haar, restrict_haar
-from groupavg.psrep import c_norm, inverse_rep, restrict_rep
+from groupavg.psrep import c_norm, inverse_rep
 
 
 def f0(t):
@@ -81,7 +82,7 @@ def test_criterion_3_one_step_estimates_per_orbit():
         rng = np.random.default_rng(300 + i)
         G, base = (presets.s3_example_rep if i % 2 else presets.z2_example_rep)(rng)
         delta = 10.0 ** rng.uniform(-3, -0.7)
-        rep = presets.random_unital_pseudorep(base, rng, delta)
+        rep = random_unital_pseudorep(base, rng, delta)
         nu = counting_haar(G)
         for row in verify_step_estimates(rep, nu):
             assert row.ok, f"sample {i} orbit {row.orbit}: step bound violated"

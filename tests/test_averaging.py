@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import operator_norm, restrict_rep
 from groupavg.averaging import (
     TRACE_HEADER,
     GatePrecondition,
@@ -31,8 +32,6 @@ from groupavg.psrep import (
     b_norm,
     c_norm,
     is_nearly_multiplicative,
-    operator_norm,
-    restrict_rep,
 )
 from groupavg import presets
 

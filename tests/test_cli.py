@@ -274,6 +274,16 @@ def test_finite_identities_count(tmp_path):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+def test_finite_identities_builds_no_pseudorep(tmp_path, monkeypatch):
+    """Each run's samples stay one stacked batch from the draw to the report."""
+    built = []
+    check = PseudoRep.__post_init__
+    monkeypatch.setattr(PseudoRep, "__post_init__", lambda rep: built.append(rep) or check(rep))
+    run_ok(["run", "finite_identities", "--seed", "1", "--count", "300", "--out", str(tmp_path)])
+    assert len((tmp_path / "identities.csv").read_text().splitlines()) == 301
+    assert built == []
+
+
 def test_finite_identities_runs_equal_single_samples(tmp_path):
     """Drawn and checked a run at a time, the samples' rows equal those of samples drawn
     and checked one at a time; 40 samples cross the end of the first 37-sample run."""
@@ -707,6 +717,29 @@ def test_circle_kind_peaks_below_six_grids(tmp_path, monkeypatch, kind):
     code, peak = exit_and_peak(["run", kind, "--N", str(N), "--seed", "1", "--out", str(tmp_path)])
     assert code == 0
     assert peak < 6 * N * N * 8, f"peak {peak / (8 * N * N):.2f} N^2 doubles"
+
+
+def warm_peak(tmp_path, argv, N=256) -> float:
+    """The traced peak of a run at resolution N, in N^2 doubles, after a run at N = 16 has
+    made the imports that the kind does on first use."""
+    exit_and_peak(["run", *argv, "--N", "16", "--out", str(tmp_path / "warm")])
+    code, peak = exit_and_peak(["run", *argv, "--N", str(N), "--out", str(tmp_path / "out")])
+    assert code == 0
+    return peak / (8 * N * N)
+
+
+def test_circle_iterate_frees_its_gated_input(tmp_path, monkeypatch):
+    # the iteration holds the only reference to the gated field, so no average runs while it
+    # is live: the peak is the gate pass's, the noise, the candidate and two order-0 slices
+    monkeypatch.setattr(circle, "_THREADS", 2)
+    peak = warm_peak(tmp_path, ["circle_iterate", "--seed", "1"])
+    assert peak < 4.75, f"peak {peak:.2f} N^2 doubles"
+
+
+def test_group_bundle_holds_one_sample_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setattr(circle, "_THREADS", 2)
+    one, three = (warm_peak(tmp_path, ["group_bundle", "--count", c]) for c in ("1", "3"))
+    assert three < one + 0.1, f"peaks {one:.2f} and {three:.2f} N^2 doubles"
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import restrict_rep
 from groupavg import averaging, circle, presets, psrep
 from groupavg.averaging import (
     GatePrecondition,
@@ -62,13 +63,13 @@ from groupavg.psrep import (
     NonInvertible,
     OrbitGateRow,
     PseudoRep,
+    PseudoRepBatch,
     b_by_orbit,
     b_norm,
     c_by_orbit,
     c_norm,
     gate_holds,
     is_nearly_multiplicative,
-    restrict_rep,
 )
 
 EPS = np.finfo(float).eps
@@ -912,15 +913,55 @@ def test_samples_with_other_fiber_dimensions_are_named():
 
 def test_random_pseudorep_count_equals_single_draws(s3_groupoid):
     ours, ref = np.random.default_rng(12), np.random.default_rng(12)
-    assert presets.random_pseudorep(s3_groupoid, ours, dim=3, count=0) == []
+    assert len(presets.random_pseudorep(s3_groupoid, ours, dim=3, count=0)) == 0
     got = presets.random_pseudorep(s3_groupoid, ours, dim=3, count=5)
-    for rep in got:
+    for maps in got.maps:
         want = random_pseudorep_ref(s3_groupoid, ref, dim=3)
-        assert all(np.array_equal(a, b) for a, b in zip(rep.maps, want.maps))
-        assert rep.bundle.dims == want.bundle.dims and rep.bundle.metrics == want.bundle.metrics
+        assert all(np.array_equal(a, b) for a, b in zip(maps, want.maps))
+        assert got.bundle.dims == want.bundle.dims and got.bundle.metrics == want.bundle.metrics
     assert ours.bit_generator.state == ref.bit_generator.state
     with pytest.raises(ValueError, match="no metrics"):
         presets.random_pseudorep(s3_groupoid, ours, metrics=True, count=2)
+
+
+def batch_and_list(G, seed, count):
+    """A drawn batch of ``count`` samples, and the same samples as a list of pseudo-representations."""
+    batch = presets.random_pseudorep(G, np.random.default_rng(seed), count=count)
+    return batch, [PseudoRep(G, batch.bundle, list(maps.copy())) for maps in batch.maps]
+
+
+def test_batch_and_list_inputs_give_the_same_reports(s3_groupoid):
+    """40 samples cross the end of the first 37-sample run; a planted singular map in two
+    samples of the second run raises, from either input, the error of the first of them."""
+    nu = counting_haar(s3_groupoid)
+    batch, reps = batch_and_list(s3_groupoid, 3, 40)
+    got = verify_fundamental_identities(batch, nu)
+    assert len(got) == 40
+    assert report_fields(got) == report_fields(verify_fundamental_identities(reps, nu))
+    for s, g in ((38, 11), (39, 4)):
+        batch.maps[s, g] = 0.0
+        reps[s].maps[g] = np.zeros((2, 2))
+    want = first_error(per_sample, reps, nu)
+    assert want == (NonInvertible, "matrix of arrow 11 is numerically singular", 11)
+    assert first_error(verify_fundamental_identities, batch, nu) == want
+    assert first_error(verify_fundamental_identities, reps, nu) == want
+
+
+def test_empty_batch_gives_no_reports(s3_groupoid):
+    batch = presets.random_pseudorep(s3_groupoid, np.random.default_rng(0), count=0)
+    assert verify_fundamental_identities(batch, counting_haar(s3_groupoid)) == []
+
+
+def test_batch_names_its_first_bad_map(s3_groupoid):
+    batch, _ = batch_and_list(s3_groupoid, 0, 4)
+    with pytest.raises(ValueError, match=r"maps of shape \(4, 17, 2, 2\) for 18 arrows"):
+        PseudoRepBatch(s3_groupoid, batch.bundle, batch.maps[:, 1:])
+    with pytest.raises(ValueError, match=r"maps of shape \(4, 18, 2, 2\) for 18 arrows on fibers \[3, 3, 3\]"):
+        PseudoRepBatch(s3_groupoid, FiberBundle([3] * 3), batch.maps)
+    maps = batch.maps.copy()
+    maps[2, 7, 1, 0], maps[3, 1, 0, 0] = np.nan, np.inf
+    with pytest.raises(ValueError, match="sample 2, arrow 7: matrix has non-finite entries"):
+        PseudoRepBatch(s3_groupoid, batch.bundle, maps)
 
 
 # -- the pruned norm maximum against an SVD of every map ---------------------------------

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import composable_pairs
+from conftest import composable_pairs, delta_cocycle, operator_norm, random_unital_pseudorep, restrict_rep
 from groupavg.groupoid import FiniteGroupAction, action_groupoid, cyclic_group, trivial_groupoid
 from groupavg.psrep import (
     DegenerateMetric,
@@ -15,13 +15,10 @@ from groupavg.psrep import (
     PseudoRep,
     b_norm,
     c_norm,
-    delta_cocycle,
     gate_holds,
     inverse_rep,
     invert_arrow,
     is_nearly_multiplicative,
-    operator_norm,
-    restrict_rep,
 )
 from groupavg import presets
 
@@ -187,7 +184,7 @@ def test_delta_scalar_oracle():
 
 def test_delta_of_unital_pair_with_itself(rng):
     G, base = presets.z2_example_rep(rng)
-    rep = presets.random_unital_pseudorep(base, rng, 0.2)
+    rep = random_unital_pseudorep(base, rng, 0.2)
     for g in G.arrows():
         d = delta_cocycle(rep, g, g)
         np.testing.assert_allclose(d, np.zeros_like(d), atol=1e-12)
@@ -208,7 +205,7 @@ def test_delta_zero_iff_defect_zero(z2_groupoid, rng):
         float(np.abs(delta_cocycle(rep, g, h)).max()) <= 1e-12
         for g, h in divisible_pairs(G)
     )
-    bumpy = presets.random_unital_pseudorep(rep, rng, 0.3)
+    bumpy = random_unital_pseudorep(rep, rng, 0.3)
     if c_norm(bumpy) > 1e-8:
         assert any(
             float(np.abs(delta_cocycle(bumpy, g, h)).max()) > 1e-10
@@ -271,7 +268,7 @@ def test_gate_verdict_depends_on_metric():
 
 def test_per_orbit_values_match_restriction(rng):
     G, base = presets.z2_example_rep(rng)
-    rep = presets.random_unital_pseudorep(base, rng, 0.1)
+    rep = random_unital_pseudorep(base, rng, 0.1)
     report = is_nearly_multiplicative(rep)
     for row in report.rows:
         sub = restrict_rep(rep, row.objects)
