@@ -13,7 +13,6 @@ quadratically; iterating it converges to a representation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -95,8 +94,8 @@ class IdentityReport:
 
 
 def verify_fundamental_identities(
-    reps: PseudoRep | PseudoRepBatch | Sequence[PseudoRep], nu: HaarSystem
-) -> IdentityReport | list[IdentityReport]:
+    reps: PseudoRepBatch | Sequence[PseudoRep], nu: HaarSystem
+) -> list[IdentityReport]:
     """Recompute both exact identities for the averaging step and report residuals.
 
     First identity: avg lambda(g) - lambda(g) equals the weighted mean of the
@@ -112,8 +111,6 @@ def verify_fundamental_identities(
     check of its sample alone.  A run that raises is checked again one sample at a time, so
     the error is the first failing sample's.
     """
-    if isinstance(reps, PseudoRep):
-        return _identities([reps], nu)[0]
     step, reports = identity_run(nu.groupoid), []
     for s in range(0, len(reps), step):
         try:
@@ -226,7 +223,6 @@ class TraceRow:
     b: float
     c: float
     unit_defect: float
-    wall_time: float
     extras: dict[str, float] = field(default_factory=dict)
 
 
@@ -273,10 +269,9 @@ def drive(lam: Any, step, gauges, tol_c: float, max_iter: int) -> IterationTrace
     """
     rows: list[TraceRow] = []
     verdict = Verdict("Diverged")
-    t0 = time.perf_counter()
     for i in range(max_iter + 1):
         b, c, unit, extras = gauges(lam)
-        rows.append(TraceRow(i, b, c, unit, time.perf_counter() - t0, extras))
+        rows.append(TraceRow(i, b, c, unit, extras))
         if c <= tol_c or i == max_iter:
             verdict = Verdict("Converged" if c <= tol_c else "Diverged", iteration=i)
             break

@@ -143,9 +143,9 @@ def from_profile(profile, N: int, k: int | None = None) -> tuple[TorusGridFn, To
 
     ``profile`` is a CircleProfile (twist taken from it) or a callable f(t), sampled into one at
     resolution k*N; a CircleProfile with fewer samples is refined by trigonometric interpolation.
-    Raises NonPeriodicProfile when f is not 1/k-periodic (then no doubly periodic X exists: the
-    values f(j/k) form a strictly monotone escaping sequence instead, see profile_twist_orbit),
-    and ProfileOutOfRange when some 1 + k f <= 0."""
+    Raises NonPeriodicProfile when f is not 1/k-periodic (then no doubly periodic X exists:
+    multiplicativity forces f(t + 1/k) - f(t) = f(1/k)(1 + k f(t)), so the values f(j/k) form a
+    strictly monotone escaping sequence instead), and ProfileOutOfRange when some 1 + k f <= 0."""
     if not isinstance(profile, CircleProfile):
         if k is None:
             raise ValueError("twist k is required with a callable profile")
@@ -168,14 +168,6 @@ def from_profile(profile, N: int, k: int | None = None) -> tuple[TorusGridFn, To
     ls, isx = np.arange(N)[:, None], np.arange(N)
     X = (fine[(k * ls + isx) % (k * N)] - fine[isx]) / denom[isx]
     return TorusGridFn(X, k), TorusGridFn(1.0 + k * X, k)
-
-
-def effect_from_connection(X: TorusGridFn) -> TorusGridFn:
-    return TorusGridFn(1.0 + X.twist * X.values, X.twist)
-
-
-def connection_from_effect(L: TorusGridFn) -> TorusGridFn:
-    return TorusGridFn((L.values - 1.0) / L.twist, L.twist)
 
 
 def limit_profile(L: TorusGridFn) -> CircleProfile:
@@ -224,22 +216,17 @@ def _on_blocks(N: int, fn) -> list:
     return out
 
 
-def _defect_slices(L: TorusGridFn, effect: np.ndarray | None = None):
+def _defect_slices(L: TorusGridFn):
     """(lp, out) -> writes the theta' = lp/N slice of the defect field (see
     :func:`cocycle_defect_field`) into ``out``: the product first, then the rotated rows minus
-    it, in place.  Given the ``effect`` 1 + k X of a connection L = X, the slice of
-    :func:`connection_residual` instead: (rotated - X) - product, three operands, so through a
-    product buffer.  Each writer holds its own twisted-row tile."""
+    it, in place.  Each writer holds its own twisted-row tile."""
     V, twisted = L.values, _twisted_row(L.N, L.twist)
-    prod = None if effect is None else np.empty_like(V)
 
     def slice_at(lp: int, out: np.ndarray) -> None:
         # out[l] = V[(lp + l) mod N] - B[l], as two row blocks
-        n, B = len(V) - lp, np.multiply(twisted(V[lp], out), V, out=out) if effect is None else V
+        n, B = len(V) - lp, np.multiply(twisted(V[lp], out), V, out=out)
         np.subtract(V[lp:], B[:n], out=out[:n])
         np.subtract(V[:lp], B[n:], out=out[n:])
-        if effect is not None:
-            np.subtract(out, np.multiply(twisted(V[lp], prod), effect, out=prod), out=out)
 
     return slice_at
 
@@ -255,16 +242,6 @@ def cocycle_defect_field(L: TorusGridFn) -> np.ndarray:
 def multiplicativity_residual(L: TorusGridFn) -> tuple[float, float]:
     """(res_cocycle, res_unit): sups over all grid triples / the unit row."""
     return float(_defect_sups(partial(_defect_slices, L), L.N, 0)[0]), float(np.abs(L.values[0] - 1.0).max())
-
-
-def connection_residual(X: TorusGridFn) -> float:
-    """Sup residual of the multiplicativity equation written at the connection level:
-
-    X(theta'+theta, a) = X(theta, a) + X(theta', k theta + a) (1 + k X(theta, a)).
-    Algebraically, effect residual = k * connection residual, triple by triple.
-    """
-    effect = 1.0 + X.twist * X.values
-    return float(_defect_sups(partial(_defect_slices, X, effect), X.N, 0)[0])
 
 
 def average_circle(L: TorusGridFn) -> TorusGridFn:
@@ -401,22 +378,6 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
     return _scaled(reduce(np.maximum, [sups(0, N)] if order else _on_blocks(N, sups)), N)
 
 
-def profile_twist_orbit(step_value: float, k: int) -> list[float]:
-    """The forced values f(0), f(1/k), ..., f(k/k) when f(1/k) = step_value != 0.
-
-    Multiplicativity on the plane forces f(t + 1/k) - f(t) = f(1/k)(1 + k f(t));
-    iterating from f(0) = 0 with f > -1/k makes the sequence strictly monotone,
-    so f(1) != f(0) and no 1-periodic (let alone 1/k-periodic) profile exists.
-    """
-    vals = [0.0]
-    for _ in range(k):
-        t = vals[-1]
-        if 1.0 + k * t <= 0.0:
-            raise ProfileOutOfRange(f"orbit left the admissible range at f = {t}")
-        vals.append(t + step_value * (1.0 + k * t))
-    return vals
-
-
 def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64,
                    seminorm_orders: tuple[int, ...] = (0, 1),
                    row0: tuple[float, float] | None = None) -> IterationTrace:
@@ -469,15 +430,6 @@ def _read_header(fh, path: str) -> tuple[int, int]:
         raise ValueError(f"{path}: header {line!r} is above the size limits "
                          f"N <= {MAX_N}, k <= {MAX_TWIST}")
     return N, k
-
-
-def load_grid_csv(path: str) -> TorusGridFn:
-    with open(path, encoding="utf-8") as fh:
-        N, k = _read_header(fh, path)
-        vals = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if vals.shape != (N, N):
-        raise ValueError(f"grid payload {vals.shape} does not match header N = {N}")
-    return TorusGridFn(vals, k)
 
 
 def save_profile_csv(p: CircleProfile, path: str) -> None:

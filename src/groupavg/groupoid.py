@@ -67,10 +67,6 @@ class MalformedAction(ValueError):
     """The translation maps of a group action fail identity or compatibility."""
 
 
-class NotInvariant(ValueError):
-    """Requested object subset is not a union of orbits."""
-
-
 @dataclass
 class Violation:
     rule: str
@@ -317,42 +313,6 @@ class FiniteGroupoid:
         for x in range(self.n_objects):
             blocks.setdefault(find(x), []).append(x)
         return [sorted(b) for _, b in sorted(blocks.items())]
-
-    def restrict(self, objs: Sequence[int]) -> tuple["FiniteGroupoid", list[int]]:
-        """Full subgroupoid on a union of orbits.
-
-        ``objs`` are object indices.  Returns the restricted groupoid and the
-        list of kept arrow ids in ascending order (new arrow i is old arrow
-        ``kept[i]``).  Raises NotInvariant unless objs is a union of orbits.
-        """
-        want = set(objs)
-        union: set[int] = set()
-        for block in self.orbits():
-            if want & set(block):
-                union.update(block)
-        if union != want:
-            raise NotInvariant(
-                f"object set {sorted(want)} is not a union of orbits "
-                f"(closure is {sorted(union)})"
-            )
-        keep_obj = sorted(want)
-        obj_new = {x: i for i, x in enumerate(keep_obj)}
-        kept = [g for g in self.arrows() if self.src[g] in want]
-        arr_new = np.full(self.n_arrows, -1)
-        arr_new[kept] = np.arange(len(kept))
-        rows = arr_new[self.compose]
-        sub = FiniteGroupoid(
-            objects=[self.objects[x] for x in keep_obj],
-            src=[obj_new[self.src[g]] for g in kept],
-            tgt=[obj_new[self.tgt[g]] for g in kept],
-            compose=rows[(rows[:, :2] >= 0).all(axis=1)],
-            unit=arr_new[[self.unit[x] for x in keep_obj]].tolist(),
-            inverse=arr_new[[self.inverse[g] for g in kept]].tolist(),
-            arrow_labels=None
-            if self.arrow_labels is None
-            else [self.arrow_labels[g] for g in kept],
-        )
-        return sub, kept
 
     # -- serialization ------------------------------------------------------
 

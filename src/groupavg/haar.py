@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
-
 import numpy as np
 
-from .groupoid import FiniteGroupoid, NotInvariant, arrow_keyed, read_json, write_json
+from .groupoid import FiniteGroupoid, arrow_keyed, read_json, write_json
 
 NORMALIZATION_TOL = 1e-12
 INVARIANCE_TOL = 1e-12
@@ -128,23 +126,3 @@ def check_haar(nu: HaarSystem) -> HaarReport:
             violations.append((g, k, float(amt)))
     negative = [(k, float(w)) for k, w in enumerate(nu.weights) if w < 0]
     return HaarReport(float(max_norm), violations, negative)
-
-
-def restrict_haar(
-    nu: HaarSystem, objs: Sequence[int]
-) -> tuple[HaarSystem, FiniteGroupoid, list[int]]:
-    """Restrict to the full subgroupoid on a union of orbits.
-
-    For an invariant object set no fiber mass escapes, so the weights carry
-    over unchanged (re-normalization divides by per-fiber sums, which are 1).
-    Returns (restricted system, restricted groupoid, kept arrow ids).
-    Raises NotInvariant when objs is not a union of orbits.
-    """
-    sub, kept = nu.groupoid.restrict(objs)
-    weights = [nu.weights[k] for k in kept]
-    fiber_sum: dict[int, float | Fraction] = {}
-    for i, k in enumerate(kept):
-        x = sub.tgt[i]
-        fiber_sum[x] = fiber_sum.get(x, 0) + weights[i]
-    weights = [w / fiber_sum[sub.tgt[i]] for i, w in enumerate(weights)]
-    return HaarSystem(sub, weights), sub, kept

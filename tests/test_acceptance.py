@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_unital_pseudorep, restrict_rep
+from conftest import effect_from_connection, random_unital_pseudorep, restrict_haar, restrict_rep
 from groupavg import presets
 from groupavg.averaging import average, iterate, verify_fundamental_identities, verify_step_estimates
 from groupavg.bounds import check_coupled_decay, check_quadratic_decay, envelope
@@ -19,14 +19,13 @@ from groupavg.circle import (
     NonPeriodicProfile,
     TorusGridFn,
     average_circle,
-    effect_from_connection,
     from_profile,
     group_bundle_average,
     iterate_circle,
     limit_profile,
     multiplicativity_residual,
 )
-from groupavg.haar import counting_haar, restrict_haar
+from groupavg.haar import counting_haar
 from groupavg.psrep import c_norm, inverse_rep
 
 
@@ -67,7 +66,7 @@ def test_criterion_2_fundamental_identities():
         rng = np.random.default_rng(200 + i)
         G, _ = (presets.s3_example_rep if i % 2 else presets.z2_example_rep)(rng)
         rep = presets.random_pseudorep(G, rng, metrics=bool(i % 3 == 0))
-        report = verify_fundamental_identities(rep, counting_haar(G))
+        report = verify_fundamental_identities([rep], counting_haar(G))[0]
         # tolerance 1e-12 (1+b)^3 is computed inside the report
         assert report.ok, (
             f"sample {i}: residuals {report.residual_a:.3e}, {report.residual_b:.3e}"

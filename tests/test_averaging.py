@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import operator_norm, restrict_rep
+from conftest import operator_norm, restrict_haar, restrict_rep
 from groupavg.averaging import (
     TRACE_HEADER,
     GatePrecondition,
@@ -25,7 +25,7 @@ from groupavg.groupoid import (
     pair_groupoid,
     trivial_groupoid,
 )
-from groupavg.haar import HaarSystem, check_haar, counting_haar, restrict_haar
+from groupavg.haar import HaarSystem, check_haar, counting_haar
 from groupavg.psrep import (
     FiberBundle,
     PseudoRep,
@@ -93,7 +93,7 @@ def test_average_rejects_foreign_haar(rng):
 def test_identities_identity_rep(z2_groupoid, z2_haar):
     bundle = FiberBundle.uniform(z2_groupoid.n_objects, 2)
     rep = PseudoRep(z2_groupoid, bundle, [np.eye(2) for _ in z2_groupoid.arrows()])
-    report = verify_fundamental_identities(rep, z2_haar)
+    report = verify_fundamental_identities([rep], z2_haar)[0]
     assert report.ok
     assert report.residual_a <= 1e-14
     assert report.residual_b <= 1e-14
@@ -103,7 +103,7 @@ def test_identities_identity_rep(z2_groupoid, z2_haar):
 def test_identities_on_zero_dimensional_fibers(dims):
     G = trivial_groupoid() if len(dims) == 1 else action_groupoid(presets.z2_swap_action())
     rep = PseudoRep(G, FiberBundle(dims), [np.eye(dims[G.src[g]]) for g in G.arrows()])
-    report = verify_fundamental_identities(rep, counting_haar(G))
+    report = verify_fundamental_identities([rep], counting_haar(G))[0]
     assert report.ok
     assert (report.residual_a, report.residual_b) == (0.0, 0.0)
 
@@ -114,7 +114,7 @@ def test_identities_random_invertible(seed, metrics):
     rng = np.random.default_rng(seed)
     G, _ = presets.z2_example_rep(rng)
     rep = presets.random_pseudorep(G, rng, metrics=metrics)
-    report = verify_fundamental_identities(rep, counting_haar(G))
+    report = verify_fundamental_identities([rep], counting_haar(G))[0]
     assert report.ok
     assert report.tol == pytest.approx(1e-12 * (1.0 + report.b) ** 3)
 

@@ -146,7 +146,7 @@ def assert_kernels_match(rep, nu):
     for g in rep.groupoid.arrows():
         assert np.array_equal(got.maps[g], want.maps[g]), f"arrow {g}"
     assert c_norm(rep) == loop_c_norm(rep)
-    r = verify_fundamental_identities(rep, nu)
+    r = verify_fundamental_identities([rep], nu)[0]
     res_a, res_b, b, tol = loop_identities(rep, nu)
     assert (r.residual_a, r.b, r.tol) == (res_a, b, tol)
     # the second identity sums by one matrix product per object, not in the loop's order
@@ -187,7 +187,7 @@ def test_small_blocks_change_nothing(monkeypatch, two_orbit_disjoint):
         for block in (whole_block, 5):
             monkeypatch.setattr(psrep, "BLOCK_TERMS", block)
             runs.append((average(rep, nu), c_by_orbit(rep), c_norm(rep),
-                         verify_fundamental_identities(rep, nu)))
+                         verify_fundamental_identities([rep], nu)[0]))
         whole, cut = runs
         for g in G.arrows():
             assert np.array_equal(whole[0].maps[g], cut[0].maps[g])

@@ -8,6 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    connection_from_effect,
+    connection_residual,
+    effect_from_connection,
+    load_grid_csv,
+    profile_twist_orbit,
+)
 from groupavg.circle import (
     CircleProfile,
     NonInvertibleNode,
@@ -18,18 +25,13 @@ from groupavg.circle import (
     _defect_sups,
     average_circle,
     cocycle_defect_field,
-    connection_from_effect,
-    connection_residual,
     discrete_seminorm,
-    effect_from_connection,
     from_profile,
     group_bundle_average,
     iterate_circle,
     limit_profile,
-    load_grid_csv,
     load_profile_csv,
     multiplicativity_residual,
-    profile_twist_orbit,
     save_grid_csv,
     save_profile_csv,
     trig_resample,

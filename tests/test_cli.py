@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import load_grid_csv
 from groupavg import averaging, bounds, circle, cli
 from groupavg.circle import CircleProfile, save_profile_csv
 from groupavg.cli import main
@@ -295,7 +296,7 @@ def test_finite_identities_runs_equal_single_samples(tmp_path):
     assert averaging.identity_run(G) == 37
     want = ["i,residual_a,residual_b,tol,pass"]
     for i in range(40):
-        r = averaging.verify_fundamental_identities(presets.random_pseudorep(G, rng), nu)
+        r = averaging.verify_fundamental_identities([presets.random_pseudorep(G, rng)], nu)[0]
         want.append(f"{i},{r.residual_a!r},{r.residual_b!r},{r.tol!r},{str(r.ok).lower()}")
     assert (out / "identities.csv").read_text().splitlines() == want
 
@@ -774,7 +775,7 @@ def test_oversized_csv_header_rejected_before_allocating(tmp_path, capsys, heade
     assert f"{path}: header '{header}' is above the size limits" in capsys.readouterr().err
     assert peak < 2**20
     with pytest.raises(ValueError, match="above the size limits"):
-        circle.load_grid_csv(str(path))
+        load_grid_csv(str(path))
 
 
 def test_import_leaves_jsonschema_out():

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import composable_pairs, compose_dict, source_fiber, target_fiber
+from conftest import NotInvariant, composable_pairs, compose_dict, restrict, source_fiber, target_fiber
 from groupavg import presets
 from groupavg.groupoid import (
     FiniteGroupAction,
     FiniteGroupoid,
     MalformedAction,
-    NotInvariant,
     ValidationReport,
     action_groupoid,
     cyclic_group,
@@ -655,7 +654,7 @@ def test_left_translation_is_fiber_bijection(s3_groupoid, z2_groupoid):
 
 
 def test_restrict_to_swapped_orbit(z2_groupoid):
-    sub, kept = z2_groupoid.restrict([0, 1])
+    sub, kept = restrict(z2_groupoid, [0, 1])
     assert sub.validate().ok
     assert sub.objects == [1, 2]
     assert kept == sorted(kept)
@@ -663,7 +662,7 @@ def test_restrict_to_swapped_orbit(z2_groupoid):
 
 
 def test_restrict_to_fixed_point_keeps_isotropy(z2_groupoid):
-    sub, kept = z2_groupoid.restrict([2])
+    sub, kept = restrict(z2_groupoid, [2])
     assert sub.n_objects == 1
     assert sub.n_arrows == 2  # unit and the Z/2 isotropy arrow over the fixed point
     assert sub.validate().ok
@@ -671,7 +670,7 @@ def test_restrict_to_fixed_point_keeps_isotropy(z2_groupoid):
 
 def test_restrict_non_invariant_raises(z2_groupoid):
     with pytest.raises(NotInvariant):
-        z2_groupoid.restrict([0])
+        restrict(z2_groupoid, [0])
 
 
 @given(subset=st.sets(st.sampled_from([0, 1, 2]), min_size=1))
@@ -686,9 +685,9 @@ def test_restrict_accepts_exactly_orbit_unions(subset):
     splits_orbit = len(subset & {0, 1}) == 1
     if splits_orbit:
         with pytest.raises(NotInvariant):
-            G.restrict(sorted(subset))
+            restrict(G, sorted(subset))
     else:
-        sub, kept = G.restrict(sorted(subset))
+        sub, kept = restrict(G, sorted(subset))
         assert sub.validate().ok
         assert kept == sorted(kept)
 

@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import compose_dict, target_fiber
+from conftest import NotInvariant, compose_dict, restrict_haar, target_fiber
 from groupavg.groupoid import (
     FiniteGroupAction,
-    NotInvariant,
     action_groupoid,
     cyclic_group,
     pair_groupoid,
     trivial_groupoid,
 )
-from groupavg.haar import INVARIANCE_TOL, HaarReport, HaarSystem, check_haar, counting_haar, restrict_haar
+from groupavg.haar import INVARIANCE_TOL, HaarReport, HaarSystem, check_haar, counting_haar
 
 # left-invariant but non-uniform weights on the Z/2 action groupoid over
 # {1,2,3}: fibers are {0,4}, {1,3}, {2,5} and translation pairs ids (0,3),

@@ -18,13 +18,12 @@ to 1e-3 of its tolerance.
 """
 
 import itertools
-import time
 from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import restrict_rep
+from conftest import connection_from_effect, connection_residual, restrict_haar, restrict_rep
 from groupavg import averaging, circle, presets, psrep
 from groupavg.averaging import (
     GatePrecondition,
@@ -46,8 +45,6 @@ from groupavg.circle import (
     _defect_sups,
     average_circle,
     cocycle_defect_field,
-    connection_from_effect,
-    connection_residual,
     discrete_seminorm,
     from_profile,
     group_bundle_average,
@@ -55,7 +52,7 @@ from groupavg.circle import (
     multiplicativity_residual,
 )
 from groupavg.groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, symmetric_group
-from groupavg.haar import counting_haar, restrict_haar
+from groupavg.haar import counting_haar
 from groupavg.psrep import (
     GATE_COEFF,
     DegenerateMetric,
@@ -118,11 +115,10 @@ def iterate_ref(rep, nu, tol_c=1e-12, max_iter=64):
     rows = []
     lam = rep
     verdict = Verdict("Diverged")
-    t0 = time.perf_counter()
     b0 = c0 = 0.0
     for i in range(max_iter + 1):
         b, c = b_norm(lam), c_norm(lam)
-        rows.append(TraceRow(i, b, c, lam.unit_defect(), time.perf_counter() - t0))
+        rows.append(TraceRow(i, b, c, lam.unit_defect()))
         if i == 0:
             b0, c0 = b, c
         if c <= tol_c:
@@ -244,7 +240,6 @@ def iterate_circle_ref(L0, tol_c=1e-12, max_iter=64, seminorm_orders=(0, 1)):
     rows = []
     lam = L0
     verdict = Verdict("Diverged")
-    t0 = time.perf_counter()
     b0 = c0 = 0.0
     gate_ok = True
     for i in range(max_iter + 1):
@@ -253,7 +248,7 @@ def iterate_circle_ref(L0, tol_c=1e-12, max_iter=64, seminorm_orders=(0, 1)):
         c = float(np.abs(field).max())
         unit = float(np.abs(lam.values[0] - 1.0).max())
         extras = {f"c_sem_r{r}": _fd_sup(field, r, lam.N) for r in seminorm_orders}
-        rows.append(TraceRow(i, b, c, unit, time.perf_counter() - t0, extras))
+        rows.append(TraceRow(i, b, c, unit, extras))
         if i == 0:
             b0, c0 = b, c
             gate_ok = b0 > 0 and c0 <= GATE_COEFF / b0**2
@@ -407,8 +402,7 @@ def verify_identities_ref(rep, nu):
 
 
 def assert_same_trace(got, want):
-    key = lambda r: (r.i, r.b, r.c, r.unit_defect, r.extras)  # noqa: E731  wall time differs
-    assert [key(r) for r in got.rows] == [key(r) for r in want.rows]
+    assert got.rows == want.rows
     assert got.verdict == want.verdict
     assert got.gate_ok == want.gate_ok
     assert got.gate_failed_orbits == want.gate_failed_orbits
@@ -803,7 +797,7 @@ def test_batched_identities_equal_per_sample_checks(monkeypatch, case, block_ter
         want = [verify_identities_ref(rep, nu) for rep in reps]
         got = verify_fundamental_identities(reps, nu)
         assert_reports_match_ref(got, want)
-        assert report_fields([verify_fundamental_identities(reps[3], nu)]) == report_fields(got[3:4])
+        assert report_fields([verify_fundamental_identities(reps[3:4], nu)[0]]) == report_fields(got[3:4])
 
 
 def test_batched_identities_of_the_cli_samples(monkeypatch, s3_groupoid):
@@ -837,7 +831,7 @@ def test_batched_identities_of_the_cli_samples(monkeypatch, s3_groupoid):
         assert max(shape[0] for shape in shapes) > 1  # a sample axis: the samples were batched
     assert max(shape[0] for shape in seen["norms"]) == averaging.identity_run(s3_groupoid) == 37
     monkeypatch.undo()
-    assert report_fields(got) == report_fields([verify_fundamental_identities(rep, nu) for rep in reps])
+    assert report_fields(got) == report_fields([verify_fundamental_identities([rep], nu)[0] for rep in reps])
     want = [verify_identities_ref(rep, nu) for rep in reps]
     assert_reports_match_ref(got, want)
     b = np.array([r.b for r in want])
