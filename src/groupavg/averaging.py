@@ -264,7 +264,7 @@ def drive(lam: Any, step, gauges, tol_c: float, max_iter: int) -> IterationTrace
 
     Stops at c <= tol_c (Converged, the current iterate is the limit), after
     max_iter steps (Diverged), or when a step raises NonInvertible
-    (NonInvertibleAt; the fault's witness joins the row's extras).  The gate
+    (NonInvertibleAt, whose ``arrow`` is the fault's).  The gate
     fields are read off (b0, c0).
     """
     rows: list[TraceRow] = []
@@ -279,7 +279,6 @@ def drive(lam: Any, step, gauges, tol_c: float, max_iter: int) -> IterationTrace
             lam = step(lam)
         except NonInvertible as exc:
             verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.arrow)
-            extras.update(exc.extras)
             break
     b0, c0 = (rows[0].b, rows[0].c) if rows else (0.0, 0.0)
     gate = gate_holds(b0, c0)

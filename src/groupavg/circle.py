@@ -48,12 +48,13 @@ _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 
 
 class NonInvertibleNode(NonInvertible):
-    """Lambda vanishes (|value| <= 1e-12) at a grid node needed by the average."""
+    """Lambda vanishes (|value| <= 1e-12) at a grid node (l, i) needed by the average; its
+    ``arrow`` is the node's arrow id l N + i in the action groupoid of Z/N on the N points."""
 
-    def __init__(self, node: tuple[int, int], value: float):
+    def __init__(self, node: tuple[int, int], value: float, N: int):
         self.node, self.value = node, value
-        self.extras = {"bad_node_theta": float(node[0]), "bad_node_a": float(node[1])}
-        super().__init__(None, f"|Lambda| = {abs(value):.3e} <= {NODE_FLOOR} at grid node {node}")
+        super().__init__(node[0] * N + node[1],
+                         f"|Lambda| = {abs(value):.3e} <= {NODE_FLOOR} at grid node {node}")
 
 
 class NonPeriodicProfile(ValueError):
@@ -254,7 +255,7 @@ def average_circle(L: TorusGridFn) -> TorusGridFn:
     acc = np.abs(V, out=np.empty_like(V))  # |Lambda| for the node check, then the sum
     if (acc <= NODE_FLOOR).any():
         li = tuple(int(x) for x in np.argwhere(acc <= NODE_FLOOR)[0])
-        raise NonInvertibleNode(li, float(V[li]))
+        raise NonInvertibleNode(li, float(V[li]), N)
     acc.fill(0.0)
 
     def rows(lo: int, hi: int) -> None:
@@ -291,23 +292,22 @@ def group_bundle_average(X: TorusGridFn) -> TorusGridFn:
 
 
 def discrete_seminorm(F: TorusGridFn, r: int) -> float:
-    """Sup norm plus N-scaled central differences of orders <= r (r in {0,1,2}), in each grid
-    variable separately (no mixed terms); step h = 1/N, so order 1 scales by N/2, order 2 by N^2."""
-    D, T = np.empty((F.N, F.N)), np.empty((F.N, F.N)) if _order(r) == 2 else None
-    return float(_scaled(_slice_maxima(F.values, r, D, T), F.N).max())
+    """Sup norm, plus at r = 1 the N/2-scaled central differences in each grid variable separately
+    (no mixed terms); step h = 1/N."""
+    return float(_scaled(_slice_maxima(F.values, _order(r), np.empty((F.N, F.N))), F.N).max())
 
 
 def _order(r: int) -> int:
     """``r``, checked to be a supported seminorm order."""
-    if r not in (0, 1, 2):
-        raise ValueError(f"seminorm order {r} not supported (use 0, 1 or 2)")
+    if r not in (0, 1):
+        raise ValueError(f"seminorm order {r} not supported (use 0 or 1)")
     return r
 
 
 def _scaled(maxima, N: int) -> np.ndarray:
-    """Order-q maxima scaled by 1, N/2, N^2.  Rounding is monotone, so a sup scaled after its
+    """Order-q maxima scaled by 1, N/2.  Rounding is monotone, so a sup scaled after its
     max is bit-equal to the max of scaled values, and a NaN stays NaN."""
-    return np.asarray(maxima) * np.array([1.0, N / 2.0, N**2])[: len(maxima)]
+    return np.asarray(maxima) * np.array([1.0, N / 2.0])[: len(maxima)]
 
 
 def _absmax(D: np.ndarray) -> float:
@@ -315,41 +315,28 @@ def _absmax(D: np.ndarray) -> float:
     return np.abs(D, out=D).max()
 
 
-def _combine(hi, lo, out, two_s=None) -> None:
-    """out = hi - lo, or the second difference (hi - two_s) + lo with two_s = 2.0*S."""
-    if two_s is None:
-        np.subtract(hi, lo, out=out)
-    else:
-        np.add(np.subtract(hi, two_s, out=out), lo, out=out)
-
-
-def _central_absmax(S: np.ndarray, axis: int, D: np.ndarray, two_s=None) -> float:
-    """max |first or second central difference| of the periodic 2-d S along ``axis``, written
-    into the C-ordered D: the interior from flat views of S shifted by one row (axis 0) or one
-    element (axis 1), then the two wrap-around rows or columns over the entries it got wrong."""
+def _central_absmax(S: np.ndarray, axis: int, D: np.ndarray) -> float:
+    """max |central difference| of the periodic 2-d S along ``axis``, written into the C-ordered
+    D: the interior from flat views of S shifted by one row (axis 0) or one element (axis 1),
+    then the two wrap-around rows or columns over the entries it got wrong."""
     step = S.shape[1] if axis == 0 else 1
     s, d = S.reshape(-1), D.reshape(-1)
-    _combine(s[2 * step:], s[: -2 * step], d[step:-step],
-             None if two_s is None else two_s.reshape(-1)[step:-step])
+    np.subtract(s[2 * step:], s[: -2 * step], out=d[step:-step])
     s, d = np.moveaxis(S, axis, 0), np.moveaxis(D, axis, 0)
-    t = None if two_s is None else np.moveaxis(two_s, axis, 0)
     for row, hi, lo in ((0, 1, -1), (-1, 0, -2)):
-        _combine(s[hi], s[lo], d[row], None if t is None else t[row])
+        np.subtract(s[hi], s[lo], out=d[row])
     return _absmax(D)
 
 
-def _slice_maxima(S: np.ndarray, order: int, D: np.ndarray, T=None, halo=None) -> list:
-    """Unscaled maxima of |S| and of its order-q central differences (q <= ``order``), along
-    S's axes and across the (prev, next) ``halo``, all written into the scratch D and, at order 2,
-    T = 2.0*S.  Each sup is taken before any scaling and the second differences keep the order
-    (hi - 2.0*S) + lo, so every maximum is exact."""
+def _slice_maxima(S: np.ndarray, order: int, D: np.ndarray, halo=None) -> list:
+    """Unscaled maxima of |S| and, at order 1, of its central differences along S's axes and
+    across the (prev, next) ``halo``, all written into the scratch D.  Each sup is taken before
+    any scaling, so every maximum is exact."""
     maxima = [np.abs(S, out=D).max()]
-    if order == 2:
-        np.multiply(S, 2.0, out=T)
-    for two_s in (None, T)[:order]:
-        m = np.maximum(_central_absmax(S, 0, D, two_s), _central_absmax(S, 1, D, two_s))
+    if order:
+        m = np.maximum(_central_absmax(S, 0, D), _central_absmax(S, 1, D))
         if halo is not None:
-            _combine(halo[1], halo[0], D, two_s)
+            np.subtract(halo[1], halo[0], out=D)
             m = np.maximum(m, _absmax(D))
         maxima.append(m)
     return maxima
@@ -359,41 +346,38 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
     """Scaled :func:`_slice_maxima` of the field whose theta' = lp/N slice ``slice_at(lp, out)``
     writes, with ``slice_at = slices()``, in one pass over theta': no N^3 field and no N^2
     allocation per step.  A pass holds a ring of the 2h + 1 slices within h of theta', whose slots
-    rotate by index: at orders 1-2, h = 1, one (3, N, N) ring run serially over 0..N-1; at order 0,
+    rotate by index: at order 1, h = 1, one (3, N, N) ring run serially over 0..N-1; at order 0,
     h = 0, one slice per :func:`_on_blocks` worker, which takes |S| in place.  The sups of the
     blocks are joined by np.maximum: exact, and a NaN stays NaN."""
-    h = min(order, 1)
+    h = order
 
     def sups(lo: int, hi: int) -> np.ndarray:
         slice_at, ring, maxima = slices(), np.empty((2 * h + 1, N, N)), np.zeros(order + 1)
-        D, T = np.empty((N, N)) if h else ring[0], np.empty((N, N)) if order == 2 else None
+        D = np.empty((N, N)) if h else ring[0]
         for lp in range(lo - h, lo + h):
             slice_at(lp % N, ring[lp % len(ring)])
         for lp in range(lo, hi):
             slice_at((lp + h) % N, ring[(lp + h) % len(ring)])
             halo = (ring[(lp - 1) % len(ring)], ring[(lp + 1) % len(ring)]) if h else None
-            maxima = np.maximum(maxima, _slice_maxima(ring[lp % len(ring)], order, D, T, halo))
+            maxima = np.maximum(maxima, _slice_maxima(ring[lp % len(ring)], order, D, halo))
         return maxima
 
     return _scaled(reduce(np.maximum, [sups(0, N)] if order else _on_blocks(N, sups)), N)
 
 
-def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64,
-                   seminorm_orders: tuple[int, ...] = (0, 1),
+def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64, order: int = 1,
                    row0: tuple[float, float] | None = None) -> IterationTrace:
     """Repeated rotation averaging of a unital grid effect; see :func:`averaging.drive`.
 
-    Rows carry b = max |Lambda|, c = the r = 0 cocycle residual, the unit-row defect, and (in
-    extras) discrete seminorms of the full defect field for each requested order; a vanishing
-    node adds its indices to the last row.  The gate is c <= (1/9) b^(-2) on the grid.
+    Rows carry b = max |Lambda|, c = the r = 0 cocycle residual, the unit-row defect, and at
+    ``order=1`` (in extras) ``c_sem_r1``, the order-1 discrete seminorm of the full defect field.
+    The gate is c <= (1/9) b^(-2) on the grid.
 
-    Each row runs one defect pass, of the highest requested order: with no orders
-    (``seminorm_orders=()``) that is the order-0 pass, one N^2 slice per worker, against the
-    (3, N, N) ring of order 1.  ``row0`` is the (b, c) of ``L0`` from a gate pass the caller
-    already ran (:func:`multiplicativity_residual` gives the same c); row 0 then runs no pass
-    unless it needs an order above 0."""
-    order = max(map(_order, seminorm_orders), default=0)
-    first = [row0] if row0 is not None and not order else []  # read once, by row 0
+    Each row runs one defect pass of that order: at order 0, one N^2 slice per worker, against
+    the (3, N, N) ring of order 1.  ``row0`` is the (b, c) of ``L0`` from a gate pass the caller
+    already ran (:func:`multiplicativity_residual` gives the same c); it is read only at order 0,
+    where row 0 then runs no pass."""
+    first = [row0] if not _order(order) and row0 is not None else []  # read once, by row 0
 
     def gauges(lam: TorusGridFn):
         if first:
@@ -401,7 +385,7 @@ def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64,
         else:
             b, sups = float(np.abs(lam.values).max()), _defect_sups(partial(_defect_slices, lam), lam.N, order)
         return (b, float(sups[0]), float(np.abs(lam.values[0] - 1.0).max()),
-                {f"c_sem_r{r}": float(np.max(sups[: r + 1])) for r in seminorm_orders})
+                {"c_sem_r1": float(np.max(sups))} if order else {})
 
     # drive holds the only reference to each iterate, so L0 is freed once L1 exists
     start = [L0]

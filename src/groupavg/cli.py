@@ -277,7 +277,7 @@ def kind_circle_iterate(p: dict) -> list[str]:
     # row 0 when the gate pass gave its (b, c).  The gated field is popped, so that
     # iterate_circle holds its only reference and frees it once it is averaged.
     trace = circle.iterate_circle(gated.pop(0), tol_c=p["tol_c"], max_iter=p["max_iter"],
-                                  seminorm_orders=(), row0=row0)
+                                  order=0, row0=row0)
     extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": p["k"],
              "perturb": scale}
     if trace.verdict.kind == "Converged":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 import numpy as np
 
 from .groupoid import FiniteGroupoid, arrow_keyed, read_json, write_json
@@ -26,9 +25,8 @@ INVARIANCE_TOL = 1e-12
 class HaarSystem:
     """Per-arrow weights on a finite groupoid.
 
-    ``weights[k]`` is the mass of arrow k inside the fiber t^-1(tgt k).
-    Weights may be floats or exact Fractions (small groupoids only); numeric
-    code reads the float view via :attr:`array`.
+    ``weights[k]`` is the mass of arrow k inside the fiber t^-1(tgt k);
+    numeric code reads them as one float array via :attr:`array`.
     """
 
     groupoid: FiniteGroupoid
@@ -42,11 +40,7 @@ class HaarSystem:
 
     @property
     def array(self) -> np.ndarray:
-        return np.asarray([float(w) for w in self.weights])
-
-    @property
-    def definite(self) -> bool:
-        return all(w > 0 for w in self.weights)
+        return np.asarray(self.weights, dtype=float)
 
     def to_json_dict(self) -> dict:
         return {str(k): float(w) for k, w in enumerate(self.weights)}
@@ -94,35 +88,21 @@ class HaarReport:
         return "\n".join(lines)
 
 
-def counting_haar(G: FiniteGroupoid, exact: bool = False) -> HaarSystem:
-    """Uniform weight 1/|t^-1(tgt k)| on every arrow.
-
-    With ``exact=True`` weights are Fractions; restrict to groupoids small
-    enough that exact arithmetic stays cheap.
-    """
-    fiber_size = [0] * G.n_objects
-    for k in G.arrows():
-        fiber_size[G.tgt[k]] += 1
-    one = Fraction(1) if exact else 1.0
-    return HaarSystem(G, [one / fiber_size[G.tgt[k]] for k in G.arrows()])
+def counting_haar(G: FiniteGroupoid) -> HaarSystem:
+    """Uniform weight 1/|t^-1(tgt k)| on every arrow."""
+    tgt = np.asarray(G.tgt, dtype=np.intp)
+    return HaarSystem(G, (1.0 / np.bincount(tgt)[tgt]).tolist())
 
 
 def check_haar(nu: HaarSystem) -> HaarReport:
     """Normalization and left-invariance residuals, and the negative weights (a Haar system is a
-    measure; a zero weight is allowed); exact when weights are Fractions.
-    Invariance runs over the averaging triples (g, k, gk), g ascending, then k."""
-    G = nu.groupoid
-    zero = Fraction(0) if any(isinstance(w, Fraction) for w in nu.weights) else 0.0
-    sums = [zero] * G.n_objects
-    for k in G.arrows():
-        sums[G.tgt[k]] = sums[G.tgt[k]] + nu.weights[k]
-    max_norm = max((abs(s - 1) for s in sums), default=zero)
-
-    violations = []
-    T = G.tables
-    for g, k, gk in zip(T.avg_g.tolist(), T.avg_k.tolist(), T.avg_gk.tolist()):
-        amt = abs(nu.weights[gk] - nu.weights[k])
-        if amt > INVARIANCE_TOL:
-            violations.append((g, k, float(amt)))
-    negative = [(k, float(w)) for k, w in enumerate(nu.weights) if w < 0]
-    return HaarReport(float(max_norm), violations, negative)
+    measure; a zero weight is allowed).  Each fiber sums in ascending arrow id; invariance runs
+    over the averaging triples (g, k, gk), g ascending, then k."""
+    w, T = nu.array, nu.groupoid.tables
+    sums = np.bincount(T.tgt, weights=w, minlength=nu.groupoid.n_objects)
+    amt = np.abs(w[T.avg_gk] - w[T.avg_k])
+    bad = np.flatnonzero(amt > INVARIANCE_TOL)
+    violations = list(zip(T.avg_g[bad].tolist(), T.avg_k[bad].tolist(), amt[bad].tolist()))
+    neg = np.flatnonzero(w < 0)
+    return HaarReport(float(np.abs(sums - 1).max(initial=0.0)), violations,
+                      list(zip(neg.tolist(), w[neg].tolist())))

@@ -35,12 +35,10 @@ class DegenerateMetric(ValueError):
 
 
 class NonInvertible(ValueError):
-    """An averaging step met a value singular past the conditioning limit: ``arrow``
-    (None off the finite case), and ``extras`` for the failing trace row."""
+    """An averaging step met a value singular past the conditioning limit at ``arrow``: a finite
+    arrow id, or a circle grid node's (see :class:`circle.NonInvertibleNode`)."""
 
-    extras: dict[str, float] = {}
-
-    def __init__(self, arrow: int | None, message: str | None = None):
+    def __init__(self, arrow: int, message: str | None = None):
         self.arrow = arrow
         super().__init__(message or f"matrix of arrow {arrow} is numerically singular")
 

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -163,7 +162,7 @@ def restrict_haar(
     """
     sub, kept = restrict(nu.groupoid, objs)
     weights = [nu.weights[k] for k in kept]
-    fiber_sum: dict[int, float | Fraction] = {}
+    fiber_sum: dict[int, float] = {}
     for i, k in enumerate(kept):
         x = sub.tgt[i]
         fiber_sum[x] = fiber_sum.get(x, 0) + weights[i]

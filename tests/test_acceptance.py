@@ -175,8 +175,8 @@ def test_criterion_7_circle_convergence_and_deformation():
         trace = iterate_circle(TorusGridFn(lam_star.values * bump, 2))
         assert trace.gate_ok
         assert trace.verdict.kind == "Converged"
-        for r in (0, 1):
-            s = [row.extras[f"c_sem_r{r}"] for row in trace.rows]
+        for r, s in ((0, [row.c for row in trace.rows]),
+                     (1, [row.extras["c_sem_r1"] for row in trace.rows])):
             for prev, nxt in zip(s, s[1:]):
                 if nxt > 1e-11:  # below that the quotient is rounding noise
                     assert nxt <= prev**2, f"N={N} r={r}: {nxt:.3e} > {prev:.3e}^2"

@@ -224,15 +224,15 @@ def test_iterate_perturbed_effect():
     th = np.arange(N)[:, None] / N
     a = np.arange(N)[None, :] / N
     bump = 1.0 + 0.01 * np.sin(2 * np.pi * th) * np.sin(2 * np.pi * a)
-    trace = iterate_circle(TorusGridFn(L.values * bump, k), seminorm_orders=(0, 1, 2))
+    trace = iterate_circle(TorusGridFn(L.values * bump, k), order=1)
     assert trace.verdict.kind == "Converged"
     assert trace.verdict.iteration <= 7
     assert trace.gate_ok and trace.envelope_valid
     for row, bound in zip(trace.rows, trace.envelope_column()):
         assert row.c <= bound * (1 + 1e-12)
         assert row.unit_defect == 0.0
-        assert set(row.extras) == {"c_sem_r0", "c_sem_r1", "c_sem_r2"}
-        assert row.extras["c_sem_r0"] == row.c
+        assert set(row.extras) == {"c_sem_r1"}
+        assert row.extras["c_sem_r1"] >= row.c
     res_c, res_u = multiplicativity_residual(trace.final)
     assert res_c <= 1e-12
     prof = limit_profile(trace.final)
@@ -245,8 +245,7 @@ def test_iterate_hits_vanishing_node():
     vals[3, 4] = 0.0
     trace = iterate_circle(TorusGridFn(vals, 1))
     assert trace.verdict.kind == "NonInvertibleAt"
-    assert trace.rows[-1].extras["bad_node_theta"] == 3.0
-    assert trace.rows[-1].extras["bad_node_a"] == 4.0
+    assert trace.verdict.arrow == 3 * 8 + 4
 
 
 # -- seminorms ----------------------------------------------------------------------
@@ -255,7 +254,6 @@ def test_iterate_hits_vanishing_node():
 def test_seminorm_constant():
     F = TorusGridFn(np.full((8, 8), 3.0), 1)
     assert discrete_seminorm(F, 0) == 3.0
-    assert discrete_seminorm(F, 2) == 3.0
 
 
 def test_seminorm_sine_oracles():
@@ -264,14 +262,15 @@ def test_seminorm_sine_oracles():
     F = TorusGridFn(np.tile(v[:, None], (1, N)), 1)
     assert discrete_seminorm(F, 0) == pytest.approx(1.0)
     assert discrete_seminorm(F, 1) == pytest.approx(N * np.sin(2 * np.pi / N), rel=1e-12)
-    want2 = N**2 * 2.0 * (1.0 - np.cos(2 * np.pi / N))
-    assert discrete_seminorm(F, 2) == pytest.approx(want2, rel=1e-12)
 
 
 def test_seminorm_rejects_bad_order():
     F = TorusGridFn(np.zeros((8, 8)), 1)
-    with pytest.raises(ValueError, match="order"):
-        discrete_seminorm(F, 3)
+    for r in (2, 3):
+        with pytest.raises(ValueError, match="order"):
+            discrete_seminorm(F, r)
+        with pytest.raises(ValueError, match="order"):
+            iterate_circle(F, order=r)
 
 
 # -- resampling and twist orbits ----------------------------------------------------
@@ -356,9 +355,9 @@ def test_nan_defect_is_not_a_pass():
     L = TorusGridFn(values, 2)
     assert np.isnan(multiplicativity_residual(L)[0])
     assert np.isnan(connection_residual(connection_from_effect(L)))
-    row = iterate_circle(L, max_iter=1, seminorm_orders=(0, 1, 2)).rows[0]
+    row = iterate_circle(L, max_iter=1, order=1).rows[0]
     assert np.isnan(row.c)
-    assert all(np.isnan(row.extras[f"c_sem_r{r}"]) for r in (0, 1, 2))
+    assert np.isnan(row.extras["c_sem_r1"])
 
 
 def test_iterate_circle_holds_no_cubic_field():
@@ -369,7 +368,7 @@ def test_iterate_circle_holds_no_cubic_field():
     L0 = TorusGridFn(L.values * (1.0 + 0.01 * np.sin(2 * np.pi * th) * np.sin(2 * np.pi * a)), 2)
     tracemalloc.start()
     try:
-        trace = iterate_circle(L0, seminorm_orders=(0, 1, 2))
+        trace = iterate_circle(L0, order=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -377,9 +376,9 @@ def test_iterate_circle_holds_no_cubic_field():
     assert peak < N**3 * 8, f"peak {peak} bytes reaches one N^3 field ({N**3 * 8} bytes)"
 
 
-@pytest.mark.parametrize("order, budget", [(0, 1), (1, 3), (2, 3)])
+@pytest.mark.parametrize("order, budget", [(0, 1), (1, 3)])
 def test_defect_pass_reuses_its_slice_buffers(order, budget, rng, monkeypatch):
-    # order 0 holds one slice buffer per worker; the halo ring of orders 1-2 stays serial
+    # order 0 holds one slice buffer per worker; the halo ring of order 1 stays serial
     N = 64
     L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), 2)
     for threads in (1, 2, 3):

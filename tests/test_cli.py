@@ -344,7 +344,7 @@ def test_circle_iterate_gauges_c_only(tmp_path, monkeypatch, gated):
     assert (len(gate_passes) >= 1) == gated
     assert len(orders) == rows - gated + len(gate_passes)
 
-    # the rows equal those of the library with its default seminorm orders
+    # the rows equal those of the library at its default order 1
     (lam0, kw, trace), = runs
     got, want = trace.rows, iterate(lam0, tol_c=kw["tol_c"], max_iter=kw["max_iter"]).rows
     assert [(r.b, r.c, r.unit_defect) for r in got] == [(r.b, r.c, r.unit_defect) for r in want]
@@ -778,13 +778,23 @@ def test_oversized_csv_header_rejected_before_allocating(tmp_path, capsys, heade
         load_grid_csv(str(path))
 
 
-def test_import_leaves_jsonschema_out():
+def modules_after_cli_import(*names: str) -> str:
+    """Those of ``names`` that a fresh interpreter holds once it has imported groupavg.cli."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, groupavg.cli; print('jsonschema' in sys.modules)"
+    code = f"import sys, groupavg.cli; print([m for m in {names!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_import_leaves_jsonschema_out():
+    assert modules_after_cli_import("jsonschema") == "[]"
+
+
+def test_import_leaves_fractions_and_decimal_out():
+    # the Haar weights are floats; fractions would load decimal into every CLI start
+    assert modules_after_cli_import("fractions", "decimal", "_decimal") == "[]"
 
 
 # -- flags are checked like config fields --------------------------------------------------
