@@ -26,7 +26,6 @@ from .psrep import (
     NonInvertible,
     PseudoRep,
     PseudoRepBatch,
-    SampleBundles,
     Stacks,
     arrow_norms_by_orbit,
     b_by_orbit,
@@ -105,19 +104,26 @@ def verify_fundamental_identities(
     invertible input (unital or not); residuals are pure rounding and must stay
     below 1e-12 * (1 + b)^3.
 
-    Given samples on one groupoid, as a :class:`PseudoRepBatch` or as pseudo-representations
-    with the same fiber dimensions, returns one report per sample.  They are checked
-    together, in runs of :func:`identity_run` samples, and each report has the bits of a
-    check of its sample alone.  A run that raises is checked again one sample at a time, so
-    the error is the first failing sample's.
+    Given samples on one groupoid, returns one report per sample.  A :class:`PseudoRepBatch`
+    is checked in runs of :func:`identity_run` samples, over which its bundle's factors
+    broadcast, and each report has the bits of a check of its sample alone.  A run that raises
+    is checked again one sample at a time, so the error is the first failing sample's.  A
+    sequence of pseudo-representations is checked one sample at a time, each on its own bundle.
     """
-    step, reports = identity_run(nu.groupoid), []
+    reports: list[IdentityReport] = []
+    if not isinstance(reps, PseudoRepBatch):
+        for rep in reps:
+            st = rep.stacks()
+            st = Stacks(st.group, [A[None] for A in st.arrays])  # a one-sample stack
+            reports += _identities(rep.groupoid, rep.bundle, st, nu)
+        return reports
+    G, bundle, step = reps.groupoid, reps.bundle, identity_run(nu.groupoid)
     for s in range(0, len(reps), step):
         try:
-            reports += _identities(reps[s : s + step], nu)
+            reports += _identities(G, bundle, reps[s : s + step].stacks(), nu)
         except Exception:
             for i in range(s, min(s + step, len(reps))):
-                _identities(reps[i : i + 1], nu)
+                _identities(G, bundle, reps[i : i + 1].stacks(), nu)
             raise
     return reports
 
@@ -128,17 +134,10 @@ def identity_run(G: FiniteGroupoid) -> int:
     return max(1, psrep.BLOCK_TERMS // max(1, len(G.tables.avg_g)))
 
 
-def _identities(run: PseudoRepBatch | Sequence[PseudoRep], nu: HaarSystem) -> list[IdentityReport]:
-    """The identity reports of a run of samples on one groupoid, their maps on a sample axis:
-    a batch's stack as it is, a list's through :meth:`Stacks.of_samples`."""
-    if isinstance(run, PseudoRepBatch):  # the shared bundle's factors broadcast over samples
-        G, bundle = run.groupoid, run.bundle
-        st = Stacks(np.zeros(G.n_arrows, dtype=np.intp), [run.maps])
-    else:
-        G = run[0].groupoid
-        if any(rep.groupoid is not G for rep in run):
-            raise ValueError("samples must share one groupoid")
-        bundle, st = SampleBundles([rep.bundle for rep in run]), Stacks.of_samples([rep.maps for rep in run])
+def _identities(G: FiniteGroupoid, bundle: psrep.FiberBundle, st: Stacks,
+                nu: HaarSystem) -> list[IdentityReport]:
+    """The identity reports of samples on G and ``bundle``: their maps ``st`` carry a leading
+    sample axis, over which the bundle's factors broadcast."""
     T = G.tables
     avg, inv = _average(st, T, nu)
     w = nu.array
@@ -193,10 +192,6 @@ class StepEstimateRow:
     b_bound: float
     c_bound: float
     ok: bool
-
-    @property
-    def slack(self) -> float:
-        return min(self.b_bound - self.b_avg, self.c_bound - self.c_avg)
 
 
 def verify_step_estimates(rep: PseudoRep, nu: HaarSystem) -> list[StepEstimateRow]:

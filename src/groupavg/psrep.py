@@ -43,21 +43,14 @@ class NonInvertible(ValueError):
         super().__init__(message or f"matrix of arrow {arrow} is numerically singular")
 
 
-def _shape_groups(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[list[int]]]:
-    """The shape group of each matrix, numbered by first appearance, and each group's items."""
-    shapes: dict[tuple, int] = {}
-    group = np.array([shapes.setdefault(M.shape, len(shapes)) for M in mats], dtype=np.intp)
-    return group, [np.flatnonzero(group == gi).tolist() for gi in range(len(shapes))]
-
-
 class Stacks:
     """Matrices indexed by item id (an arrow, a triple), held as one array per shape.
 
     Item i is ``arrays[group[i]][..., pos[i], :, :]``, where ``pos`` numbers the
-    items of a group in ascending id order.  Stacks built by :meth:`of_samples`
-    carry a leading sample axis: item i of sample s is ``arrays[group[i]][s, pos[i]]``,
-    and :meth:`take` returns every sample's matrices at once.  :meth:`take` and
-    :meth:`put` address one group at a time, so an index array must not mix shapes.
+    items of a group in ascending id order.  Arrays with a leading sample axis hold
+    item i of sample s at ``arrays[group[i]][s, pos[i]]``, and :meth:`take` returns
+    every sample's matrices at once.  :meth:`take` and :meth:`put` address one group
+    at a time, so an index array must not mix shapes.
     """
 
     def __init__(self, group: np.ndarray, arrays: list[np.ndarray]):
@@ -69,19 +62,11 @@ class Stacks:
 
     @classmethod
     def of(cls, mats: Sequence[np.ndarray]) -> "Stacks":
-        group, members = _shape_groups(mats)
-        return cls(group, [np.stack([mats[i] for i in items]) for items in members])
-
-    @classmethod
-    def of_samples(cls, samples: Sequence[Sequence[np.ndarray]]) -> "Stacks":
-        """Stacks of ``samples[s][i]`` with a leading sample axis; every sample has the
-        shapes of the first."""
-        group, members = _shape_groups(samples[0])
-        return cls(group, [
-            np.stack([maps[i] for maps in samples for i in items]).reshape(
-                len(samples), len(items), *samples[0][items[0]].shape)
-            for items in members
-        ])
+        """Stacks of ``mats``, their shape groups numbered by first appearance."""
+        shapes: dict[tuple, int] = {}
+        group = np.array([shapes.setdefault(M.shape, len(shapes)) for M in mats], dtype=np.intp)
+        return cls(group, [np.stack([mats[i] for i in np.flatnonzero(group == gi)])
+                           for gi in range(len(shapes))])
 
     def empty_like(self, group: np.ndarray | None = None) -> "Stacks":
         """Uninitialised stacks of the same shapes and samples over ``group`` (default: the same items)."""
@@ -234,35 +219,15 @@ class FiberBundle:
         return bundle
 
 
-class SampleBundles:
-    """The fiber bundles of a batch of samples with the same fiber dimensions.
-
-    Stands in for a :class:`FiberBundle` in :func:`metric_norms` on maps with a
-    leading sample axis: :meth:`factor_stack` stacks each sample's factors.
-    """
-
-    def __init__(self, bundles: Sequence[FiberBundle]):
-        if any(B.dims != bundles[0].dims for B in bundles):
-            raise ValueError("samples differ in fiber dimensions")
-        self.bundles = bundles
-        self._stacked: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def factor_stack(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if d not in self._stacked:
-            roots, inv_roots, where = zip(*(B.factor_stack(d) for B in self.bundles))
-            self._stacked[d] = (np.stack(roots), np.stack(inv_roots), where[0])
-        return self._stacked[d]
-
-
 def metric_norms(
-    bundle: FiberBundle | SampleBundles, M: np.ndarray, src: np.ndarray, dst: np.ndarray,
+    bundle: FiberBundle, M: np.ndarray, src: np.ndarray, dst: np.ndarray,
     floor: np.ndarray | float,
 ) -> np.ndarray:
     """The largest of ``floor`` (a running maximum, one per sample) and the metric norms
     of stacked maps: ``M[..., i, :, :]`` maps the fiber over ``src[i]`` to the fiber over
     ``dst[i]``; its norm is the largest singular value of
-    ``phi_dst^(1/2) M[i] phi_src^(-1/2)``.  Leading sample axes of ``M`` go with a
-    :class:`SampleBundles`.  A map with a non-finite entry, e.g. an overflowed
+    ``phi_dst^(1/2) M[i] phi_src^(-1/2)``.  The bundle's factors broadcast over leading
+    sample axes of ``M``.  A map with a non-finite entry, e.g. an overflowed
     defect, has no finite norm: it reads inf.
 
     The result has the bits of an SVD of every map: a norm is at most the Frobenius norm,
@@ -294,7 +259,7 @@ def metric_norms(
     return np.maximum(low, s.max(axis=-1))
 
 
-def max_norm(bundle: FiberBundle | SampleBundles, part, *key: np.ndarray,
+def max_norm(bundle: FiberBundle, part, *key: np.ndarray,
              width: np.ndarray | int = 1, orbit: np.ndarray | None = None,
              n_orbits: int = 1) -> list:
     """Largest metric norm over the work items of each orbit; 0.0 for an orbit with none.
@@ -403,15 +368,17 @@ class PseudoRepBatch:
     def __getitem__(self, s: slice) -> "PseudoRepBatch":
         return PseudoRepBatch(self.groupoid, self.bundle, self.maps[s])
 
+    def stacks(self) -> Stacks:
+        """The maps as one stack with a leading sample axis."""
+        return Stacks(np.zeros(self.groupoid.n_arrows, dtype=np.intp), [self.maps])
+
 
 def b_by_orbit(rep: PseudoRep) -> list[float]:
     """b of each orbit of :meth:`FiniteGroupoid.orbits`: its largest arrow matrix norm."""
     return arrow_norms_by_orbit(rep.bundle, rep.stacks(), rep.groupoid.tables)
 
 
-def arrow_norms_by_orbit(
-    bundle: FiberBundle | SampleBundles, st: Stacks, T: CompositionTables
-) -> list:
+def arrow_norms_by_orbit(bundle: FiberBundle, st: Stacks, T: CompositionTables) -> list:
     """The largest arrow matrix norm of each orbit, of the arrow maps ``st`` over the
     tables ``T``; with a sample axis, one per sample (see :func:`max_norm`)."""
     return max_norm(bundle, lambda g, _: (st.take(g), T.src[g], T.tgt[g]), st.group,

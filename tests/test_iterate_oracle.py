@@ -800,12 +800,18 @@ def test_batched_identities_equal_per_sample_checks(monkeypatch, case, block_ter
 
 
 def test_batched_identities_of_the_cli_samples(monkeypatch, s3_groupoid):
-    """The 300 samples of ``run finite_identities --count 300 --seed 1``: every report equals
-    the check of its sample alone and matches the per-sample reference, tol included where
-    numpy's power would move it by an ulp, and no batched step gathers more than BLOCK_TERMS
-    matrices."""
-    rng = np.random.default_rng(1)
-    reps = [presets.random_pseudorep(s3_groupoid, rng) for _ in range(300)]
+    """The 300 samples of ``run finite_identities --count 300 --seed 1``, drawn as the CLI
+    draws them, a batch per run: every report equals the check of its sample alone and
+    matches the per-sample reference, tol included where numpy's power would move it by an
+    ulp, and no batched step gathers more than BLOCK_TERMS matrices."""
+    rng, single = np.random.default_rng(1), np.random.default_rng(1)
+    run = averaging.identity_run(s3_groupoid)
+    batches = [presets.random_pseudorep(s3_groupoid, rng, count=min(run, 300 - n))
+               for n in range(0, 300, run)]
+    reps = [presets.random_pseudorep(s3_groupoid, single) for _ in range(300)]
+    drawn = [maps for batch in batches for maps in batch.maps]
+    assert len(drawn) == 300
+    assert all(np.array_equal(maps, rep.maps) for maps, rep in zip(drawn, reps))
     nu = counting_haar(s3_groupoid)
     seen = {"norms": [], "terms": []}
 
@@ -824,7 +830,7 @@ def test_batched_identities_of_the_cli_samples(monkeypatch, s3_groupoid):
 
     monkeypatch.setattr(psrep, "metric_norms", spy("norms", psrep.metric_norms))
     monkeypatch.setattr(psrep.Stacks, "take", counted_take)
-    got = verify_fundamental_identities(reps, nu)
+    got = [r for batch in batches for r in verify_fundamental_identities(batch, nu)]
     for shapes in seen.values():
         assert max(int(np.prod(shape)) for shape in shapes) <= psrep.BLOCK_TERMS
         assert max(shape[0] for shape in shapes) > 1  # a sample axis: the samples were batched
@@ -883,9 +889,8 @@ def test_failing_run_raises_the_first_samples_error():
 
 @pytest.mark.parametrize("x", [0, 2])
 def test_degenerate_metric_after_an_overflow_raises_the_overflow(x):
-    """Metrics are checked when first factored, which a run does for all its samples at
-    once; a later sample's indefinite metric on an object of either fiber dimension must
-    not mask an earlier sample's overflow."""
+    """Metrics are checked when first factored; a later sample's indefinite metric on an
+    object of either fiber dimension must not mask an earlier sample's overflow."""
     reps, nu = sample_case("z2_mixed_dims_metrics", 0, n=6)
     reps[0].maps[0] = reps[0].maps[0] * 1e150
     reps[2].bundle.metrics[x] = np.diag([1.0, -1.0] + [1.0] * (reps[2].bundle.dims[x] - 2))
@@ -895,13 +900,15 @@ def test_degenerate_metric_after_an_overflow_raises_the_overflow(x):
     assert first_error(verify_fundamental_identities, reps[1:], nu)[0] is DegenerateMetric
 
 
-def test_samples_with_other_fiber_dimensions_are_named():
+def test_list_mixing_fiber_dimensions_checks_each_sample_alone():
     reps, nu = sample_case("z2_mixed_dims", 0, n=3)
     G = reps[0].groupoid
     line = PseudoRep(G, FiberBundle([1, 1, 1]), [np.eye(1) for _ in G.arrows()])
-    with pytest.raises(ValueError, match="samples differ in fiber dimensions"):
-        verify_fundamental_identities(reps + [line], nu)
-    assert len(verify_fundamental_identities([line] * 2, nu)) == 2
+    reps = [reps[0], line, *reps[1:], line]
+    got = verify_fundamental_identities(reps, nu)
+    assert len(got) == 5
+    assert report_fields(got) == report_fields([verify_fundamental_identities([rep], nu)[0] for rep in reps])
+    assert_reports_match_ref(got, [verify_identities_ref(rep, nu) for rep in reps])
 
 
 def test_random_pseudorep_count_equals_single_draws(s3_groupoid):
@@ -940,6 +947,25 @@ def test_batch_and_list_inputs_give_the_same_reports(s3_groupoid):
     assert first_error(verify_fundamental_identities, reps, nu) == want
 
 
+@pytest.mark.parametrize("action", [presets.s3_action, presets.z2_swap_action])
+def test_batch_on_gram_metrics_equals_per_sample_checks(monkeypatch, action):
+    """The batch is the one path on which a bundle's metric factors broadcast over samples.
+    With runs of two samples, five samples cross two run boundaries; every report has the
+    bits of its sample checked alone on the same bundle, and matches the reference."""
+    G = action_groupoid(action())
+    monkeypatch.setattr(psrep, "BLOCK_TERMS", 2 * len(G.tables.avg_g))
+    assert averaging.identity_run(G) == 2
+    rng = np.random.default_rng(7)
+    bundle = FiberBundle([2] * G.n_objects, [presets.random_spd(rng, 2) for _ in range(G.n_objects)])
+    batch = PseudoRepBatch(G, bundle, presets.random_pseudorep(G, rng, count=5).maps)
+    reps = [PseudoRep(G, bundle, list(maps.copy())) for maps in batch.maps]
+    nu = counting_haar(G)
+    got = verify_fundamental_identities(batch, nu)
+    assert report_fields(got) == report_fields([verify_fundamental_identities([rep], nu)[0] for rep in reps])
+    assert_reports_match_ref(got, [verify_identities_ref(rep, nu) for rep in reps])
+    assert all(r.ok for r in got)
+
+
 def test_empty_batch_gives_no_reports(s3_groupoid):
     batch = presets.random_pseudorep(s3_groupoid, np.random.default_rng(0), count=0)
     assert verify_fundamental_identities(batch, counting_haar(s3_groupoid)) == []
@@ -969,9 +995,7 @@ def norm_case(seed, samples, scales):
     dst = np.where(src == 2, 2, rng.integers(0, 2, n))
     lead = (samples,) if samples else ()
     M = rng.standard_normal(lead + (n, 2, 2)) * scales(rng, lead + (n, 1, 1))
-    bundles = [FiberBundle([2] * 4, [presets.random_spd(rng, 2) for _ in range(4)])
-               for _ in range(max(samples, 1))]
-    bundle = psrep.SampleBundles(bundles) if samples else bundles[0]
+    bundle = FiberBundle([2] * 4, [presets.random_spd(rng, 2) for _ in range(4)])  # shared by the samples
     return bundle, M, src, dst
 
 
