@@ -45,6 +45,9 @@ MAX_N = 1024
 MAX_TWIST = 64
 # worker threads of the O(N^3) kernels: at most 2, so that order-0 scratch stays at 2 N^2
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+# grid rows per worker: a second worker slows the kernels below 2 * 256 rows, so such grids run
+# on the calling thread alone
+_WORKER_ROWS = 256
 
 
 class NonInvertibleNode(NonInvertible):
@@ -193,11 +196,20 @@ def _twisted_row(N: int, k: int):
     return at
 
 
+def _blocks(N: int) -> int:
+    """min(_THREADS, N // _WORKER_ROWS), at least one: the row blocks of an N-row grid, so a grid
+    below 2 _WORKER_ROWS rows starts no thread."""
+    return min(_THREADS, N // _WORKER_ROWS) or 1
+
+
 def _on_blocks(N: int, fn) -> list:
-    """[fn(lo, hi)] over min(_THREADS, N) contiguous blocks of 0..N-1: the first on the caller, the
+    """[fn(lo, hi)] over :func:`_blocks` contiguous blocks of 0..N-1: the first on the caller, the
     rest on plain threads in copies of its context (so np.errstate holds there), all joined before
-    a worker's exception is raised here.  Workers run private closures, public ones stay here."""
-    T = min(_THREADS, N) or 1
+    a worker's exception is raised here.  Workers run private closures, public ones stay here.
+    Callers allocate each block's grid-sized scratch on the calling thread, before the split: a
+    worker's allocations come from its thread's own malloc arena, which at N = 1024 sometimes
+    grew by a whole slice and kept it."""
+    T = _blocks(N)
     cuts, out, errors = [N * t // T for t in range(T + 1)], [None] * T, []
 
     def run(t: int) -> None:
@@ -257,18 +269,20 @@ def average_circle(L: TorusGridFn) -> TorusGridFn:
         li = tuple(int(x) for x in np.argwhere(acc <= NODE_FLOOR)[0])
         raise NonInvertibleNode(li, float(V[li]), N)
     acc.fill(0.0)
+    nums = np.empty_like(V)  # each block's numerator rows
 
     def rows(lo: int, hi: int) -> None:
-        # acc[l] += V[(l + j) mod N] / V[j], both rolled right by s = k j columns: divided
-        # straight from V's column blocks, in row blocks before and after the wrap
-        out, ratio = acc[lo:hi], np.empty((hi - lo, N))
+        # acc[l] += V[(l + j) mod N] / V[j], both rolled right by s = k j columns: copied from V's
+        # column blocks (the numerator in row blocks before and after the wrap) into contiguous
+        # buffers, so that the one division per j reads no strided operand
+        out, num, den = acc[lo:hi], nums[lo:hi], np.empty(N)
         for j in range(N):
             s, r = k * j % N, (lo + j) % N
             n = min(hi - lo, N - r)
-            for dst, src in ((ratio[:n], V[r:r + n]), (ratio[n:], V[: hi - lo - n])):
-                np.divide(src[:, : N - s], V[j, : N - s], out=dst[:, s:])
-                np.divide(src[:, N - s:], V[j, N - s:], out=dst[:, :s])
-            np.add(out, ratio, out=out)
+            for dst, src in ((num[:n], V[r:r + n]), (num[n:], V[: hi - lo - n]), (den, V[j])):
+                np.copyto(dst[..., s:], src[..., : N - s])
+                np.copyto(dst[..., :s], src[..., N - s:])
+            np.add(out, np.divide(num, den, out=num), out=out)
         np.divide(out, N, out=out)
 
     _on_blocks(N, rows)
@@ -347,12 +361,14 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
     writes, with ``slice_at = slices()``, in one pass over theta': no N^3 field and no N^2
     allocation per step.  A pass holds a ring of the 2h + 1 slices within h of theta', whose slots
     rotate by index: at order 1, h = 1, one (3, N, N) ring run serially over 0..N-1; at order 0,
-    h = 0, one slice per :func:`_on_blocks` worker, which takes |S| in place.  The sups of the
-    blocks are joined by np.maximum: exact, and a NaN stays NaN."""
+    h = 0, one slice per :func:`_on_blocks` worker, which takes |S| in place.  The rings are
+    allocated before the split, and each block pops one.  The sups of the blocks are joined by
+    np.maximum: exact, and a NaN stays NaN."""
     h = order
+    rings = [np.empty((2 * h + 1, N, N)) for _ in range(1 if order else _blocks(N))]
 
     def sups(lo: int, hi: int) -> np.ndarray:
-        slice_at, ring, maxima = slices(), np.empty((2 * h + 1, N, N)), np.zeros(order + 1)
+        slice_at, ring, maxima = slices(), rings.pop(), np.zeros(order + 1)
         D = np.empty((N, N)) if h else ring[0]
         for lp in range(lo - h, lo + h):
             slice_at(lp % N, ring[lp % len(ring)])

@@ -381,6 +381,7 @@ def test_defect_pass_reuses_its_slice_buffers(order, budget, rng, monkeypatch):
     # order 0 holds one slice buffer per worker; the halo ring of order 1 stays serial
     N = 64
     L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), 2)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)  # one block per thread at this small N
     for threads in (1, 2, 3):
         monkeypatch.setattr(circle, "_THREADS", threads)
         outs = []
@@ -410,6 +411,7 @@ def test_order_0_pass_holds_one_slice_per_worker(threads, rng, monkeypatch):
     # place: no product buffer, and no 64 KiB ufunc buffer for a strided operand. A twentieth
     # of a slice per worker covers its twisted-row tile, (k + 1) N doubles.
     monkeypatch.setattr(circle, "_THREADS", threads)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
     N = 256
     L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), 3)
     tracemalloc.start()
@@ -419,6 +421,23 @@ def test_order_0_pass_holds_one_slice_per_worker(threads, rng, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.05 * threads * N * N * 8, f"peak {peak} bytes for {threads} workers"
+
+
+def test_average_holds_no_iterator_buffers(rng, monkeypatch):
+    # the divisions read contiguous copies of the rolled rows: the peak is the sum and the
+    # numerator block, 2 N^2, plus the one buffer numpy keeps for the broadcast row. Dividing
+    # straight from V's strided column blocks buffered 192 KiB a call (2.38 N^2 at N = 256)
+    monkeypatch.setattr(circle, "_THREADS", 1)
+    N = 256
+    L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), 3)
+    average_circle(L)
+    tracemalloc.start()
+    try:
+        average_circle(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * N * N * 8, f"peak {peak / (8 * N * N):.2f} N^2 doubles"
 
 
 @settings(max_examples=20, deadline=None)

@@ -712,8 +712,10 @@ def exit_and_peak(argv) -> tuple[int, int]:
 @pytest.mark.parametrize("kind", ["circle_iterate", "circle_profile"])
 def test_circle_kind_peaks_below_six_grids(tmp_path, monkeypatch, kind):
     # no grid outlives its use: the iterate run drops its noise and exact field after the
-    # gate and holds no index grid; the profile run writes its grid CSVs line by line
+    # gate and holds no index grid; the profile run writes its grid CSVs line by line. On two
+    # workers, the larger peak: N = 256 runs on one unless _WORKER_ROWS allows two
     monkeypatch.setattr(circle, "_THREADS", 2)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
     N = 256
     code, peak = exit_and_peak(["run", kind, "--N", str(N), "--seed", "1", "--out", str(tmp_path)])
     assert code == 0
@@ -733,6 +735,7 @@ def test_circle_iterate_frees_its_gated_input(tmp_path, monkeypatch):
     # the iteration holds the only reference to the gated field, so no average runs while it
     # is live: the peak is the gate pass's, the noise, the candidate and two order-0 slices
     monkeypatch.setattr(circle, "_THREADS", 2)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
     peak = warm_peak(tmp_path, ["circle_iterate", "--seed", "1"])
     assert peak < 4.75, f"peak {peak:.2f} N^2 doubles"
 

@@ -19,6 +19,7 @@ to 1e-3 of its tolerance.
 
 import itertools
 import json
+import threading
 from functools import partial
 
 import numpy as np
@@ -660,6 +661,7 @@ def test_block_kernels_are_bit_equal(N, k, rng, monkeypatch):
     X = connection_from_effect(L)
     avg, res, conn = average_circle_ref(L), multiplicativity_residual_ref(L), connection_residual_ref(X)
     assert res == residual_ref(L)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)  # split grids of any size
     for workers in (1, 3):  # one block, and uneven blocks; the default is min(2, CPUs)
         monkeypatch.setattr(circle, "_THREADS", workers)
         assert np.array_equal(average_circle(L).values, avg)
@@ -673,9 +675,11 @@ def test_block_kernels_are_bit_equal(N, k, rng, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("N", [1, 4, 255, 256, 257])
+@pytest.mark.parametrize("N", [1, 4, 64, 255, 256, 257, 512, 1024])
 def test_block_torus_field_is_bit_equal(N, workers, monkeypatch):
+    # power-of-two N read the phase tables on the caller; 255 and 257 split the direct path
     monkeypatch.setattr(circle, "_THREADS", workers)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
     ours, ref = np.random.default_rng(N), np.random.default_rng(N)
     assert np.array_equal(presets.smooth_torus_field(ours, N), smooth_torus_field_ref(ref, N))
     assert ours.bit_generator.state == ref.bit_generator.state
@@ -684,6 +688,7 @@ def test_block_torus_field_is_bit_equal(N, workers, monkeypatch):
 @pytest.mark.parametrize("nan_lp", [0, 47, 63], ids=["first_block", "second_block", "last"])
 def test_nan_in_one_block_makes_the_sup_nan(nan_lp, monkeypatch):
     monkeypatch.setattr(circle, "_THREADS", 2)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
     N = 64
 
     def slices():
@@ -701,6 +706,7 @@ def test_nan_in_one_block_makes_the_sup_nan(nan_lp, monkeypatch):
 
 def test_worker_exception_and_errstate_reach_the_caller(monkeypatch):
     monkeypatch.setattr(circle, "_THREADS", 2)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
 
     def fail_late(lo, hi):
         if lo:
@@ -713,6 +719,20 @@ def test_worker_exception_and_errstate_reach_the_caller(monkeypatch):
     big = np.full(8, 1e300)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         circle._on_blocks(8, lambda lo, hi: big[lo:hi] * big[lo:hi] if lo else None)
+
+
+def test_blocks_are_sized_to_the_grid(monkeypatch):
+    # below 2 _WORKER_ROWS rows every block runs on the caller and no thread starts
+    monkeypatch.setattr(circle, "_THREADS", 2)
+    caller = threading.get_ident()
+
+    def where(lo, hi):
+        return lo, hi, threading.get_ident() == caller
+
+    with monkeypatch.context() as m:
+        m.setattr(threading, "Thread", None)  # any thread start raises
+        assert circle._on_blocks(256, where) == [(0, 256, True)]
+    assert circle._on_blocks(512, where) == [(0, 256, True), (256, 512, False)]
 
 
 @pytest.mark.parametrize("b0, c0", [(1.0, 1.0 / 9.0), (1.3, 0.01), (2.0, 1e-4)])
