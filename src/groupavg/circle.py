@@ -45,8 +45,9 @@ MAX_N = 1024
 MAX_TWIST = 64
 # worker threads of the O(N^3) kernels: at most 2, so that order-0 scratch stays at 2 N^2
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-# grid rows per worker: a second worker slows the kernels below 2 * 256 rows, so such grids run
-# on the calling thread alone
+# grid rows per worker: below 128 rows a second worker slows the kernels; at 256 it saves about
+# 5 ms of a 30 ms average but adds about 0.5 MB of peak RSS, so grids below 2 * 256 rows run on
+# the calling thread alone
 _WORKER_ROWS = 256
 
 
@@ -205,10 +206,7 @@ def _blocks(N: int) -> int:
 def _on_blocks(N: int, fn) -> list:
     """[fn(lo, hi)] over :func:`_blocks` contiguous blocks of 0..N-1: the first on the caller, the
     rest on plain threads in copies of its context (so np.errstate holds there), all joined before
-    a worker's exception is raised here.  Workers run private closures, public ones stay here.
-    Callers allocate each block's grid-sized scratch on the calling thread, before the split: a
-    worker's allocations come from its thread's own malloc arena, which at N = 1024 sometimes
-    grew by a whole slice and kept it."""
+    a worker's exception is raised here.  Workers run private closures, public ones stay here."""
     T = _blocks(N)
     cuts, out, errors = [N * t // T for t in range(T + 1)], [None] * T, []
 
@@ -269,13 +267,12 @@ def average_circle(L: TorusGridFn) -> TorusGridFn:
         li = tuple(int(x) for x in np.argwhere(acc <= NODE_FLOOR)[0])
         raise NonInvertibleNode(li, float(V[li]), N)
     acc.fill(0.0)
-    nums = np.empty_like(V)  # each block's numerator rows
 
     def rows(lo: int, hi: int) -> None:
         # acc[l] += V[(l + j) mod N] / V[j], both rolled right by s = k j columns: copied from V's
         # column blocks (the numerator in row blocks before and after the wrap) into contiguous
         # buffers, so that the one division per j reads no strided operand
-        out, num, den = acc[lo:hi], nums[lo:hi], np.empty(N)
+        out, num, den = acc[lo:hi], np.empty((hi - lo, N)), np.empty(N)
         for j in range(N):
             s, r = k * j % N, (lo + j) % N
             n = min(hi - lo, N - r)
@@ -361,14 +358,12 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
     writes, with ``slice_at = slices()``, in one pass over theta': no N^3 field and no N^2
     allocation per step.  A pass holds a ring of the 2h + 1 slices within h of theta', whose slots
     rotate by index: at order 1, h = 1, one (3, N, N) ring run serially over 0..N-1; at order 0,
-    h = 0, one slice per :func:`_on_blocks` worker, which takes |S| in place.  The rings are
-    allocated before the split, and each block pops one.  The sups of the blocks are joined by
-    np.maximum: exact, and a NaN stays NaN."""
+    h = 0, one slice per :func:`_on_blocks` worker, which takes |S| in place.  The sups of the
+    blocks are joined by np.maximum: exact, and a NaN stays NaN."""
     h = order
-    rings = [np.empty((2 * h + 1, N, N)) for _ in range(1 if order else _blocks(N))]
 
     def sups(lo: int, hi: int) -> np.ndarray:
-        slice_at, ring, maxima = slices(), rings.pop(), np.zeros(order + 1)
+        slice_at, ring, maxima = slices(), np.empty((2 * h + 1, N, N)), np.zeros(order + 1)
         D = np.empty((N, N)) if h else ring[0]
         for lp in range(lo - h, lo + h):
             slice_at(lp % N, ring[lp % len(ring)])

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, symmetric_group, cyclic_group
 from .bounds import gate_holds
@@ -18,8 +17,6 @@ from .psrep import FiberBundle, PseudoRep, PseudoRepBatch, b_norm, c_norm
 
 # the gate-rescale loop accepts a candidate a tenth inside the gate
 RESCALE_SAFETY = 0.9
-# doubles per row chunk of smooth_torus_field's table path: 256 KiB, within a core's L2
-_CHUNK = 1 << 15
 
 
 def s3_action() -> FiniteGroupAction:
@@ -182,39 +179,23 @@ def gated_perturbation(rep0: PseudoRep, rng: np.random.Generator, delta: float) 
 def smooth_torus_field(rng: np.random.Generator, N: int) -> np.ndarray:
     """Random real trigonometric polynomial of degree <= 3 on the N x N torus, over 16: the
     constant term, then a cos and a sin coefficient for each mode (m, n) in row order, all uniform
-    in [-1, 1] and drawn first.  Rows then add (out + cm cos) + sm sin in place, mode by mode, at
-    the phase (m l/N + n i/N) 2 pi of node (l, i).  At a power-of-two N every step of that phase
-    but the last is exact, so it is fl(fl(q/N) 2 pi) with q = m l + n i < 6 N: cos and sin are
-    read from two tables over q, each mode a strided view, in row chunks on the caller.  Other N
-    evaluate them per element, on row blocks."""
+    in [-1, 1] and drawn first.  Row blocks then add (out + cm cos) + sm sin in place, in order.
+    Their term and phase scratch is allocated before the split: scratch a worker allocated came
+    from its thread's malloc arena, which kept it, so a second group_bundle sample peaked 8 MB
+    higher at N = 1024."""
     const, coeffs = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0, size=(15, 2))
     modes = [mn for mn in itertools.product(range(4), repeat=2) if any(mn)]
-    out = np.full((N, N), const)
-    if N & (N - 1):
-        a, terms, phases = np.arange(N)[None, :] / N, np.empty((N, N)), np.empty((N, N))
+    a, out = np.arange(N)[None, :] / N, np.full((N, N), const)
+    terms, phases = np.empty((N, N)), np.empty((N, N))
 
-        def rows(lo: int, hi: int) -> None:
-            theta, block = np.arange(lo, hi)[:, None] / N, out[lo:hi]
-            term, phase = terms[lo:hi], phases[lo:hi]
-            for (m, n), (cm, sm) in zip(modes, coeffs):
-                np.multiply(np.add(m * theta, n * a, out=phase), 2 * np.pi, out=phase)
-                for c, f in ((cm, np.cos), (sm, np.sin)):
-                    np.add(block, np.multiply(c, f(phase, out=term), out=term), out=block)
-            np.divide(block, 16, out=block)
-
-        _on_blocks(N, rows)
-        return out
-    phase = np.multiply(np.arange(6 * N) / N, 2 * np.pi)
-    tables = np.cos(phase), np.sin(phase, out=phase)
-    step = max(1, _CHUNK // N)
-    term = np.empty((min(step, N), N))
-    for lo in range(0, N, step):
-        block = out[lo:lo + step]
-        t = term[: len(block)]
-        for (m, n), cs in zip(modes, coeffs):
-            for c, table in zip(cs, tables):
-                # t[l - lo, i] = table[m l + n i], copied whole: ufuncs would buffer the view
-                np.copyto(t, as_strided(table[m * lo:], t.shape, (m * table.itemsize, n * table.itemsize)))
-                np.add(block, np.multiply(c, t, out=t), out=block)
+    def rows(lo: int, hi: int) -> None:
+        theta, block = np.arange(lo, hi)[:, None] / N, out[lo:hi]
+        term, phase = terms[lo:hi], phases[lo:hi]
+        for (m, n), (cm, sm) in zip(modes, coeffs):
+            np.multiply(np.add(m * theta, n * a, out=phase), 2 * np.pi, out=phase)
+            for c, f in ((cm, np.cos), (sm, np.sin)):
+                np.add(block, np.multiply(c, f(phase, out=term), out=term), out=block)
         np.divide(block, 16, out=block)
+
+    _on_blocks(N, rows)
     return out

@@ -675,11 +675,10 @@ def test_block_kernels_are_bit_equal(N, k, rng, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("N", [1, 4, 64, 255, 256, 257, 512, 1024])
+@pytest.mark.parametrize("N", [1, 4, 255, 256, 257])
 def test_block_torus_field_is_bit_equal(N, workers, monkeypatch):
-    # power-of-two N read the phase tables on the caller; 255 and 257 split the direct path
     monkeypatch.setattr(circle, "_THREADS", workers)
-    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)  # split grids of any size
     ours, ref = np.random.default_rng(N), np.random.default_rng(N)
     assert np.array_equal(presets.smooth_torus_field(ours, N), smooth_torus_field_ref(ref, N))
     assert ours.bit_generator.state == ref.bit_generator.state
