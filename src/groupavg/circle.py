@@ -206,7 +206,9 @@ def _blocks(N: int) -> int:
 def _on_blocks(N: int, fn) -> list:
     """[fn(lo, hi)] over :func:`_blocks` contiguous blocks of 0..N-1: the first on the caller, the
     rest on plain threads in copies of its context (so np.errstate holds there), all joined before
-    a worker's exception is raised here.  Workers run private closures, public ones stay here."""
+    a worker's exception is raised here.  Workers run private closures, public ones stay here.
+    Callers allocate the blocks' grid-sized buffers: a worker's own came from its thread's malloc
+    arena, which fragmented, so circle_iterate --N 1024 peaked 4 MB higher in some runs."""
     T = _blocks(N)
     cuts, out, errors = [N * t // T for t in range(T + 1)], [None] * T, []
 
@@ -267,12 +269,13 @@ def average_circle(L: TorusGridFn) -> TorusGridFn:
         li = tuple(int(x) for x in np.argwhere(acc <= NODE_FLOOR)[0])
         raise NonInvertibleNode(li, float(V[li]), N)
     acc.fill(0.0)
+    nums = np.empty_like(V)  # the blocks' numerator rows, allocated here (see _on_blocks)
 
     def rows(lo: int, hi: int) -> None:
         # acc[l] += V[(l + j) mod N] / V[j], both rolled right by s = k j columns: copied from V's
         # column blocks (the numerator in row blocks before and after the wrap) into contiguous
         # buffers, so that the one division per j reads no strided operand
-        out, num, den = acc[lo:hi], np.empty((hi - lo, N)), np.empty(N)
+        out, num, den = acc[lo:hi], nums[lo:hi], np.empty(N)
         for j in range(N):
             s, r = k * j % N, (lo + j) % N
             n = min(hi - lo, N - r)
@@ -356,15 +359,16 @@ def _slice_maxima(S: np.ndarray, order: int, D: np.ndarray, halo=None) -> list:
 def _defect_sups(slices, N: int, order: int) -> np.ndarray:
     """Scaled :func:`_slice_maxima` of the field whose theta' = lp/N slice ``slice_at(lp, out)``
     writes, with ``slice_at = slices()``, in one pass over theta': no N^3 field and no N^2
-    allocation per step.  A pass holds a ring of the 2h + 1 slices within h of theta', whose slots
-    rotate by index: at order 1, h = 1, one (3, N, N) ring run serially over 0..N-1; at order 0,
-    h = 0, one slice per :func:`_on_blocks` worker, which takes |S| in place.  The sups of the
-    blocks are joined by np.maximum: exact, and a NaN stays NaN."""
+    allocation per step.  Each :func:`_on_blocks` worker holds a ring of the 2h + 1 slices within
+    h = order of theta', whose slots rotate by index, and primes its own halo: at order 0 one
+    slice, which takes |S| in place; at order 1 a (3, N, N) ring and one N^2 scratch.  The sups
+    of the blocks are joined by np.maximum: exact, and a NaN stays NaN."""
     h = order
+    kits = [(slices(), np.empty((3 * h + 1, N, N))) for _ in range(_blocks(N))]  # see _on_blocks
 
     def sups(lo: int, hi: int) -> np.ndarray:
-        slice_at, ring, maxima = slices(), np.empty((2 * h + 1, N, N)), np.zeros(order + 1)
-        D = np.empty((N, N)) if h else ring[0]
+        (slice_at, buf), maxima = kits.pop(), np.zeros(order + 1)
+        ring, D = buf[: 2 * h + 1], buf[-1]
         for lp in range(lo - h, lo + h):
             slice_at(lp % N, ring[lp % len(ring)])
         for lp in range(lo, hi):
@@ -373,7 +377,7 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
             maxima = np.maximum(maxima, _slice_maxima(ring[lp % len(ring)], order, D, halo))
         return maxima
 
-    return _scaled(reduce(np.maximum, [sups(0, N)] if order else _on_blocks(N, sups)), N)
+    return _scaled(reduce(np.maximum, _on_blocks(N, sups)), N)
 
 
 def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64, order: int = 1,
@@ -385,7 +389,7 @@ def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64, or
     The gate is c <= (1/9) b^(-2) on the grid.
 
     Each row runs one defect pass of that order: at order 0, one N^2 slice per worker, against
-    the (3, N, N) ring of order 1.  ``row0`` is the (b, c) of ``L0`` from a gate pass the caller
+    4 N^2 per worker at order 1.  ``row0`` is the (b, c) of ``L0`` from a gate pass the caller
     already ran (:func:`multiplicativity_residual` gives the same c); it is read only at order 0,
     where row 0 then runs no pass."""
     first = [row0] if not _order(order) and row0 is not None else []  # read once, by row 0

@@ -12,11 +12,12 @@ import numpy as np
 
 from .groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, symmetric_group, cyclic_group
 from .bounds import gate_holds
-from .circle import _on_blocks
 from .psrep import FiberBundle, PseudoRep, PseudoRepBatch, b_norm, c_norm
 
 # the gate-rescale loop accepts a candidate a tenth inside the gate
 RESCALE_SAFETY = 0.9
+# rows per block of the noise field: one (64, N) scratch, 0.5 MB at N = 1024, not an N^2 grid
+_FIELD_ROWS = 64
 
 
 def s3_action() -> FiniteGroupAction:
@@ -177,25 +178,19 @@ def gated_perturbation(rep0: PseudoRep, rng: np.random.Generator, delta: float) 
 
 
 def smooth_torus_field(rng: np.random.Generator, N: int) -> np.ndarray:
-    """Random real trigonometric polynomial of degree <= 3 on the N x N torus, over 16: the
-    constant term, then a cos and a sin coefficient for each mode (m, n) in row order, all uniform
-    in [-1, 1] and drawn first.  Row blocks then add (out + cm cos) + sm sin in place, in order.
-    Their term and phase scratch is allocated before the split: scratch a worker allocated came
-    from its thread's malloc arena, which kept it, so a second group_bundle sample peaked 8 MB
-    higher at N = 1024."""
+    """Random trigonometric polynomial of degree <= 3 on the N x N torus, over 16: the constant,
+    then a cos and a sin coefficient for each mode (m, n) in row order, uniform in [-1, 1], drawn
+    first.  By angle addition, with C[m] = cos(m t), S[m] = sin(m t) and t = 2 pi l / N, mode (m, n)
+    is (cm C[m] + sm S[m]) x C[n] + (sm C[m] - cm S[m]) x S[n], added in order by row blocks."""
     const, coeffs = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0, size=(15, 2))
     modes = [mn for mn in itertools.product(range(4), repeat=2) if any(mn)]
-    a, out = np.arange(N)[None, :] / N, np.full((N, N), const)
-    terms, phases = np.empty((N, N)), np.empty((N, N))
-
-    def rows(lo: int, hi: int) -> None:
-        theta, block = np.arange(lo, hi)[:, None] / N, out[lo:hi]
-        term, phase = terms[lo:hi], phases[lo:hi]
+    mt = np.arange(4)[:, None] * (2 * np.pi * np.arange(N) / N)
+    C, S, out = np.cos(mt), np.sin(mt), np.full((N, N), const)
+    scratch = np.empty((min(N, _FIELD_ROWS), N))
+    for lo in range(0, N, _FIELD_ROWS):
+        r, block = slice(lo, lo + _FIELD_ROWS), out[lo:lo + _FIELD_ROWS]
         for (m, n), (cm, sm) in zip(modes, coeffs):
-            np.multiply(np.add(m * theta, n * a, out=phase), 2 * np.pi, out=phase)
-            for c, f in ((cm, np.cos), (sm, np.sin)):
-                np.add(block, np.multiply(c, f(phase, out=term), out=term), out=block)
+            for u, v in ((cm * C[m, r] + sm * S[m, r], C[n]), (sm * C[m, r] - cm * S[m, r], S[n])):
+                np.add(block, np.multiply(u[:, None], v, out=scratch[: len(block)]), out=block)
         np.divide(block, 16, out=block)
-
-    _on_blocks(N, rows)
     return out

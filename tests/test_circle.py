@@ -378,7 +378,8 @@ def test_iterate_circle_holds_no_cubic_field():
 
 @pytest.mark.parametrize("order, budget", [(0, 1), (1, 3)])
 def test_defect_pass_reuses_its_slice_buffers(order, budget, rng, monkeypatch):
-    # order 0 holds one slice buffer per worker; the halo ring of order 1 stays serial
+    # each worker holds its own slices: one at order 0; at order 1 a ring of three, primed
+    # with the two slices before its first row
     N = 64
     L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), 2)
     monkeypatch.setattr(circle, "_WORKER_ROWS", 1)  # one block per thread at this small N
@@ -400,8 +401,8 @@ def test_defect_pass_reuses_its_slice_buffers(order, budget, rng, monkeypatch):
         for out in outs:
             if not any(np.shares_memory(out, d) for d in distinct):
                 distinct.append(out)
-        assert len(outs) == N + (2 if order else 0)
-        assert len(distinct) <= (threads * budget if not order else budget)
+        assert len(outs) == N + (2 * circle._blocks(N) if order else 0)
+        assert len(distinct) <= circle._blocks(N) * budget
         assert np.array_equal(sups, _defect_sups(partial(_defect_slices, L), N, order))
 
 

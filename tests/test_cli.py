@@ -740,10 +740,7 @@ def test_circle_iterate_frees_its_gated_input(tmp_path, monkeypatch):
     assert peak < 4.75, f"peak {peak:.2f} N^2 doubles"
 
 
-def test_group_bundle_holds_one_sample_at_a_time(tmp_path, monkeypatch):
-    # on one thread: two workers' buffers in smooth_torus_field overlap in some runs and not in
-    # others, which moves the traced peak by about 0.5 N^2 doubles
-    monkeypatch.setattr(circle, "_THREADS", 1)
+def test_group_bundle_holds_one_sample_at_a_time(tmp_path):
     one, three = (warm_peak(tmp_path, ["group_bundle", "--count", c]) for c in ("1", "3"))
     assert three < one + 0.1, f"peaks {one:.2f} and {three:.2f} N^2 doubles"
 
