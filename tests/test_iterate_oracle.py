@@ -14,8 +14,9 @@ averages on any number of worker threads, the bounds module, the batched
 draws, the pruned norm maximum and the identity check over a sample axis must
 reproduce them bit for bit, except the second identity's residual: summed by
 one matrix product per object, it is held to 1e-3 of its tolerance. The noise
-field is held to its polynomial, evaluated per element in long double, within a
-stated number of rounding units.
+field equals its angle-addition sums over the whole grid bit for bit, on any
+number of worker threads, and is held to its polynomial, evaluated per element
+in long double, within a stated number of rounding units.
 """
 
 import itertools
@@ -228,6 +229,18 @@ def smooth_torus_field_ref(rng: np.random.Generator, N: int) -> tuple[np.ndarray
         at = (m * ls[:, None] + n * ls[None, :]) % N
         out += cm * cos[at] + sm * sin[at]
     return out / 16, float(np.finfo(float).eps * (abs(const) + np.abs(coeffs).sum()) / 16)
+
+
+def smooth_torus_field_whole_ref(rng: np.random.Generator, N: int) -> np.ndarray:
+    """The library's angle-addition sums over the whole grid at once, without row blocks."""
+    const, coeffs = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0, size=(15, 2))
+    modes = [mn for mn in itertools.product(range(4), repeat=2) if any(mn)]
+    mt = np.arange(4)[:, None] * (2 * np.pi * np.arange(N) / N)
+    C, S, out = np.cos(mt), np.sin(mt), np.full((N, N), const)
+    for (m, n), (cm, sm) in zip(modes, coeffs):
+        out = out + (cm * C[m] + sm * S[m])[:, None] * C[n]
+        out = out + (sm * C[m] - cm * S[m])[:, None] * S[n]
+    return out / 16
 
 
 def group_bundle_average_ref(X: TorusGridFn) -> np.ndarray:
@@ -686,6 +699,17 @@ def test_torus_field_is_the_long_double_polynomial(N):
     ours, ref = np.random.default_rng(N), np.random.default_rng(N)
     exact, unit = smooth_torus_field_ref(ref, N)
     assert np.abs(presets.smooth_torus_field(ours, N) - exact).max() <= 16 * unit
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("N", [1, 4, 255, 256, 257])
+def test_block_torus_field_is_bit_equal(N, workers, monkeypatch):
+    # the 64-row blocks add each element in the whole grid's order, and no worker setting reaches them
+    monkeypatch.setattr(circle, "_THREADS", workers)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
+    ours, ref = np.random.default_rng(N), np.random.default_rng(N)
+    assert np.array_equal(presets.smooth_torus_field(ours, N), smooth_torus_field_whole_ref(ref, N))
     assert ours.bit_generator.state == ref.bit_generator.state
 
 
