@@ -49,6 +49,7 @@ _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # 5 ms of a 30 ms average but adds about 0.5 MB of peak RSS, so grids below 2 * 256 rows run on
 # the calling thread alone
 _WORKER_ROWS = 256
+_AVG_ROWS = 128  # rows per chunk of the rotation average: an (_AVG_ROWS, N) numerator per block
 
 
 class NonInvertibleNode(NonInvertible):
@@ -170,9 +171,11 @@ def from_profile(profile, N: int, k: int | None = None) -> tuple[TorusGridFn, To
     if denom.min() <= 0.0:
         i = int(np.argmin(denom))
         raise ProfileOutOfRange(f"1 + k f({i}/{k * N}) = {denom[i]:.3e} <= 0")
-    ls, isx = np.arange(N)[:, None], np.arange(N)
-    X = (fine[(k * ls + isx) % (k * N)] - fine[isx]) / denom[isx]
-    return TorusGridFn(X, k), TorusGridFn(1.0 + k * X, k)
+    # row l of X reads fine from offset k l (mod k N): every k-th window over fine tiled once
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([fine, fine[:N]]), N)
+    X = np.subtract(windows[: k * N : k], fine[:N])
+    lam = np.multiply(np.divide(X, denom[:N], out=X), k)
+    return TorusGridFn(X, k), TorusGridFn(np.add(lam, 1.0, out=lam), k)
 
 
 def limit_profile(L: TorusGridFn) -> CircleProfile:
@@ -269,21 +272,23 @@ def average_circle(L: TorusGridFn) -> TorusGridFn:
         li = tuple(int(x) for x in np.argwhere(acc <= NODE_FLOOR)[0])
         raise NonInvertibleNode(li, float(V[li]), N)
     acc.fill(0.0)
-    nums = np.empty_like(V)  # the blocks' numerator rows, allocated here (see _on_blocks)
+    kits = [(np.empty((min(_AVG_ROWS, N), N)), np.empty(N)) for _ in range(_blocks(N))]  # see _on_blocks
 
     def rows(lo: int, hi: int) -> None:
         # acc[l] += V[(l + j) mod N] / V[j], both rolled right by s = k j columns: copied from V's
         # column blocks (the numerator in row blocks before and after the wrap) into contiguous
-        # buffers, so that the one division per j reads no strided operand
-        out, num, den = acc[lo:hi], nums[lo:hi], np.empty(N)
-        for j in range(N):
-            s, r = k * j % N, (lo + j) % N
-            n = min(hi - lo, N - r)
-            for dst, src in ((num[:n], V[r:r + n]), (num[n:], V[: hi - lo - n]), (den, V[j])):
-                np.copyto(dst[..., s:], src[..., : N - s])
-                np.copyto(dst[..., :s], src[..., N - s:])
-            np.add(out, np.divide(num, den, out=num), out=out)
-        np.divide(out, N, out=out)
+        # buffers, so that the one division per j reads no strided operand; _AVG_ROWS rows at a time
+        chunk, den = kits.pop()
+        for c in range(lo, hi, _AVG_ROWS):
+            out, num = acc[c:min(c + _AVG_ROWS, hi)], chunk[: min(_AVG_ROWS, hi - c)]
+            for j in range(N):
+                s, r = k * j % N, (c + j) % N
+                n = min(len(out), N - r)
+                for dst, src in ((num[:n], V[r:r + n]), (num[n:], V[: len(out) - n]), (den, V[j])):
+                    np.copyto(dst[..., s:], src[..., : N - s])
+                    np.copyto(dst[..., :s], src[..., N - s:])
+                np.add(out, np.divide(num, den, out=num), out=out)
+            np.divide(out, N, out=out)
 
     _on_blocks(N, rows)
     return TorusGridFn(acc, k)

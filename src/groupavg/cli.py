@@ -254,13 +254,13 @@ def kind_circle_profile(p: dict) -> list[str]:
 
 def kind_circle_iterate(p: dict) -> list[str]:
     out = ensure_out(p)
-    rng = np.random.default_rng(p["seed"])
-    noise = presets.smooth_torus_field(rng, p["N"])
-    noise[0, :] = 0.0  # keep the unit row exact
 
-    def make(scale: float) -> circle.TorusGridFn:  # the exact field lives as long as one candidate
-        lam_star = circle.from_profile(default_profile(p), p["N"], p["k"])[1]
-        return circle.TorusGridFn(lam_star.values + scale * noise, p["k"])
+    def make(scale: float) -> circle.TorusGridFn:  # Lambda, then the seed's noise added in place
+        lam = circle.from_profile(default_profile(p), p["N"], p["k"])[1]
+        noise = presets.smooth_torus_field(np.random.default_rng(p["seed"]), p["N"])
+        noise[0, :] = 0.0  # keep the unit row exact
+        np.add(lam.values, np.multiply(noise, scale, out=noise), out=lam.values)
+        return lam
 
     if p["gate_rescale"]:
         gated = list(presets.rescale_to_gate(
@@ -271,7 +271,6 @@ def kind_circle_iterate(p: dict) -> list[str]:
         log(f"perturbation amplitude after gate rescale: {gated[1]!r}")
     else:
         gated = [make(p["perturb"]), p["perturb"], None]
-    del noise, make  # each average holds only its input and its own blocks
     scale, row0 = gated[1:]
     # the artifacts hold c, not the seminorms: one order-0 pass per row, and none for
     # row 0 when the gate pass gave its (b, c).  The gated field is popped, so that

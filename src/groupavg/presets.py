@@ -155,6 +155,7 @@ def rescale_to_gate(make, gauges, delta: float):
             ok = gate_holds(*bc, RESCALE_SAFETY)
         if ok:
             return cand, scale, bc
+        del cand  # a rejected candidate dies before the next is built
         scale *= 0.7
     raise ValueError(f"perturbation amplitude {delta!r} does not pass the gate in 200 rescales")
 

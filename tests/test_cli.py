@@ -351,6 +351,27 @@ def test_circle_iterate_gauges_c_only(tmp_path, monkeypatch, gated):
     assert want[0].extras and not got[0].extras
 
 
+def test_circle_iterate_builds_each_candidate_from_the_seed(tmp_path, monkeypatch):
+    # a candidate is the exact field plus the amplitude times the seed's noise with its unit
+    # row zeroed, bit for bit, at each amplitude of a run that rescales more than once
+    rescale, makers, scales = presets.rescale_to_gate, [], []
+
+    def spy(make, gauges, delta):
+        makers.append(make)
+        return rescale(lambda s: scales.append(s) or make(s), gauges, delta)
+
+    monkeypatch.setattr(presets, "rescale_to_gate", spy)
+    N, seed = 64, 1
+    run_ok(["run", "circle_iterate", "--N", str(N), "--seed", str(seed), "--perturb", "0.2",
+            "--out", str(tmp_path)])
+    assert len(scales) >= 3
+    noise = presets.smooth_torus_field(np.random.default_rng(seed), N)
+    noise[0] = 0.0
+    exact = circle.from_profile(cli.default_profile({"k": 2}), N, 2)[1].values
+    for scale in scales[:3]:
+        assert np.array_equal(makers[0](scale).values, exact + scale * noise), scale
+
+
 def test_circle_profile_defaults(tmp_path):
     out = tmp_path / "out"
     run_ok(["run", "circle_profile", "--N", "16", "--k", "1", "--out", str(out)])
@@ -733,16 +754,35 @@ def warm_peak(tmp_path, argv, N=256) -> float:
 
 def test_circle_iterate_frees_its_gated_input(tmp_path, monkeypatch):
     # the iteration holds the only reference to the gated field, so no average runs while it
-    # is live: the peak is the gate pass's, the noise, the candidate and two order-0 slices
+    # is live, and the noise dies with its candidate: the peak is an average's, its input, the
+    # sum and a 128-row chunk per worker, 3.34 N^2 (held to 3.5). Holding the noise through
+    # the gate pass, and each block's numerator rows, read 4.11
     monkeypatch.setattr(circle, "_THREADS", 2)
     monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
     peak = warm_peak(tmp_path, ["circle_iterate", "--seed", "1"])
-    assert peak < 4.75, f"peak {peak:.2f} N^2 doubles"
+    assert peak < 3.5, f"peak {peak:.2f} N^2 doubles"
 
 
-def test_group_bundle_holds_one_sample_at_a_time(tmp_path):
+def test_circle_iterate_drops_each_rejected_candidate(tmp_path, monkeypatch):
+    # six gate attempts peak as one does, 3.34 N^2 (held to 3.5): holding a rejected
+    # candidate through the next candidate's noise draw read 3.62
+    monkeypatch.setattr(circle, "_THREADS", 2)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
+    peak = warm_peak(tmp_path, ["circle_iterate", "--seed", "1", "--perturb", "0.2"])
+    assert peak < 3.5, f"peak {peak:.2f} N^2 doubles"
+
+
+def test_group_bundle_holds_one_sample_at_a_time(tmp_path, monkeypatch):
+    # the peak is the average's, above a held sample plus the next draw, so the live bytes at
+    # each draw are compared too: a sample held across the next draw adds one N^2 there
     one, three = (warm_peak(tmp_path, ["group_bundle", "--count", c]) for c in ("1", "3"))
     assert three < one + 0.1, f"peaks {one:.2f} and {three:.2f} N^2 doubles"
+    live, draw = [], presets.smooth_torus_field
+    monkeypatch.setattr(presets, "smooth_torus_field",
+                        lambda rng, N: live.append(tracemalloc.get_traced_memory()[0]) or draw(rng, N))
+    warm_peak(tmp_path, ["group_bundle", "--count", "3"])
+    first, *later = (x / (8 * 256 * 256) for x in live[-3:])  # the N = 256 run's draws
+    assert all(abs(x - first) < 0.1 for x in later), f"live {first:.2f}, then {[round(x, 2) for x in later]} N^2 doubles"
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,9 @@ per-orbit gauges, the slice-built field, the streamed defect pass, the buffered
 averages on any number of worker threads, the bounds module, the batched
 draws, the pruned norm maximum and the identity check over a sample axis must
 reproduce them bit for bit, except the second identity's residual: summed by
-one matrix product per object, it is held to 1e-3 of its tolerance. The noise
+one matrix product per object, it is held to 1e-3 of its tolerance. The rotation
+average in row chunks equals the copy-based block it replaced, with one
+numerator buffer of the block's rows, bit for bit at chunk boundaries. The noise
 field equals its angle-addition sums over the whole grid bit for bit, on any
 number of worker threads, and is held to its polynomial, evaluated per element
 in long double, within a stated number of rounding units.
@@ -214,6 +216,31 @@ def average_circle_ref(L: TorusGridFn) -> np.ndarray:
         den = np.roll(V[j], k * j)[None, :]
         acc = acc + num / den
     return acc / N
+
+
+def average_circle_blocks_ref(L: TorusGridFn) -> np.ndarray:
+    """The rotation average with one numerator buffer per block, before row chunks, on one
+    block: the divisions read contiguous copies of the rolled rows."""
+    V, N, k = L.values, L.N, L.twist
+    acc = np.zeros_like(V)
+    nums = np.empty_like(V)  # the blocks' numerator rows, allocated here (see _on_blocks)
+
+    def rows(lo: int, hi: int) -> None:
+        # acc[l] += V[(l + j) mod N] / V[j], both rolled right by s = k j columns: copied from V's
+        # column blocks (the numerator in row blocks before and after the wrap) into contiguous
+        # buffers, so that the one division per j reads no strided operand
+        out, num, den = acc[lo:hi], nums[lo:hi], np.empty(N)
+        for j in range(N):
+            s, r = k * j % N, (lo + j) % N
+            n = min(hi - lo, N - r)
+            for dst, src in ((num[:n], V[r:r + n]), (num[n:], V[: hi - lo - n]), (den, V[j])):
+                np.copyto(dst[..., s:], src[..., : N - s])
+                np.copyto(dst[..., :s], src[..., N - s:])
+            np.add(out, np.divide(num, den, out=num), out=out)
+        np.divide(out, N, out=out)
+
+    rows(0, N)
+    return acc
 
 
 def smooth_torus_field_ref(rng: np.random.Generator, N: int) -> tuple[np.ndarray, float]:
@@ -689,6 +716,21 @@ def test_block_kernels_are_bit_equal(N, k, rng, monkeypatch):
     for lp in (0, 1, N // 2, N - 1):
         write(lp, out)
         assert np.array_equal(out, _defect_slice(L.values, lp, cols))
+
+
+@pytest.mark.parametrize("N", [100, 257, 300])
+def test_chunked_rotation_average_is_bit_equal(N, rng, monkeypatch):
+    # 7-row chunks start at rows that are neither block starts nor wrap rows, so each chunk's
+    # wrap row (c + j) mod N is checked against the unchunked block, on one and three workers
+    monkeypatch.setattr(circle, "_AVG_ROWS", 7)
+    monkeypatch.setattr(circle, "_WORKER_ROWS", 1)
+    V = 1.0 + 0.1 * rng.standard_normal((N, N))
+    for k in (1, 3, N, N + 3):
+        L = TorusGridFn(V, k)
+        want = average_circle_blocks_ref(L)
+        for workers in (1, 3):
+            monkeypatch.setattr(circle, "_THREADS", workers)
+            assert np.array_equal(average_circle(L).values, want), (k, workers)
 
 
 @pytest.mark.parametrize("N", [1, 4, 63, 64, 65, 255, 256, 257, 1000])

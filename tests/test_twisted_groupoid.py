@@ -62,6 +62,16 @@ def test_gauges_and_average_are_the_finite_ones(N, k):
 
 
 @pytest.mark.parametrize("N, k", CASES)
+def test_average_in_three_row_chunks_is_the_finite_one(N, k, monkeypatch):
+    # every case fits in one chunk of the library's size; three rows cross a chunk boundary
+    monkeypatch.setattr(circle, "_AVG_ROWS", 3)
+    L = perturbed(N, k)
+    rep = as_rep(L)
+    avg = averaging.average(rep, counting_haar(rep.groupoid))
+    assert np.abs(as_grid(avg, N) - circle.average_circle(L).values).max() <= 2 * EPS * np.abs(L.values).max()
+
+
+@pytest.mark.parametrize("N, k", CASES)
 def test_iterations_agree(N, k):
     L = perturbed(N, k)
     rep = as_rep(L)
