@@ -236,6 +236,7 @@ def kind_circle_profile(p: dict) -> list[str]:
         X, lam = circle.from_profile(default_profile(p), p["N"], p["k"])
     circle.save_grid_csv(X, os.path.join(out, "connection.csv"))
     circle.save_grid_csv(lam, os.path.join(out, "effect.csv"))
+    del X  # the residuals read only lam
     res_c, res_u = circle.multiplicativity_residual(lam)
     # the rounding of the closed form grows linearly in k (see README): 1e-13 up to k = 14
     tol = max(1e-13, 32 * lam.twist * 2.0**-52)
@@ -257,7 +258,7 @@ def kind_circle_iterate(p: dict) -> list[str]:
 
     def make(scale: float) -> circle.TorusGridFn:  # Lambda, then the seed's noise added in place
         lam = circle.from_profile(default_profile(p), p["N"], p["k"])[1]
-        noise = presets.smooth_torus_field(np.random.default_rng(p["seed"]), p["N"])
+        noise = presets.smooth_torus_field(presets.UniformStream(p["seed"]), p["N"])
         noise[0, :] = 0.0  # keep the unit row exact
         np.add(lam.values, np.multiply(noise, scale, out=noise), out=lam.values)
         return lam
@@ -306,7 +307,7 @@ def kind_bounds_check(p: dict) -> list[str]:
 
 def kind_group_bundle(p: dict) -> list[str]:
     out = ensure_out(p)
-    rng = np.random.default_rng(p["seed"])
+    rng = presets.UniformStream(p["seed"])  # one stream across the samples
     count = p.get("count", KIND_COUNTS["group_bundle"])
     lines = ["i,max_abs_average,tol,pass"]
     failures = []

@@ -1,12 +1,15 @@
 """Bundled example groupoids, representations and seeded random generators.
 
-Everything here is deterministic given a numpy Generator, so the CLI can promise byte-identical
-artifacts for a fixed config and seed, on any number of CPUs.
+Everything here is deterministic given its seeded generator: a numpy Generator, or for the
+circle kinds, which draw only uniforms, a :class:`UniformStream` that equals
+``np.random.default_rng(seed).uniform`` bit for bit without importing numpy.random.  So the CLI
+can promise byte-identical artifacts for a fixed config and seed, on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -178,7 +181,76 @@ def gated_perturbation(rep0: PseudoRep, rng: np.random.Generator, delta: float) 
     return rescale_to_gate(make, lambda cand: (b_norm(cand), c_norm(cand)), delta)[:2]
 
 
-def smooth_torus_field(rng: np.random.Generator, N: int) -> np.ndarray:
+# bit masks and the PCG64 multiplier (O'Neill, HMC-CS-2014-0905); the hex constants in _pcg64_seed
+# and _mix are numpy's SeedSequence hash and mix constants
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix: each call xors the running constant in, steps the constant and
+    multiplies by it, modulo 2^32."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = (const * mult) & _M32
+        value = (value * const) & _M32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """The 128-bit state and increment of ``np.random.PCG64(seed)``: the seed's little-endian
+    32-bit words mixed into SeedSequence's pool of four, four 64-bit words generated from the
+    pool, then PCG's seeding steps with the first two as the state and the last two as the
+    stream."""
+    if seed < 0:
+        raise ValueError(f"seed {seed!r} is negative")
+    words = [(seed >> s) & _M32 for s in range(0, seed.bit_length(), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [hashmix(pool[i % 4]) for i in range(8)]
+    w64 = [out[i] | (out[i + 1] << 32) for i in range(0, 8, 2)]
+    inc = (((w64[2] << 64 | w64[3]) << 1) | 1) & _M128
+    return (((w64[0] << 64 | w64[1]) + inc) * _PCG_MULT + inc) & _M128, inc
+
+
+class UniformStream:
+    """``np.random.default_rng(seed).uniform(low, high[, size])`` bit for bit, in Python integers:
+    a PCG64 seeded as numpy seeds it, stepped before each XSL-RR output x, and
+    ``low + (high - low) * (x >> 11) 2^-53`` per draw, in C order for a shape ``size``.  A run
+    that draws only uniforms from it never imports numpy.random, which loads OpenSSL through
+    ``secrets``."""
+
+    def __init__(self, seed: int):
+        self._state, self._inc = _pcg64_seed(seed)
+
+    def _unit(self) -> float:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = ((s >> 64) ^ s) & _M64, s >> 122
+        return ((((x >> rot) | (x << (64 - rot))) & _M64) >> 11) * 2.0**-53
+
+    def uniform(self, low: float, high: float, size: tuple[int, ...] | None = None):
+        if size is None:
+            return low + (high - low) * self._unit()
+        draws = [low + (high - low) * self._unit() for _ in range(math.prod(size))]
+        return np.array(draws).reshape(size)
+
+
+def smooth_torus_field(rng: np.random.Generator | UniformStream, N: int) -> np.ndarray:
     """Random trigonometric polynomial of degree <= 3 on the N x N torus, over 16: the constant,
     then a cos and a sin coefficient for each mode (m, n) in row order, uniform in [-1, 1], drawn
     first.  By angle addition, with C[m] = cos(m t), S[m] = sin(m t) and t = 2 pi l / N, mode (m, n)

@@ -18,7 +18,8 @@ average in row chunks equals the copy-based block it replaced, with one
 numerator buffer of the block's rows, bit for bit at chunk boundaries. The noise
 field equals its angle-addition sums over the whole grid bit for bit, on any
 number of worker threads, and is held to its polynomial, evaluated per element
-in long double, within a stated number of rounding units.
+in long double, within a stated number of rounding units. The circle kinds'
+seeded uniform stream equals numpy's ``default_rng`` draw for draw.
 """
 
 import itertools
@@ -28,6 +29,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import connection_from_effect, connection_residual, restrict_haar, restrict_rep
 from groupavg import averaging, circle, presets, psrep
@@ -753,6 +756,44 @@ def test_block_torus_field_is_bit_equal(N, workers, monkeypatch):
     ours, ref = np.random.default_rng(N), np.random.default_rng(N)
     assert np.array_equal(presets.smooth_torus_field(ours, N), smooth_torus_field_whole_ref(ref, N))
     assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def assert_draws_like_default_rng(seed: int) -> None:
+    """Three samples of the noise field's draws, a scalar then a (15, 2) block, equal
+    ``np.random.default_rng(seed)``'s in value, type, shape and dtype."""
+    ours, ref = presets.UniformStream(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        a, b = ours.uniform(-1.0, 1.0), ref.uniform(-1.0, 1.0)
+        assert (a, type(a)) == (b, type(b)), seed
+        a, b = ours.uniform(-1.0, 1.0, size=(15, 2)), ref.uniform(-1.0, 1.0, size=(15, 2))
+        assert np.array_equal(a, b) and (a.shape, a.dtype) == (b.shape, b.dtype), seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**200))
+def test_uniform_stream_is_default_rng(seed):
+    # seeds of up to seven 32-bit words: past four, SeedSequence mixes the rest into its pool
+    assert_draws_like_default_rng(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128])
+def test_uniform_stream_is_default_rng_at_word_edges(seed):
+    assert_draws_like_default_rng(seed)
+
+
+def test_uniform_stream_noise_field_and_bounds():
+    # the field the circle kinds build from the stream is numpy's; other bounds and shapes
+    # draw alike too, and a negative seed is refused as numpy refuses it
+    for N in (4, 65):
+        assert np.array_equal(presets.smooth_torus_field(presets.UniformStream(N), N),
+                              presets.smooth_torus_field(np.random.default_rng(N), N))
+    ours, ref = presets.UniformStream(5), np.random.default_rng(5)
+    assert ours.uniform(2.5, 3.0) == ref.uniform(2.5, 3.0)
+    assert np.array_equal(ours.uniform(0.0, 1.0, (7,)), ref.uniform(0.0, 1.0, (7,)))
+    assert np.array_equal(ours.uniform(-3.0, 0.5, (2, 3, 4)), ref.uniform(-3.0, 0.5, (2, 3, 4)))
+    for make in (presets.UniformStream, np.random.default_rng):
+        with pytest.raises(ValueError):
+            make(-1)
 
 
 @pytest.mark.parametrize("nan_lp", [0, 47, 63], ids=["first_block", "second_block", "last"])
