@@ -168,7 +168,7 @@ def _identities(G: FiniteGroupoid, bundle: psrep.FiberBundle, st: Stacks,
             A = D.take(T.row_start[g2][:, None] + np.arange(F)).transpose(0, 1, 3, 2, 4)
             P = A.reshape(S, len(g2) * d, F * d) @ B
             del A  # its gather is not held while the residual is built
-            R = avg.take(T.table[g2[:, None], g1])
+            R = avg.take(T.avg_gk[T.row_start[g2][:, None] + T.fiber_pos[g1]])
             R -= avg.take(g2)[:, :, None] @ avg.take(g1)[:, None]
             R -= P.reshape(S, len(g2), d, n1, d).transpose(0, 1, 3, 2, 4)
             res.append(R.reshape(S, len(g2) * n1, d, d))

@@ -146,34 +146,18 @@ class FiniteGroupoid:
         for g in (g2, g1):
             if not 0 <= g < len(T.src):
                 raise ValueError(f"{g} is not an arrow id 0..{len(T.src) - 1}")
-        if not T.defined[g2, g1]:
+        if T.src[g2] != T.tgt[g1]:
             raise ValueError(
                 f"arrows not composable: src({g2})={T.src[g2]} != tgt({g1})={T.tgt[g1]}"
             )
-        return int(T.table[g2, g1])
-
-    @cached_property
-    def composition_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(table, defined)``, read-only and built once: ``table[g2, g1]`` is the composite
-        that a row of :attr:`compose` gives the pair (g2, g1) of arrow ids, where
-        ``defined[g2, g1]``.  A composite may be any int64, so a mask marks the undefined pairs."""
-        m = self.n_arrows
-        keys = self.compose[:, :2]
-        g2, g1, g21 = self.compose[((0 <= keys) & (keys < m)).all(axis=1)].T
-        table = np.zeros((m, m), dtype=np.int64)
-        defined = np.zeros((m, m), dtype=bool)
-        table[g2, g1] = g21
-        defined[g2, g1] = True
-        table.flags.writeable = defined.flags.writeable = False
-        return table, defined
+        return int(T.avg_gk[T.row_start[g2] + T.fiber_pos[g1]])
 
     @cached_property
     def tables(self) -> "CompositionTables":
         """Integer index tables over the composition, built on first use.
 
-        The tables are a snapshot: built once per instance from
-        :attr:`composition_table` and the source, target and inverse lists as
-        they stand then.  :meth:`validate` reads the same composition table.
+        The tables are a snapshot: built once per instance from :attr:`compose`
+        and the source, target and inverse lists as they stand then.
         """
         return CompositionTables.build(self)
 
@@ -182,7 +166,7 @@ class FiniteGroupoid:
     def validate(self) -> ValidationReport:
         """Check every groupoid axiom; one report row per violation.
 
-        Reads :attr:`composition_table`, and the other tables as they stand.
+        Reads the tables as they stand, composable pairs at their :class:`CompositionTables` slots.
         Rows come as: compose entries in row order, missing pairs (g1, then
         g2), unit laws by (object, arrow), associativity by (g2, g3, g1),
         inverses, then units that are not their own inverse.
@@ -190,15 +174,10 @@ class FiniteGroupoid:
         rep = ValidationReport()
         n, m = self.n_objects, self.n_arrows
 
-        if len(self.tgt) != m:
-            rep.add("tables", (), f"tgt table has {len(self.tgt)} entries, expected {m}")
-            return rep
-        if len(self.unit) != n:
-            rep.add("tables", (), f"unit table has {len(self.unit)} entries, expected {n}")
-            return rep
-        if len(self.inverse) != m:
-            rep.add("tables", (), f"inverse table has {len(self.inverse)} entries, expected {m}")
-            return rep
+        for name, table, size in (("tgt", self.tgt, m), ("unit", self.unit, n), ("inverse", self.inverse, m)):
+            if len(table) != size:
+                rep.add("tables", (), f"{name} table has {len(table)} entries, expected {size}")
+                return rep
         for g in self.arrows():
             if not (0 <= self.src[g] < n and 0 <= self.tgt[g] < n):
                 rep.add("tables", (g,), f"arrow {g} has out-of-range src/tgt")
@@ -211,19 +190,18 @@ class FiniteGroupoid:
                 rep.add("tables", (x,), f"unit of object {x} out of range")
                 return rep
 
-        for x in range(n):
+        src, tgt, unit, inverse = (np.asarray(a, dtype=np.intp)
+                                   for a in (self.src, self.tgt, self.unit, self.inverse))
+        endo = (src[unit] == np.arange(n)) & (tgt[unit] == np.arange(n))
+        for x in np.flatnonzero(~endo).tolist():
             e = self.unit[x]
-            if self.src[e] != x or self.tgt[e] != x:
-                rep.add("unit", (x, e), f"unit arrow {e} of object {x} is not an endoarrow of {x}")
+            rep.add("unit", (x, e), f"unit arrow {e} of object {x} is not an endoarrow of {x}")
         if len(set(self.unit)) != n:
             dupes = [e for e in set(self.unit) if self.unit.count(e) > 1]
             rep.add("unit", tuple(dupes), f"unit arrows shared between objects: {dupes}")
 
-        T, defined = self.composition_table
-        src, tgt, unit, inverse = (np.asarray(a, dtype=np.intp)
-                                   for a in (self.src, self.tgt, self.unit, self.inverse))
         ids = np.arange(m)
-
+        *_, row_start, _, avg_g, avg_k, composite, filled, slot = _triples(src, tgt, n, self.compose)
         # composition domain: defined iff source matches target
         known = ((0 <= self.compose) & (self.compose < m)).all(axis=1)
         g2, g1, g21 = np.where(known, self.compose.T, 0)
@@ -241,32 +219,49 @@ class FiniteGroupoid:
                     (a2, a1, a21),
                     f"composite {a21} of ({a2},{a1}) has wrong source or target",
                 )
-        composable = src[:, None] == tgt[None, :]
-        for a1, a2 in np.argwhere((composable & ~defined).T).tolist():
+        for a1, a2 in sorted(zip(avg_k[~filled].tolist(), avg_g[~filled].tolist())):
             rep.add("compose", (a2, a1), f"composable pair ({a2},{a1}) missing from table")
 
-        for x in range(n):
+        composite, filled = np.append(composite, 0), np.append(filled, False)  # slot 0 even with no triples
+        # listed pairs that are not composable have no slot: only corrupt tables list them
+        keys = self.compose[((0 <= self.compose[:, :2]) & (self.compose[:, :2] < m)).all(axis=1)]
+        odd = keys[src[keys[:, 0]] != tgt[keys[:, 1]]]
+        odd = odd[np.argsort(odd[:, 0] * m + odd[:, 1])]
+        odd_key = odd[:, 0] * m + odd[:, 1]
+
+        def listed(a: Any, b: Any) -> tuple[np.ndarray, np.ndarray]:
+            """The listed composite of the pairs (a, b), broadcast, and where one is listed."""
+            at, ok = slot(a, b)
+            value, ok = composite[at], ok & filled[at]
+            # arrow ids at no filled slot: a search of the sorted keys g2 m + g1 of the odd pairs
+            if odd.size and (need := (0 <= a) & (a < m) & (0 <= b) & (b < m) & ~ok).any():
+                key = np.where(need, a % m * m + b % m, -1)
+                i = np.minimum(np.searchsorted(odd_key, key), len(odd) - 1)
+                hit = odd_key[i] == key
+                value, ok = np.where(hit, odd[i, 2], value), ok | hit
+            return value, ok
+
+        for x in np.flatnonzero(endo).tolist():
             e = self.unit[x]
-            if self.src[e] != x or self.tgt[e] != x:
-                continue
-            right = (src == x) & defined[:, e] & (T[:, e] != ids)
-            left = (tgt == x) & defined[e, :] & (T[e, :] != ids)
+            (ge, on_right), (eg, on_left) = listed(ids, e), listed(e, ids)
+            right = (src == x) & on_right & (ge != ids)
+            left = (tgt == x) & on_left & (eg != ids)
             for g in np.flatnonzero(right | left).tolist():
                 if right[g]:
-                    rep.add("unit", (g, e), f"right unit law fails: {g}*1_{x} = {T[g, e]}")
+                    rep.add("unit", (g, e), f"right unit law fails: {g}*1_{x} = {ge[g]}")
                 if left[g]:
-                    rep.add("unit", (e, g), f"left unit law fails: 1_{x}*{g} = {T[e, g]}")
+                    rep.add("unit", (e, g), f"left unit law fails: 1_{x}*{g} = {eg[g]}")
 
-        # one block per middle arrow g2: g3 leaves tgt g2 and g1 arrives at src g2
+        # one block per middle arrow g2: g3 leaves tgt g2, and g1 runs over g2's row of slots
         leaving = [np.flatnonzero(src == x) for x in range(n)]
-        arriving = [np.flatnonzero(tgt == x) for x in range(n)]
         for b2 in range(m):
-            g3, g1 = leaving[tgt[b2]], arriving[src[b2]]
-            # an undefined g3 g2 or g2 g1 enters as -1, which reads undefined
-            g32 = np.where(defined[g3, b2], T[g3, b2], -1)
-            g21 = np.where(defined[b2, g1], T[b2, g1], -1)
-            left, on_left = look_up(T, defined, g3[:, None], g21)
-            right, on_right = look_up(T, defined, g32[:, None], g1)
+            g3, row = leaving[tgt[b2]], slice(row_start[b2], row_start[b2 + 1])
+            g1, t32 = avg_k[row], slot(g3, b2)[0]
+            # an unlisted g3 g2 or g2 g1 enters as -1, which reads unlisted
+            g32 = np.where(filled[t32], composite[t32], -1)
+            g21 = np.where(filled[row], composite[row], -1)
+            left, on_left = listed(g3[:, None], g21)
+            right, on_right = listed(g32[:, None], g1)
             for i, j in np.argwhere(on_left & on_right & (left != right)).tolist():
                 rep.add(
                     "assoc",
@@ -275,8 +270,9 @@ class FiniteGroupoid:
                 )
 
         swap = (src[inverse] != tgt) | (tgt[inverse] != src)
-        not_src_unit = ~defined[inverse, ids] | (T[inverse, ids] != unit[src])
-        not_tgt_unit = ~defined[ids, inverse] | (T[ids, inverse] != unit[tgt])
+        (gi_g, on_src), (g_gi, on_tgt) = listed(inverse, ids), listed(ids, inverse)
+        not_src_unit = ~on_src | (gi_g != unit[src])
+        not_tgt_unit = ~on_tgt | (g_gi != unit[tgt])
         for g in np.flatnonzero(swap | not_src_unit | not_tgt_unit).tolist():
             gi = self.inverse[g]
             if swap[g]:
@@ -402,39 +398,54 @@ def compose_rows(rows: Any) -> np.ndarray:
     return a
 
 
-def look_up(
-    table: np.ndarray, defined: np.ndarray, left: Any, right: Any
-) -> tuple[np.ndarray, np.ndarray]:
-    """``table[left, right]``, broadcast, and where it is defined; an index that is
-    no arrow id reads undefined."""
-    m = len(table)
-    ok = (0 <= left) & (left < m) & (0 <= right) & (right < m)
-    flat = np.where(ok, left * m + right, 0)
-    return table.take(flat), ok & defined.take(flat)
+def _triples(src: np.ndarray, tgt: np.ndarray, n: int, compose: np.ndarray) -> tuple:
+    """The fiber and triple layout of :class:`CompositionTables`, for arrows with these sources
+    and targets among n objects, with each compose row of a composable pair scattered into its
+    slot: ``(fiber_start, fiber, fiber_pos, row_start, row_len, avg_g, avg_k, avg_gk, filled,
+    slot)``.  A slot that no row fills holds 0.  O(rows + composable pairs), with no sort."""
+    m = len(src)
+    fiber = np.argsort(tgt, kind="stable")
+    sizes = np.bincount(tgt, minlength=n)
+    fiber_start = np.concatenate(([0], np.cumsum(sizes)))
+    fiber_pos = np.empty(m, dtype=np.intp)
+    fiber_pos[fiber] = np.arange(m) - fiber_start[tgt[fiber]]
+    row_len = sizes[src]
+    row_start = np.concatenate(([0], np.cumsum(row_len)))
+    avg_g = np.repeat(np.arange(m), row_len)
+    avg_k = fiber[fiber_start[src[avg_g]] + np.arange(len(avg_g)) - row_start[avg_g]]
+
+    def slot(g2: Any, g1: Any) -> tuple[np.ndarray, np.ndarray]:
+        """The slot ``row_start[g2] + fiber_pos[g1]`` of the pairs (g2, g1), broadcast, and where they
+        compose: both arrow ids, src g2 == tgt g1.  Slot 0 elsewhere, so no other id is an index."""
+        in2, in1 = (0 <= g2) & (g2 < m), (0 <= g1) & (g1 < m)
+        g2, g1 = np.where(in2, g2, 0), np.where(in1, g1, 0)
+        ok = in2 & in1 & (src[g2] == tgt[g1])
+        return np.where(ok, row_start[g2] + fiber_pos[g1], 0), ok
+
+    at, ok = slot(compose[:, 0], compose[:, 1])
+    avg_gk, filled = np.zeros(len(avg_g), dtype=np.int64), np.zeros(len(avg_g), dtype=bool)
+    avg_gk[at[ok]], filled[at[ok]] = compose[ok, 2], True
+    return fiber_start, fiber, fiber_pos, row_start, row_len, avg_g, avg_k, avg_gk, filled, slot
 
 
 @dataclass(frozen=True)
 class CompositionTables:
     """The composition of a finite groupoid as integer arrays, ascending by arrow id.
 
-    * ``table[g2, g1]`` is the composite g2 g1 where ``defined[g2, g1]``: the
-      dense table of :attr:`FiniteGroupoid.composition_table`.
     * Target fibers: ``fiber[fiber_start[x]:fiber_start[x + 1]]`` are the
       arrows with target x; ``fiber_pos[a]`` is the place of a in its fiber.
     * Averaging triples ``(avg_g, avg_k, avg_gk)``: every arrow g with every
       k in the target fiber of src(g).  The ``row_len[g]`` triples of g
       start at ``row_start[g]``.  The pairs (g, k) with tgt k = src g are
       exactly the composable pairs (g2, g1), so these run over each composable
-      pair once, with its composite g2 g1 = ``avg_gk``.
+      pair once, with its composite g2 g1 = ``avg_gk`` at slot ``row_start[g2] + fiber_pos[g1]``.
     * Divisible triples ``(avg_gk, avg_k, div_q)`` with ``div_q = gk k^(-1)``,
-      looked up in the table.  ``(g, k) -> (gk, k)`` is a bijection onto the
+      read at the slot of (gk, k^(-1)).  ``(g, k) -> (gk, k)`` is a bijection onto the
       divisible pairs, so these run over each divisible pair once, in the
       layout of the averaging triples.
     * ``orbit[x]``: the place of object x's orbit among the ``n_orbits`` of :meth:`FiniteGroupoid.orbits`.
     """
 
-    table: np.ndarray
-    defined: np.ndarray
     src: np.ndarray
     tgt: np.ndarray
     fiber_start: np.ndarray
@@ -451,32 +462,20 @@ class CompositionTables:
 
     @classmethod
     def build(cls, G: FiniteGroupoid) -> "CompositionTables":
-        m = G.n_arrows
-        src = np.asarray(G.src, dtype=np.intp)
-        tgt = np.asarray(G.tgt, dtype=np.intp)
-        fiber = np.argsort(tgt, kind="stable")
-        sizes = np.bincount(tgt, minlength=G.n_objects)
-        fiber_start = np.concatenate(([0], np.cumsum(sizes)))
-        fiber_pos = np.empty(m, dtype=np.intp)
-        fiber_pos[fiber] = np.arange(m) - fiber_start[tgt[fiber]]
-        row_len = sizes[src]
-        row_start = np.concatenate(([0], np.cumsum(row_len)))
-        avg_g = np.repeat(np.arange(m), row_len)
-        avg_k = fiber[fiber_start[src[avg_g]] + np.arange(len(avg_g)) - row_start[avg_g]]
-
-        table, defined = G.composition_table
-        avg_gk, ok = look_up(table, defined, avg_g, avg_k)
-        if not ok.all():
-            t = np.argmin(ok)
+        src, tgt, inverse = (np.asarray(a, dtype=np.intp) for a in (G.src, G.tgt, G.inverse))
+        *layout, filled, slot = _triples(src, tgt, G.n_objects, G.compose)
+        avg_g, avg_k, avg_gk = layout[5:]
+        if not filled.all():
+            t = np.argmin(filled)
             raise ValueError(f"composable pair ({avg_g[t]},{avg_k[t]}) missing from table")
-        div_q, ok = look_up(table, defined, avg_gk, np.asarray(G.inverse, dtype=np.intp)[avg_k])
+        at, ok = slot(avg_gk, inverse[avg_k])
+        div_q = avg_gk[at]
         # the kernels find gk and gk k^-1 by the endpoints of g; a table that
-        # breaks this would silently mix fibers
-        ok &= (0 <= div_q) & (div_q < m)
+        # breaks this would silently mix fibers.  q = gk k^-1 composes with k, so src q = src g
+        ok &= slot(div_q, avg_k)[1]
         gk, q = np.where(ok, avg_gk, 0), np.where(ok, div_q, 0)
         bad = np.flatnonzero(
-            ~ok | (tgt[gk] != tgt[avg_g]) | (src[gk] != src[avg_k])
-            | (tgt[q] != tgt[avg_g]) | (src[q] != src[avg_g])
+            ~ok | (tgt[gk] != tgt[avg_g]) | (src[gk] != src[avg_k]) | (tgt[q] != tgt[avg_g])
         )
         if bad.size:
             t = bad[0]
@@ -485,8 +484,7 @@ class CompositionTables:
         orbit = np.empty(G.n_objects, dtype=np.intp)
         for o, block in enumerate(orbits):
             orbit[block] = o
-        return cls(table, defined, src, tgt, fiber_start, fiber, fiber_pos, row_start, row_len,
-                   avg_g, avg_k, avg_gk, div_q, orbit, len(orbits))
+        return cls(src, tgt, *layout, div_q, orbit, len(orbits))
 
 
 # -- builders ----------------------------------------------------------------
@@ -601,7 +599,8 @@ def action_groupoid(action: FiniteGroupAction) -> FiniteGroupoid:
             raise MalformedAction(f"identity does not fix point {pts[ui]}")
     # the tables are built only when every composable pair is defined: in a group, all pairs
     g2, g1, u = np.indices((m, m, P)).reshape(3, -1)
-    g21, g1u = G.tables.table[g2, g1], img[g1, u]
+    T = G.tables
+    g21, g1u = T.avg_gk[T.row_start[g2] + T.fiber_pos[g1]], img[g1, u]
     # an index of -1 reads the last column; the triple is flagged by g1u < 0 first
     left, right = img[g21, u], img[g2, g1u]
     bad = np.flatnonzero((left < 0) | (g1u < 0) | (left != right))

@@ -240,6 +240,26 @@ def test_validate_matches_dict_oracle(data, name, s3_groupoid, z2_groupoid, two_
     clean = fixtures[name] if name in fixtures else ORACLE_GROUPOIDS[name]()
     G = data.draw(corrupted_groupoid(clean))
     assert rows(G.validate()) == rows(validate_ref(G))
+    assert_tables_read_the_listed_composites(G)
+
+
+def assert_tables_read_the_listed_composites(G):
+    """The compose rows are scattered into the averaging triples: on corrupt rows (composites
+    -1, m and m + 5 among them) ``tables`` either refuses, as ``mul`` then does on every
+    composable pair, or gives each triple its listed composite, as ``mul`` does."""
+    compose, pairs = compose_dict(G), list(composable_pairs(G))
+    try:
+        T = G.tables
+    except ValueError:
+        for g2, g1 in pairs:
+            with pytest.raises(ValueError):
+                G.mul(g2, g1)
+        return
+    triples = list(zip(T.avg_g.tolist(), T.avg_k.tolist()))
+    assert sorted(triples) == sorted(pairs)
+    assert T.avg_gk.tolist() == [compose[pair] for pair in triples]
+    for g2, g1 in pairs:
+        assert G.mul(g2, g1) == compose[(g2, g1)]
 
 
 def test_validate_matches_dict_oracle_on_clean_groupoids(s3_groupoid, z2_groupoid, two_orbit_disjoint):
@@ -766,6 +786,12 @@ def test_tables_reject_inconsistent_composition():
     bent = dataclasses.replace(G, compose=[(*k, v) for k, v in {**compose_dict(G), (1, 0): 0}.items()])
     assert not bent.validate().ok
     with pytest.raises(ValueError, match="inconsistent at \\(1,0\\)"):
+        bent.tables
+    # with 0 -> 0 as the inverse of 0 -> 1, gk k^-1 at (g, k) = (1 -> 0, 0 -> 1) would start at 0,
+    # not at src g = 1
+    bent = dataclasses.replace(G, inverse=[0, 0, 1, 3])
+    assert not bent.validate().ok
+    with pytest.raises(ValueError, match="inconsistent at \\(2,1\\)"):
         bent.tables
 
 

@@ -13,6 +13,8 @@ inputs), and the later rows' c, a product of two averaged values subtracted from
 a third, to 2 eps b (1 + 2 b).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,8 @@ def perturbed(N: int, k: int, seed: int = 0) -> circle.TorusGridFn:
     return circle.TorusGridFn(L.values + 1e-3 * noise, k)
 
 
-@pytest.mark.parametrize("N, k", CASES)
+# N = 64 is 4,096 arrows and 262,144 composable pairs
+@pytest.mark.parametrize("N, k", CASES + [(64, 2)])
 def test_gauges_and_average_are_the_finite_ones(N, k):
     L = perturbed(N, k)
     rep = as_rep(L)
@@ -101,3 +104,17 @@ def test_finite_verifier_certifies_the_circle_input(N):
     rep = as_rep(perturbed(N, 2))
     (report,) = averaging.verify_fundamental_identities([rep], counting_haar(rep.groupoid))
     assert report.ok, report
+
+
+def test_tables_hold_no_array_over_all_pairs_of_arrows():
+    # the composition is held as its 262,144 averaging triples; a table over all 4,096 x 4,096
+    # pairs of arrows and its mask would take 144 MiB
+    G = twisted_groupoid(64, 2)
+    tracemalloc.start()
+    try:
+        T = G.tables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(T.avg_gk) == 64**3
+    assert peak < 32 * 2**20, peak / 2**20
