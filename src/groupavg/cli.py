@@ -38,7 +38,6 @@ DEFAULTS = {
     "N": 64,
     "k": 2,
     "perturb": 1e-3,
-    "gate_rescale": True,
 }
 
 KIND_COUNTS = {"finite_identities": 100, "group_bundle": 20}
@@ -67,7 +66,6 @@ JSON_TYPES = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
 }
 
 # every keyword a field of config.schema.json may use: (holds(value, arg), reason).
@@ -172,19 +170,15 @@ def load_finite_inputs(p: dict) -> tuple[FiniteGroupoid, HaarSystem, PseudoRep]:
 
 def kind_finite_iterate(p: dict) -> list[str]:
     out = ensure_out(p)
-    rng = np.random.default_rng(p["seed"])
     if "groupoid" in p:
         G, nu, lam0 = load_finite_inputs(p)
         scale = None  # the input files' pseudo-representation is not perturbed
     else:
+        rng = np.random.default_rng(p["seed"])
         G, rep = presets.s3_example_rep(rng)
         nu = counting_haar(G)
-        if p["gate_rescale"]:
-            lam0, scale = presets.gated_perturbation(rep, rng, p["perturb"])
-            log(f"perturbation amplitude after gate rescale: {scale!r}")
-        else:
-            lam0, scale = presets.perturb_rep(rep, rng, p["perturb"]), p["perturb"]
-            log(f"perturbation amplitude (gate rescale off): {scale!r}")
+        lam0, scale = presets.gated_perturbation(rep, rng, p["perturb"])
+        log(f"perturbation amplitude after gate rescale: {scale!r}")
     trace = averaging.iterate(lam0, nu, tol_c=p["tol_c"], max_iter=p["max_iter"])
     return finish_iterate(trace, out, {"kind": "finite_iterate", "seed": p["seed"],
                                        "perturb": scale})
@@ -263,18 +257,15 @@ def kind_circle_iterate(p: dict) -> list[str]:
         np.add(lam.values, np.multiply(noise, scale, out=noise), out=lam.values)
         return lam
 
-    if p["gate_rescale"]:
-        gated = list(presets.rescale_to_gate(
-            make,
-            lambda L: (float(np.abs(L.values).max()), circle.multiplicativity_residual(L)[0]),
-            p["perturb"],
-        ))
-        log(f"perturbation amplitude after gate rescale: {gated[1]!r}")
-    else:
-        gated = [make(p["perturb"]), p["perturb"], None]
+    gated = list(presets.rescale_to_gate(
+        make,
+        lambda L: (float(np.abs(L.values).max()), circle.multiplicativity_residual(L)[0]),
+        p["perturb"],
+    ))
+    log(f"perturbation amplitude after gate rescale: {gated[1]!r}")
     scale, row0 = gated[1:]
     # the artifacts hold c, not the seminorms: one order-0 pass per row, and none for
-    # row 0 when the gate pass gave its (b, c).  The gated field is popped, so that
+    # row 0, whose (b, c) the gate pass gave.  The gated field is popped, so that
     # iterate_circle holds its only reference and frees it once it is averaged.
     trace = circle.iterate_circle(gated.pop(0), tol_c=p["tol_c"], max_iter=p["max_iter"],
                                   order=0, row0=row0)

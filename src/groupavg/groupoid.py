@@ -173,22 +173,9 @@ class FiniteGroupoid:
         """
         rep = ValidationReport()
         n, m = self.n_objects, self.n_arrows
-
-        for name, table, size in (("tgt", self.tgt, m), ("unit", self.unit, n), ("inverse", self.inverse, m)):
-            if len(table) != size:
-                rep.add("tables", (), f"{name} table has {len(table)} entries, expected {size}")
-                return rep
-        for g in self.arrows():
-            if not (0 <= self.src[g] < n and 0 <= self.tgt[g] < n):
-                rep.add("tables", (g,), f"arrow {g} has out-of-range src/tgt")
-                return rep
-            if not 0 <= self.inverse[g] < m:
-                rep.add("tables", (g,), f"inverse of {g} out of range")
-                return rep
-        for x in range(n):
-            if not 0 <= self.unit[x] < m:
-                rep.add("tables", (x,), f"unit of object {x} out of range")
-                return rep
+        if fault := _table_fault(self):
+            rep.add("tables", *fault)
+            return rep
 
         src, tgt, unit, inverse = (np.asarray(a, dtype=np.intp)
                                    for a in (self.src, self.tgt, self.unit, self.inverse))
@@ -398,6 +385,24 @@ def compose_rows(rows: Any) -> np.ndarray:
     return a
 
 
+def _table_fault(G: FiniteGroupoid) -> tuple[tuple, str] | None:
+    """The first short table or out-of-range id of G's src, tgt, unit and inverse lists, as
+    (witness, message), or None.  Plain Python over the lists: no numpy routine runs."""
+    n, m = G.n_objects, G.n_arrows
+    for name, table, size in (("tgt", G.tgt, m), ("unit", G.unit, n), ("inverse", G.inverse, m)):
+        if len(table) != size:
+            return (), f"{name} table has {len(table)} entries, expected {size}"
+    for g in range(m):
+        if not (0 <= G.src[g] < n and 0 <= G.tgt[g] < n):
+            return (g,), f"arrow {g} has out-of-range src/tgt"
+        if not 0 <= G.inverse[g] < m:
+            return (g,), f"inverse of {g} out of range"
+    for x in range(n):
+        if not 0 <= G.unit[x] < m:
+            return (x,), f"unit of object {x} out of range"
+    return None
+
+
 def _triples(src: np.ndarray, tgt: np.ndarray, n: int, compose: np.ndarray) -> tuple:
     """The fiber and triple layout of :class:`CompositionTables`, for arrows with these sources
     and targets among n objects, with each compose row of a composable pair scattered into its
@@ -462,6 +467,8 @@ class CompositionTables:
 
     @classmethod
     def build(cls, G: FiniteGroupoid) -> "CompositionTables":
+        if fault := _table_fault(G):
+            raise ValueError(fault[1])
         src, tgt, inverse = (np.asarray(a, dtype=np.intp) for a in (G.src, G.tgt, G.inverse))
         *layout, filled, slot = _triples(src, tgt, G.n_objects, G.compose)
         avg_g, avg_k, avg_gk = layout[5:]

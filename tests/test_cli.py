@@ -233,26 +233,26 @@ def test_finite_iterate_tol_flag(tmp_path):
     assert doc["c_final"] <= 1e-6
 
 
+def ungated_finite_inputs(tmp_path, delta: float) -> str:
+    """A finite_iterate config over files of the S3 example perturbed at ``delta``, with no
+    gate rescale: the run's only route to an input outside the gate."""
+    rng = np.random.default_rng(0)
+    G, rep = presets.s3_example_rep(rng)
+    return write_finite_inputs(tmp_path, presets.perturb_rep(rep, rng, delta), counting_haar(G))[0]
+
+
 def test_finite_iterate_budget_exhausted(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "kind": "finite_iterate", "gate_rescale": False,
-        "perturb": 10.0, "seed": 0, "max_iter": 2,
-    }))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["run", "--config", ungated_finite_inputs(tmp_path, 10.0), "--max-iter", "2",
+                 "--out", str(out)]) == 1
     assert "verdict Diverged" in capsys.readouterr().err
     doc = json.loads((out / "verdict.json").read_text())
     assert doc["gate_ok"] is False
 
 
-def test_finite_iterate_gate_rescale_off_still_runs(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "kind": "finite_iterate", "gate_rescale": False, "perturb": 10.0, "seed": 0,
-    }))
+def test_finite_iterate_ungated_file_input_runs(tmp_path):
     out = tmp_path / "out"
-    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    code = main(["run", "--config", ungated_finite_inputs(tmp_path, 10.0), "--out", str(out)])
     assert code in (0, 1)
     doc = json.loads((out / "verdict.json").read_text())
     assert doc["gate_ok"] is False
@@ -316,10 +316,9 @@ def test_circle_iterate_artifacts(tmp_path):
     assert head == "32,2"
 
 
-@pytest.mark.parametrize("gated", [True, False], ids=["gated", "ungated"])
-def test_circle_iterate_gauges_c_only(tmp_path, monkeypatch, gated):
-    # every defect pass of the run is an order-0 pass: one per trace row, and the
-    # gate's, which gives row 0 when the gate ran
+def test_circle_iterate_gauges_c_only(tmp_path, monkeypatch):
+    # every defect pass of the run is an order-0 pass: one per trace row but row 0, and the
+    # gate's, which gives row 0
     sups, residual, iterate = (circle._defect_sups, circle.multiplicativity_residual,
                                circle.iterate_circle)
     orders, gate_passes, runs = [], [], []
@@ -333,16 +332,13 @@ def test_circle_iterate_gauges_c_only(tmp_path, monkeypatch, gated):
     monkeypatch.setattr(circle, "multiplicativity_residual",
                         lambda L: gate_passes.append(L) or residual(L))
     monkeypatch.setattr(circle, "iterate_circle", spy_iterate)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gate_rescale": gated}))
     out = tmp_path / "out"
-    run_ok(["run", "circle_iterate", "--config", str(cfg), "--N", "32", "--seed", "3",
-            "--out", str(out)])
+    run_ok(["run", "circle_iterate", "--N", "32", "--seed", "3", "--out", str(out)])
     rows = len((out / "trace.csv").read_text().splitlines()) - 1
     assert rows >= 3
     assert set(orders) == {0}
-    assert (len(gate_passes) >= 1) == gated
-    assert len(orders) == rows - gated + len(gate_passes)
+    assert len(gate_passes) >= 1
+    assert len(orders) == rows - 1 + len(gate_passes)
 
     # the rows equal those of the library at its default order 1
     (lam0, kw, trace), = runs
@@ -675,14 +671,14 @@ def test_schema_uses_only_checked_keywords():
     [
         ({"kind": "finite_iterate", "seed": True}, "seed: True is not of type 'integer'"),
         ({"kind": "finite_iterate", "perturb": False}, "perturb: False is not of type 'number'"),
-        ({"kind": "finite_iterate", "gate_rescale": 1}, "gate_rescale: 1 is not of type 'boolean'"),
+        ({"kind": "finite_iterate", "gate_rescale": 1}, "gate_rescale: unknown field"),
         ({"kind": "finite_iterate", "tol_c": "1e-12"}, "tol_c: '1e-12' is not of type 'number'"),
         ({"kind": "finite_iterate", "tol_c": 0}, "tol_c: 0 is less than or equal to the minimum of 0"),
         ({"kind": "telemetry"}, "kind: 'telemetry' is not one of"),
         ({"kind": "finite_iterate", "colour": "red"}, "colour: unknown field"),
     ],
-    ids=["bool_integer", "bool_number", "int_boolean", "string_number", "exclusive_minimum",
-         "enum", "unknown_key"],
+    ids=["bool_integer", "bool_number", "gate_rescale_unknown", "string_number",
+         "exclusive_minimum", "enum", "unknown_key"],
 )
 def test_config_rule_rejects_named(tmp_path, capsys, config, named):
     cfg = tmp_path / "cfg.json"
@@ -712,7 +708,7 @@ def test_integral_float_is_not_an_integer(tmp_path, capsys, config, field):
 
 def test_schema_accepts_its_edges():
     edges = {"kind": "circle_iterate", "N": circle.MAX_N, "k": circle.MAX_TWIST, "seed": 0,
-             "perturb": 0, "tol_c": 1, "gate_rescale": False}
+             "perturb": 0, "tol_c": 1}
     cli.check_schema(edges, load_schema())
 
 
@@ -842,12 +838,21 @@ def test_import_leaves_fractions_and_decimal_out():
     assert modules_after_cli_import("fractions", "decimal", "_decimal") == "[]"
 
 
-def test_circle_kinds_leave_numpy_random_out(tmp_path):
-    # the circle kinds draw only uniforms, from presets.UniformStream: numpy.random would load
-    # OpenSSL through secrets and hmac, 5.5 MB of a circle run's peak RSS
-    runs = [["circle_iterate"], ["group_bundle", "--count", "2"], ["circle_profile"]]
-    then = "\n".join(f"assert groupavg.cli.main(['run', *{argv!r}, '--N', '16', "
-                     f"'--out', {str(tmp_path / argv[0])!r}]) == 0" for argv in runs)
+def test_circle_kinds_leave_numpy_random_out(tmp_path, rng):
+    # the circle kinds draw only uniforms, from presets.UniformStream, and a finite run from
+    # files, validate and bounds-check draw nothing: numpy.random would load OpenSSL through
+    # secrets and hmac, 5.5 MB of a run's peak RSS
+    G, rep = presets.s3_example_rep(rng)
+    cfg, paths = write_finite_inputs(tmp_path, presets.gated_perturbation(rep, rng, 1e-3)[0],
+                                     counting_haar(G))
+    out = {kind: str(tmp_path / kind) for kind in ("circle", "bundle", "profile", "finite", "check")}
+    runs = [["run", "circle_iterate", "--N", "16", "--out", out["circle"]],
+            ["run", "group_bundle", "--N", "16", "--count", "2", "--out", out["bundle"]],
+            ["run", "circle_profile", "--N", "16", "--out", out["profile"]],
+            ["run", "finite_iterate", "--config", cfg, "--out", out["finite"]],
+            ["validate", "--groupoid", paths["groupoid"], "--haar", paths["haar"]],
+            ["bounds-check", "--trace", os.path.join(out["finite"], "trace.csv"), "--out", out["check"]]]
+    then = "\n".join(f"assert groupavg.cli.main({argv!r}) == 0" for argv in runs)
     assert modules_after_cli_import("numpy.random", "secrets", "_hashlib", then=then) == "[]"
 
 
@@ -991,15 +996,19 @@ def test_bundle_dim_must_be_a_count(tmp_path, capsys, rng, dim):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
-def test_ungated_overflowing_perturbation_diverges(tmp_path, capsys):
-    # b0 = 5e199: b0**2 overflows a Python float, and the defects are inf
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "circle_iterate", "gate_rescale": False,
-                               "perturb": 1e200, "N": 16, "max_iter": 3}))
+def test_ungated_overflowing_perturbation_diverges(tmp_path):
+    # the circle kinds always gate, so the library takes the field: b0 = 5e199, b0**2
+    # overflows a Python float, and the defects are inf
+    lam = circle.from_profile(cli.default_profile({"k": 2}), 16, 2)[1]
+    noise = presets.smooth_torus_field(presets.UniformStream(0), 16)
+    noise[0] = 0.0
+    lam.values += 1e200 * noise
     out = tmp_path / "out"
+    out.mkdir()
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "verdict Diverged at iteration 3" in capsys.readouterr().err
+        trace = circle.iterate_circle(lam, tol_c=1e-12, max_iter=3, order=0)
+        failures = cli.finish_iterate(trace, str(out), {"kind": "circle_iterate"})
+    assert failures[0] == "verdict Diverged at iteration 3"
     doc = json.loads((out / "verdict.json").read_text())
     assert doc["verdict"]["kind"] == "Diverged"
     assert (doc["gate_ok"], doc["envelope_valid"], doc["bounds_check_ok"]) == (False, False, False)
@@ -1009,12 +1018,10 @@ def test_ungated_overflowing_perturbation_diverges(tmp_path, capsys):
 
 def test_ungated_overflowing_finite_perturbation_diverges(tmp_path, capsys):
     # the defects overflow to inf and then NaN, and the SVD of a NaN matrix fails to converge
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "finite_iterate", "gate_rescale": False,
-                               "perturb": 1e200, "max_iter": 3}))
+    cfg = ungated_finite_inputs(tmp_path, 1e200)
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["run", "--config", cfg, "--max-iter", "3", "--out", str(out)]) == 1
     assert "verdict Diverged at iteration 3" in capsys.readouterr().err
     doc = json.loads((out / "verdict.json").read_text())
     assert doc["verdict"]["kind"] == "Diverged"

@@ -150,7 +150,7 @@ CLEAN_CONFIGS = {
     "circle_profile": {"kind": "circle_profile", "N": 16, "k": 1},
     "circle_profile_file": {"kind": "circle_profile", "N": 16, "profile": "profile.csv"},
     "circle_iterate": {"kind": "circle_iterate", "N": 16, "k": 2, "seed": 1, "max_iter": 8,
-                       "perturb": 1e-3, "gate_rescale": True},
+                       "perturb": 1e-3},
     "finite_iterate": {"kind": "finite_iterate", "seed": 1, "max_iter": 3, "tol_c": 1e-12},
     "bounds_check": {"kind": "bounds_check", "trace": "trace.csv"},
 }

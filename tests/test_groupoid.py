@@ -793,6 +793,14 @@ def test_tables_reject_inconsistent_composition():
     assert not bent.validate().ok
     with pytest.raises(ValueError, match="inconsistent at \\(2,1\\)"):
         bent.tables
+    # a short table or an out-of-range id is named as validate() names it, not indexed
+    for bent, named in ((dataclasses.replace(G, inverse=[0, 2, 1]), "inverse table has 3 entries, expected 4"),
+                        (dataclasses.replace(G, src=[0, 0, 5, 1]), "arrow 2 has out-of-range src/tgt")):
+        assert [v.message for v in bent.validate().violations] == [named]
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            bent.tables
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            bent.mul(0, 0)
 
 
 def test_tables_are_built_lazily():
