@@ -184,31 +184,57 @@ def _identities(G: FiniteGroupoid, bundle: psrep.FiberBundle, st: Stacks,
 
 @dataclass
 class StepEstimateRow:
+    """One orbit's one-step lemma at c < 1: the step's largest ||lambda_g^(-1)|| and ||Delta||
+    are at most b/(1-c) and c b/(1-c), and the averaged b and c at most b/(1-c) and
+    2 c^2 (b/(1-c))^2; each flag compares by :func:`within`."""
+
     orbit: list[int]
     b: float
     c: float
+    inverse: float
+    delta: float
     b_avg: float
     c_avg: float
     b_bound: float
+    delta_bound: float
     c_bound: float
-    ok: bool
+    inverse_ok: bool
+    delta_ok: bool
+    b_ok: bool
+    c_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.inverse_ok and self.delta_ok and self.b_ok and self.c_ok
 
 
 def verify_step_estimates(rep: PseudoRep, nu: HaarSystem) -> list[StepEstimateRow]:
-    """Per-orbit one-step bounds  b(avg) <= b/(1-c)  and  c(avg) <= 2 c^2 b^2 / (1-c)^2.
+    """Per orbit, the one-step lemma of the averaging step; see :class:`StepEstimateRow`.
 
-    Raises GatePrecondition, before averaging, at the first orbit with c >= 1.
+    Raises GatePrecondition, before averaging, at the first orbit with c >= 1.  The inverses
+    and cocycles are those of the step itself; Delta runs over the divisible pairs (gk, k).
     """
-    orbits, bs, cs = rep.groupoid.orbits(), b_by_orbit(rep), c_by_orbit(rep)
+    G, T = rep.groupoid, rep.groupoid.tables
+    orbits, bs, cs = G.orbits(), b_by_orbit(rep), c_by_orbit(rep)
     for orbit, c in zip(orbits, cs):
         if c >= 1.0:
             raise GatePrecondition(f"orbit {orbit} has defect c = {c:.3g} >= 1")
-    avg = average(rep, nu)
+    st = rep.stacks()
+    avg_st, inv = _average(st, T, nu)
+    avg = PseudoRep(G, rep.bundle, avg_st.tolist())
+    D = cocycles(st, inv, T)
+    invs = max_norm(rep.bundle, lambda g, _: (inv.take(g), T.tgt[g], T.src[g]), inv.group,
+                    orbit=T.orbit[T.src], n_orbits=T.n_orbits)
+    deltas = max_norm(rep.bundle, lambda t, _: (D.take(t), T.src[T.avg_g[t]], T.tgt[T.avg_g[t]]),
+                      D.group, orbit=T.orbit[T.src[T.avg_k]], n_orbits=T.n_orbits)
     rows = []
-    for orbit, b, c, b_avg, c_avg in zip(orbits, bs, cs, b_by_orbit(avg), c_by_orbit(avg)):
+    for orbit, b, c, inv_max, delta_max, b_avg, c_avg in zip(
+            orbits, bs, cs, invs, deltas, b_by_orbit(avg), c_by_orbit(avg)):
         b_bound, c_bound = step_bounds(b, c)
-        ok = within(b_avg, b_bound) and within(c_avg, c_bound, 1e-15)
-        rows.append(StepEstimateRow(orbit, b, c, b_avg, c_avg, b_bound, c_bound, ok))
+        rows.append(StepEstimateRow(
+            orbit, b, c, inv_max, delta_max, b_avg, c_avg, b_bound, c * b_bound, c_bound,
+            within(inv_max, b_bound), within(delta_max, c * b_bound, 1e-15),
+            within(b_avg, b_bound), within(c_avg, c_bound, 1e-15)))
     return rows
 
 

@@ -310,25 +310,6 @@ def group_bundle_average(X: TorusGridFn) -> TorusGridFn:
     return TorusGridFn(np.divide(acc, N, out=acc), X.twist)
 
 
-def discrete_seminorm(F: TorusGridFn, r: int) -> float:
-    """Sup norm, plus at r = 1 the N/2-scaled central differences in each grid variable separately
-    (no mixed terms); step h = 1/N."""
-    return float(_scaled(_slice_maxima(F.values, _order(r), np.empty((F.N, F.N))), F.N).max())
-
-
-def _order(r: int) -> int:
-    """``r``, checked to be a supported seminorm order."""
-    if r not in (0, 1):
-        raise ValueError(f"seminorm order {r} not supported (use 0 or 1)")
-    return r
-
-
-def _scaled(maxima, N: int) -> np.ndarray:
-    """Order-q maxima scaled by 1, N/2.  Rounding is monotone, so a sup scaled after its
-    max is bit-equal to the max of scaled values, and a NaN stays NaN."""
-    return np.asarray(maxima) * np.array([1.0, N / 2.0])[: len(maxima)]
-
-
 def _absmax(D: np.ndarray) -> float:
     """max |D|, taking |D| in place."""
     return np.abs(D, out=D).max()
@@ -347,17 +328,15 @@ def _central_absmax(S: np.ndarray, axis: int, D: np.ndarray) -> float:
     return _absmax(D)
 
 
-def _slice_maxima(S: np.ndarray, order: int, D: np.ndarray, halo=None) -> list:
+def _slice_maxima(S: np.ndarray, order: int, D: np.ndarray, halo) -> list:
     """Unscaled maxima of |S| and, at order 1, of its central differences along S's axes and
     across the (prev, next) ``halo``, all written into the scratch D.  Each sup is taken before
     any scaling, so every maximum is exact."""
     maxima = [np.abs(S, out=D).max()]
     if order:
         m = np.maximum(_central_absmax(S, 0, D), _central_absmax(S, 1, D))
-        if halo is not None:
-            np.subtract(halo[1], halo[0], out=D)
-            m = np.maximum(m, _absmax(D))
-        maxima.append(m)
+        np.subtract(halo[1], halo[0], out=D)
+        maxima.append(np.maximum(m, _absmax(D)))
     return maxima
 
 
@@ -382,7 +361,9 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
             maxima = np.maximum(maxima, _slice_maxima(ring[lp % len(ring)], order, D, halo))
         return maxima
 
-    return _scaled(reduce(np.maximum, _on_blocks(N, sups)), N)
+    # order q scaled by 1, N/2: rounding is monotone, so a sup scaled after its max is
+    # bit-equal to the max of scaled values, and a NaN stays NaN
+    return reduce(np.maximum, _on_blocks(N, sups)) * np.array([1.0, N / 2.0])[: order + 1]
 
 
 def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64, order: int = 1,
@@ -397,7 +378,9 @@ def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64, or
     4 N^2 per worker at order 1.  ``row0`` is the (b, c) of ``L0`` from a gate pass the caller
     already ran (:func:`multiplicativity_residual` gives the same c); it is read only at order 0,
     where row 0 then runs no pass."""
-    first = [row0] if not _order(order) and row0 is not None else []  # read once, by row 0
+    if order not in (0, 1):
+        raise ValueError(f"seminorm order {order} not supported (use 0 or 1)")
+    first = [row0] if not order and row0 is not None else []  # read once, by row 0
 
     def gauges(lam: TorusGridFn):
         if first:

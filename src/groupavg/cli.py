@@ -21,7 +21,6 @@ import math
 import operator
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
@@ -57,7 +56,8 @@ def fail(msg: str) -> None:
 
 # the config fields that are also run flags, in --help order; the schema gives each its type
 FLAGS = ("seed", "out", "tol_c", "max_iter", "N", "k", "perturb", "count", "trace", "profile")
-SCHEMA = json.loads(resources.files("groupavg").joinpath("config.schema.json").read_text())
+with open(os.path.join(os.path.dirname(__file__), "config.schema.json"), encoding="utf-8") as fh:
+    SCHEMA = json.load(fh)
 
 
 # JSON types by name: a bool is neither an integer nor a number, and an integral float
@@ -129,7 +129,8 @@ def finish_iterate(trace, out: str, extra: dict) -> list[str]:
     """Shared tail of the iterate kinds: trace.csv, bounds_check.csv, verdict.json.
 
     A trace of one row (the input had already converged) has no steps to
-    check, so its bounds_check.csv holds the header only.
+    check, so its bounds_check.csv holds the header only.  Its failed rows
+    are counted on stdout but not asserted.
     """
     averaging.write_trace_csv(trace, os.path.join(out, "trace.csv"))
     if len(trace.rows) < 2:
@@ -139,6 +140,9 @@ def finish_iterate(trace, out: str, extra: dict) -> list[str]:
             [float(r.b) for r in trace.rows], [float(r.c) for r in trace.rows]
         )
     bounds.write_check_csv(report, os.path.join(out, "bounds_check.csv"))
+    if not report.ok:
+        log(f"bounds_check.csv: {len(report.failed_rows())} of {len(report.rows)} rows failed"
+            " (not asserted)")
     failures = []
     if trace.verdict.kind != "Converged":
         failures.append(f"verdict {trace.verdict.kind} at iteration {trace.verdict.iteration}")

@@ -23,7 +23,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import GATE_COEFF, gate_holds, square, within
+from .bounds import GATE_COEFF, gate_holds, square
 from .groupoid import CompositionTables, FiniteGroupoid, arrow_keyed, json_object, read_json, write_json
 
 COND_LIMIT = 1e12
@@ -504,40 +504,3 @@ def is_nearly_multiplicative(rep: PseudoRep) -> GateReport:
         OrbitGateRow(orbit, b, c, GATE_COEFF / square(b) if b > 0 else np.inf, gate_holds(b, c))
         for orbit, b, c in zip(rep.groupoid.orbits(), b_by_orbit(rep), c_by_orbit(rep))
     ])
-
-
-@dataclass
-class InverseReport:
-    inverses: list[np.ndarray]
-    max_inverse_norm: float
-    inverse_norm_bound: float | None
-    inverse_bound_ok: bool | None
-    max_delta_norm: float
-    delta_norm_bound: float | None
-    delta_bound_ok: bool | None
-    b: float
-    c: float
-
-
-def inverse_rep(rep: PseudoRep) -> InverseReport:
-    """Invert every arrow matrix and compare against the c < 1 norm bounds.
-
-    When c < 1 the report checks  max ||lambda_g^(-1)|| <= b/(1-c)  and
-    max ||Delta(g,h)|| <= c b/(1-c)  over divisible pairs; with c >= 1 the
-    bounds are not claimed and the flags stay None.
-    """
-    T, st = rep.groupoid.tables, rep.stacks()
-    inv = invert_stacks(st)
-    b, c = b_norm(rep), c_norm(rep)
-    max_inv = max_norm(rep.bundle, lambda g, _: (inv.take(g), T.tgt[g], T.src[g]), inv.group)[0]
-    D = cocycles(st, inv, T)
-    max_delta = max_norm(
-        rep.bundle, lambda t, _: (D.take(t), T.src[T.avg_g[t]], T.tgt[T.avg_g[t]]), D.group
-    )[0]
-    report = InverseReport(inv.tolist(), max_inv, None, None, max_delta, None, None, b, c)
-    if c < 1.0:
-        report.inverse_norm_bound = b / (1.0 - c)
-        report.delta_norm_bound = c * b / (1.0 - c)
-        report.inverse_bound_ok = within(max_inv, report.inverse_norm_bound)
-        report.delta_bound_ok = within(max_delta, report.delta_norm_bound, 1e-15)
-    return report

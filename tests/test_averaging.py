@@ -138,6 +138,9 @@ def test_step_estimates_scalar_oracle():
     assert row.c_avg == pytest.approx(0.009111570247934075)
     assert row.b_bound == pytest.approx(1.3924050632911398)
     assert row.c_bound == pytest.approx(0.1710014420765907)
+    assert row.inverse == 1.0  # the unit's; lambda_g^(-1) = 1/1.1
+    assert row.delta == pytest.approx(1.1 - 1 / 1.1)  # Delta(1, g) = 1/1.1 - lambda_(g^-1)
+    assert row.delta_bound == pytest.approx(0.21 * 1.1 / 0.79)
     assert row.ok
 
 

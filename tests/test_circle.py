@@ -25,7 +25,6 @@ from groupavg.circle import (
     _defect_sups,
     average_circle,
     cocycle_defect_field,
-    discrete_seminorm,
     from_profile,
     group_bundle_average,
     iterate_circle,
@@ -251,24 +250,31 @@ def test_iterate_hits_vanishing_node():
 # -- seminorms ----------------------------------------------------------------------
 
 
+def field_slices(F: np.ndarray):
+    """The slices of the 3-d field F, in the form :func:`_defect_sups` reads."""
+    return lambda: lambda lp, out: np.copyto(out, F[lp])
+
+
 def test_seminorm_constant():
-    F = TorusGridFn(np.full((8, 8), 3.0), 1)
-    assert discrete_seminorm(F, 0) == 3.0
+    F = np.full((8, 8, 8), 3.0)
+    assert _defect_sups(field_slices(F), 8, 1).tolist() == [3.0, 0.0]
 
 
 def test_seminorm_sine_oracles():
+    # a sine along theta' (read across the slice halo), theta or a: its N/2-scaled central
+    # differences peak at N sin(2 pi / N)
     N = 32
     v = np.sin(2 * np.pi * np.arange(N) / N)
-    F = TorusGridFn(np.tile(v[:, None], (1, N)), 1)
-    assert discrete_seminorm(F, 0) == pytest.approx(1.0)
-    assert discrete_seminorm(F, 1) == pytest.approx(N * np.sin(2 * np.pi / N), rel=1e-12)
+    for axis in range(3):
+        F = np.broadcast_to(v.reshape([N if ax == axis else 1 for ax in range(3)]), (N, N, N))
+        sup, sup_r1 = _defect_sups(field_slices(F), N, 1)
+        assert sup == pytest.approx(1.0)
+        assert sup_r1 == pytest.approx(N * np.sin(2 * np.pi / N), rel=1e-12)
 
 
 def test_seminorm_rejects_bad_order():
     F = TorusGridFn(np.zeros((8, 8)), 1)
     for r in (2, 3):
-        with pytest.raises(ValueError, match="order"):
-            discrete_seminorm(F, r)
         with pytest.raises(ValueError, match="order"):
             iterate_circle(F, order=r)
 

@@ -218,6 +218,17 @@ def test_finite_iterate_artifacts(tmp_path, capsys):
     assert head == "i,b,c,unit_defect,quadratic_bound_rhs,envelope"
 
 
+def test_finite_iterate_counts_failed_bounds_rows(tmp_path, capsys):
+    # at 1e-5 the last step's c is rounding, above its quadratic bound: bounds_check.csv
+    # fails a row that the kind does not assert, and the run says so
+    out = tmp_path / "out"
+    run_ok(["run", "finite_iterate", "--perturb", "1e-5", "--out", str(out)])
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "[groupavg] bounds_check.csv: 1 of 6 rows failed (not asserted)",
+        "[groupavg] finite_iterate: all assertions passed"]
+    assert json.loads((out / "verdict.json").read_text())["bounds_check_ok"] is False
+
+
 def test_finite_iterate_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -818,14 +829,15 @@ def test_oversized_csv_header_rejected_before_allocating(tmp_path, capsys, heade
         load_grid_csv(str(path))
 
 
-def modules_after_cli_import(*names: str, then: str = "") -> str:
+def modules_after_cli_import(*names: str, then: str = "", no_site: bool = False) -> str:
     """Those of ``names`` that a fresh interpreter holds once it has imported groupavg.cli
-    and run the statements ``then``."""
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    and run the statements ``then``.  With ``no_site`` it starts with -S, so that no .pth
+    file of site-packages imports anything first, and finds numpy through PYTHONPATH."""
+    path = [str(Path(cli.__file__).parents[1]), str(Path(np.__file__).parents[1]) if no_site else None]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [*path, os.environ.get("PYTHONPATH")]))}
     code = f"import sys, groupavg.cli\n{then}\nprint([m for m in {names!r} if m in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
+    done = subprocess.run([sys.executable, *(["-S"] if no_site else []), "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
     return done.stdout.splitlines()[-1]
 
 
@@ -836,6 +848,12 @@ def test_import_leaves_jsonschema_out():
 def test_import_leaves_fractions_and_decimal_out():
     # the Haar weights are floats; fractions would load decimal into every CLI start
     assert modules_after_cli_import("fractions", "decimal", "_decimal") == "[]"
+
+
+def test_import_leaves_importlib_resources_out():
+    # the schema is read with open: importlib.resources would load pathlib, zipfile (with bz2,
+    # lzma and zlib), tempfile and urllib into every CLI start
+    assert modules_after_cli_import("importlib.resources", "zipfile", "tempfile", no_site=True) == "[]"
 
 
 def test_circle_kinds_leave_numpy_random_out(tmp_path, rng):

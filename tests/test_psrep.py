@@ -1,4 +1,4 @@
-"""Weighted operator norms, defect quantities, the gate check, and inverses."""
+"""Weighted operator norms, defect quantities, the gate check, and the averaging step's inverses."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import composable_pairs, delta_cocycle, operator_norm, random_unital_pseudorep, restrict_rep
+from groupavg.averaging import GatePrecondition, average, verify_step_estimates
 from groupavg.groupoid import FiniteGroupAction, action_groupoid, cyclic_group, trivial_groupoid
+from groupavg.haar import counting_haar
 from groupavg.psrep import (
     DegenerateMetric,
     FiberBundle,
@@ -16,7 +18,6 @@ from groupavg.psrep import (
     b_norm,
     c_norm,
     gate_holds,
-    inverse_rep,
     invert_arrow,
     is_nearly_multiplicative,
 )
@@ -278,15 +279,16 @@ def test_per_orbit_values_match_restriction(rng):
         assert row.c <= c_norm(rep) * (1 + 1e-12) + 1e-15
 
 
-# -- inverses ------------------------------------------------------------------------
+# -- inverses: the step's own, in the per-orbit one-step report ----------------------
 
 
 def test_inverse_identity_rep(z2_groupoid):
     bundle = FiberBundle.uniform(z2_groupoid.n_objects, 2)
     rep = PseudoRep(z2_groupoid, bundle, [np.eye(2) for _ in z2_groupoid.arrows()])
-    report = inverse_rep(rep)
-    assert report.max_inverse_norm == pytest.approx(1.0)
-    assert report.inverse_bound_ok and report.delta_bound_ok
+    for row in verify_step_estimates(rep, counting_haar(z2_groupoid)):
+        assert row.inverse == pytest.approx(1.0)
+        assert row.delta == 0.0
+        assert row.inverse_ok and row.delta_ok
 
 
 def test_inverse_scalar_brute_force():
@@ -298,28 +300,30 @@ def test_inverse_scalar_brute_force():
     c_hand = max(
         abs(vals[G.mul(g2, g1)] - vals[g2] * vals[g1]) for g2, g1 in composable_pairs(G)
     )
-    report = inverse_rep(rep)
-    assert report.b == pytest.approx(b_hand)
-    assert report.c == pytest.approx(c_hand)
-    assert report.max_inverse_norm == pytest.approx(1.0)  # the unit's inverse dominates
-    assert report.max_inverse_norm <= b_hand / (1 - c_hand)
-    assert report.inverse_bound_ok and report.delta_bound_ok
+    delta_hand = max(abs(delta_cocycle(rep, g, h)[0, 0]) for g, h in divisible_pairs(G))
+    (row,) = verify_step_estimates(rep, counting_haar(G))
+    assert row.b == pytest.approx(b_hand)
+    assert row.c == pytest.approx(c_hand)
+    assert row.inverse == pytest.approx(1.0)  # the unit's inverse dominates
+    assert row.inverse <= b_hand / (1 - c_hand)
+    assert row.delta == pytest.approx(delta_hand)
+    assert row.inverse_ok and row.delta_ok
 
 
-def test_inverse_rep_singular_arrow():
+def test_inverse_singular_arrow():
     G = z2_bundle_groupoid()
     bundle = FiberBundle.uniform(G.n_objects, 2)
     rep = PseudoRep(G, bundle, [np.eye(2), np.diag([1.0, 0.0])])
     with pytest.raises(NonInvertible) as exc:
-        inverse_rep(rep)
+        average(rep, counting_haar(G))
     assert exc.value.arrow == 1
 
 
 def test_inverse_bounds_unavailable_when_defect_large():
-    rep = scalar_rep(trivial_groupoid(), [3.0])  # c = 6 >= 1
-    report = inverse_rep(rep)
-    assert report.inverse_bound_ok is None
-    assert report.delta_bound_ok is None
+    G = trivial_groupoid()
+    rep = scalar_rep(G, [3.0])  # c = 6 >= 1
+    with pytest.raises(GatePrecondition, match="c = 6 >= 1"):
+        verify_step_estimates(rep, counting_haar(G))
 
 
 @settings(max_examples=25)
@@ -328,9 +332,9 @@ def test_inverse_bounds_hold_on_gated_inputs(seed):
     rng = np.random.default_rng(seed)
     G, base = presets.z2_example_rep(rng)
     rep, _ = presets.gated_perturbation(base, rng, 5e-3)
-    report = inverse_rep(rep)
-    assert report.inverse_bound_ok
-    assert report.delta_bound_ok
+    for row in verify_step_estimates(rep, counting_haar(G)):
+        assert row.inverse_ok
+        assert row.delta_ok
 
 
 # -- bundles and serialization ---------------------------------------------------------
@@ -407,12 +411,13 @@ def test_batched_inverse_names_lowest_bad_arrow(z2_groupoid):
     rep = PseudoRep(z2_groupoid, bundle, [np.eye(2) for _ in z2_groupoid.arrows()])
     rep.maps[5] = np.diag([1.0, 1e-13])
     rep.maps[3] = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    nu = counting_haar(z2_groupoid)
     with pytest.raises(NonInvertible, match="non-finite") as exc:
-        inverse_rep(rep)
+        average(rep, nu)
     assert exc.value.arrow == 3
     rep.maps[3] = np.eye(2)
     with pytest.raises(NonInvertible) as exc:
-        inverse_rep(rep)
+        average(rep, nu)
     assert exc.value.arrow == 5
 
 
@@ -429,7 +434,7 @@ def test_batched_inverse_lowest_bad_arrow_across_shapes():
     rep.maps[bad_3x3] = np.zeros((3, 3))
     rep.maps[bad_2x2] = np.zeros((2, 2))
     with pytest.raises(NonInvertible) as exc:
-        inverse_rep(rep)
+        average(rep, counting_haar(G))
     assert exc.value.arrow == bad_3x3
 
 
