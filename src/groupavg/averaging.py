@@ -62,11 +62,14 @@ def average(rep: PseudoRep, nu: HaarSystem) -> PseudoRep:
     """One averaging step.  Summation runs in ascending arrow id for determinism.
 
     Raises NonInvertible(k) when some lambda_k is singular past the
-    conditioning limit.
+    conditioning limit, or when the averaged map of arrow k overflows.
     """
     st = rep.stacks()
-    avg, _ = _average(st, rep.groupoid.tables, nu)
-    return PseudoRep(rep.groupoid, rep.bundle, avg.tolist())
+    maps = _average(st, rep.groupoid.tables, nu)[0].tolist()
+    bad = next((g for g, M in enumerate(maps) if not np.isfinite(M).all()), None)
+    if bad is not None:  # a finite input whose mean overflowed: the step failed, not the input
+        raise NonInvertible(bad, f"averaged matrix of arrow {bad} has non-finite entries")
+    return PseudoRep(rep.groupoid, rep.bundle, maps)
 
 
 def _average(st: Stacks, T: CompositionTables, nu: HaarSystem) -> tuple[Stacks, Stacks]:

@@ -206,18 +206,20 @@ def _blocks(N: int) -> int:
     return min(_THREADS, N // _WORKER_ROWS) or 1
 
 
-def _on_blocks(N: int, fn) -> list:
-    """[fn(lo, hi)] over :func:`_blocks` contiguous blocks of 0..N-1: the first on the caller, the
-    rest on plain threads in copies of its context (so np.errstate holds there), all joined before
-    a worker's exception is raised here.  Workers run private closures, public ones stay here.
-    Callers allocate the blocks' grid-sized buffers: a worker's own came from its thread's malloc
-    arena, which fragmented, so circle_iterate --N 1024 peaked 4 MB higher in some runs."""
+def _on_blocks(N: int, fn, scratch) -> list:
+    """[fn(lo, hi, *scratch())] over :func:`_blocks` contiguous blocks of 0..N-1: the first on the
+    caller, the rest on plain threads in copies of its context (so np.errstate holds there), all
+    joined before a worker's exception is raised here.  Workers run private closures, public ones
+    stay here.  Each block's scratch tuple is built here, on the calling thread, before any worker
+    starts: a worker's own grid-sized buffers came from its thread's malloc arena, which
+    fragmented, so circle_iterate --N 1024 peaked 4 MB higher in some runs."""
     T = _blocks(N)
     cuts, out, errors = [N * t // T for t in range(T + 1)], [None] * T, []
+    kits = [scratch() for _ in range(T)]
 
     def run(t: int) -> None:
         try:
-            out[t] = fn(cuts[t], cuts[t + 1])
+            out[t] = fn(cuts[t], cuts[t + 1], *kits[t])
         except BaseException as exc:
             errors.append(exc)
 
@@ -272,13 +274,11 @@ def average_circle(L: TorusGridFn) -> TorusGridFn:
         li = tuple(int(x) for x in np.argwhere(acc <= NODE_FLOOR)[0])
         raise NonInvertibleNode(li, float(V[li]), N)
     acc.fill(0.0)
-    kits = [(np.empty((min(_AVG_ROWS, N), N)), np.empty(N)) for _ in range(_blocks(N))]  # see _on_blocks
 
-    def rows(lo: int, hi: int) -> None:
+    def rows(lo: int, hi: int, chunk: np.ndarray, den: np.ndarray) -> None:
         # acc[l] += V[(l + j) mod N] / V[j], both rolled right by s = k j columns: copied from V's
         # column blocks (the numerator in row blocks before and after the wrap) into contiguous
         # buffers, so that the one division per j reads no strided operand; _AVG_ROWS rows at a time
-        chunk, den = kits.pop()
         for c in range(lo, hi, _AVG_ROWS):
             out, num = acc[c:min(c + _AVG_ROWS, hi)], chunk[: min(_AVG_ROWS, hi - c)]
             for j in range(N):
@@ -290,7 +290,7 @@ def average_circle(L: TorusGridFn) -> TorusGridFn:
                 np.add(out, np.divide(num, den, out=num), out=out)
             np.divide(out, N, out=out)
 
-    _on_blocks(N, rows)
+    _on_blocks(N, rows, lambda: (np.empty((min(_AVG_ROWS, N), N)), np.empty(N)))
     return TorusGridFn(acc, k)
 
 
@@ -348,11 +348,9 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
     slice, which takes |S| in place; at order 1 a (3, N, N) ring and one N^2 scratch.  The sups
     of the blocks are joined by np.maximum: exact, and a NaN stays NaN."""
     h = order
-    kits = [(slices(), np.empty((3 * h + 1, N, N))) for _ in range(_blocks(N))]  # see _on_blocks
 
-    def sups(lo: int, hi: int) -> np.ndarray:
-        (slice_at, buf), maxima = kits.pop(), np.zeros(order + 1)
-        ring, D = buf[: 2 * h + 1], buf[-1]
+    def sups(lo: int, hi: int, slice_at, buf: np.ndarray) -> np.ndarray:
+        ring, D, maxima = buf[: 2 * h + 1], buf[-1], np.zeros(order + 1)
         for lp in range(lo - h, lo + h):
             slice_at(lp % N, ring[lp % len(ring)])
         for lp in range(lo, hi):
@@ -361,9 +359,10 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
             maxima = np.maximum(maxima, _slice_maxima(ring[lp % len(ring)], order, D, halo))
         return maxima
 
+    maxima = _on_blocks(N, sups, lambda: (slices(), np.empty((3 * h + 1, N, N))))
     # order q scaled by 1, N/2: rounding is monotone, so a sup scaled after its max is
     # bit-equal to the max of scaled values, and a NaN stays NaN
-    return reduce(np.maximum, _on_blocks(N, sups)) * np.array([1.0, N / 2.0])[: order + 1]
+    return reduce(np.maximum, maxima) * np.array([1.0, N / 2.0])[: order + 1]
 
 
 def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64, order: int = 1,

@@ -158,6 +158,8 @@ def finish_iterate(trace, out: str, extra: dict) -> list[str]:
 
 
 def load_finite_inputs(p: dict) -> tuple[FiniteGroupoid, HaarSystem, PseudoRep]:
+    if "groupoid" not in p:
+        raise ConfigError("psrep, bundle or haar input requires a groupoid file")
     G = FiniteGroupoid.load(p["groupoid"])
     report = G.validate()
     if not report.ok:
@@ -174,7 +176,7 @@ def load_finite_inputs(p: dict) -> tuple[FiniteGroupoid, HaarSystem, PseudoRep]:
 
 def kind_finite_iterate(p: dict) -> list[str]:
     out = ensure_out(p)
-    if "groupoid" in p:
+    if p.keys() & {"groupoid", "haar", "psrep", "bundle"}:
         G, nu, lam0 = load_finite_inputs(p)
         scale = None  # the input files' pseudo-representation is not perturbed
     else:
@@ -215,23 +217,19 @@ def kind_finite_identities(p: dict) -> list[str]:
     return failures
 
 
-def default_profile(p: dict):
+def start_profile(p: dict) -> circle.CircleProfile:
+    """The profile both circle kinds start from: the ``profile`` file when it is set, else
+    a sin(2 pi k t) sampled at the k N points where from_profile samples a callable."""
+    if "profile" in p and p["profile"]:
+        return circle.load_profile_csv(p["profile"])
     # an amplitude of at most 0.5 / k keeps 1 + k f >= 1/2 at every twist
-    amplitude = min(0.1, 0.5 / p["k"])
-
-    def f(t: float) -> float:
-        return amplitude * np.sin(2 * np.pi * p["k"] * t)
-
-    return f
+    k, amplitude = p["k"], min(0.1, 0.5 / p["k"])
+    return circle.CircleProfile.from_function(lambda t: amplitude * np.sin(2 * np.pi * k * t), k * p["N"], k)
 
 
 def kind_circle_profile(p: dict) -> list[str]:
     out = ensure_out(p)
-    if "profile" in p and p["profile"]:
-        prof = circle.load_profile_csv(p["profile"])
-        X, lam = circle.from_profile(prof, p["N"])
-    else:
-        X, lam = circle.from_profile(default_profile(p), p["N"], p["k"])
+    X, lam = circle.from_profile(start_profile(p), p["N"])
     circle.save_grid_csv(X, os.path.join(out, "connection.csv"))
     circle.save_grid_csv(lam, os.path.join(out, "effect.csv"))
     del X  # the residuals read only lam
@@ -252,10 +250,10 @@ def kind_circle_profile(p: dict) -> list[str]:
 
 
 def kind_circle_iterate(p: dict) -> list[str]:
-    out = ensure_out(p)
+    out, start = ensure_out(p), start_profile(p)
 
     def make(scale: float) -> circle.TorusGridFn:  # Lambda, then the seed's noise added in place
-        lam = circle.from_profile(default_profile(p), p["N"], p["k"])[1]
+        lam = circle.from_profile(start, p["N"])[1]
         noise = presets.smooth_torus_field(presets.UniformStream(p["seed"]), p["N"])
         noise[0, :] = 0.0  # keep the unit row exact
         np.add(lam.values, np.multiply(noise, scale, out=noise), out=lam.values)
@@ -273,7 +271,7 @@ def kind_circle_iterate(p: dict) -> list[str]:
     # iterate_circle holds its only reference and frees it once it is averaged.
     trace = circle.iterate_circle(gated.pop(0), tol_c=p["tol_c"], max_iter=p["max_iter"],
                                   order=0, row0=row0)
-    extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": p["k"],
+    extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": start.twist,
              "perturb": scale}
     if trace.verdict.kind == "Converged":
         prof = circle.limit_profile(trace.final)

@@ -35,8 +35,9 @@ class DegenerateMetric(ValueError):
 
 
 class NonInvertible(ValueError):
-    """An averaging step met a value singular past the conditioning limit at ``arrow``: a finite
-    arrow id, or a circle grid node's (see :class:`circle.NonInvertibleNode`)."""
+    """An averaging step met a value singular past the conditioning limit, or a finite mean that
+    overflowed, at ``arrow``: a finite arrow id, or a circle grid node's (see
+    :class:`circle.NonInvertibleNode`)."""
 
     def __init__(self, arrow: int, message: str | None = None):
         self.arrow = arrow
@@ -452,13 +453,9 @@ def invert_arrow(rep: PseudoRep, g: int) -> np.ndarray:
     return _gated_inverse(rep.maps[g][None], np.array([g]))[0]
 
 
-def cocycle(lam_g: np.ndarray, lam_h_inv: np.ndarray, lam_q: np.ndarray) -> np.ndarray:
-    """Delta(g, h) = lambda_g lambda_h^(-1) - lambda_{g h^(-1)}, on single or stacked maps."""
-    return lam_g @ lam_h_inv - lam_q
-
-
 def cocycles(st: Stacks, inv: Stacks, T: CompositionTables) -> Stacks:
-    """Delta at every divisible triple (gk, k, gk k^(-1)), indexed like the averaging triples.
+    """Delta(gk, k) = lambda_{gk} lambda_k^(-1) - lambda_{gk k^(-1)} at every divisible triple
+    (gk, k, gk k^(-1)), indexed like the averaging triples.
 
     Delta at triple t maps the fiber over src(g) to the fiber over tgt(g),
     g = ``T.avg_g[t]``.
@@ -466,7 +463,7 @@ def cocycles(st: Stacks, inv: Stacks, T: CompositionTables) -> Stacks:
     D = st.empty_like(st.group[T.avg_g])
     for g, _ in blocks(st.group, T.row_len):
         for t in T.row_start[g] + np.arange(T.row_len[g[0]])[:, None]:
-            D.put(t, cocycle(st.take(T.avg_gk[t]), inv.take(T.avg_k[t]), st.take(T.div_q[t])))
+            D.put(t, st.take(T.avg_gk[t]) @ inv.take(T.avg_k[t]) - st.take(T.div_q[t]))
     return D
 
 

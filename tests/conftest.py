@@ -7,7 +7,7 @@ from groupavg.circle import ProfileOutOfRange, TorusGridFn, _defect_sups, _read_
 from groupavg.groupoid import FiniteGroupoid, action_groupoid
 from groupavg.haar import HaarSystem, counting_haar
 from groupavg import presets
-from groupavg.psrep import FiberBundle, PseudoRep, c_norm, cocycle, invert_arrow, metric_norms
+from groupavg.psrep import FiberBundle, PseudoRep, c_norm, cocycles, invert_stacks, metric_norms
 
 
 @pytest.fixture
@@ -98,15 +98,18 @@ def operator_norm(
 
 
 def delta_cocycle(rep: PseudoRep, g: int, h: int) -> np.ndarray:
-    """Difference cocycle on the divisible pair (g, h): lambda_g lambda_h^(-1) - lambda_{gh^(-1)}.
+    """Difference cocycle on the divisible pair (g, h): lambda_g lambda_h^(-1) - lambda_{gh^(-1)},
+    read from the stacked kernel :func:`cocycles` at the slot ``row_start[g h^(-1)] + fiber_pos[h]``
+    of its averaging triple (g h^(-1), h).
 
     Returns the matrix of a map fiber(tgt h) -> fiber(tgt g).
     """
-    G = rep.groupoid
+    G, T = rep.groupoid, rep.groupoid.tables
     if G.src[g] != G.src[h]:
         raise ValueError(f"({g},{h}) is not a divisible pair: sources differ")
-    q = G.mul(g, G.inverse[h])
-    return cocycle(rep.maps[g], invert_arrow(rep, h), rep.maps[q])
+    st = rep.stacks()
+    slot = T.row_start[G.mul(g, G.inverse[h])] + T.fiber_pos[h]
+    return cocycles(st, invert_stacks(st), T).take(np.array([slot]))[0]
 
 
 class NotInvariant(ValueError):

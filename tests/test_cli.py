@@ -374,7 +374,7 @@ def test_circle_iterate_builds_each_candidate_from_the_seed(tmp_path, monkeypatc
     assert len(scales) >= 3
     noise = presets.smooth_torus_field(np.random.default_rng(seed), N)
     noise[0] = 0.0
-    exact = circle.from_profile(cli.default_profile({"k": 2}), N, 2)[1].values
+    exact = circle.from_profile(cli.start_profile({"k": 2, "N": N}), N)[1].values
     for scale in scales[:3]:
         assert np.array_equal(makers[0](scale).values, exact + scale * noise), scale
 
@@ -416,6 +416,23 @@ def test_circle_profile_from_file(tmp_path):
         run_ok(["run", "circle_profile", "--profile", str(prof_path), "--N", "32",
                 "--out", str(out)])
         assert json.loads((out / "residuals.json").read_text())["k"] == k
+
+
+def test_circle_iterate_starts_from_the_profile_file(tmp_path):
+    # the gate candidates are the file's closed form plus the seed's noise, and verdict.json
+    # records the file's twist, not --k's
+    prof = CircleProfile.from_function(lambda t: 0.05 * np.sin(6 * np.pi * t), 48, 3)
+    prof_path = str(tmp_path / "profile3.csv")
+    save_profile_csv(prof, prof_path)
+    out, exact = tmp_path / "out", tmp_path / "exact"
+    run_ok(["run", "circle_iterate", "--profile", prof_path, "--N", "32", "--out", str(out)])
+    assert json.loads((out / "verdict.json").read_text())["k"] == 3
+    assert (out / "limit_profile.csv").read_text().splitlines()[0] == "32,3"
+    run_ok(["run", "circle_iterate", "--profile", prof_path, "--N", "32", "--perturb", "0",
+            "--out", str(exact)])
+    assert_converged_at_zero(exact)
+    save_profile_csv(circle.limit_profile(circle.from_profile(prof, 32)[1]), str(tmp_path / "limit.csv"))
+    assert (exact / "limit_profile.csv").read_bytes() == (tmp_path / "limit.csv").read_bytes()
 
 
 def test_circle_profile_rejects_nonperiodic(tmp_path, capsys):
@@ -609,6 +626,33 @@ def test_finite_iterate_exact_rep_from_files(tmp_path, rng):
     run_ok(["run", "--config", cfg, "--out", str(out)])
     assert_converged_at_zero(out)
     assert json.loads((out / "verdict.json").read_text())["perturb"] is None
+
+
+def test_finite_iterate_names_an_overflowing_step(tmp_path, capsys):
+    # every entry is finite and the units are exact, but the non-unit arrows at 1e-200 and
+    # 1e200 make the first averaged map overflow: the step fails there, not the input
+    G, rep = presets.s3_example_rep(np.random.default_rng(0))
+    for g in set(range(G.n_arrows)) - set(G.unit):
+        rep.maps[g] = rep.maps[g] * (1e-200 if g % 2 else 1e200)
+    cfg, _ = write_finite_inputs(tmp_path, rep, counting_haar(G))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "verdict NonInvertibleAt at iteration 0" in capsys.readouterr().err
+    doc = json.loads((out / "verdict.json").read_text())
+    assert doc["verdict"] == {"kind": "NonInvertibleAt", "iteration": 0, "arrow": 6}
+    assert len((out / "trace.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("files", [("haar", "bundle", "psrep"), ("haar",)])
+def test_finite_input_files_need_a_groupoid(tmp_path, rng, capsys, files):
+    G, rep = presets.s3_example_rep(rng)
+    _, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
+    cfg = tmp_path / "no_groupoid.json"
+    cfg.write_text(json.dumps({"kind": "finite_iterate", **{f: paths[f] for f in files}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "requires a groupoid file" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_bounds_check_kind_still_needs_two_rows(tmp_path, capsys):
@@ -1017,7 +1061,7 @@ def test_bundle_dim_must_be_a_count(tmp_path, capsys, rng, dim):
 def test_ungated_overflowing_perturbation_diverges(tmp_path):
     # the circle kinds always gate, so the library takes the field: b0 = 5e199, b0**2
     # overflows a Python float, and the defects are inf
-    lam = circle.from_profile(cli.default_profile({"k": 2}), 16, 2)[1]
+    lam = circle.from_profile(cli.start_profile({"k": 2, "N": 16}), 16)[1]
     noise = presets.smooth_torus_field(presets.UniformStream(0), 16)
     noise[0] = 0.0
     lam.values += 1e200 * noise

@@ -842,11 +842,11 @@ def test_worker_exception_and_errstate_reach_the_caller(monkeypatch):
         return lo
 
     with pytest.raises(KeyError, match="block 4:8"):
-        circle._on_blocks(8, fail_late)
-    assert circle._on_blocks(8, lambda lo, hi: (lo, hi)) == [(0, 4), (4, 8)]
+        circle._on_blocks(8, fail_late, tuple)
+    assert circle._on_blocks(8, lambda lo, hi: (lo, hi), tuple) == [(0, 4), (4, 8)]
     big = np.full(8, 1e300)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        circle._on_blocks(8, lambda lo, hi: big[lo:hi] * big[lo:hi] if lo else None)
+        circle._on_blocks(8, lambda lo, hi: big[lo:hi] * big[lo:hi] if lo else None, tuple)
 
 
 def test_blocks_are_sized_to_the_grid(monkeypatch):
@@ -859,8 +859,17 @@ def test_blocks_are_sized_to_the_grid(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(threading, "Thread", None)  # any thread start raises
-        assert circle._on_blocks(256, where) == [(0, 256, True)]
-    assert circle._on_blocks(512, where) == [(0, 256, True), (256, 512, False)]
+        assert circle._on_blocks(256, where, tuple) == [(0, 256, True)]
+    assert circle._on_blocks(512, where, tuple) == [(0, 256, True), (256, 512, False)]
+    # each block's scratch is built on the caller before any block runs, and is that block's alone
+    built = []
+
+    def scratch():
+        built.append(threading.get_ident())
+        return (len(built),)
+
+    assert circle._on_blocks(512, lambda lo, hi, n: (lo, n, len(built)), scratch) == [(0, 1, 2), (256, 2, 2)]
+    assert built == [caller, caller]
 
 
 @pytest.mark.parametrize("b0, c0", [(1.0, 1.0 / 9.0), (1.3, 0.01), (2.0, 1e-4)])
