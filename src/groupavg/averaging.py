@@ -310,22 +310,25 @@ def drive(lam: Any, step, gauges, tol_c: float, max_iter: int) -> IterationTrace
                           b0=b0, c0=c0, envelope_valid=b0 >= 1.0 and gate)
 
 
-def iterate(rep: PseudoRep, nu: HaarSystem, tol_c: float = 1e-12,
-            max_iter: int = 64) -> IterationTrace:
+def iterate(rep: PseudoRep, nu: HaarSystem, tol_c: float = 1e-12, max_iter: int = 64,
+            by_orbit: tuple[list[float], list[float]] | None = None) -> IterationTrace:
     """Repeated averaging with per-step (b, c, unit defect) rows; see :func:`drive`.
 
-    The gate fields hold the per-orbit gate of the input, which also gives row 0.  A failed
-    gate is metadata only: the iteration proceeds, since the gate is sufficient for the
-    guarantee, not necessary for convergence.
+    The gate fields hold the per-orbit gate of the input, which also gives row 0: from
+    ``by_orbit``, the input's (b, c) lists by orbit, when the caller's gate pass has them.  A
+    failed gate is metadata only: the iteration proceeds, since the gate is sufficient for the
+    guarantee, not necessary for convergence.  Gauges and steps that overflow write inf or NaN
+    to the trace, or fail the step, without a warning.
     """
-    gate = is_nearly_multiplicative(rep)
+    gate = is_nearly_multiplicative(rep, by_orbit)
     row0 = max([r.b for r in gate.rows], default=0.0), max([r.c for r in gate.rows], default=0.0)
 
     def gauges(lam: PseudoRep):
         b, c = row0 if lam is rep else (b_norm(lam), c_norm(lam))
         return b, c, lam.unit_defect(), {}
 
-    trace = drive(rep, lambda lam: average(lam, nu), gauges, tol_c, max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = drive(rep, lambda lam: average(lam, nu), gauges, tol_c, max_iter)
     trace.gate_ok, trace.gate_failed_orbits = gate.ok, gate.failed_orbits()
     return trace
 

@@ -178,21 +178,22 @@ def kind_finite_iterate(p: dict) -> list[str]:
     out = ensure_out(p)
     if p.keys() & {"groupoid", "haar", "psrep", "bundle"}:
         G, nu, lam0 = load_finite_inputs(p)
-        scale = None  # the input files' pseudo-representation is not perturbed
+        scale = by_orbit = None  # the input files' pseudo-representation is not perturbed
     else:
-        rng = np.random.default_rng(p["seed"])
+        rng = presets.UniformStream(p["seed"])
         G, rep = presets.s3_example_rep(rng)
         nu = counting_haar(G)
-        lam0, scale = presets.gated_perturbation(rep, rng, p["perturb"])
+        lam0, scale, by_orbit = presets.gated_start(rep, rng, p["perturb"])
         log(f"perturbation amplitude after gate rescale: {scale!r}")
-    trace = averaging.iterate(lam0, nu, tol_c=p["tol_c"], max_iter=p["max_iter"])
+    trace = averaging.iterate(lam0, nu, tol_c=p["tol_c"], max_iter=p["max_iter"],
+                              by_orbit=by_orbit)
     return finish_iterate(trace, out, {"kind": "finite_iterate", "seed": p["seed"],
                                        "perturb": scale})
 
 
 def kind_finite_identities(p: dict) -> list[str]:
     out = ensure_out(p)
-    rng = np.random.default_rng(p["seed"])
+    rng = presets.UniformStream(p["seed"])
     count = p.get("count", KIND_COUNTS["finite_identities"])
     G = action_groupoid(presets.s3_action())
     nu = counting_haar(G)
@@ -261,16 +262,16 @@ def kind_circle_iterate(p: dict) -> list[str]:
 
     gated = list(presets.rescale_to_gate(
         make,
-        lambda L: (float(np.abs(L.values).max()), circle.multiplicativity_residual(L)[0]),
+        lambda L: ([float(np.abs(L.values).max())], [circle.multiplicativity_residual(L)[0]]),
         p["perturb"],
     ))
     log(f"perturbation amplitude after gate rescale: {gated[1]!r}")
-    scale, row0 = gated[1:]
+    scale, ((b0,), (c0,)) = gated[1:]  # the grid is one orbit
     # the artifacts hold c, not the seminorms: one order-0 pass per row, and none for
     # row 0, whose (b, c) the gate pass gave.  The gated field is popped, so that
     # iterate_circle holds its only reference and frees it once it is averaged.
     trace = circle.iterate_circle(gated.pop(0), tol_c=p["tol_c"], max_iter=p["max_iter"],
-                                  order=0, row0=row0)
+                                  order=0, row0=(b0, c0))
     extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": start.twist,
              "perturb": scale}
     if trace.verdict.kind == "Converged":

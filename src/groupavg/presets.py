@@ -1,9 +1,9 @@
 """Bundled example groupoids, representations and seeded random generators.
 
-Everything here is deterministic given its seeded generator: a numpy Generator, or for the
-circle kinds, which draw only uniforms, a :class:`UniformStream` that equals
-``np.random.default_rng(seed).uniform`` bit for bit without importing numpy.random.  So the CLI
-can promise byte-identical artifacts for a fixed config and seed, on any number of CPUs.
+Everything here is deterministic given its seeded generator, which need only draw uniforms:
+:class:`UniformStream`, which equals ``np.random.default_rng(seed).uniform`` bit for bit without
+importing numpy.random, or a numpy Generator.  Normals are built from uniforms by Box-Muller.  So
+the CLI can promise byte-identical artifacts for a fixed config and seed, on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, symmetric_group, cyclic_group
 from .bounds import gate_holds
-from .psrep import FiberBundle, PseudoRep, PseudoRepBatch, b_norm, c_norm
+from .psrep import FiberBundle, PseudoRep, PseudoRepBatch, b_by_orbit, c_by_orbit
 
 # the gate-rescale loop accepts a candidate a tenth inside the gate
 RESCALE_SAFETY = 0.9
@@ -40,31 +40,36 @@ def _signed_q(a: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish random orthogonal matrix with a deterministic sign convention."""
-    return _signed_q(rng.standard_normal((n, n)))
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms in [0, 1), one per uniform, by Box-Muller on consecutive
+    pairs of the last axis: (u, v) gives r cos(2 pi v), r sin(2 pi v), r = sqrt(-2 log(1 - u))."""
+    r, t = np.sqrt(-2.0 * np.log1p(-u[..., 0::2])), 2.0 * np.pi * u[..., 1::2]
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(u.shape)
 
 
-def conditioned(
-    rng: np.random.Generator, n: int, smin: float, smax: float, batch: int | None = None
-) -> np.ndarray:
+def orthogonal(rng: UniformStream, n: int) -> np.ndarray:
+    """Haar-ish random orthogonal matrix with a deterministic sign convention, from the normals
+    of n^2 uniforms (one more when n^2 is odd)."""
+    k = n * n
+    return _signed_q(_box_muller(rng.uniform(0.0, 1.0, size=(k + k % 2,)))[:k].reshape(n, n))
+
+
+def conditioned(rng: UniformStream, n: int, smin: float, smax: float,
+                batch: int | None = None) -> np.ndarray:
     """Random n x n matrix with singular values uniform in [smin, smax].
 
-    With ``batch``, a stack of that many, equal to as many single draws in turn:
-    each matrix draws its singular values, then its two orthogonal factors, and
-    one stacked QR factors them all.
+    Each matrix draws n + 2 n^2 uniforms: its singular values smin + (smax - smin) u, then the
+    normals of its two orthogonal factors.  With ``batch``, a stack of that many, equal to as
+    many single draws in turn: one (batch, n + 2 n^2) draw, and one stacked QR factors them all.
     """
     S = 1 if batch is None else batch
-    s, a = np.empty((S, n)), np.empty((S, 2, n, n))
-    for i in range(S):
-        s[i] = rng.uniform(smin, smax, size=n)
-        rng.standard_normal(out=a[i])
-    q = _signed_q(a)
-    out = (q[:, 0] * s[:, None, :]) @ q[:, 1]
+    u = rng.uniform(0.0, 1.0, size=(S, n + 2 * n * n))
+    q = _signed_q(_box_muller(u[:, n:]).reshape(S, 2, n, n))
+    out = (q[:, 0] * (smin + (smax - smin) * u[:, None, :n])) @ q[:, 1]
     return out if batch is not None else out[0]
 
 
-def random_spd(rng: np.random.Generator, n: int, emin: float = 0.5, emax: float = 2.0) -> np.ndarray:
+def random_spd(rng: UniformStream, n: int, emin: float = 0.5, emax: float = 2.0) -> np.ndarray:
     q = orthogonal(rng, n)
     return (q * rng.uniform(emin, emax, size=n)) @ q.T
 
@@ -95,7 +100,7 @@ def action_representation(
     return PseudoRep(AG, bundle, maps)
 
 
-def s3_example_rep(rng: np.random.Generator) -> tuple[FiniteGroupoid, PseudoRep]:
+def s3_example_rep(rng: UniformStream) -> tuple[FiniteGroupoid, PseudoRep]:
     """Rank-2 genuine representation of the S3 action groupoid, random frames."""
     act = s3_action()
     AG = action_groupoid(act)
@@ -104,7 +109,7 @@ def s3_example_rep(rng: np.random.Generator) -> tuple[FiniteGroupoid, PseudoRep]
     return AG, action_representation(act, AG, rho, frames)
 
 
-def z2_example_rep(rng: np.random.Generator, dim: int = 2) -> tuple[FiniteGroupoid, PseudoRep]:
+def z2_example_rep(rng: UniformStream, dim: int = 2) -> tuple[FiniteGroupoid, PseudoRep]:
     """Genuine rank-``dim`` representation of the two-orbit Z/2 action groupoid."""
     act = z2_swap_action()
     AG = action_groupoid(act)
@@ -114,7 +119,7 @@ def z2_example_rep(rng: np.random.Generator, dim: int = 2) -> tuple[FiniteGroupo
 
 
 def random_pseudorep(
-    G: FiniteGroupoid, rng: np.random.Generator, dim: int = 2, metrics: bool = False,
+    G: FiniteGroupoid, rng: UniformStream, dim: int = 2, metrics: bool = False,
     count: int | None = None,
 ) -> PseudoRep | PseudoRepBatch:
     """Invertible pseudo-representation: every arrow an independent conditioned matrix with
@@ -132,7 +137,7 @@ def random_pseudorep(
     return PseudoRepBatch(G, bundle, maps.reshape(count, G.n_arrows, dim, dim))
 
 
-def perturb_rep(rep: PseudoRep, rng: np.random.Generator, delta: float) -> PseudoRep:
+def perturb_rep(rep: PseudoRep, rng: UniformStream, delta: float) -> PseudoRep:
     """Entrywise uniform [-delta, delta] noise off the unit arrows, which stay exact
     (their noise is drawn and dropped)."""
     out = rep.copy()
@@ -145,8 +150,9 @@ def perturb_rep(rep: PseudoRep, rng: np.random.Generator, delta: float) -> Pseud
 
 
 def rescale_to_gate(make, gauges, delta: float):
-    """The first of make(delta), make(0.7 delta), ... whose gauges (b, c) pass the gate
-    c <= 0.9 (1/9) b^(-2), with the amplitude used and those gauges.
+    """The first of make(delta), make(0.7 delta), ... whose gauges pass the gate
+    c <= 0.9 (1/9) b^(-2), with the amplitude used and those gauges: ``gauges(cand)`` gives
+    (b, c) by orbit, as two lists, and the gate reads their maxima.
 
     A candidate whose gauges overflow fails the gate.  Raises ValueError naming ``delta`` when
     none of the first 200 amplitudes passes."""
@@ -155,7 +161,7 @@ def rescale_to_gate(make, gauges, delta: float):
         cand = make(scale)
         with np.errstate(over="ignore", invalid="ignore"):
             bc = gauges(cand)
-            ok = gate_holds(*bc, RESCALE_SAFETY)
+            ok = gate_holds(max(bc[0]), max(bc[1]), RESCALE_SAFETY)
         if ok:
             return cand, scale, bc
         del cand  # a rejected candidate dies before the next is built
@@ -163,12 +169,14 @@ def rescale_to_gate(make, gauges, delta: float):
     raise ValueError(f"perturbation amplitude {delta!r} does not pass the gate in 200 rescales")
 
 
-def gated_perturbation(rep0: PseudoRep, rng: np.random.Generator, delta: float) -> tuple[PseudoRep, float]:
+def gated_start(rep0: PseudoRep, rng: UniformStream,
+                delta: float) -> tuple[PseudoRep, float, tuple[list[float], list[float]]]:
     """Perturb a representation and rescale the noise to the global gate.
 
     The global gate c <= (1/9) b^(-2) implies the per-orbit gate (orbit values are dominated by
     the global ones), and makes the doubly exponential envelope at (b0, c0) a theorem for the
-    whole trace.  Returns the gated pseudo-representation and the noise amplitude used."""
+    whole trace.  Returns the gated pseudo-representation, the noise amplitude used, and its
+    b and c by orbit, which :func:`averaging.iterate` takes as ``by_orbit``."""
     noise = perturb_rep(rep0, rng, 1.0)
     diff = [noise.maps[g] - rep0.maps[g] for g in rep0.groupoid.arrows()]
 
@@ -178,7 +186,12 @@ def gated_perturbation(rep0: PseudoRep, rng: np.random.Generator, delta: float) 
             cand.maps[g] = cand.maps[g] + scale * diff[g]
         return cand
 
-    return rescale_to_gate(make, lambda cand: (b_norm(cand), c_norm(cand)), delta)[:2]
+    return rescale_to_gate(make, lambda cand: (b_by_orbit(cand), c_by_orbit(cand)), delta)
+
+
+def gated_perturbation(rep0: PseudoRep, rng: UniformStream, delta: float) -> tuple[PseudoRep, float]:
+    """:func:`gated_start` without the gauges: the gated pseudo-representation and its amplitude."""
+    return gated_start(rep0, rng, delta)[:2]
 
 
 # bit masks and the PCG64 multiplier (O'Neill, HMC-CS-2014-0905); the hex constants in _pcg64_seed
@@ -228,12 +241,20 @@ def _pcg64_seed(seed: int) -> tuple[int, int]:
     return (((w64[0] << 64 | w64[1]) + inc) * _PCG_MULT + inc) & _M128, inc
 
 
+# draws of at least this many values step the state vectorized: below it, the Python-integer
+# step was faster (they took equal time at about 200-400 values on 2 vCPUs)
+_VECTOR_CUT = 256
+
+
 class UniformStream:
-    """``np.random.default_rng(seed).uniform(low, high[, size])`` bit for bit, in Python integers:
-    a PCG64 seeded as numpy seeds it, stepped before each XSL-RR output x, and
-    ``low + (high - low) * (x >> 11) 2^-53`` per draw, in C order for a shape ``size``.  A run
-    that draws only uniforms from it never imports numpy.random, which loads OpenSSL through
-    ``secrets``."""
+    """``np.random.default_rng(seed).uniform(low, high[, size])`` bit for bit: a PCG64 seeded as
+    numpy seeds it, stepped before each XSL-RR output x, and ``low + (high - low) * (x >> 11)
+    2^-53`` per draw, in C order for a shape ``size``.  A run that draws only from it never
+    imports numpy.random, which loads OpenSSL through ``secrets``.
+
+    The state is one Python integer.  Draws of fewer than ``_VECTOR_CUT`` values step it in
+    Python integers; longer ones take the states by doubling, as uint64 (hi, lo) pairs: with
+    S[0] the next state and (A_m, C_m) the affine map of m steps, S[m:2m] = A_m S[0:m] + C_m."""
 
     def __init__(self, seed: int):
         self._state, self._inc = _pcg64_seed(seed)
@@ -243,14 +264,35 @@ class UniformStream:
         x, rot = ((s >> 64) ^ s) & _M64, s >> 122
         return ((((x >> rot) | (x << (64 - rot))) & _M64) >> 11) * 2.0**-53
 
+    def _units(self, n: int) -> np.ndarray:
+        hi, lo = np.empty(n, np.uint64), np.empty(n, np.uint64)
+        s = (self._state * _PCG_MULT + self._inc) & _M128
+        hi[0], lo[0] = s >> 64, s & _M64
+        A, C, m = _PCG_MULT, self._inc, 1
+        while m < n:  # S[m:m+k] = A S[:k] + C, the low halves' product from 32-bit pieces
+            k = min(m, n - m)
+            s_hi, s_lo = hi[:k], lo[:k]
+            l0, l1, a0, a1 = s_lo & _M32, s_lo >> 32, A & _M32, (A >> 32) & _M32
+            p00, p01, p10 = l0 * a0, l1 * a0, l0 * a1
+            mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+            low = (p00 & _M32) | (mid << 32)
+            lo[m:m + k] = low + (C & _M64)
+            hi[m:m + k] = (l1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + s_lo * (A >> 64)
+                           + s_hi * (A & _M64) + (C >> 64) + (lo[m:m + k] < low))
+            A, C, m = A * A & _M128, (A * C + C) & _M128, 2 * m
+        self._state = int(hi[-1]) << 64 | int(lo[-1])
+        x, rot = hi ^ lo, hi >> 58
+        return ((x >> rot | x << (-rot & 63)) >> 11) * 2.0**-53
+
     def uniform(self, low: float, high: float, size: tuple[int, ...] | None = None):
         if size is None:
             return low + (high - low) * self._unit()
-        draws = [low + (high - low) * self._unit() for _ in range(math.prod(size))]
-        return np.array(draws).reshape(size)
+        n = math.prod(size)
+        u = self._units(n) if n >= _VECTOR_CUT else np.array([self._unit() for _ in range(n)])
+        return (low + (high - low) * u).reshape(size)
 
 
-def smooth_torus_field(rng: np.random.Generator | UniformStream, N: int) -> np.ndarray:
+def smooth_torus_field(rng: UniformStream, N: int) -> np.ndarray:
     """Random trigonometric polynomial of degree <= 3 on the N x N torus, over 16: the constant,
     then a cos and a sin coefficient for each mode (m, n) in row order, uniform in [-1, 1], drawn
     first.  By angle addition, with C[m] = cos(m t), S[m] = sin(m t) and t = 2 pi l / N, mode (m, n)

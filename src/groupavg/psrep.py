@@ -488,16 +488,21 @@ class GateReport:
         return [r.objects for r in self.rows if not r.ok]
 
 
-def is_nearly_multiplicative(rep: PseudoRep) -> GateReport:
-    """Per-orbit gate c <= (1/9) b^(-2), using the bundle's stored metrics.
+def is_nearly_multiplicative(rep: PseudoRep,
+                             by_orbit: tuple[list[float], list[float]] | None = None) -> GateReport:
+    """Per-orbit gate c <= (1/9) b^(-2), using the bundle's stored metrics; ``by_orbit`` is the
+    (b, c) lists of :func:`b_by_orbit` and :func:`c_by_orbit` when the caller has them.
 
     The caller must pass a unital pseudo-representation.  No search over
     alternative metrics is attempted: a failing report under the stored metric
-    does not preclude the gate holding under some other metric.
+    does not preclude the gate holding under some other metric.  Gauges that
+    overflow read inf or NaN and fail the gate, without a warning.
     """
-    if not rep.unit_defect() <= 1e-8:
-        raise ValueError("gate check requires a unital pseudo-representation")
-    return GateReport([
-        OrbitGateRow(orbit, b, c, GATE_COEFF / square(b) if b > 0 else np.inf, gate_holds(b, c))
-        for orbit, b, c in zip(rep.groupoid.orbits(), b_by_orbit(rep), c_by_orbit(rep))
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not rep.unit_defect() <= 1e-8:
+            raise ValueError("gate check requires a unital pseudo-representation")
+        bs, cs = by_orbit or (b_by_orbit(rep), c_by_orbit(rep))
+        return GateReport([
+            OrbitGateRow(orbit, b, c, GATE_COEFF / square(b) if b > 0 else np.inf, gate_holds(b, c))
+            for orbit, b, c in zip(rep.groupoid.orbits(), bs, cs)
+        ])

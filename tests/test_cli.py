@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import load_grid_csv
-from groupavg import averaging, bounds, circle, cli
+from groupavg import averaging, bounds, circle, cli, psrep
 from groupavg.circle import CircleProfile, save_profile_csv
 from groupavg.cli import main
 from groupavg.groupoid import action_groupoid, cyclic_group, pair_groupoid
@@ -277,6 +277,30 @@ def test_finite_iterate_records_the_rescaled_perturbation(tmp_path, capsys):
     assert json.loads((out / "verdict.json").read_text())["perturb"] == float(used) < 0.2
 
 
+def test_finite_iterate_gauges_its_gated_start_once(tmp_path, monkeypatch):
+    # the gate pass's gauges by orbit give row 0 and the gate fields: the accepted candidate is
+    # gauged once, as each rejected one is, and iterate gauges only the later rows
+    calls, iterate = [], averaging.iterate
+    for module in (psrep, presets):
+        for name in ("b_by_orbit", "c_by_orbit"):
+            def counted(lam, fn=getattr(module, name), name=name):
+                calls.append((name, lam))
+                return fn(lam)
+
+            monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(averaging, "iterate",
+                        lambda rep, *a, **kw: calls.append(("iterate", rep)) or iterate(rep, *a, **kw))
+    out = tmp_path / "out"
+    run_ok(["run", "finite_iterate", "--seed", "1", "--perturb", "0.2", "--out", str(out)])
+    rows = len((out / "trace.csv").read_text().splitlines()) - 1
+    i = [name for name, _ in calls].index("iterate")
+    gate, start, steps = calls[:i], calls[i][1], calls[i + 1:]
+    assert len(gate) >= 4  # the 0.2 amplitude was rescaled
+    assert [name for name, _ in gate] == ["b_by_orbit", "c_by_orbit"] * (len(gate) // 2)
+    assert gate[-1][1] is start and gate[-2][1] is start
+    assert len(steps) == 2 * (rows - 1) and all(lam is not start for _, lam in steps)
+
+
 def test_finite_identities_count(tmp_path):
     out = tmp_path / "out"
     run_ok(["run", "finite_identities", "--seed", "1", "--count", "5", "--out", str(out)])
@@ -301,7 +325,7 @@ def test_finite_identities_runs_equal_single_samples(tmp_path):
     and checked one at a time; 40 samples cross the end of the first 37-sample run."""
     out = tmp_path / "out"
     run_ok(["run", "finite_identities", "--seed", "3", "--count", "40", "--out", str(out)])
-    rng = np.random.default_rng(3)
+    rng = presets.UniformStream(3)
     G = action_groupoid(presets.s3_action())
     nu = counting_haar(G)
     assert averaging.identity_run(G) == 37
@@ -605,6 +629,12 @@ def write_finite_inputs(tmp_path, rep, nu):
     return str(cfg), paths
 
 
+def cli_env(*extra: str | None) -> dict:
+    """This environment with groupavg's source, then ``extra``, first on PYTHONPATH."""
+    path = [str(Path(cli.__file__).parents[1]), *extra, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def assert_converged_at_zero(out):
     doc = json.loads((out / "verdict.json").read_text())
     assert doc["verdict"] == {"kind": "Converged", "iteration": 0, "arrow": None}
@@ -636,12 +666,19 @@ def test_finite_iterate_names_an_overflowing_step(tmp_path, capsys):
         rep.maps[g] = rep.maps[g] * (1e-200 if g % 2 else 1e200)
     cfg, _ = write_finite_inputs(tmp_path, rep, counting_haar(G))
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the run ignores its own overflows, so none reaches the caller's error state
+    with np.errstate(over="raise", invalid="raise"):
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     assert "verdict NonInvertibleAt at iteration 0" in capsys.readouterr().err
     doc = json.loads((out / "verdict.json").read_text())
     assert doc["verdict"] == {"kind": "NonInvertibleAt", "iteration": 0, "arrow": 6}
     assert len((out / "trace.csv").read_text().splitlines()) == 2
+    # and a fresh interpreter's stderr holds the named failure only, no numpy RuntimeWarning
+    done = subprocess.run([sys.executable, "-m", "groupavg.cli", "run", "--config", cfg,
+                           "--out", str(tmp_path / "fresh")], env=cli_env(), capture_output=True,
+                          text=True)
+    assert done.returncode == 1
+    assert done.stderr and all(line.startswith("[groupavg]") for line in done.stderr.splitlines())
 
 
 @pytest.mark.parametrize("files", [("haar", "bundle", "psrep"), ("haar",)])
@@ -877,10 +914,9 @@ def modules_after_cli_import(*names: str, then: str = "", no_site: bool = False)
     """Those of ``names`` that a fresh interpreter holds once it has imported groupavg.cli
     and run the statements ``then``.  With ``no_site`` it starts with -S, so that no .pth
     file of site-packages imports anything first, and finds numpy through PYTHONPATH."""
-    path = [str(Path(cli.__file__).parents[1]), str(Path(np.__file__).parents[1]) if no_site else None]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [*path, os.environ.get("PYTHONPATH")]))}
     code = f"import sys, groupavg.cli\n{then}\nprint([m for m in {names!r} if m in sys.modules])"
-    done = subprocess.run([sys.executable, *(["-S"] if no_site else []), "-c", code], env=env,
+    done = subprocess.run([sys.executable, *(["-S"] if no_site else []), "-c", code],
+                          env=cli_env(str(Path(np.__file__).parents[1]) if no_site else None),
                           capture_output=True, text=True, check=True)
     return done.stdout.splitlines()[-1]
 
@@ -900,18 +936,22 @@ def test_import_leaves_importlib_resources_out():
     assert modules_after_cli_import("importlib.resources", "zipfile", "tempfile", no_site=True) == "[]"
 
 
-def test_circle_kinds_leave_numpy_random_out(tmp_path, rng):
-    # the circle kinds draw only uniforms, from presets.UniformStream, and a finite run from
-    # files, validate and bounds-check draw nothing: numpy.random would load OpenSSL through
-    # secrets and hmac, 5.5 MB of a run's peak RSS
+def test_cli_kinds_leave_numpy_random_out(tmp_path, rng):
+    # every kind that draws draws only uniforms, from presets.UniformStream, on both of its
+    # paths (finite_identities' runs are past the vectorized cut, the rest below it), and a
+    # finite run from files, validate and bounds-check draw nothing: numpy.random would load
+    # OpenSSL through secrets and hmac, 5.5 MB of a run's peak RSS
     G, rep = presets.s3_example_rep(rng)
     cfg, paths = write_finite_inputs(tmp_path, presets.gated_perturbation(rep, rng, 1e-3)[0],
                                      counting_haar(G))
-    out = {kind: str(tmp_path / kind) for kind in ("circle", "bundle", "profile", "finite", "check")}
+    kinds = ("circle", "bundle", "profile", "finite", "preset", "identities", "check")
+    out = {kind: str(tmp_path / kind) for kind in kinds}
     runs = [["run", "circle_iterate", "--N", "16", "--out", out["circle"]],
             ["run", "group_bundle", "--N", "16", "--count", "2", "--out", out["bundle"]],
             ["run", "circle_profile", "--N", "16", "--out", out["profile"]],
             ["run", "finite_iterate", "--config", cfg, "--out", out["finite"]],
+            ["run", "finite_iterate", "--seed", "1", "--out", out["preset"]],
+            ["run", "finite_identities", "--count", "40", "--out", out["identities"]],
             ["validate", "--groupoid", paths["groupoid"], "--haar", paths["haar"]],
             ["bounds-check", "--trace", os.path.join(out["finite"], "trace.csv"), "--out", out["check"]]]
     then = "\n".join(f"assert groupavg.cli.main({argv!r}) == 0" for argv in runs)

@@ -26,6 +26,7 @@ seeded uniform stream equals numpy's ``default_rng`` draw for draw.
 import dataclasses
 import itertools
 import json
+import math
 import threading
 from functools import partial
 
@@ -363,14 +364,31 @@ def envelope_ref(b0, c0, n):
     return bs, cs
 
 
-def orthogonal_ref(rng, n):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+def normals_ref(rng, k):
+    """k standard normals from k uniforms, k + 1 for odd k, drawn a pair at a time: Box-Muller
+    takes (u, v) to r cos(2 pi v), r sin(2 pi v) with r = sqrt(-2 log(1 - u))."""
+    z = []
+    for _ in range((k + 1) // 2):
+        u, v = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        r = np.sqrt(-2.0 * np.log1p(-u))
+        z += [r * np.cos(2.0 * np.pi * v), r * np.sin(2.0 * np.pi * v)]
+    return np.array(z[:k])
+
+
+def signed_q_ref(a):
+    q, r = np.linalg.qr(a)
     return q * np.sign(np.diag(r))
 
 
+def orthogonal_ref(rng, n):
+    return signed_q_ref(normals_ref(rng, n * n).reshape(n, n))
+
+
 def conditioned_ref(rng, n, smin, smax):
+    """The per-matrix draw: n singular values, then the normals of both orthogonal factors."""
     s = rng.uniform(smin, smax, size=n)
-    return (orthogonal_ref(rng, n) * s) @ orthogonal_ref(rng, n)
+    z = normals_ref(rng, 2 * n * n).reshape(2, n, n)
+    return (signed_q_ref(z[0]) * s) @ signed_q_ref(z[1])
 
 
 def random_pseudorep_ref(G, rng, dim=2, smin=0.5, smax=1.5, metrics=False):
@@ -487,11 +505,13 @@ def gated_s3(rng):
 
 
 def z2_one_orbit_failing(rng):
+    # the shift puts orbit [2] between its gate and c = 1: on the fixture's seed the gate
+    # fails from about +0.02 and c reaches 1 at about +0.21; +0.1 gives c = 0.44
     G, rep = presets.z2_example_rep(rng)
     lam = rep.copy()
     for g in G.arrows():
         if G.src[g] == 2 and g not in G.unit:
-            lam.maps[g] = lam.maps[g] + 0.3
+            lam.maps[g] = lam.maps[g] + 0.1
     return lam, counting_haar(G), {}
 
 
@@ -796,6 +816,24 @@ def test_uniform_stream_is_default_rng(seed):
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128])
 def test_uniform_stream_is_default_rng_at_word_edges(seed):
     assert_draws_like_default_rng(seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**100), st.lists(st.one_of(
+    st.none(), st.integers(0, 3 * presets._VECTOR_CUT).map(lambda n: (n,)),
+    st.tuples(st.integers(0, 40), st.integers(0, 40))), max_size=8))
+def test_uniform_stream_draws_in_sequence_are_default_rng(seed, sizes):
+    # scalar and shaped draws in turn, on both sides of the cut between the Python-integer
+    # step and the vectorized one, share one state: each equals numpy's, and so do the
+    # draws after a zero-size one, which leaves the state where it was
+    ours, ref = presets.UniformStream(seed), np.random.default_rng(seed)
+    for size in sizes:
+        a, b = ours.uniform(-1.5, 2.0, size), ref.uniform(-1.5, 2.0, size)
+        assert np.array_equal(a, b) and type(a) is type(b) and np.shape(a) == np.shape(b), size
+        if size is not None and not math.prod(size):
+            state = ours._state
+            assert ours.uniform(0.0, 1.0, size).shape == size and ours._state == state
+    assert ours.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
 
 
 def test_uniform_stream_noise_field_and_bounds():
