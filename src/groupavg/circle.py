@@ -159,8 +159,11 @@ def from_profile(profile, N: int, k: int | None = None) -> tuple[TorusGridFn, To
     elif k is not None and k != profile.twist:
         raise ValueError(f"twist mismatch: profile has {profile.twist}, got k={k}")
     k = profile.twist
-    refined = CircleProfile(trig_resample(profile.samples, k * N), k)
-    fine = refined.samples
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        fine = trig_resample(profile.samples, k * N)
+    if not np.isfinite(fine).all():
+        raise ValueError(f"refining the profile's {profile.M} samples to k N = {k * N} overflows")
+    refined = CircleProfile(fine, k)
     if abs(fine[0]) > 1e-12:
         raise ValueError(f"profile must vanish at 0, got f(0) = {fine[0]:.3e}")
     scale = max(1.0, float(np.abs(fine).max()))
@@ -311,8 +314,9 @@ def group_bundle_average(X: TorusGridFn) -> TorusGridFn:
 
 
 def _absmax(D: np.ndarray) -> float:
-    """max |D|, taking |D| in place."""
-    return np.abs(D, out=D).max()
+    """max |D| from D's extremes, without a |D| pass: negation is exact, a NaN stays NaN, and
+    the abs makes a field of signed zeros read +0.0."""
+    return abs(max(D.max(), -D.min()))
 
 
 def _central_absmax(S: np.ndarray, axis: int, D: np.ndarray) -> float:
@@ -330,9 +334,9 @@ def _central_absmax(S: np.ndarray, axis: int, D: np.ndarray) -> float:
 
 def _slice_maxima(S: np.ndarray, order: int, D: np.ndarray, halo) -> list:
     """Unscaled maxima of |S| and, at order 1, of its central differences along S's axes and
-    across the (prev, next) ``halo``, all written into the scratch D.  Each sup is taken before
-    any scaling, so every maximum is exact."""
-    maxima = [np.abs(S, out=D).max()]
+    across the (prev, next) ``halo``, the differences written into the scratch D.  Each sup is
+    taken before any scaling, so every maximum is exact."""
+    maxima = [_absmax(S)]
     if order:
         m = np.maximum(_central_absmax(S, 0, D), _central_absmax(S, 1, D))
         np.subtract(halo[1], halo[0], out=D)
@@ -345,7 +349,7 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
     writes, with ``slice_at = slices()``, in one pass over theta': no N^3 field and no N^2
     allocation per step.  Each :func:`_on_blocks` worker holds a ring of the 2h + 1 slices within
     h = order of theta', whose slots rotate by index, and primes its own halo: at order 0 one
-    slice, which takes |S| in place; at order 1 a (3, N, N) ring and one N^2 scratch.  The sups
+    slice, which is only read; at order 1 a (3, N, N) ring and one N^2 scratch.  The sups
     of the blocks are joined by np.maximum: exact, and a NaN stays NaN."""
     h = order
 

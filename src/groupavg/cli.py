@@ -16,6 +16,7 @@ config and seed (no timestamps, shortest round-trip float formatting).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import operator
@@ -418,6 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if argv is None:  # the program: the import-time heap lives until exit; frozen, exit skips it
+        gc.freeze()
     return args.func(args)
 
 

@@ -228,8 +228,9 @@ def metric_norms(
     of stacked maps: ``M[..., i, :, :]`` maps the fiber over ``src[i]`` to the fiber over
     ``dst[i]``; its norm is the largest singular value of
     ``phi_dst^(1/2) M[i] phi_src^(-1/2)``.  The bundle's factors broadcast over leading
-    sample axes of ``M``.  A map with a non-finite entry, e.g. an overflowed
-    defect, has no finite norm: it reads inf.
+    sample axes of ``M``; when every object of the maps' dimensions has the identity metric,
+    the maps are read as they are.  ``M`` is never written.  A map with a non-finite entry,
+    e.g. an overflowed defect, has no finite norm: it reads inf.
 
     The result has the bits of an SVD of every map: a norm is at most the Frobenius norm,
     so the SVD runs only on the maps whose Frobenius norm reaches the largest norm found
@@ -238,11 +239,15 @@ def metric_norms(
     r, c = M.shape[-2:]
     if r == 0 or c == 0:
         return np.maximum(floor, np.zeros(M.shape[:-2]).max(axis=-1))
-    roots, _, at_dst = bundle.factor_stack(r)
-    _, inv_roots, at_src = bundle.factor_stack(c)
-    X = np.take(roots, at_dst[dst], axis=-3) @ M @ np.take(inv_roots, at_src[src], axis=-3)
+    if all(phi is None for phi, d in zip(bundle.metrics, bundle.dims) if d in (r, c)):
+        X = M  # eye @ M @ eye: M itself, up to the signs of zeros
+    else:
+        roots, _, at_dst = bundle.factor_stack(r)
+        _, inv_roots, at_src = bundle.factor_stack(c)
+        X = np.take(roots, at_dst[dst], axis=-3) @ M @ np.take(inv_roots, at_src[src], axis=-3)
     finite = np.isfinite(X).all(axis=(-2, -1))
-    X[~finite] = 0.0
+    if not finite.all():
+        X = np.where(finite[..., None, None], X, 0.0)
 
     def top_sv(keep):  # the largest singular value of each kept map, inf where not finite
         return np.where(finite[keep], np.linalg.svd(X[keep], compute_uv=False)[..., 0], np.inf)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line driver, in process via main(argv)."""
 
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -470,6 +471,23 @@ def test_circle_profile_rejects_nonperiodic(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 2
     assert "periodic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["circle_profile", "circle_iterate"])
+def test_profile_whose_refinement_overflows_is_named(tmp_path, capsys, kind):
+    # four finite samples whose interpolant at k N = 16 points overflows: the refinement is
+    # named, not a sample the file does not have, and no numpy RuntimeWarning reaches stderr
+    prof_path = str(tmp_path / "profile.csv")
+    save_profile_csv(CircleProfile([0.0, 1e300, -0.0, 5e307], 1), prof_path)
+    argv = ["run", kind, "--profile", prof_path, "--N", "16"]
+    named = "[groupavg] FAIL: invalid input data: refining the profile's 4 samples to k N = 16 overflows"
+    with np.errstate(over="raise", invalid="raise"):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [named]
+    done = subprocess.run([sys.executable, "-m", "groupavg.cli", *argv, "--out", str(tmp_path / "fresh")],
+                          env=cli_env(), capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [named]
 
 
 def test_group_bundle_kind(tmp_path):
@@ -956,6 +974,26 @@ def test_cli_kinds_leave_numpy_random_out(tmp_path, rng):
             ["bounds-check", "--trace", os.path.join(out["finite"], "trace.csv"), "--out", out["check"]]]
     then = "\n".join(f"assert groupavg.cli.main({argv!r}) == 0" for argv in runs)
     assert modules_after_cli_import("numpy.random", "secrets", "_hashlib", then=then) == "[]"
+
+
+# -- the collector: frozen by the program, left alone in process --------------------------
+
+
+def test_program_run_freezes_the_collector(tmp_path):
+    # main() reading the process's own command line is the program: the objects built at
+    # import live until exit, so they are frozen, and exit's collections skip them
+    argv = ["groupavg", "run", "finite_identities", "--count", "3", "--out", str(tmp_path)]
+    code = (f"import gc, sys\nfrom groupavg import cli\nsys.argv = {argv!r}\n"
+            "assert cli.main() == 0\nprint(gc.get_freeze_count())")
+    done = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                          text=True, check=True)
+    assert int(done.stdout.splitlines()[-1]) > 0
+
+
+def test_in_process_main_leaves_the_collector_alone(tmp_path):
+    frozen = gc.get_freeze_count()
+    run_ok(["run", "finite_identities", "--count", "3", "--out", str(tmp_path)])
+    assert gc.get_freeze_count() == frozen
 
 
 # -- flags are checked like config fields --------------------------------------------------

@@ -729,6 +729,29 @@ def test_seminorm_of_column_major_grid_equals_whole_field(r, rng):
     assert np.maximum.accumulate(sups).tolist() == [_fd_sup(defect_field_ref(L), q, 9) for q in range(r + 1)]
 
 
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("grid", [
+    lambda N, rng: np.where(np.arange(N * N).reshape(N, N) == 5 * N + 9, np.nan,
+                            1.0 + 0.1 * rng.standard_normal((N, N))),
+    # (-1)^l on the rows: every product and difference of the cocycle is exact
+    lambda N, rng: np.repeat(np.where(np.arange(N) % 2, -1.0, 1.0)[:, None], N, axis=1),
+    lambda N, rng: np.full((N, N), -0.0),
+], ids=["nan", "multiplicative", "negative_zeros"])
+def test_defect_sups_from_extremes_equal_abs(grid, r, rng):
+    """Each slice's sup is read from its max and min, with no |.| pass: it equals np.abs of the
+    whole field's max, a NaN stays NaN, and a field of zeros, here all -0.0, reads +0.0."""
+    N = 16
+    L = TorusGridFn(grid(N, rng), 3)
+    field = cocycle_defect_field(L)
+    want = np.abs(field).max()
+    sups = _defect_sups(partial(_defect_slices, L), N, r)
+    assert np.array_equal(sups[:1], [want], equal_nan=True)
+    assert np.array_equal(multiplicativity_residual(L)[:1], [want], equal_nan=True)
+    if not np.isnan(want):
+        assert np.maximum.accumulate(sups).tolist() == [_fd_sup(field, q, N) for q in range(r + 1)]
+        assert (np.copysign(1.0, sups) == 1.0).all()
+
+
 @pytest.mark.parametrize("N, k", [(4, 1), (5, 2), (16, 3), (33, 2), (64, 1), (8, 11)])
 def test_buffered_rotation_average_is_bit_equal(N, k, rng):
     L = TorusGridFn(1.0 + 0.1 * rng.standard_normal((N, N)), k)
@@ -1239,6 +1262,38 @@ def test_pruned_max_norm_of_maps_whose_squares_underflow():
     bundle, at = FiberBundle([2]), np.zeros(2, dtype=np.intp)
     got = psrep.max_norm(bundle, lambda i, _: (M[i], at[i], at[i]), at)
     assert got == max_norm_unpruned(bundle, lambda i, _: (M[i], at[i], at[i]), at) == [3e-170]
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.integers(0, 3), n=st.integers(1, 6), r=st.integers(0, 3), c=st.integers(0, 3),
+       gram=st.sampled_from(["none", "targets", "sources"]), data=st.data())
+def test_metric_norms_equal_the_whitening_formula(samples, n, r, c, gram, data):
+    """Identity metrics read the maps unwhitened, and a Gram metric on the targets' or the
+    sources' objects still whitens: equal to the factors' products through an SVD of every map,
+    with and without a sample axis, on inf and NaN maps and on zero-size maps, and the
+    caller's maps are not written."""
+    lead = (samples,) if samples else ()
+    shape, size = lead + (n, r, c), math.prod(lead + (n, r, c))
+    M = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)),
+                 dtype=float).reshape(shape)
+    if size:  # a few entries that make their map inf or NaN, or a signed zero
+        special = st.sampled_from([np.inf, -np.inf, np.nan, -0.0])
+        for i, v in data.draw(st.lists(st.tuples(st.integers(0, size - 1), special), max_size=3)):
+            M.flat[i] = v
+    floor = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=samples, max_size=samples))
+                     if samples else data.draw(st.floats(0.0, 10.0)))
+    # objects 0-2 carry the targets' dimension r, objects 3-5 the sources' c
+    spd = lambda d: presets.random_spd(np.random.default_rng(d), d) if d else None  # noqa: E731
+    bundle = FiberBundle([r] * 3 + [c] * 3, [spd(r) if gram == "targets" else None] * 3
+                         + [spd(c) if gram == "sources" else None] * 3)
+    src = np.array(data.draw(st.lists(st.integers(3, 5), min_size=n, max_size=n)))
+    dst = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    before = M.tobytes()
+    with np.errstate(invalid="ignore"):  # a product turns an inf map into inf and NaN entries
+        want = np.maximum(floor, metric_norms_unpruned(bundle, M, src, dst).max(axis=-1))
+        got = psrep.metric_norms(bundle, M, src, dst, floor)
+    assert M.tobytes() == before
+    assert np.array_equal(got, want)
 
 
 # -- the identity verifier's teeth and its blocks ----------------------------------------
