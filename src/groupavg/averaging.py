@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .bounds import closed_envelope, gate_holds, step_bounds, within
+from .bounds import Certificate, gate_holds, step_bounds, within
 from . import psrep
 from .groupoid import CompositionTables, FiniteGroupoid, write_json, write_lines
 from .haar import HaarSystem
@@ -267,19 +267,6 @@ class IterationTrace:
     gate_ok: bool
     gate_failed_orbits: list[list[int]]
     final: Any
-    b0: float
-    c0: float
-    envelope_valid: bool
-
-    def envelope_column(self) -> list[float | None]:
-        """eps^(2^i) / (6 b0^2) per row when the gate held at step 0, else Nones."""
-        if not self.envelope_valid:
-            return [None] * len(self.rows)
-        return closed_envelope(self.b0, self.c0, len(self.rows))
-
-    def quadratic_rhs_column(self) -> list[float]:
-        """Per row, the one-step bound 2 c^2 (b/(1-c))^2 for the next defect."""
-        return [step_bounds(r.b, r.c)[1] if r.c < 1.0 else float("inf") for r in self.rows]
 
 
 def drive(lam: Any, step, gauges, tol_c: float, max_iter: int) -> IterationTrace:
@@ -287,9 +274,9 @@ def drive(lam: Any, step, gauges, tol_c: float, max_iter: int) -> IterationTrace
     a row's (b, c, unit defect, extras), ``step(lam)`` the next iterate.
 
     Stops at c <= tol_c (Converged, the current iterate is the limit), after
-    max_iter steps (Diverged), or when a step raises NonInvertible
-    (NonInvertibleAt, whose ``arrow`` is the fault's).  The gate
-    fields are read off (b0, c0).
+    max_iter >= 0 steps (Diverged), or when a step raises NonInvertible
+    (NonInvertibleAt, whose ``arrow`` is the fault's).  The gate fields are
+    read off row 0; the bounds the rows certify are :func:`bounds.certify`'s.
     """
     rows: list[TraceRow] = []
     verdict = Verdict("Diverged")
@@ -304,10 +291,8 @@ def drive(lam: Any, step, gauges, tol_c: float, max_iter: int) -> IterationTrace
         except NonInvertible as exc:
             verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.arrow)
             break
-    b0, c0 = (rows[0].b, rows[0].c) if rows else (0.0, 0.0)
-    gate = gate_holds(b0, c0)
-    return IterationTrace(rows, verdict, gate_ok=gate, gate_failed_orbits=[], final=lam,
-                          b0=b0, c0=c0, envelope_valid=b0 >= 1.0 and gate)
+    return IterationTrace(rows, verdict, gate_ok=gate_holds(rows[0].b, rows[0].c),
+                          gate_failed_orbits=[], final=lam)
 
 
 def iterate(rep: PseudoRep, nu: HaarSystem, tol_c: float = 1e-12, max_iter: int = 64,
@@ -336,28 +321,29 @@ def iterate(rep: PseudoRep, nu: HaarSystem, tol_c: float = 1e-12, max_iter: int 
 TRACE_HEADER = "i,b,c,unit_defect,quadratic_bound_rhs,envelope"
 
 
-def write_trace_csv(trace: IterationTrace, path: str) -> None:
-    """Plot-ready trace; envelope column is empty when the step-0 gate failed."""
-    env = trace.envelope_column()
-    rhs = trace.quadratic_rhs_column()
+def write_trace_csv(trace: IterationTrace, cert: Certificate, path: str) -> None:
+    """Plot-ready trace with the bound columns of its certificate; the envelope column is
+    empty when the certificate has no envelope."""
+    env = cert.envelope or [None] * len(trace.rows)
     lines = [TRACE_HEADER]
-    for row, e, q in zip(trace.rows, env, rhs):
+    for row, e, q in zip(trace.rows, env, cert.quadratic_rhs):
         etxt = "" if e is None else repr(e)
         lines.append(f"{row.i},{row.b!r},{row.c!r},{row.unit_defect!r},{q!r},{etxt}")
     write_lines(lines, path)
 
 
-def write_verdict_json(trace: IterationTrace, path: str, extra: dict | None = None) -> None:
+def write_verdict_json(trace: IterationTrace, cert: Certificate, path: str,
+                       extra: dict | None = None) -> None:
     doc = {
         "verdict": trace.verdict.to_json_dict(),
         "iterations": len(trace.rows) - 1,
-        "b0": trace.b0,
-        "c0": trace.c0,
+        "b0": trace.rows[0].b,
+        "c0": trace.rows[0].c,
         "b_final": trace.rows[-1].b,
         "c_final": trace.rows[-1].c,
         "gate_ok": trace.gate_ok,
         "gate_failed_orbits": trace.gate_failed_orbits,
-        "envelope_valid": trace.envelope_valid,
+        "envelope_valid": cert.envelope is not None,
     }
     if extra:
         doc.update(extra)

@@ -249,24 +249,43 @@ def envelope(b0: float, c0: float, n: int) -> tuple[list[float], list[float]]:
     return bs, cs
 
 
-def envelope_failures(b0: float, c0: float, c: Sequence[float]) -> list[str]:
-    """The declared envelope assertion of an iterate run gated at (b0, c0): the
-    first defect c_i above  eps^(2^i)/(6 b0^2)  or the tight recursion of
+@dataclass
+class Certificate:
+    """What a trace's b and c columns certify; see :func:`certify`."""
+
+    quadratic_rhs: list[float]
+    envelope: list[float] | None
+    report: BoundSeqReport
+    failures: list[str]
+
+
+def certify(b: Sequence[float], c: Sequence[float]) -> Certificate:
+    """What a trace's b and c columns, read as Python floats, certify: per row the one-step
+    bound 2 c^2 (b/(1-c))^2 on the next defect (inf where c >= 1); per row the closed envelope
+    eps^(2^i)/(6 b0^2), or None unless b0 >= 1 and the gate holds at row 0; the report of
+    :func:`check_quadratic_decay`, with no rows for a trace of one row, which has no step; and,
+    with the envelope, its assertion: the first c_i above it or above the tight recursion of
     :func:`envelope`, as one message, or none.
 
-    The step-by-step report of :func:`check_quadratic_decay` compares each
-    defect against a bound quadratic in the previous one, which drops below
-    double-precision resolution once c reaches the rounding floor near 1e-15,
-    so that report is an artifact, not a gate.
+    The report compares each defect against a bound quadratic in the previous one, which drops
+    below double-precision resolution once c reaches the rounding floor near 1e-15: the iterate
+    kinds write it and assert only the envelope, while bounds-check asserts every row of it.
     """
-    _, tight = envelope(b0, c0, len(c))
-    for i, (ci, ei, ti) in enumerate(zip(c, closed_envelope(b0, c0, len(c)), tight)):
+    b, c = [float(x) for x in b], [float(x) for x in c]
+    if len(b) != len(c) or not b:
+        raise ValueError("b and c must have equal, non-zero lengths")
+    rhs = [step_bounds(bi, ci)[1] if ci < 1.0 else math.inf for bi, ci in zip(b, c)]
+    report = check_quadratic_decay(b, c) if len(b) > 1 else BoundSeqReport(hypothesis_ok=True)
+    if not (b[0] >= 1.0 and gate_holds(b[0], c[0])):
+        return Certificate(rhs, None, report, [])
+    closed, (_, tight) = closed_envelope(b[0], c[0], len(c)), envelope(b[0], c[0], len(c))
+    for i, (ci, ei, ti) in enumerate(zip(c, closed, tight)):
         # the tight bound is only decidable while it sits above the absolute
         # resolution of the computed defect (~1e-15 for O(1) entries)
         env = min(ei, ti) if ti >= 1e-13 else ei
         if not within(ci, env):
-            return [f"trace row i={i}: c {ci!r} above envelope {env!r}"]
-    return []
+            return Certificate(rhs, closed, report, [f"trace row i={i}: c {ci!r} above envelope {env!r}"])
+    return Certificate(rhs, closed, report, [])
 
 
 # -- CSV plumbing shared with the CLI -----------------------------------------

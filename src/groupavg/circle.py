@@ -67,7 +67,7 @@ class NonPeriodicProfile(ValueError):
 
 
 class ProfileOutOfRange(ValueError):
-    """Some profile sample has 1 + k f <= 0."""
+    """Some profile sample has 1 + k f <= 0, or overflows 1 + k f, X or Lambda."""
 
 
 def _check_twist(twist) -> int:
@@ -151,7 +151,8 @@ def from_profile(profile, N: int, k: int | None = None) -> tuple[TorusGridFn, To
     resolution k*N; a CircleProfile with fewer samples is refined by trigonometric interpolation.
     Raises NonPeriodicProfile when f is not 1/k-periodic (then no doubly periodic X exists:
     multiplicativity forces f(t + 1/k) - f(t) = f(1/k)(1 + k f(t)), so the values f(j/k) form a
-    strictly monotone escaping sequence instead), and ProfileOutOfRange when some 1 + k f <= 0."""
+    strictly monotone escaping sequence instead), and ProfileOutOfRange, naming the samples, when
+    some 1 + k f <= 0 or when 1 + k f, X or Lambda overflows."""
     if not isinstance(profile, CircleProfile):
         if k is None:
             raise ValueError("twist k is required with a callable profile")
@@ -170,14 +171,23 @@ def from_profile(profile, N: int, k: int | None = None) -> tuple[TorusGridFn, To
     defect = refined.twist_periodicity_defect()
     if defect > PERIODICITY_TOL * scale:
         raise NonPeriodicProfile(f"profile is not 1/{k}-periodic: max |f(t) - f(t + 1/{k})| = {defect:.3e}")
-    denom = 1.0 + k * fine
-    if denom.min() <= 0.0:
-        i = int(np.argmin(denom))
-        raise ProfileOutOfRange(f"1 + k f({i}/{k * N}) = {denom[i]:.3e} <= 0")
     # row l of X reads fine from offset k l (mod k N): every k-th window over fine tiled once
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([fine, fine[:N]]), N)
-    X = np.subtract(windows[: k * N : k], fine[:N])
-    lam = np.multiply(np.divide(X, denom[:N], out=X), k)
+    with np.errstate(over="ignore"):  # an overflow is named below
+        denom = 1.0 + k * fine
+        if denom.min() <= 0.0:
+            i = int(np.argmin(denom))
+            raise ProfileOutOfRange(f"1 + k f({i}/{k * N}) = {denom[i]:.3e} <= 0")
+        if not np.isfinite(denom).all():
+            i = int(np.argmin(np.isfinite(denom)))
+            raise ProfileOutOfRange(f"1 + k f({i}/{k * N}) overflows at f = {float(fine[i])!r}")
+        X = np.subtract(windows[: k * N : k], fine[:N])
+        lam = np.multiply(np.divide(X, denom[:N], out=X), k)
+    if not np.isfinite(lam).all():  # X or k X overflowed
+        l, i = (int(x) for x in np.argwhere(~np.isfinite(lam))[0])
+        j = (k * l + i) % (k * N)
+        raise ProfileOutOfRange(f"the field at grid node ({l}, {i}) overflows: f({j}/{k * N}) = "
+                                f"{float(fine[j])!r}, f({i}/{k * N}) = {float(fine[i])!r}")
     return TorusGridFn(X, k), TorusGridFn(np.add(lam, 1.0, out=lam), k)
 
 

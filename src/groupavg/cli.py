@@ -127,33 +127,23 @@ def ensure_out(p: dict) -> str:
 
 
 def finish_iterate(trace, out: str, extra: dict) -> list[str]:
-    """Shared tail of the iterate kinds: trace.csv, bounds_check.csv, verdict.json.
-
-    A trace of one row (the input had already converged) has no steps to
-    check, so its bounds_check.csv holds the header only.  Its failed rows
-    are counted on stdout but not asserted.
+    """Shared tail of the iterate kinds: trace.csv, bounds_check.csv and verdict.json
+    from the certificate of the trace's b and c columns.  Its failed check rows are
+    counted on stdout but not asserted; its envelope assertion is.
     """
-    averaging.write_trace_csv(trace, os.path.join(out, "trace.csv"))
-    if len(trace.rows) < 2:
-        report = bounds.BoundSeqReport(hypothesis_ok=True)
-    else:
-        report = bounds.check_quadratic_decay(
-            [float(r.b) for r in trace.rows], [float(r.c) for r in trace.rows]
-        )
-    bounds.write_check_csv(report, os.path.join(out, "bounds_check.csv"))
-    if not report.ok:
-        log(f"bounds_check.csv: {len(report.failed_rows())} of {len(report.rows)} rows failed"
-            " (not asserted)")
+    cert = bounds.certify([r.b for r in trace.rows], [r.c for r in trace.rows])
+    averaging.write_trace_csv(trace, cert, os.path.join(out, "trace.csv"))
+    bounds.write_check_csv(cert.report, os.path.join(out, "bounds_check.csv"))
+    if not cert.report.ok:
+        log(f"bounds_check.csv: {len(cert.report.failed_rows())} of {len(cert.report.rows)} rows"
+            " failed (not asserted)")
     failures = []
     if trace.verdict.kind != "Converged":
         failures.append(f"verdict {trace.verdict.kind} at iteration {trace.verdict.iteration}")
-    env_fails = (bounds.envelope_failures(trace.b0, trace.c0, [r.c for r in trace.rows])
-                 if trace.envelope_valid else [])
-    failures += env_fails
+    failures += cert.failures
     averaging.write_verdict_json(
-        trace,
-        os.path.join(out, "verdict.json"),
-        extra={**extra, "bounds_check_ok": report.ok, "envelope_ok": not env_fails},
+        trace, cert, os.path.join(out, "verdict.json"),
+        extra={**extra, "bounds_check_ok": cert.report.ok, "envelope_ok": not cert.failures},
     )
     return failures
 
@@ -286,8 +276,7 @@ def kind_bounds_check(p: dict) -> list[str]:
     if "trace" not in p or not p["trace"]:
         raise ConfigError("bounds_check needs a trace file (--trace or config field)")
     out = ensure_out(p)
-    b, c = bounds.load_trace_csv(p["trace"])
-    report = bounds.check_quadratic_decay(b, c)
+    report = bounds.certify(*bounds.load_trace_csv(p["trace"])).report
     bounds.write_check_csv(report, os.path.join(out, "bounds_check.csv"))
     write_json(
         {"kind": "bounds_check", "trace": p["trace"], "ok": report.ok,

@@ -9,7 +9,6 @@ the CLI can promise byte-identical artifacts for a fixed config and seed, on any
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -241,30 +240,23 @@ def _pcg64_seed(seed: int) -> tuple[int, int]:
     return (((w64[0] << 64 | w64[1]) + inc) * _PCG_MULT + inc) & _M128, inc
 
 
-# draws of at least this many values step the state vectorized: below it, the Python-integer
-# step was faster (they took equal time at about 200-400 values on 2 vCPUs)
-_VECTOR_CUT = 256
-
-
 class UniformStream:
     """``np.random.default_rng(seed).uniform(low, high[, size])`` bit for bit: a PCG64 seeded as
     numpy seeds it, stepped before each XSL-RR output x, and ``low + (high - low) * (x >> 11)
-    2^-53`` per draw, in C order for a shape ``size``.  A run that draws only from it never
-    imports numpy.random, which loads OpenSSL through ``secrets``.
+    2^-53`` per draw, in C order for a shape ``size`` (an int n is the shape (n,)), a Python
+    float without one.  A run that draws only from it never imports numpy.random, which loads
+    OpenSSL through ``secrets``.
 
-    The state is one Python integer.  Draws of fewer than ``_VECTOR_CUT`` values step it in
-    Python integers; longer ones take the states by doubling, as uint64 (hi, lo) pairs: with
-    S[0] the next state and (A_m, C_m) the affine map of m steps, S[m:2m] = A_m S[0:m] + C_m."""
+    The state is one Python integer.  A draw takes its states by doubling, as uint64 (hi, lo)
+    pairs: with S[0] the next state and (A_m, C_m) the affine map of m steps,
+    S[m:2m] = A_m S[0:m] + C_m.  A draw of no values leaves the state where it was."""
 
     def __init__(self, seed: int):
         self._state, self._inc = _pcg64_seed(seed)
 
-    def _unit(self) -> float:
-        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        x, rot = ((s >> 64) ^ s) & _M64, s >> 122
-        return ((((x >> rot) | (x << (64 - rot))) & _M64) >> 11) * 2.0**-53
-
     def _units(self, n: int) -> np.ndarray:
+        if not n:
+            return np.empty(0)
         hi, lo = np.empty(n, np.uint64), np.empty(n, np.uint64)
         s = (self._state * _PCG_MULT + self._inc) & _M128
         hi[0], lo[0] = s >> 64, s & _M64
@@ -284,12 +276,10 @@ class UniformStream:
         x, rot = hi ^ lo, hi >> 58
         return ((x >> rot | x << (-rot & 63)) >> 11) * 2.0**-53
 
-    def uniform(self, low: float, high: float, size: tuple[int, ...] | None = None):
+    def uniform(self, low: float, high: float, size: int | tuple[int, ...] | None = None):
         if size is None:
-            return low + (high - low) * self._unit()
-        n = math.prod(size)
-        u = self._units(n) if n >= _VECTOR_CUT else np.array([self._unit() for _ in range(n)])
-        return (low + (high - low) * u).reshape(size)
+            return low + (high - low) * float(self._units(1)[0])
+        return (low + (high - low) * self._units(int(np.prod(size)))).reshape(size)
 
 
 def smooth_torus_field(rng: UniformStream, N: int) -> np.ndarray:

@@ -3,6 +3,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from groupavg.bounds import Certificate, certify
 from groupavg.circle import ProfileOutOfRange, TorusGridFn, _defect_sups, _read_header, _twisted_row
 from groupavg.groupoid import FiniteGroupoid, action_groupoid
 from groupavg.haar import HaarSystem, counting_haar
@@ -252,3 +253,8 @@ def random_unital_pseudorep(rep0: PseudoRep, rng: np.random.Generator, delta: fl
             return cand
         delta *= 0.6
     raise RuntimeError("could not reach requested defect cap")
+
+
+def certificate(trace) -> Certificate:
+    """The certificate of a trace's b and c columns."""
+    return certify([r.b for r in trace.rows], [r.c for r in trace.rows])

@@ -10,7 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import effect_from_connection, random_unital_pseudorep, restrict_haar, restrict_rep
+from conftest import (
+    certificate,
+    effect_from_connection,
+    random_unital_pseudorep,
+    restrict_haar,
+    restrict_rep,
+)
 from groupavg import presets
 from groupavg.averaging import average, iterate, verify_fundamental_identities, verify_step_estimates
 from groupavg.bounds import check_coupled_decay, check_quadratic_decay, envelope
@@ -98,12 +104,12 @@ def test_criterion_4_quadratic_convergence_envelope():
         rep, _ = presets.gated_perturbation(base, rng, 2e-3)
         nu = counting_haar(G)
         trace = iterate(rep, nu)
-        assert trace.gate_ok and trace.envelope_valid
+        closed = certificate(trace).envelope
+        assert trace.gate_ok and closed is not None
         assert trace.verdict.kind == "Converged"
         assert trace.verdict.iteration <= 7
         assert trace.rows[-1].c < 1e-12
-        closed = trace.envelope_column()
-        _, tight = envelope(trace.b0, trace.c0, len(trace.rows))
+        _, tight = envelope(trace.rows[0].b, trace.rows[0].c, len(trace.rows))
         for row, ei, ti in zip(trace.rows, closed, tight):
             assert row.c <= ei * (1 + 1e-12), f"seed {1000 + i} row {row.i}"
             assert ti <= ei * (1 + 1e-12)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import operator_norm, restrict_haar, restrict_rep
+from conftest import certificate, operator_norm, restrict_haar, restrict_rep
 from groupavg.averaging import (
     TRACE_HEADER,
     GatePrecondition,
@@ -211,7 +211,7 @@ def test_iterate_representation_converges_immediately(rng):
     assert trace.verdict.iteration == 0
     assert len(trace.rows) == 1
     assert trace.gate_ok
-    assert trace.envelope_valid
+    assert certificate(trace).envelope is not None
 
 
 def test_iterate_gated_perturbation(rng):
@@ -221,8 +221,8 @@ def test_iterate_gated_perturbation(rng):
     trace = iterate(rep, nu)
     assert trace.verdict.kind == "Converged"
     assert trace.verdict.iteration <= 7
-    assert trace.envelope_valid
-    env = trace.envelope_column()
+    env = certificate(trace).envelope
+    assert env is not None
     for row, bound in zip(trace.rows, env):
         assert row.c <= bound * STEP_SLACK
     limit = trace.final
@@ -236,7 +236,7 @@ def test_iterate_step_laws_above_floor(rng):
     rep, _ = presets.gated_perturbation(base, rng, 2e-3)
     # stop early so every recorded defect stays above double-precision noise
     trace = iterate(rep, counting_haar(G), tol_c=1e-8)
-    rhs = trace.quadratic_rhs_column()
+    rhs = certificate(trace).quadratic_rhs
     for prev, nxt, bound in zip(trace.rows, trace.rows[1:], rhs):
         assert nxt.c <= bound * STEP_SLACK + 1e-14
         assert nxt.b <= prev.b / (1.0 - prev.c) * STEP_SLACK
@@ -249,7 +249,7 @@ def test_iterate_survives_huge_perturbation():
     trace = iterate(rep, counting_haar(G))
     assert trace.verdict.kind == "Converged"
     assert not trace.gate_ok
-    assert not trace.envelope_valid
+    assert certificate(trace).envelope is None
     assert trace.gate_failed_orbits
     assert len(trace.rows) > 5
 
@@ -298,15 +298,15 @@ def test_trace_csv_layout(tmp_path, rng):
     G, base = presets.z2_example_rep(rng)
     rep, _ = presets.gated_perturbation(base, rng, 2e-3)
     trace = iterate(rep, counting_haar(G))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, str(path))
+    path, cert = tmp_path / "trace.csv", certificate(trace)
+    write_trace_csv(trace, cert, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == TRACE_HEADER == "i,b,c,unit_defect,quadratic_bound_rhs,envelope"
     assert len(lines) == 1 + len(trace.rows)
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[1]) == trace.rows[0].b
-    assert float(first[5]) == trace.envelope_column()[0]
+    assert float(first[5]) == cert.envelope[0]
 
 
 def test_trace_csv_empty_envelope_when_gate_failed(tmp_path):
@@ -315,7 +315,7 @@ def test_trace_csv_empty_envelope_when_gate_failed(tmp_path):
     rep = presets.perturb_rep(rep0, rng, 10.0)
     trace = iterate(rep, counting_haar(G), max_iter=3)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, str(path))
+    write_trace_csv(trace, certificate(trace), str(path))
     for line in path.read_text().splitlines()[1:]:
         assert line.endswith(",")
 
@@ -325,7 +325,7 @@ def test_verdict_json_contents(tmp_path, rng):
     rep, _ = presets.gated_perturbation(base, rng, 2e-3)
     trace = iterate(rep, counting_haar(G))
     path = tmp_path / "verdict.json"
-    write_verdict_json(trace, str(path), extra={"note": 1})
+    write_verdict_json(trace, certificate(trace), str(path), extra={"note": 1})
     doc = json.loads(path.read_text())
     assert doc["verdict"]["kind"] == "Converged"
     assert doc["iterations"] == len(trace.rows) - 1

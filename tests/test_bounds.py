@@ -13,8 +13,8 @@ from groupavg.bounds import (
     GateViolation,
     check_coupled_decay,
     check_quadratic_decay,
+    certify,
     envelope,
-    envelope_failures,
     gate_holds,
     load_trace_csv,
     step_bounds,
@@ -93,8 +93,9 @@ def test_gate_boundary_pair_passes_the_envelope():
     # the gate holds here, while 6 b0^2 c0 rounds to 0.6666666666666667 > 2/3
     b0, c0 = 1.77675025087889, 0.035196924752235126
     trace = drive(0, lambda i: i + 1, lambda i: (b0, 0.0 if i else c0, 0.0, {}), 1e-12, 4)
-    assert trace.envelope_valid
-    assert envelope_failures(b0, c0, [r.c for r in trace.rows]) == []
+    cert = certify([r.b for r in trace.rows], [r.c for r in trace.rows])
+    assert cert.envelope is not None
+    assert cert.failures == []
 
 
 def test_gate_holds_where_b_squared_underflows():
@@ -296,7 +297,7 @@ def test_trace_csv_feeds_checker(tmp_path, rng):
     # stop above the floating-point floor so the step rows stay decidable
     trace = iterate(rep, counting_haar(G), tol_c=1e-8)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, str(path))
+    write_trace_csv(trace, certify([r.b for r in trace.rows], [r.c for r in trace.rows]), str(path))
     b, c = load_trace_csv(str(path))
     assert b == [row.b for row in trace.rows]
     assert c == [row.c for row in trace.rows]

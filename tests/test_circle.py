@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    certificate,
     connection_from_effect,
     connection_residual,
     effect_from_connection,
@@ -226,8 +227,9 @@ def test_iterate_perturbed_effect():
     trace = iterate_circle(TorusGridFn(L.values * bump, k), order=1)
     assert trace.verdict.kind == "Converged"
     assert trace.verdict.iteration <= 7
-    assert trace.gate_ok and trace.envelope_valid
-    for row, bound in zip(trace.rows, trace.envelope_column()):
+    env = certificate(trace).envelope
+    assert trace.gate_ok and env is not None
+    for row, bound in zip(trace.rows, env):
         assert row.c <= bound * (1 + 1e-12)
         assert row.unit_defect == 0.0
         assert set(row.extras) == {"c_sem_r1"}

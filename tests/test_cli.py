@@ -490,6 +490,38 @@ def test_profile_whose_refinement_overflows_is_named(tmp_path, capsys, kind):
     assert done.stderr.splitlines() == [named]
 
 
+OVERFLOWING_PROFILES = {
+    # 1 + k f overflows at f = 1e308, k = 2
+    "one_plus_kf": ([0.0, 1e308] * 4, "1 + k f(1/8) overflows at f = 1e+308"),
+    # 1 + k f(1/8) = 2^-53: X(1/4, 1/4) = (1e300 + 0.5) 2^53 overflows in the division
+    "divided_X": ([0.0, -0.5 + 2.0**-54, 0.0, 1e300] * 2,
+                  "the field at grid node (1, 1) overflows: f(3/8) = 1e+300, "
+                  "f(1/8) = -0.49999999999999994"),
+    # 1 + k f(1/8) = 1/2: X(1/4, 1/4) = 1.6e308 is finite, Lambda = 1 + 2 X is not
+    "k_times_X": ([0.0, -0.25, 0.0, 8e307] * 2,
+                  "the field at grid node (1, 1) overflows: f(3/8) = 8e+307, f(1/8) = -0.25"),
+}
+
+
+@pytest.mark.parametrize("profile", OVERFLOWING_PROFILES)
+@pytest.mark.parametrize("kind", ["circle_profile", "circle_iterate"])
+def test_profile_whose_field_overflows_is_named(tmp_path, capsys, kind, profile):
+    # valid samples at k N = 8 points, so nothing is refined, whose 1 + k f, X or Lambda
+    # overflows: the run names the samples and exits 2, and no numpy RuntimeWarning reaches stderr
+    samples, why = OVERFLOWING_PROFILES[profile]
+    prof_path = str(tmp_path / "profile.csv")
+    save_profile_csv(CircleProfile(samples, 2), prof_path)
+    argv = ["run", kind, "--profile", prof_path, "--N", "4"]
+    named = f"[groupavg] FAIL: invalid input data: {why}"
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [named]
+    done = subprocess.run([sys.executable, "-m", "groupavg.cli", *argv, "--out", str(tmp_path / "fresh")],
+                          env=cli_env(), capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [named]
+
+
 def test_group_bundle_kind(tmp_path):
     out = tmp_path / "out"
     run_ok(["run", "group_bundle", "--seed", "2", "--count", "3", "--N", "16",
@@ -710,11 +742,25 @@ def test_finite_input_files_need_a_groupoid(tmp_path, rng, capsys, files):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
-def test_bounds_check_kind_still_needs_two_rows(tmp_path, capsys):
-    trace = tmp_path / "trace.csv"
-    trace.write_text("i,b,c,unit_defect,quadratic_bound_rhs,envelope\n0,1.0,0.0,0.0,0.0,\n")
-    assert main(["bounds-check", "--trace", str(trace), "--out", str(tmp_path / "o")]) == 2
-    assert "at least two entries" in capsys.readouterr().err
+def test_bounds_check_kind_on_a_one_row_trace(tmp_path, capsys):
+    # a one-row trace has no step: bounds-check writes the header-only report of the iterate
+    # kind that wrote the trace and exits 0, while a trace of no rows is still refused
+    run = tmp_path / "run"
+    run_ok(["run", "circle_iterate", "--perturb", "0", "--N", "16", "--out", str(run)])
+    assert_converged_at_zero(run)
+    for trace in (run / "trace.csv", tmp_path / "one.csv"):
+        tmp_path.joinpath("one.csv").write_text(
+            "i,b,c,unit_defect,quadratic_bound_rhs,envelope\n0,1.0,0.0,0.0,0.0,\n")
+        out = tmp_path / f"check_{trace.stem}"
+        run_ok(["bounds-check", "--trace", str(trace), "--out", str(out)])
+        assert (out / "bounds_check.csv").read_bytes() == (run / "bounds_check.csv").read_bytes()
+        doc = json.loads((out / "verdict.json").read_text())
+        assert (doc["ok"], doc["hypothesis_ok"], doc["first_failure"]) == (True, True, None)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("i,b,c,unit_defect,quadratic_bound_rhs,envelope\n")
+    capsys.readouterr()
+    assert main(["bounds-check", "--trace", str(empty), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"[groupavg] FAIL: invalid input data: empty trace: {empty}\n"
 
 
 def test_psrep_missing_arrow_named(tmp_path, rng, capsys):

@@ -27,6 +27,8 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import tempfile
 import threading
 from functools import partial
 
@@ -35,8 +37,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connection_from_effect, connection_residual, restrict_haar, restrict_rep
-from groupavg import averaging, circle, presets, psrep
+from conftest import certificate, connection_from_effect, connection_residual, restrict_haar, restrict_rep
+from groupavg import averaging, bounds, circle, cli, presets, psrep
 from groupavg.averaging import (
     GatePrecondition,
     IdentityReport,
@@ -138,6 +140,15 @@ def step_estimates_ref(rep, nu, rel_slack=1e-12):
     return rows
 
 
+@dataclasses.dataclass
+class RefTrace(IterationTrace):
+    """A reference loop's trace, with the step-0 fields the loop read off."""
+
+    b0: float = 0.0
+    c0: float = 0.0
+    envelope_valid: bool = False
+
+
 def iterate_ref(rep, nu, tol_c=1e-12, max_iter=64):
     gate_ok, failed = orbit_gate_ref(rep)
     rows = []
@@ -161,7 +172,7 @@ def iterate_ref(rep, nu, tol_c=1e-12, max_iter=64):
             verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.arrow)
             break
     envelope_valid = b0 >= 1.0 and c0 <= GATE_COEFF / b0**2 if b0 > 0 else False
-    return IterationTrace(rows, verdict, gate_ok, failed, lam, b0, c0, envelope_valid)
+    return RefTrace(rows, verdict, gate_ok, failed, lam, b0, c0, envelope_valid)
 
 
 def defect_field_ref(L):
@@ -329,12 +340,12 @@ def iterate_circle_ref(L0, tol_c=1e-12, max_iter=64, order=1):
             verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.node[0] * lam.N + exc.node[1])
             break
     envelope_valid = b0 >= 1.0 and c0 <= GATE_COEFF / b0**2 if b0 > 0 else False
-    return IterationTrace(rows, verdict, gate_ok, [], lam, b0, c0, envelope_valid)
+    return RefTrace(rows, verdict, gate_ok, [], lam, b0, c0, envelope_valid)
 
 
 def envelope_column_ref(trace):
     if not trace.envelope_valid:
-        return [None] * len(trace.rows)
+        return None
     out = []
     t = 6.0 * trace.b0**2 * trace.c0
     denom = 6.0 * trace.b0**2
@@ -486,10 +497,11 @@ def assert_same_trace(got, want):
     assert got.verdict == want.verdict
     assert got.gate_ok == want.gate_ok
     assert got.gate_failed_orbits == want.gate_failed_orbits
-    assert (got.b0, got.c0) == (want.b0, want.c0)
-    assert got.envelope_valid == want.envelope_valid
-    assert got.envelope_column() == envelope_column_ref(want)
-    assert got.quadratic_rhs_column() == quadratic_rhs_column_ref(want)
+    cert = certificate(got)
+    assert (got.rows[0].b, got.rows[0].c) == (want.b0, want.c0)
+    assert (cert.envelope is not None) == want.envelope_valid
+    assert cert.envelope == envelope_column_ref(want)
+    assert cert.quadratic_rhs == quadratic_rhs_column_ref(want)
     if isinstance(want.final, TorusGridFn):
         assert np.array_equal(got.final.values, want.final.values)
     else:
@@ -565,7 +577,7 @@ def z2_gram_metrics(rng):
 
 
 FINITE_CASES = {
-    gated_s3: lambda t: t.envelope_valid and t.verdict == Verdict("Converged", iteration=3),
+    gated_s3: lambda t: certificate(t).envelope is not None and t.verdict == Verdict("Converged", iteration=3),
     z2_one_orbit_failing: lambda t: t.gate_failed_orbits == [[2]],
     ungated_s3: lambda t: not t.gate_ok and t.verdict == Verdict("Diverged", iteration=2),
     singular_arrow: lambda t: t.verdict.kind == "NonInvertibleAt" and t.verdict.arrow is not None,
@@ -695,10 +707,57 @@ def test_iterate_circle_equals_reference_loop(L0, kw, verdict):
 def test_verdict_json_names_the_vanishing_node(tmp_path):
     # the node (l, i) is arrow l N + i of the action groupoid of Z/N on the N points; no row holds it
     trace, path = iterate_circle(vanishing_node()), tmp_path / "verdict.json"
-    write_verdict_json(trace, str(path))
+    write_verdict_json(trace, certificate(trace), str(path))
     assert json.loads(path.read_text())["verdict"] == {
         "kind": "NonInvertibleAt", "iteration": 0, "arrow": 3 * 16 + 5}
     assert set(trace.rows[-1].extras) == {"c_sem_r1"}
+
+
+@st.composite
+def bc_columns(draw):
+    """b and c columns of 1-8 rows: b0 below or above 1, c0 inside or outside the gate at b0,
+    then the recursion's worst case or free rows with c >= 1, tiny c and c = 0, and inf and
+    NaN planted in c (and in b past row 0)."""
+    n, odd = draw(st.integers(1, 8)), st.sampled_from([math.inf, math.nan])
+    b0 = draw(st.floats(0.25, 0.999) | st.floats(1.0, 4.0))
+    gate = GATE_COEFF / b0**2
+    c0 = draw(st.floats(0.0, 1.0).map(lambda u: u * gate) | st.floats(1.01 * gate, 2.0))
+    if draw(st.booleans()):  # equality in the recursion, where the gate holds at b0 >= 1
+        b, c = envelope(b0, c0, n) if b0 >= 1.0 and c0 <= gate else ([b0] * n, [c0] * n)
+    else:
+        rest = partial(st.lists, min_size=n - 1, max_size=n - 1)
+        b = [b0] + draw(rest(st.floats(0.0, 8.0)))
+        c = [c0] + draw(rest(st.floats(0.0, 2.0) | st.floats(0.0, 1e-9) | st.just(0.0)))
+    for col, first in ((c, 0), (b, 1)):
+        for i in draw(st.lists(st.integers(first, n - 1), max_size=1)) if first < n else []:
+            col[i] = draw(odd)
+    return b, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(bc_columns())
+def test_iterate_kinds_and_bounds_check_write_one_certificate(columns):
+    # the iterate kinds' bounds_check.csv is bounds-check's on the trace.csv they wrote, byte
+    # for byte, and so is the report of the columns as numpy floats; the trace's bound columns
+    # are the reference formulas
+    b, c = columns
+    rows = [TraceRow(i, bi, ci, 0.0) for i, (bi, ci) in enumerate(zip(b, c))]
+    trace = IterationTrace(rows, Verdict("Converged", iteration=len(rows) - 1), True, [], None)
+    with tempfile.TemporaryDirectory() as d:
+        run, check, path = (os.path.join(d, name) for name in ("run", "check", "numpy.csv"))
+        os.mkdir(run)
+        cli.finish_iterate(trace, run, {})
+        assert cli.main(["bounds-check", "--trace", os.path.join(run, "trace.csv"), "--out", check]) in (0, 1)
+        bounds.write_check_csv(bounds.certify(np.array(b), np.array(c)).report, path)
+        written = [open(os.path.join(out, "bounds_check.csv"), "rb").read() for out in (run, check)]
+        assert written[0] == written[1] == open(path, "rb").read()
+        lines = open(os.path.join(run, "trace.csv"), encoding="utf-8").read().splitlines()
+    b0, c0 = b[0], c[0]
+    want = RefTrace(rows, trace.verdict, True, [], None, b0, c0,
+                    b0 >= 1.0 and c0 <= GATE_COEFF / b0**2 if b0 > 0 else False)
+    env = envelope_column_ref(want) or [None] * len(rows)
+    assert lines[1:] == [f"{r.i},{r.b!r},{r.c!r},{r.unit_defect!r},{q!r},{'' if e is None else repr(e)}"
+                         for r, q, e in zip(rows, quadratic_rhs_column_ref(want), env)]
 
 
 @pytest.mark.parametrize("N, k", [(16, 1), (32, 2), (64, 3), (5, 7), (4, 8)])
@@ -843,12 +902,11 @@ def test_uniform_stream_is_default_rng_at_word_edges(seed):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**100), st.lists(st.one_of(
-    st.none(), st.integers(0, 3 * presets._VECTOR_CUT).map(lambda n: (n,)),
+    st.none(), st.integers(0, 768).map(lambda n: (n,)),
     st.tuples(st.integers(0, 40), st.integers(0, 40))), max_size=8))
 def test_uniform_stream_draws_in_sequence_are_default_rng(seed, sizes):
-    # scalar and shaped draws in turn, on both sides of the cut between the Python-integer
-    # step and the vectorized one, share one state: each equals numpy's, and so do the
-    # draws after a zero-size one, which leaves the state where it was
+    # scalar and shaped draws in turn, of up to 768 values, share one state: each equals
+    # numpy's, and so do the draws after a zero-size one, which leaves the state where it was
     ours, ref = presets.UniformStream(seed), np.random.default_rng(seed)
     for size in sizes:
         a, b = ours.uniform(-1.5, 2.0, size), ref.uniform(-1.5, 2.0, size)
@@ -872,6 +930,20 @@ def test_uniform_stream_noise_field_and_bounds():
     for make in (presets.UniformStream, np.random.default_rng):
         with pytest.raises(ValueError):
             make(-1)
+
+
+def test_uniform_stream_draws_metric_pseudoreps_as_default_rng(s3_groupoid):
+    # random_spd draws its eigenvalues with an int size, as numpy's uniform allows: the maps
+    # and Gram matrices equal numpy's, and the two streams stay in step
+    ours, ref = presets.UniformStream(1), np.random.default_rng(1)
+    for _ in range(2):
+        got = presets.random_pseudorep(s3_groupoid, ours, metrics=True)
+        want = presets.random_pseudorep(s3_groupoid, ref, metrics=True)
+        assert all(np.array_equal(a, b) for a, b in zip(got.maps, want.maps))
+        assert all(np.array_equal(a, b) for a, b in zip(got.bundle.metrics, want.bundle.metrics))
+    a, b = ours.uniform(0.0, 1.0, 5), ref.uniform(0.0, 1.0, 5)
+    assert np.array_equal(a, b) and a.shape == b.shape == (5,)
+    assert ours.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
 
 
 @pytest.mark.parametrize("nan_lp", [0, 47, 63], ids=["first_block", "second_block", "last"])
