@@ -269,51 +269,49 @@ class IterationTrace:
     final: Any
 
 
-def drive(lam: Any, step, gauges, tol_c: float, max_iter: int) -> IterationTrace:
-    """The iteration loop of the finite and circle cases: ``gauges(lam)`` gives
-    a row's (b, c, unit defect, extras), ``step(lam)`` the next iterate.
+def drive(lam: Any, step, gauges, tol_c: float, max_iter: int,
+          row0: tuple[float, float, float, dict] | None = None) -> IterationTrace:
+    """Every trace row of the finite and circle cases: ``gauges(lam)`` gives a row's (b, c, unit
+    defect, extras), ``step(lam)`` the next iterate, and ``row0``, when given, is row 0 as the
+    caller's gate pass measured the start; without it, row 0 gauges the start.
 
-    Stops at c <= tol_c (Converged, the current iterate is the limit), after
-    max_iter >= 0 steps (Diverged), or when a step raises NonInvertible
-    (NonInvertibleAt, whose ``arrow`` is the fault's).  The gate fields are
-    read off row 0; the bounds the rows certify are :func:`bounds.certify`'s.
+    Stops at c <= tol_c (Converged, the current iterate is the limit), after max_iter >= 0 steps
+    (Diverged), or when a step raises NonInvertible (NonInvertibleAt, whose ``arrow`` is the
+    fault's).  Gauges and steps that overflow write inf or NaN to the trace, or fail the step,
+    without a warning.  The gate fields are read off row 0; the bounds the rows certify are
+    :func:`bounds.certify`'s.
     """
     rows: list[TraceRow] = []
-    verdict = Verdict("Diverged")
-    for i in range(max_iter + 1):
-        b, c, unit, extras = gauges(lam)
-        rows.append(TraceRow(i, b, c, unit, extras))
-        if c <= tol_c or i == max_iter:
-            verdict = Verdict("Converged" if c <= tol_c else "Diverged", iteration=i)
-            break
-        try:
-            lam = step(lam)
-        except NonInvertible as exc:
-            verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.arrow)
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(max_iter + 1):
+            b, c, unit, extras = gauges(lam) if i or row0 is None else row0
+            rows.append(TraceRow(i, b, c, unit, extras))
+            if c <= tol_c or i == max_iter:
+                verdict = Verdict("Converged" if c <= tol_c else "Diverged", iteration=i)
+                break
+            try:
+                lam = step(lam)
+            except NonInvertible as exc:
+                verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.arrow)
+                break
     return IterationTrace(rows, verdict, gate_ok=gate_holds(rows[0].b, rows[0].c),
                           gate_failed_orbits=[], final=lam)
 
 
 def iterate(rep: PseudoRep, nu: HaarSystem, tol_c: float = 1e-12, max_iter: int = 64,
             by_orbit: tuple[list[float], list[float]] | None = None) -> IterationTrace:
-    """Repeated averaging with per-step (b, c, unit defect) rows; see :func:`drive`.
+    """Averaging repeated on :func:`drive`: per-step (b, c, unit defect) rows, inf or NaN on overflow.
 
-    The gate fields hold the per-orbit gate of the input, which also gives row 0: from
-    ``by_orbit``, the input's (b, c) lists by orbit, when the caller's gate pass has them.  A
-    failed gate is metadata only: the iteration proceeds, since the gate is sufficient for the
-    guarantee, not necessary for convergence.  Gauges and steps that overflow write inf or NaN
-    to the trace, or fail the step, without a warning.
+    The gate fields hold the per-orbit gate of the input, whose pass also gives row 0: the
+    largest b and c by orbit, from ``by_orbit`` when the caller's gate pass has them, and the
+    unit defect of the gate's unital check.  A failed gate is metadata only: the iteration
+    proceeds, since the gate is sufficient for the guarantee, not necessary for convergence.
     """
     gate = is_nearly_multiplicative(rep, by_orbit)
-    row0 = max([r.b for r in gate.rows], default=0.0), max([r.c for r in gate.rows], default=0.0)
-
-    def gauges(lam: PseudoRep):
-        b, c = row0 if lam is rep else (b_norm(lam), c_norm(lam))
-        return b, c, lam.unit_defect(), {}
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = drive(rep, lambda lam: average(lam, nu), gauges, tol_c, max_iter)
+    row0 = (max([r.b for r in gate.rows], default=0.0), max([r.c for r in gate.rows], default=0.0),
+            gate.unit_defect, {})
+    trace = drive(rep, lambda lam: average(lam, nu),
+                  lambda lam: (b_norm(lam), c_norm(lam), lam.unit_defect(), {}), tol_c, max_iter, row0)
     trace.gate_ok, trace.gate_failed_orbits = gate.ok, gate.failed_orbits()
     return trace
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -380,33 +381,30 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
 
 
 def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64, order: int = 1,
-                   row0: tuple[float, float] | None = None) -> IterationTrace:
-    """Repeated rotation averaging of a unital grid effect; see :func:`averaging.drive`.
+                   row0: tuple[float, float, float, dict] | None = None) -> IterationTrace:
+    """Repeated rotation averaging of a unital grid effect on :func:`averaging.drive`, whose rows
+    read inf or NaN where a gauge overflows, without a warning.
 
     Rows carry b = max |Lambda|, c = the r = 0 cocycle residual, the unit-row defect, and at
     ``order=1`` (in extras) ``c_sem_r1``, the order-1 discrete seminorm of the full defect field.
     The gate is c <= (1/9) b^(-2) on the grid.
 
     Each row runs one defect pass of that order: at order 0, one N^2 slice per worker, against
-    4 N^2 per worker at order 1.  ``row0`` is the (b, c) of ``L0`` from a gate pass the caller
-    already ran (:func:`multiplicativity_residual` gives the same c); it is read only at order 0,
-    where row 0 then runs no pass."""
+    4 N^2 per worker at order 1.  ``row0`` is row 0, the (b, c, unit defect, extras) of ``L0``
+    from a gate pass the caller already ran (:func:`multiplicativity_residual` gives the same c
+    and unit defect); with it, row 0 runs no pass."""
     if order not in (0, 1):
         raise ValueError(f"seminorm order {order} not supported (use 0 or 1)")
-    first = [row0] if not order and row0 is not None else []  # read once, by row 0
 
     def gauges(lam: TorusGridFn):
-        if first:
-            b, *sups = first.pop()
-        else:
-            b, sups = float(np.abs(lam.values).max()), _defect_sups(partial(_defect_slices, lam), lam.N, order)
+        b, sups = float(np.abs(lam.values).max()), _defect_sups(partial(_defect_slices, lam), lam.N, order)
         return (b, float(sups[0]), float(np.abs(lam.values[0] - 1.0).max()),
                 {"c_sem_r1": float(np.max(sups))} if order else {})
 
     # drive holds the only reference to each iterate, so L0 is freed once L1 exists
     start = [L0]
     del L0
-    return drive(start.pop(), average_circle, gauges, tol_c, max_iter)
+    return drive(start.pop(), average_circle, gauges, tol_c, max_iter, row0)
 
 
 # -- CSV formats ---------------------------------------------------------------
@@ -419,13 +417,17 @@ def save_grid_csv(F: TorusGridFn, path: str) -> None:
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:
-    """The "N,k" first line of a grid or profile CSV, at most MAX_N and MAX_TWIST;
-    ValueError naming the file otherwise."""
+    """The "N,k" first line of a grid or profile CSV: at least 2 samples and a twist of at
+    least 1, at most MAX_N and MAX_TWIST; ValueError naming the file otherwise."""
     line = fh.readline().strip()
     try:
         N, k = (int(x) for x in line.split(","))
     except ValueError:
         raise ValueError(f"{path}: header must be two integers N,k, got {line!r}") from None
+    if N < 2:
+        raise ValueError(f"{path}: header {line!r} names {N} samples, fewer than 2")
+    if k < 1:
+        raise ValueError(f"{path}: twist must be a positive integer, got {k}")
     if N > MAX_N or k > MAX_TWIST:
         raise ValueError(f"{path}: header {line!r} is above the size limits "
                          f"N <= {MAX_N}, k <= {MAX_TWIST}")
@@ -438,9 +440,26 @@ def save_profile_csv(p: CircleProfile, path: str) -> None:
 
 
 def load_profile_csv(path: str) -> CircleProfile:
+    """The profile of a :func:`save_profile_csv` file, blank lines skipped.  ValueError names
+    the file, and the line, at a bad header, a line that is not one finite number, or a sample
+    count other than the header's."""
+    vals: list[float] = []
+    n = 1  # the last line read
     with open(path, encoding="utf-8") as fh:
         M, k = _read_header(fh, path)
-        vals = np.loadtxt(fh, ndmin=1)
-    if len(vals) != M:
-        raise ValueError(f"profile payload length {len(vals)} does not match header {M}")
-    return CircleProfile(vals, k)
+        for n, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            if len(vals) == M:
+                raise ValueError(f"{path}: line {n}: a sample beyond the header's {M}")
+            try:
+                x = float(line)
+            except ValueError:
+                raise ValueError(f"{path}: line {n}: sample {line.strip()!r} is not a number") from None
+            if not math.isfinite(x):
+                raise ValueError(f"{path}: line {n}: sample {len(vals)} is not finite: {x!r}")
+            vals.append(x)
+    if len(vals) < M:
+        raise ValueError(f"{path}: the file ends at line {n} with {len(vals)} of the header's "
+                         f"{M} samples")
+    return CircleProfile(np.array(vals), k)

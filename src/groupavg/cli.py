@@ -47,8 +47,20 @@ class ConfigError(Exception):
     pass
 
 
+def say(text: str) -> None:
+    """``text`` as a line on stdout, best-effort: once stdout's reader has gone, stdout is
+    pointed at os.devnull, so the lines stop and the exit flush cannot fail, and the run
+    goes on to its artifacts and its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def log(msg: str) -> None:
-    print(f"[groupavg] {msg}")
+    say(f"[groupavg] {msg}")
 
 
 def fail(msg: str) -> None:
@@ -251,18 +263,18 @@ def kind_circle_iterate(p: dict) -> list[str]:
         np.add(lam.values, np.multiply(noise, scale, out=noise), out=lam.values)
         return lam
 
-    gated = list(presets.rescale_to_gate(
-        make,
-        lambda L: ([float(np.abs(L.values).max())], [circle.multiplicativity_residual(L)[0]]),
-        p["perturb"],
-    ))
+    def gauges(L: circle.TorusGridFn):  # (b, c) of the grid's one orbit, and the unit defect
+        c, unit = circle.multiplicativity_residual(L)
+        return [float(np.abs(L.values).max())], [c], unit
+
+    gated = list(presets.rescale_to_gate(make, gauges, p["perturb"]))
     log(f"perturbation amplitude after gate rescale: {gated[1]!r}")
-    scale, ((b0,), (c0,)) = gated[1:]  # the grid is one orbit
+    scale, ((b0,), (c0,), unit0) = gated[1:]
     # the artifacts hold c, not the seminorms: one order-0 pass per row, and none for
-    # row 0, whose (b, c) the gate pass gave.  The gated field is popped, so that
+    # row 0, which the gate pass measured.  The gated field is popped, so that
     # iterate_circle holds its only reference and frees it once it is averaged.
     trace = circle.iterate_circle(gated.pop(0), tol_c=p["tol_c"], max_iter=p["max_iter"],
-                                  order=0, row0=(b0, c0))
+                                  order=0, row0=(b0, c0, unit0, {}))
     extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": start.twist,
              "perturb": scale}
     if trace.verdict.kind == "Converged":
@@ -333,7 +345,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return 2
     report = G.validate()
     ok = report.ok
-    print(report)
+    say(str(report))
     if args.haar:
         try:
             nu = HaarSystem.load(args.haar, G)
@@ -342,10 +354,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
             return 2
         if ok:  # the invariance check composes arrows, which needs a valid groupoid
             hrep = check_haar(nu)
-            print(hrep)
+            say(str(hrep))
             ok = hrep.ok
         else:
-            print("haar weights not checked: the groupoid is invalid")
+            say("haar weights not checked: the groupoid is invalid")
     if not ok:
         fail("validation found violations")
         return 1

@@ -333,11 +333,15 @@ class FiniteGroupoid:
                 raise ValueError(f"arrow {a['id']}: {end} {a[end]!r} is not an object")
         src = [index[str(a["src"])] for a in arrows]
         tgt = [index[str(a["tgt"])] for a in arrows]
-        compose = [(g2, g1, g21) for g2, g1, g21 in d["compose"]]
+        compose = d["compose"]
+        if type(compose) is not list:
+            raise TypeError(f"compose must be a JSON array, got {type(compose).__name__}")
+        if any(type(row) is not list or len(row) != 3 for row in compose):
+            compose_rows(compose)  # names the first row that is not three integers
         flat = list(itertools.chain.from_iterable(compose))
         if list(map(type, flat)).count(int) < len(flat) or flat and not 0 <= min(flat) <= max(flat) < m:
             i = next(i for i, g in enumerate(flat) if type(g) is not int or not 0 <= g < m)
-            arrow(flat[i], f"compose entry {list(compose[i // 3])!r}")
+            arrow(flat[i], f"compose entry {compose[i // 3]!r}")
         units = json_object(d["units"], "units")
         for key, e in units.items():
             if key not in index:
@@ -371,8 +375,12 @@ def compose_rows(rows: Any) -> np.ndarray:
         a = np.empty(0)
     if a.dtype.kind != "i" or a.shape[1:] != (3,):
         for row in rows:
-            if len(row) != 3 or np.asarray(row).dtype.kind != "i":
-                raise ValueError(f"compose entry {list(row)!r} is not three integers that fit an int64")
+            try:
+                ok = np.shape(row) == (3,) and np.asarray(row).dtype.kind == "i"
+            except ValueError:  # a ragged row
+                ok = False
+            if not ok:
+                raise ValueError(f"compose entry {row!r} is not three integers that fit an int64")
         a = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
     a = a.astype(np.int64)  # a copy: the caller holds no writable view of it
     order = np.lexsort((a[:, 1], a[:, 0]))

@@ -151,7 +151,8 @@ def perturb_rep(rep: PseudoRep, rng: UniformStream, delta: float) -> PseudoRep:
 def rescale_to_gate(make, gauges, delta: float):
     """The first of make(delta), make(0.7 delta), ... whose gauges pass the gate
     c <= 0.9 (1/9) b^(-2), with the amplitude used and those gauges: ``gauges(cand)`` gives
-    (b, c) by orbit, as two lists, and the gate reads their maxima.
+    (b, c) by orbit, as two lists, and may add further measures; the gate reads the maxima of
+    the two lists.
 
     A candidate whose gauges overflow fails the gate.  Raises ValueError naming ``delta`` when
     none of the first 200 amplitudes passes."""

@@ -123,10 +123,21 @@ def matrix_json(M: np.ndarray) -> dict:
 
 
 def matrix_from_json(entry: Any, what: str) -> np.ndarray:
-    """The matrix of a :func:`matrix_json` object; TypeError naming ``what`` if
-    ``entry`` is no JSON object, KeyError on a missing ``data`` or ``shape``."""
+    """The matrix of a :func:`matrix_json` object, whose ``shape`` must be two non-negative JSON
+    integers and ``data`` a flat list of rows x cols JSON numbers (no booleans or strings).
+    TypeError naming ``what`` if ``entry`` is no JSON object, KeyError on a missing ``data`` or
+    ``shape``, OverflowError on an integer too large for a float, ValueError naming ``what``
+    otherwise."""
     entry = json_object(entry, what)
-    return np.array(entry["data"], dtype=float).reshape(entry["shape"])
+    shape, data = entry["shape"], entry["data"]
+    if type(shape) is not list or len(shape) != 2 or any(type(n) is not int or n < 0 for n in shape):
+        raise ValueError(f"{what}: shape {shape!r} is not two non-negative integers")
+    if type(data) is not list or len(data) != shape[0] * shape[1]:
+        raise ValueError(f"{what}: data is not a flat list of {shape[0]} x {shape[1]} numbers")
+    bad = next((i for i, x in enumerate(data) if type(x) not in (int, float)), None)
+    if bad is not None:
+        raise ValueError(f"{what}: data entry {bad} is not a number: {data[bad]!r}")
+    return np.array(data, dtype=float).reshape(shape)
 
 
 @dataclass
@@ -484,6 +495,7 @@ class OrbitGateRow:
 @dataclass
 class GateReport:
     rows: list[OrbitGateRow]
+    unit_defect: float  # the input's, from the unital check
 
     @property
     def ok(self) -> bool:
@@ -504,10 +516,11 @@ def is_nearly_multiplicative(rep: PseudoRep,
     overflow read inf or NaN and fail the gate, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if not rep.unit_defect() <= 1e-8:
+        unit = rep.unit_defect()
+        if not unit <= 1e-8:
             raise ValueError("gate check requires a unital pseudo-representation")
         bs, cs = by_orbit or (b_by_orbit(rep), c_by_orbit(rep))
         return GateReport([
             OrbitGateRow(orbit, b, c, GATE_COEFF / square(b) if b > 0 else np.inf, gate_holds(b, c))
             for orbit, b, c in zip(rep.groupoid.orbits(), bs, cs)
-        ])
+        ], unit)

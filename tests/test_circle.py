@@ -37,6 +37,7 @@ from groupavg.circle import (
     trig_resample,
 )
 from groupavg import circle, presets
+from groupavg.averaging import TraceRow
 
 
 def f_sin(t):
@@ -238,6 +239,41 @@ def test_iterate_perturbed_effect():
     assert res_c <= 1e-12
     prof = limit_profile(trace.final)
     assert prof.twist_periodicity_defect() <= 1e-10
+
+
+def test_iterate_circle_takes_the_given_row0_at_order_1(monkeypatch):
+    """A caller's row 0 is row 0 at order 1 too, and spares that row its defect pass."""
+    N, k = 16, 2
+    _, L = from_profile(f_sin, N, k=k)
+    noise = np.random.default_rng(2).standard_normal((N, N))
+    noise[0] = 0.0
+    L = TorusGridFn(L.values + 1e-3 * noise, k)
+    want = iterate_circle(L, max_iter=3, order=1)
+    passes, sups = [], circle._defect_sups
+    monkeypatch.setattr(circle, "_defect_sups",
+                        lambda slices, n, order: passes.append(order) or sups(slices, n, order))
+    r0 = want.rows[0]
+    got = iterate_circle(L, max_iter=3, order=1, row0=(r0.b, r0.c, r0.unit_defect, r0.extras))
+    assert got.rows == want.rows and len(got.rows) >= 3
+    assert passes == [1] * (len(got.rows) - 1)
+    # a row 0 that is not the field's own is taken as it is given
+    row0 = (1.0, 0.5, 0.25, {"c_sem_r1": 0.75})
+    assert iterate_circle(L, max_iter=0, order=1, row0=row0).rows == [TraceRow(0, *row0)]
+
+
+def test_iterate_circle_overflow_reads_inf_without_raising():
+    """An ungated field whose defects overflow ends Diverged with inf rows, under a caller's
+    np.errstate that raises: the driver owns the overflow policy of both engines."""
+    N, k = 16, 2
+    _, L = from_profile(f_sin, N, k=k)
+    noise = np.random.default_rng(0).standard_normal((N, N))
+    noise[0] = 0.0
+    L = TorusGridFn(L.values + 1e200 * noise, k)
+    with np.errstate(over="raise", invalid="raise"):
+        trace = iterate_circle(L, max_iter=2, order=1)
+    assert trace.verdict.kind == "Diverged" and trace.verdict.iteration == 2
+    assert all(np.isfinite(r.b) and r.c == np.inf for r in trace.rows)
+    assert not trace.gate_ok
 
 
 def test_iterate_hits_vanishing_node():

@@ -70,9 +70,13 @@ def test_validate_missing_file(tmp_path, capsys):
         ({"objects": [0], "arrows": [{"id": 0, "src": 0, "tgt": 0}], "compose": [],
           "units": [0], "inverses": {"0": 0}}, "units must be a JSON object, got list"),
         ({"objects": [0], "arrows": [{"id": 0, "src": 0, "tgt": 0}], "compose": [0],
-          "units": {"0": 0}, "inverses": {"0": 0}}, "cannot unpack non-iterable int"),
+          "units": {"0": 0}, "inverses": {"0": 0}},
+         "compose entry 0 is not three integers that fit an int64"),
+        ({"objects": [0], "arrows": [{"id": 0, "src": 0, "tgt": 0}], "compose": 5,
+          "units": {"0": 0}, "inverses": {"0": 0}}, "compose must be a JSON array, got int"),
     ],
-    ids=["top_level_list", "arrow_is_number", "units_is_list", "compose_entry_is_number"],
+    ids=["top_level_list", "arrow_is_number", "units_is_list", "compose_entry_is_number",
+         "compose_is_number"],
 )
 def test_validate_wrong_json_type_named(tmp_path, capsys, doc, named):
     path = tmp_path / "groupoid.json"
@@ -300,6 +304,15 @@ def test_finite_iterate_gauges_its_gated_start_once(tmp_path, monkeypatch):
     assert [name for name, _ in gate] == ["b_by_orbit", "c_by_orbit"] * (len(gate) // 2)
     assert gate[-1][1] is start and gate[-2][1] is start
     assert len(steps) == 2 * (rows - 1) and all(lam is not start for _, lam in steps)
+
+
+def test_finite_iterate_measures_each_unit_defect_once(tmp_path, monkeypatch):
+    # the gate pass's unital check gives row 0's unit defect: one measure per trace row
+    calls, unit_defect = [], PseudoRep.unit_defect
+    monkeypatch.setattr(PseudoRep, "unit_defect", lambda rep: calls.append(rep) or unit_defect(rep))
+    run_ok(["run", "finite_iterate", "--seed", "1", "--out", str(tmp_path)])
+    rows = len((tmp_path / "trace.csv").read_text().splitlines()) - 1
+    assert rows >= 3 and len(calls) == rows
 
 
 def test_finite_identities_count(tmp_path):
@@ -1042,6 +1055,48 @@ def test_in_process_main_leaves_the_collector_alone(tmp_path):
     assert gc.get_freeze_count() == frozen
 
 
+# -- a closed stdout ----------------------------------------------------------------------
+
+
+CLOSED_STDOUT_RUNS = {
+    "circle_iterate": ["run", "circle_iterate", "--N", "64", "--seed", "1"],
+    "finite_iterate": ["run", "finite_iterate", "--seed", "1"],
+    "finite_identities": ["run", "finite_identities", "--count", "40"],
+    "circle_profile": ["run", "circle_profile", "--N", "64"],
+    "group_bundle": ["run", "group_bundle", "--N", "64", "--count", "2"],
+    "bounds_check": ["bounds-check", "--trace", "trace.csv"],
+    "validate": ["validate", "--groupoid", "groupoid.json", "--haar", "haar.json"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("name", list(CLOSED_STDOUT_RUNS))
+def test_closed_stdout_is_not_an_input_error(tmp_path, monkeypatch, capsys, z2_groupoid, name,
+                                             unbuffered):
+    """A program whose stdout's reader has gone before it writes runs to its end: it exits 0
+    with the artifacts of a normal run and an empty stderr, with stdout buffered or not."""
+    monkeypatch.chdir(tmp_path)
+    z2_groupoid.save("groupoid.json")
+    counting_haar(z2_groupoid).save("haar.json")
+    Path("trace.csv").write_text("i,b,c\n0,1.0,0.01\n1,1.0,0.0001\n")
+    argv = CLOSED_STDOUT_RUNS[name]
+    outs = [] if name == "validate" else ["normal", "closed"]  # validate writes no artifact
+    run_ok(argv + ["--out", "normal"] * bool(outs))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "groupavg.cli", *argv,
+                               *["--out", "closed"] * bool(outs)],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env={**cli_env(), "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
+    if outs:
+        normal, closed = ({f.name: f.read_bytes() for f in Path(out).iterdir()} for out in outs)
+        assert normal and normal == closed
+
+
 # -- flags are checked like config fields --------------------------------------------------
 
 
@@ -1129,6 +1184,28 @@ def test_bad_profile_file_exits_2(tmp_path, capsys, text, named):
 
 
 @pytest.mark.parametrize(
+    "text, named",
+    [
+        ("0,1\n", "header '0,1' names 0 samples, fewer than 2"),
+        ("4,0\n0\n0.1\n0.2\n0.1\n", "twist must be a positive integer, got 0"),
+        ("2,1\n0\n", "the file ends at line 2 with 1 of the header's 2 samples"),
+        ("2,1\n0\n0.1\n-0.1\n", "line 4: a sample beyond the header's 2"),
+        ("2,1\n0\n0.1,0.2\n", "line 3: sample '0.1,0.2' is not a number"),
+        ("4,1\n0\nnan\n0.2\n0.1\n", "line 3: sample 1 is not finite: nan"),
+    ],
+    ids=["header_only", "twist_0", "short_payload", "long_payload", "two_values", "nan_sample"],
+)
+def test_profile_csv_error_names_the_file_and_is_all_of_stderr(tmp_path, text, named):
+    path = tmp_path / "profile.csv"
+    path.write_text(text)
+    done = subprocess.run([sys.executable, "-m", "groupavg.cli", "run", "circle_profile",
+                           "--profile", str(path), "--N", "16", "--out", str(tmp_path / "out")],
+                          env=cli_env(), capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == f"[groupavg] FAIL: invalid input data: {path}: {named}\n"
+
+
+@pytest.mark.parametrize(
     "example, name, corrupt, named",
     [
         ("s3", "groupoid", lambda d: d.pop("compose"), "missing key 'compose'"),
@@ -1143,19 +1220,44 @@ def test_bad_profile_file_exits_2(tmp_path, capsys, text, named):
         ("s3", "bundle", lambda d: d.update({"2": 3}), "object 2 must be a JSON object, got int"),
         ("s3", "bundle", lambda d: d["0"].update(gram=[1.0]), "the gram of object 0 must be a JSON object"),
         ("s3", "psrep", lambda d: d.update({"3": [1.0]}), "the matrix of arrow 3 must be a JSON object"),
-        ("s3", "psrep", lambda d: d["3"].update(shape="2x2"), "'str' object cannot be interpreted"),
+        ("s3", "psrep", lambda d: d["3"].update(shape="2x2"),
+         "the matrix of arrow 3: shape '2x2' is not two non-negative integers"),
         ("s3", "bundle", lambda d: d["0"].update(gram={"shape": [2, 2], "data": [float("nan"), 0.0, 0.0, 1.0]}),
          "metric of object 0 has non-finite entries"),
         ("s3", "psrep", lambda d: d["3"]["data"].__setitem__(0, 10**400), "int too large to convert to float"),
         # the Z/2 objects are labelled 1, 2, 3: the error names the label, not the index 2
         ("z2", "bundle", lambda d: d["3"].update(gram={"shape": [2, 2], "data": [1.0, float("nan"), float("nan"), 1.0]}),
          "metric of object 3 has non-finite entries"),
+        # arrow 0 and object 0's metric are identities, which these spellings would read as
+        ("s3", "psrep", lambda d: d["0"].update(data=[True, 0, 0, 1]),
+         "the matrix of arrow 0: data entry 0 is not a number: True"),
+        ("s3", "psrep", lambda d: d["0"].update(data=["1", 0, 0, 1]),
+         "the matrix of arrow 0: data entry 0 is not a number: '1'"),
+        ("s3", "bundle", lambda d: d["0"].update(gram={"shape": [2, 2], "data": [1, 0, 0, True]}),
+         "the gram of object 0: data entry 3 is not a number: True"),
+        ("s3", "bundle", lambda d: d["0"].update(gram={"shape": [2, 2], "data": [1, 0, 0, "1"]}),
+         "the gram of object 0: data entry 3 is not a number: '1'"),
+        ("s3", "psrep", lambda d: d["0"].update(data=[[1, 0], [0, 1]]),
+         "the matrix of arrow 0: data is not a flat list of 2 x 2 numbers"),
+        ("s3", "psrep", lambda d: d["3"].update(shape=[-1, 4]),
+         "the matrix of arrow 3: shape [-1, 4] is not two non-negative integers"),
+        ("s3", "psrep", lambda d: d["3"].update(shape=[2.0, 2]),
+         "the matrix of arrow 3: shape [2.0, 2] is not two non-negative integers"),
+        ("s3", "groupoid", lambda d: d["compose"].append([1, 2]),
+         "compose entry [1, 2] is not three integers that fit an int64"),
+        ("s3", "groupoid", lambda d: d["compose"].append([1, 2, 3, 4]),
+         "compose entry [1, 2, 3, 4] is not three integers that fit an int64"),
+        ("s3", "groupoid", lambda d: d["compose"].insert(3, 5),
+         "compose entry 5 is not three integers that fit an int64"),
     ],
     ids=["groupoid_without_compose", "arrow_src_not_object", "groupoid_pair_listed_twice",
          "groupoid_units_empty", "bundle_without_object",
          "bundle_object_without_dim", "psrep_entry_without_data", "inverses_is_list",
          "bundle_object_is_number", "gram_is_list", "psrep_entry_is_list", "psrep_shape_is_text",
-         "gram_is_nan", "psrep_entry_too_large_for_a_float", "gram_is_nan_on_a_labelled_object"],
+         "gram_is_nan", "psrep_entry_too_large_for_a_float", "gram_is_nan_on_a_labelled_object",
+         "psrep_entry_is_true", "psrep_entry_is_text", "gram_entry_is_true", "gram_entry_is_text",
+         "psrep_data_nested", "psrep_shape_negative", "psrep_shape_float", "compose_row_of_two",
+         "compose_row_of_four", "compose_row_is_number"],
 )
 def test_malformed_input_file_named(tmp_path, capsys, rng, example, name, corrupt, named):
     G, rep = getattr(presets, f"{example}_example_rep")(rng)
