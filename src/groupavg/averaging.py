@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .bounds import Certificate, gate_holds, step_bounds, within
+from .bounds import Certificate, GateReport, gate_holds, step_bounds, within
 from . import psrep
 from .groupoid import CompositionTables, FiniteGroupoid, write_json, write_lines
 from .haar import HaarSystem
@@ -299,20 +299,18 @@ def drive(lam: Any, step, gauges, tol_c: float, max_iter: int,
 
 
 def iterate(rep: PseudoRep, nu: HaarSystem, tol_c: float = 1e-12, max_iter: int = 64,
-            by_orbit: tuple[list[float], list[float]] | None = None) -> IterationTrace:
+            gate: GateReport | None = None) -> IterationTrace:
     """Averaging repeated on :func:`drive`: per-step (b, c, unit defect) rows, inf or NaN on overflow.
 
-    The gate fields hold the per-orbit gate of the input, whose pass also gives row 0: the
-    largest b and c by orbit, from ``by_orbit`` when the caller's gate pass has them, and the
-    unit defect of the gate's unital check.  A failed gate is metadata only: the iteration
-    proceeds, since the gate is sufficient for the guarantee, not necessary for convergence.
+    The gate fields hold the per-orbit gate of the input, and row 0 is that gate pass's:
+    ``gate`` when the caller has run :func:`psrep.is_nearly_multiplicative` on ``rep``, else
+    that pass run here.  A failed gate is metadata only: the iteration proceeds, since the
+    gate is sufficient for the guarantee, not necessary for convergence.
     """
-    gate = is_nearly_multiplicative(rep, by_orbit)
-    row0 = (max([r.b for r in gate.rows], default=0.0), max([r.c for r in gate.rows], default=0.0),
-            gate.unit_defect, {})
+    gate = is_nearly_multiplicative(rep) if gate is None else gate
     trace = drive(rep, lambda lam: average(lam, nu),
-                  lambda lam: (b_norm(lam), c_norm(lam), lam.unit_defect(), {}), tol_c, max_iter, row0)
-    trace.gate_ok, trace.gate_failed_orbits = gate.ok, gate.failed_orbits()
+                  lambda lam: (b_norm(lam), c_norm(lam), lam.unit_defect(), {}), tol_c, max_iter, gate.row0)
+    trace.gate_ok, trace.gate_failed_orbits = gate.ok, gate.failed_orbits
     return trace
 
 

@@ -49,6 +49,26 @@ def gate_holds(b: float, c: float, safety: float = 1.0) -> bool:
         return c < math.inf
 
 
+@dataclass
+class GateReport:
+    """A gate pass of a start: b and c of each orbit as the pass measured them, the start's
+    unit defect, and the labels of the orbits that fail the gate.  ``ok`` is the per-orbit gate
+    and ``row0`` the start's trace row, with the largest b and c."""
+
+    b: list[float]
+    c: list[float]
+    unit_defect: float
+    failed_orbits: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(gate_holds(b, c) for b, c in zip(self.b, self.c))
+
+    @property
+    def row0(self) -> tuple[float, float, float, dict]:
+        return max(self.b, default=0.0), max(self.c, default=0.0), self.unit_defect, {}
+
+
 def within(observed: float, bound: float, floor: float = 0.0) -> bool:
     """observed <= bound, up to a relative slack of REL_SLACK and an absolute ``floor``."""
     return observed <= bound + REL_SLACK * abs(bound) + floor

@@ -26,7 +26,8 @@ import sys
 import numpy as np
 
 from . import averaging, bounds, circle, presets
-from .groupoid import FiniteGroupoid, action_groupoid, read_json, write_json, write_lines
+from .groupoid import (FiniteGroupoid, action_groupoid, read_json, too_large_for_float, write_json,
+                       write_lines)
 from .haar import HaarSystem, check_haar, counting_haar
 from .psrep import FiberBundle, PseudoRep
 
@@ -47,15 +48,16 @@ class ConfigError(Exception):
     pass
 
 
-def say(text: str) -> None:
-    """``text`` as a line on stdout, best-effort: once stdout's reader has gone, stdout is
-    pointed at os.devnull, so the lines stop and the exit flush cannot fail, and the run
-    goes on to its artifacts and its own exit code."""
+def say(text: str, err: bool = False) -> None:
+    """``text`` as a line on stdout, or on stderr with ``err``, best-effort: once the stream's
+    reader has gone, the stream is pointed at os.devnull, so the lines stop and the exit flush
+    cannot fail, and the run goes on to its artifacts and its own exit code."""
+    stream = sys.stderr if err else sys.stdout
     try:
-        print(text, flush=True)
+        print(text, file=stream, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -64,7 +66,7 @@ def log(msg: str) -> None:
 
 
 def fail(msg: str) -> None:
-    print(f"[groupavg] FAIL: {msg}", file=sys.stderr)
+    say(f"[groupavg] FAIL: {msg}", err=True)
 
 
 # the config fields that are also run flags, in --help order; the schema gives each its type
@@ -121,11 +123,8 @@ def load_config(path: str | None, args: argparse.Namespace) -> dict:
     for key, value in user.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"field {key}: non-finite value {value!r}")
-        if isinstance(value, int) and SCHEMA["properties"].get(key, {}).get("type") == "number":
-            try:
-                float(value)
-            except OverflowError:
-                raise ConfigError(f"field {key}: integer too large for a float") from None
+        if SCHEMA["properties"].get(key, {}).get("type") == "number" and too_large_for_float(value):
+            raise ConfigError(f"field {key}: integer too large for a float")
     check_schema(user, SCHEMA)
     return user
 
@@ -181,15 +180,14 @@ def kind_finite_iterate(p: dict) -> list[str]:
     out = ensure_out(p)
     if p.keys() & {"groupoid", "haar", "psrep", "bundle"}:
         G, nu, lam0 = load_finite_inputs(p)
-        scale = by_orbit = None  # the input files' pseudo-representation is not perturbed
+        scale = gate = None  # the input files' pseudo-representation is not perturbed
     else:
         rng = presets.UniformStream(p["seed"])
         G, rep = presets.s3_example_rep(rng)
         nu = counting_haar(G)
-        lam0, scale, by_orbit = presets.gated_start(rep, rng, p["perturb"])
+        lam0, scale, gate = presets.gated_start(rep, rng, p["perturb"])
         log(f"perturbation amplitude after gate rescale: {scale!r}")
-    trace = averaging.iterate(lam0, nu, tol_c=p["tol_c"], max_iter=p["max_iter"],
-                              by_orbit=by_orbit)
+    trace = averaging.iterate(lam0, nu, tol_c=p["tol_c"], max_iter=p["max_iter"], gate=gate)
     return finish_iterate(trace, out, {"kind": "finite_iterate", "seed": p["seed"],
                                        "perturb": scale})
 
@@ -263,18 +261,19 @@ def kind_circle_iterate(p: dict) -> list[str]:
         np.add(lam.values, np.multiply(noise, scale, out=noise), out=lam.values)
         return lam
 
-    def gauges(L: circle.TorusGridFn):  # (b, c) of the grid's one orbit, and the unit defect
+    def gauges(L: circle.TorusGridFn) -> bounds.GateReport:
+        # b and c over the grid: at least as strict as a gate on each of its gcd(k, N) orbits
         c, unit = circle.multiplicativity_residual(L)
-        return [float(np.abs(L.values).max())], [c], unit
+        return bounds.GateReport([float(np.abs(L.values).max())], [c], unit)
 
     gated = list(presets.rescale_to_gate(make, gauges, p["perturb"]))
-    log(f"perturbation amplitude after gate rescale: {gated[1]!r}")
-    scale, ((b0,), (c0,), unit0) = gated[1:]
+    scale, gate = gated[1:]
+    log(f"perturbation amplitude after gate rescale: {scale!r}")
     # the artifacts hold c, not the seminorms: one order-0 pass per row, and none for
     # row 0, which the gate pass measured.  The gated field is popped, so that
     # iterate_circle holds its only reference and frees it once it is averaged.
     trace = circle.iterate_circle(gated.pop(0), tol_c=p["tol_c"], max_iter=p["max_iter"],
-                                  order=0, row0=(b0, c0, unit0, {}))
+                                  order=0, row0=gate.row0)
     extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": start.twist,
              "perturb": scale}
     if trace.verdict.kind == "Converged":

@@ -39,6 +39,17 @@ def json_object(value: Any, what: str) -> dict:
     return value
 
 
+def too_large_for_float(value: Any) -> bool:
+    """Whether ``value`` is an integer whose float conversion overflows, as a JSON integer's can."""
+    if type(value) is not int:
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 def arrow_keyed(d: dict, m: int, what: str) -> dict[int, Any]:
     """The values of an object keyed by the arrow ids of an m-arrow groupoid, by arrow id;
     ValueError naming the first key that is no arrow id."""

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .groupoid import FiniteGroupoid, arrow_keyed, read_json, write_json
+from .groupoid import FiniteGroupoid, arrow_keyed, read_json, too_large_for_float, write_json
 
 NORMALIZATION_TOL = 1e-12
 INVARIANCE_TOL = 1e-12
@@ -52,9 +52,12 @@ class HaarSystem:
     def from_json_dict(cls, d: dict, groupoid: FiniteGroupoid) -> "HaarSystem":
         """Weights keyed by arrow id; an absent arrow weighs 0.  Raises
         ValueError naming a key that is no arrow id, or a weight that is no
-        finite JSON number (``true`` and ``false`` are not numbers here)."""
+        finite JSON number (``true`` and ``false`` are not numbers here) or is too large for a
+        float."""
         weights = [0.0] * groupoid.n_arrows
         for g, w in arrow_keyed(d, groupoid.n_arrows, "haar").items():
+            if too_large_for_float(w):
+                raise ValueError(f"haar weight of arrow {g} is too large for a float")
             if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
                 raise ValueError(f"haar weight of arrow {g} is not a finite number: {w!r}")
             weights[g] = float(w)

@@ -13,8 +13,8 @@ import itertools
 import numpy as np
 
 from .groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, symmetric_group, cyclic_group
-from .bounds import gate_holds
-from .psrep import FiberBundle, PseudoRep, PseudoRepBatch, b_by_orbit, c_by_orbit
+from .bounds import GateReport, gate_holds
+from .psrep import FiberBundle, PseudoRep, PseudoRepBatch, is_nearly_multiplicative
 
 # the gate-rescale loop accepts a candidate a tenth inside the gate
 RESCALE_SAFETY = 0.9
@@ -149,10 +149,9 @@ def perturb_rep(rep: PseudoRep, rng: UniformStream, delta: float) -> PseudoRep:
 
 
 def rescale_to_gate(make, gauges, delta: float):
-    """The first of make(delta), make(0.7 delta), ... whose gauges pass the gate
-    c <= 0.9 (1/9) b^(-2), with the amplitude used and those gauges: ``gauges(cand)`` gives
-    (b, c) by orbit, as two lists, and may add further measures; the gate reads the maxima of
-    the two lists.
+    """The first of make(delta), make(0.7 delta), ... whose gate pass ``gauges(cand)``, a
+    :class:`bounds.GateReport`, has a row 0 inside the gate c <= 0.9 (1/9) b^(-2), with the
+    amplitude used and that report.
 
     A candidate whose gauges overflow fails the gate.  Raises ValueError naming ``delta`` when
     none of the first 200 amplitudes passes."""
@@ -160,23 +159,24 @@ def rescale_to_gate(make, gauges, delta: float):
     for _ in range(200):
         cand = make(scale)
         with np.errstate(over="ignore", invalid="ignore"):
-            bc = gauges(cand)
-            ok = gate_holds(max(bc[0]), max(bc[1]), RESCALE_SAFETY)
+            gate = gauges(cand)
+            ok = gate_holds(*gate.row0[:2], RESCALE_SAFETY)
         if ok:
-            return cand, scale, bc
+            return cand, scale, gate
         del cand  # a rejected candidate dies before the next is built
         scale *= 0.7
     raise ValueError(f"perturbation amplitude {delta!r} does not pass the gate in 200 rescales")
 
 
 def gated_start(rep0: PseudoRep, rng: UniformStream,
-                delta: float) -> tuple[PseudoRep, float, tuple[list[float], list[float]]]:
+                delta: float) -> tuple[PseudoRep, float, GateReport]:
     """Perturb a representation and rescale the noise to the global gate.
 
     The global gate c <= (1/9) b^(-2) implies the per-orbit gate (orbit values are dominated by
     the global ones), and makes the doubly exponential envelope at (b0, c0) a theorem for the
-    whole trace.  Returns the gated pseudo-representation, the noise amplitude used, and its
-    b and c by orbit, which :func:`averaging.iterate` takes as ``by_orbit``."""
+    whole trace.  Returns the gated pseudo-representation, the noise amplitude used, and the
+    report of its :func:`psrep.is_nearly_multiplicative` pass, which :func:`averaging.iterate`
+    takes as ``gate``."""
     noise = perturb_rep(rep0, rng, 1.0)
     diff = [noise.maps[g] - rep0.maps[g] for g in rep0.groupoid.arrows()]
 
@@ -186,7 +186,7 @@ def gated_start(rep0: PseudoRep, rng: UniformStream,
             cand.maps[g] = cand.maps[g] + scale * diff[g]
         return cand
 
-    return rescale_to_gate(make, lambda cand: (b_by_orbit(cand), c_by_orbit(cand)), delta)
+    return rescale_to_gate(make, is_nearly_multiplicative, delta)
 
 
 def gated_perturbation(rep0: PseudoRep, rng: UniformStream, delta: float) -> tuple[PseudoRep, float]:

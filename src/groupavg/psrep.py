@@ -23,8 +23,9 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import GATE_COEFF, gate_holds, square
-from .groupoid import CompositionTables, FiniteGroupoid, arrow_keyed, json_object, read_json, write_json
+from .bounds import GateReport, gate_holds
+from .groupoid import (CompositionTables, FiniteGroupoid, arrow_keyed, json_object, read_json,
+                       too_large_for_float, write_json)
 
 COND_LIMIT = 1e12
 METRIC_EIG_FLOOR = 1e-12
@@ -124,10 +125,9 @@ def matrix_json(M: np.ndarray) -> dict:
 
 def matrix_from_json(entry: Any, what: str) -> np.ndarray:
     """The matrix of a :func:`matrix_json` object, whose ``shape`` must be two non-negative JSON
-    integers and ``data`` a flat list of rows x cols JSON numbers (no booleans or strings).
-    TypeError naming ``what`` if ``entry`` is no JSON object, KeyError on a missing ``data`` or
-    ``shape``, OverflowError on an integer too large for a float, ValueError naming ``what``
-    otherwise."""
+    integers and ``data`` a flat list of rows x cols JSON numbers (no booleans or strings), each
+    within the float range.  TypeError naming ``what`` if ``entry`` is no JSON object, KeyError
+    on a missing ``data`` or ``shape``, ValueError naming ``what`` otherwise."""
     entry = json_object(entry, what)
     shape, data = entry["shape"], entry["data"]
     if type(shape) is not list or len(shape) != 2 or any(type(n) is not int or n < 0 for n in shape):
@@ -137,7 +137,11 @@ def matrix_from_json(entry: Any, what: str) -> np.ndarray:
     bad = next((i for i, x in enumerate(data) if type(x) not in (int, float)), None)
     if bad is not None:
         raise ValueError(f"{what}: data entry {bad} is not a number: {data[bad]!r}")
-    return np.array(data, dtype=float).reshape(shape)
+    try:
+        return np.array(data, dtype=float).reshape(shape)
+    except OverflowError:
+        big = next(i for i, x in enumerate(data) if too_large_for_float(x))
+        raise ValueError(f"{what}: data entry {big} is too large for a float") from None
 
 
 @dataclass
@@ -261,7 +265,9 @@ def metric_norms(
         X = np.where(finite[..., None, None], X, 0.0)
 
     def top_sv(keep):  # the largest singular value of each kept map, inf where not finite
-        return np.where(finite[keep], np.linalg.svd(X[keep], compute_uv=False)[..., 0], np.inf)
+        kept = X[keep]
+        kept += 0.0  # -0.0 to +0.0, as the whitening products give: the SVD's last bit reads it
+        return np.where(finite[keep], np.linalg.svd(kept, compute_uv=False)[..., 0], np.inf)
 
     # scaled by its largest entry, a map's squares neither underflow nor overflow
     peak = np.abs(X).max(axis=(-2, -1))
@@ -483,32 +489,9 @@ def cocycles(st: Stacks, inv: Stacks, T: CompositionTables) -> Stacks:
     return D
 
 
-@dataclass
-class OrbitGateRow:
-    objects: list[int]
-    b: float
-    c: float
-    threshold: float
-    ok: bool
-
-
-@dataclass
-class GateReport:
-    rows: list[OrbitGateRow]
-    unit_defect: float  # the input's, from the unital check
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def failed_orbits(self) -> list[list[int]]:
-        return [r.objects for r in self.rows if not r.ok]
-
-
-def is_nearly_multiplicative(rep: PseudoRep,
-                             by_orbit: tuple[list[float], list[float]] | None = None) -> GateReport:
-    """Per-orbit gate c <= (1/9) b^(-2), using the bundle's stored metrics; ``by_orbit`` is the
-    (b, c) lists of :func:`b_by_orbit` and :func:`c_by_orbit` when the caller has them.
+def is_nearly_multiplicative(rep: PseudoRep) -> GateReport:
+    """The gate pass of a finite start: b and c by orbit, the per-orbit gate c <= (1/9) b^(-2)
+    under the bundle's stored metrics, and the unit defect of the unital check.
 
     The caller must pass a unital pseudo-representation.  No search over
     alternative metrics is attempted: a failing report under the stored metric
@@ -519,8 +502,6 @@ def is_nearly_multiplicative(rep: PseudoRep,
         unit = rep.unit_defect()
         if not unit <= 1e-8:
             raise ValueError("gate check requires a unital pseudo-representation")
-        bs, cs = by_orbit or (b_by_orbit(rep), c_by_orbit(rep))
-        return GateReport([
-            OrbitGateRow(orbit, b, c, GATE_COEFF / square(b) if b > 0 else np.inf, gate_holds(b, c))
-            for orbit, b, c in zip(rep.groupoid.orbits(), bs, cs)
-        ], unit)
+        bs, cs = b_by_orbit(rep), c_by_orbit(rep)
+        return GateReport(bs, cs, unit, [orbit for orbit, b, c in zip(rep.groupoid.orbits(), bs, cs)
+                                         if not gate_holds(b, c)])

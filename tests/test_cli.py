@@ -286,13 +286,12 @@ def test_finite_iterate_gauges_its_gated_start_once(tmp_path, monkeypatch):
     # the gate pass's gauges by orbit give row 0 and the gate fields: the accepted candidate is
     # gauged once, as each rejected one is, and iterate gauges only the later rows
     calls, iterate = [], averaging.iterate
-    for module in (psrep, presets):
-        for name in ("b_by_orbit", "c_by_orbit"):
-            def counted(lam, fn=getattr(module, name), name=name):
-                calls.append((name, lam))
-                return fn(lam)
+    for name in ("b_by_orbit", "c_by_orbit"):
+        def counted(lam, fn=getattr(psrep, name), name=name):
+            calls.append((name, lam))
+            return fn(lam)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(psrep, name, counted)
     monkeypatch.setattr(averaging, "iterate",
                         lambda rep, *a, **kw: calls.append(("iterate", rep)) or iterate(rep, *a, **kw))
     out = tmp_path / "out"
@@ -1097,6 +1096,32 @@ def test_closed_stdout_is_not_an_input_error(tmp_path, monkeypatch, capsys, z2_g
         assert normal and normal == closed
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, code, artifacts",
+    [
+        (["run", "finite_iterate", "--seed", "1", "--perturb", "1e-6"], 1,
+         ["bounds_check.csv", "trace.csv", "verdict.json"]),
+        (["run", "circle_iterate", "--N", "4", "--profile", "missing.csv"], 2, []),
+    ],
+    ids=["assertion_failure", "input_error"],
+)
+def test_closed_stderr_keeps_the_exit_code(tmp_path, monkeypatch, argv, code, artifacts, unbuffered):
+    """A program whose stderr's reader has gone before its FAIL lines exits with the kind's own
+    code, 1 after writing its artifacts or 2 on an input error, with stderr buffered or not."""
+    monkeypatch.chdir(tmp_path)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "groupavg.cli", *argv, "--out", "out"],
+                              stdout=subprocess.DEVNULL, stderr=write,
+                              env={**cli_env(), "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert done.returncode == code
+    assert sorted(p.name for p in Path("out").iterdir()) == artifacts
+
+
 # -- flags are checked like config fields --------------------------------------------------
 
 
@@ -1224,7 +1249,8 @@ def test_profile_csv_error_names_the_file_and_is_all_of_stderr(tmp_path, text, n
          "the matrix of arrow 3: shape '2x2' is not two non-negative integers"),
         ("s3", "bundle", lambda d: d["0"].update(gram={"shape": [2, 2], "data": [float("nan"), 0.0, 0.0, 1.0]}),
          "metric of object 0 has non-finite entries"),
-        ("s3", "psrep", lambda d: d["3"]["data"].__setitem__(0, 10**400), "int too large to convert to float"),
+        ("s3", "psrep", lambda d: d["3"]["data"].__setitem__(0, 10**400),
+         "the matrix of arrow 3: data entry 0 is too large for a float"),
         # the Z/2 objects are labelled 1, 2, 3: the error names the label, not the index 2
         ("z2", "bundle", lambda d: d["3"].update(gram={"shape": [2, 2], "data": [1.0, float("nan"), float("nan"), 1.0]}),
          "metric of object 3 has non-finite entries"),
@@ -1249,6 +1275,8 @@ def test_profile_csv_error_names_the_file_and_is_all_of_stderr(tmp_path, text, n
          "compose entry [1, 2, 3, 4] is not three integers that fit an int64"),
         ("s3", "groupoid", lambda d: d["compose"].insert(3, 5),
          "compose entry 5 is not three integers that fit an int64"),
+        ("s3", "bundle", lambda d: d["0"].update(gram={"shape": [2, 2], "data": [1, -10**400, 0, 1]}),
+         "the gram of object 0: data entry 1 is too large for a float"),
     ],
     ids=["groupoid_without_compose", "arrow_src_not_object", "groupoid_pair_listed_twice",
          "groupoid_units_empty", "bundle_without_object",
@@ -1257,7 +1285,7 @@ def test_profile_csv_error_names_the_file_and_is_all_of_stderr(tmp_path, text, n
          "gram_is_nan", "psrep_entry_too_large_for_a_float", "gram_is_nan_on_a_labelled_object",
          "psrep_entry_is_true", "psrep_entry_is_text", "gram_entry_is_true", "gram_entry_is_text",
          "psrep_data_nested", "psrep_shape_negative", "psrep_shape_float", "compose_row_of_two",
-         "compose_row_of_four", "compose_row_is_number"],
+         "compose_row_of_four", "compose_row_is_number", "gram_entry_too_large_for_a_float"],
 )
 def test_malformed_input_file_named(tmp_path, capsys, rng, example, name, corrupt, named):
     G, rep = getattr(presets, f"{example}_example_rep")(rng)
@@ -1337,6 +1365,7 @@ def write_haar(tmp_path, doc):
         ({"3": float("inf")}, "arrow 3"),
         ({"0": True}, "arrow 0 is not a finite number: True"),
         ({"5": False}, "arrow 5 is not a finite number: False"),
+        ({"2": 10**400}, "arrow 2 is too large for a float"),
     ],
 )
 def test_bad_haar_file_named_on_run_and_validate(tmp_path, capsys, rng, doc, named):

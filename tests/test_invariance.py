@@ -69,9 +69,11 @@ def test_relabelling_leaves_the_gauges_and_moves_the_average_by_rounding(seed, s
     new = relabelled(rep, pa, po, rng.permutation(len(G.compose)))
 
     assert (b_norm(new), c_norm(new), new.unit_defect()) == (b_norm(rep), c_norm(rep), rep.unit_defect())
-    rows = {tuple(sorted(po[r.objects])): (r.b, r.c, r.threshold, r.ok)
-            for r in is_nearly_multiplicative(rep).rows}
-    assert {tuple(r.objects): (r.b, r.c, r.threshold, r.ok) for r in is_nearly_multiplicative(new).rows} == rows
+    gate, gate_new = is_nearly_multiplicative(rep), is_nearly_multiplicative(new)
+    rows = {tuple(sorted(po[objects])): (b, c, objects in gate.failed_orbits)
+            for objects, b, c in zip(G.orbits(), gate.b, gate.c)}
+    assert {tuple(objects): (b, c, objects in gate_new.failed_orbits)
+            for objects, b, c in zip(new.groupoid.orbits(), gate_new.b, gate_new.c)} == rows
 
     avg = averaging.average(rep, counting_haar(G))
     avg_new = averaging.average(new, counting_haar(new.groupoid))

@@ -231,7 +231,7 @@ def test_gate_passes_identity_rep(z2_groupoid):
     rep = PseudoRep(z2_groupoid, bundle, [np.eye(2) for _ in z2_groupoid.arrows()])
     report = is_nearly_multiplicative(rep)
     assert report.ok
-    assert all(row.c <= 1e-14 for row in report.rows)
+    assert all(c <= 1e-14 for c in report.c)
 
 
 def test_gate_boundary_rotation_cases():
@@ -240,13 +240,13 @@ def test_gate_boundary_rotation_cases():
     # c = 2 sin(alpha) while b stays 1; the gate threshold is 1/9
     fail_rep = PseudoRep(G, bundle, [np.eye(2), rotation(np.arcsin(0.1))])
     report = is_nearly_multiplicative(fail_rep)
-    assert report.rows[0].b == pytest.approx(1.0)
-    assert report.rows[0].c == pytest.approx(0.2)
+    assert report.b[0] == pytest.approx(1.0)
+    assert report.c[0] == pytest.approx(0.2)
     assert not report.ok
 
     pass_rep = PseudoRep(G, bundle, [np.eye(2), rotation(np.arcsin(0.05))])
     report = is_nearly_multiplicative(pass_rep)
-    assert report.rows[0].c == pytest.approx(0.1)
+    assert report.c[0] == pytest.approx(0.1)
     assert report.ok
 
 
@@ -271,12 +271,12 @@ def test_per_orbit_values_match_restriction(rng):
     G, base = presets.z2_example_rep(rng)
     rep = random_unital_pseudorep(base, rng, 0.1)
     report = is_nearly_multiplicative(rep)
-    for row in report.rows:
-        sub = restrict_rep(rep, row.objects)
-        assert b_norm(sub) == pytest.approx(row.b, rel=1e-12)
-        assert c_norm(sub) == pytest.approx(row.c, rel=1e-12, abs=1e-15)
-        assert row.b <= b_norm(rep) * (1 + 1e-12)
-        assert row.c <= c_norm(rep) * (1 + 1e-12) + 1e-15
+    for objects, b, c in zip(G.orbits(), report.b, report.c):
+        sub = restrict_rep(rep, objects)
+        assert b_norm(sub) == pytest.approx(b, rel=1e-12)
+        assert c_norm(sub) == pytest.approx(c, rel=1e-12, abs=1e-15)
+        assert b <= b_norm(rep) * (1 + 1e-12)
+        assert c <= c_norm(rep) * (1 + 1e-12) + 1e-15
 
 
 # -- inverses: the step's own, in the per-orbit one-step report ----------------------

@@ -20,15 +20,18 @@ cases, which run those N, are held to SPLIT_ULPS = 8 eps b, also measured. Both
 multiples wait for a derived rounding floor of the averaging step.
 """
 
+import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from groupavg import averaging, circle, presets
+from groupavg import averaging, circle, cli, presets
+from groupavg.bounds import gate_holds
 from groupavg.groupoid import FiniteGroupAction, action_groupoid, cyclic_group
 from groupavg.haar import counting_haar
-from groupavg.psrep import FiberBundle, PseudoRep, b_norm, c_norm
+from groupavg.psrep import FiberBundle, PseudoRep, b_norm, c_norm, is_nearly_multiplicative
 
 CASES = [(8, 1), (8, 2), (16, 3), (32, 2), (8, 8), (8, 11)]
 EPS = np.finfo(float).eps
@@ -132,6 +135,28 @@ def test_iterations_agree(N, k, workers, avg_rows, monkeypatch):
         assert abs(f.b - c.b) <= tol and abs(f.c - c.c) <= tol * (1 + 2 * b)
         assert c.unit_defect == 0.0 and f.unit_defect <= (tol if workers > 1 else 0.0)
     assert np.abs(as_grid(fin.final, N) - circ.final.values).max() <= tol
+
+
+@pytest.mark.parametrize("N, k", [(8, 2), (8, 3), (12, 4)])
+def test_the_grid_has_gcd_orbits_and_the_circle_gates_on_their_maxima(N, k, tmp_path):
+    """theta moves a grid point by k theta mod N, so the N points fall into gcd(N, k) orbits.
+    The circle's gate reads b and c over the whole grid: the finite engine's per-orbit gauges
+    have those maxima, and the circle gate passes only where every orbit's gate does."""
+    assert len(twisted_groupoid(N, k).orbits()) == math.gcd(N, k)
+    noise = presets.smooth_torus_field(np.random.default_rng(1), N)
+    noise[0] = 0.0
+    for amplitude in (1e-3, 0.2):
+        L = circle.TorusGridFn(perturbed(N, k).values + amplitude * noise, k)
+        circ, fin = circle.iterate_circle(L, max_iter=1, order=0), is_nearly_multiplicative(as_rep(L))
+        assert (max(fin.b), max(fin.c)) == (circ.rows[0].b, circ.rows[0].c)
+        assert circ.gate_ok == gate_holds(circ.rows[0].b, circ.rows[0].c) == (amplitude < 0.1)
+        assert fin.ok or not circ.gate_ok
+
+    assert cli.main(["run", "circle_iterate", "--N", str(N), "--k", str(k), "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "verdict.json").read_text())
+    assert doc["gate_ok"] is gate_holds(doc["b0"], doc["c0"]) is True
+    assert doc["gate_failed_orbits"] == []
 
 
 def test_a_vanishing_node_is_the_same_arrow():
