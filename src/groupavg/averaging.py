@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .bounds import Certificate, GateReport, gate_holds, step_bounds, within
+from .bounds import Certificate, GateReport, step_bounds, within
 from . import psrep
 from .groupoid import CompositionTables, FiniteGroupoid, write_json, write_lines
 from .haar import HaarSystem
@@ -29,10 +29,8 @@ from .psrep import (
     Stacks,
     arrow_norms_by_orbit,
     b_by_orbit,
-    b_norm,
     blocks,
     c_by_orbit,
-    c_norm,
     cocycles,
     invert_stacks,
     is_nearly_multiplicative,
@@ -264,27 +262,27 @@ class Verdict:
 class IterationTrace:
     rows: list[TraceRow]
     verdict: Verdict
-    gate_ok: bool
-    gate_failed_orbits: list[list[int]]
+    gate: GateReport  # row 0's gauge pass: the gate of the start
     final: Any
 
 
 def drive(lam: Any, step, gauges, tol_c: float, max_iter: int,
-          row0: tuple[float, float, float, dict] | None = None) -> IterationTrace:
-    """Every trace row of the finite and circle cases: ``gauges(lam)`` gives a row's (b, c, unit
-    defect, extras), ``step(lam)`` the next iterate, and ``row0``, when given, is row 0 as the
-    caller's gate pass measured the start; without it, row 0 gauges the start.
+          gate: GateReport | None = None) -> IterationTrace:
+    """Every trace row of the finite and circle cases: row i is ``gauges(lam).row`` of the i-th
+    iterate, a :class:`bounds.GateReport`, and ``step(lam)`` the next iterate.  Row 0's report
+    is ``gate`` when the caller's gate pass has measured the start, else ``gauges`` of the start,
+    and the trace keeps it as its gate.
 
     Stops at c <= tol_c (Converged, the current iterate is the limit), after max_iter >= 0 steps
     (Diverged), or when a step raises NonInvertible (NonInvertibleAt, whose ``arrow`` is the
     fault's).  Gauges and steps that overflow write inf or NaN to the trace, or fail the step,
-    without a warning.  The gate fields are read off row 0; the bounds the rows certify are
-    :func:`bounds.certify`'s.
+    without a warning.  The bounds the rows certify are :func:`bounds.certify`'s.
     """
     rows: list[TraceRow] = []
     with np.errstate(over="ignore", invalid="ignore"):
+        gate = gauges(lam) if gate is None else gate
         for i in range(max_iter + 1):
-            b, c, unit, extras = gauges(lam) if i or row0 is None else row0
+            b, c, unit, extras = (gauges(lam) if i else gate).row
             rows.append(TraceRow(i, b, c, unit, extras))
             if c <= tol_c or i == max_iter:
                 verdict = Verdict("Converged" if c <= tol_c else "Diverged", iteration=i)
@@ -294,24 +292,23 @@ def drive(lam: Any, step, gauges, tol_c: float, max_iter: int,
             except NonInvertible as exc:
                 verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.arrow)
                 break
-    return IterationTrace(rows, verdict, gate_ok=gate_holds(rows[0].b, rows[0].c),
-                          gate_failed_orbits=[], final=lam)
+    return IterationTrace(rows, verdict, gate, final=lam)
 
 
 def iterate(rep: PseudoRep, nu: HaarSystem, tol_c: float = 1e-12, max_iter: int = 64,
             gate: GateReport | None = None) -> IterationTrace:
     """Averaging repeated on :func:`drive`: per-step (b, c, unit defect) rows, inf or NaN on overflow.
 
-    The gate fields hold the per-orbit gate of the input, and row 0 is that gate pass's:
-    ``gate`` when the caller has run :func:`psrep.is_nearly_multiplicative` on ``rep``, else
-    that pass run here.  A failed gate is metadata only: the iteration proceeds, since the
-    gate is sufficient for the guarantee, not necessary for convergence.
+    Every row is a :func:`psrep.is_nearly_multiplicative` pass, and row 0's, the trace's gate,
+    is ``gate`` when the caller has run that pass on ``rep``.  Raises ValueError, before any
+    step, when ``rep`` is not unital: a unit defect above 1e-8.  A failed gate is metadata only:
+    the iteration proceeds, since the gate is sufficient for the guarantee, not necessary for
+    convergence.
     """
     gate = is_nearly_multiplicative(rep) if gate is None else gate
-    trace = drive(rep, lambda lam: average(lam, nu),
-                  lambda lam: (b_norm(lam), c_norm(lam), lam.unit_defect(), {}), tol_c, max_iter, gate.row0)
-    trace.gate_ok, trace.gate_failed_orbits = gate.ok, gate.failed_orbits
-    return trace
+    if not gate.unit_defect <= 1e-8:
+        raise ValueError("gate check requires a unital pseudo-representation")
+    return drive(rep, lambda lam: average(lam, nu), is_nearly_multiplicative, tol_c, max_iter, gate)
 
 
 TRACE_HEADER = "i,b,c,unit_defect,quadratic_bound_rhs,envelope"
@@ -337,8 +334,8 @@ def write_verdict_json(trace: IterationTrace, cert: Certificate, path: str,
         "c0": trace.rows[0].c,
         "b_final": trace.rows[-1].b,
         "c_final": trace.rows[-1].c,
-        "gate_ok": trace.gate_ok,
-        "gate_failed_orbits": trace.gate_failed_orbits,
+        "gate_ok": trace.gate.ok,
+        "gate_failed_orbits": trace.gate.failed_orbits,
         "envelope_valid": cert.envelope is not None,
     }
     if extra:

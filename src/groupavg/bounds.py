@@ -51,22 +51,24 @@ def gate_holds(b: float, c: float, safety: float = 1.0) -> bool:
 
 @dataclass
 class GateReport:
-    """A gate pass of a start: b and c of each orbit as the pass measured them, the start's
-    unit defect, and the labels of the orbits that fail the gate.  ``ok`` is the per-orbit gate
-    and ``row0`` the start's trace row, with the largest b and c."""
+    """One gauge pass of an iterate: b and c of each orbit as the pass measured them, its unit
+    defect, the labels of the orbits that fail the gate, and the row's extra gauges (the circle's
+    ``c_sem_r1`` at order 1).  ``ok`` is the per-orbit gate and ``row`` the iterate's trace row,
+    with the largest b and c."""
 
     b: list[float]
     c: list[float]
     unit_defect: float
     failed_orbits: list = field(default_factory=list)
+    extras: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return all(gate_holds(b, c) for b, c in zip(self.b, self.c))
 
     @property
-    def row0(self) -> tuple[float, float, float, dict]:
-        return max(self.b, default=0.0), max(self.c, default=0.0), self.unit_defect, {}
+    def row(self) -> tuple[float, float, float, dict]:
+        return max(self.b, default=0.0), max(self.c, default=0.0), self.unit_defect, self.extras
 
 
 def within(observed: float, bound: float, floor: float = 0.0) -> bool:

@@ -34,6 +34,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .averaging import IterationTrace, drive
+from .bounds import GateReport
 from .groupoid import write_lines
 from .psrep import NonInvertible
 
@@ -380,31 +381,36 @@ def _defect_sups(slices, N: int, order: int) -> np.ndarray:
     return reduce(np.maximum, maxima) * np.array([1.0, N / 2.0])[: order + 1]
 
 
+def gauges(L: TorusGridFn, order: int = 0) -> GateReport:
+    """The circle engine's one gauge pass, of a start's gate and of every trace row: b = max
+    |Lambda| and c, the r = 0 cocycle residual, over the whole grid (at least as strict as a gate
+    on each of its gcd(k, N) orbits, which go unnamed), the unit-row defect, and at ``order=1``
+    the extra ``c_sem_r1``, the order-1 discrete seminorm of the full defect field.  One defect
+    pass of that order: at order 0, :func:`multiplicativity_residual`'s."""
+    if order:
+        sups = _defect_sups(partial(_defect_slices, L), L.N, order)
+        c, unit = float(sups[0]), float(np.abs(L.values[0] - 1.0).max())
+        extras = {"c_sem_r1": float(np.max(sups))}
+    else:
+        (c, unit), extras = multiplicativity_residual(L), {}
+    return GateReport([float(np.abs(L.values).max())], [c], unit, extras=extras)
+
+
 def iterate_circle(L0: TorusGridFn, tol_c: float = 1e-12, max_iter: int = 64, order: int = 1,
-                   row0: tuple[float, float, float, dict] | None = None) -> IterationTrace:
+                   gate: GateReport | None = None) -> IterationTrace:
     """Repeated rotation averaging of a unital grid effect on :func:`averaging.drive`, whose rows
     read inf or NaN where a gauge overflows, without a warning.
 
-    Rows carry b = max |Lambda|, c = the r = 0 cocycle residual, the unit-row defect, and at
-    ``order=1`` (in extras) ``c_sem_r1``, the order-1 discrete seminorm of the full defect field.
-    The gate is c <= (1/9) b^(-2) on the grid.
-
-    Each row runs one defect pass of that order: at order 0, one N^2 slice per worker, against
-    4 N^2 per worker at order 1.  ``row0`` is row 0, the (b, c, unit defect, extras) of ``L0``
-    from a gate pass the caller already ran (:func:`multiplicativity_residual` gives the same c
-    and unit defect); with it, row 0 runs no pass."""
+    Each row is a :func:`gauges` pass of ``order``: one defect pass, of one N^2 slice per worker
+    at order 0, against 4 N^2 per worker at order 1.  The gate is c <= (1/9) b^(-2) on the grid.
+    ``gate`` is row 0's pass when the caller's gate pass has measured ``L0``; with it, row 0
+    runs no pass."""
     if order not in (0, 1):
         raise ValueError(f"seminorm order {order} not supported (use 0 or 1)")
-
-    def gauges(lam: TorusGridFn):
-        b, sups = float(np.abs(lam.values).max()), _defect_sups(partial(_defect_slices, lam), lam.N, order)
-        return (b, float(sups[0]), float(np.abs(lam.values[0] - 1.0).max()),
-                {"c_sem_r1": float(np.max(sups))} if order else {})
-
     # drive holds the only reference to each iterate, so L0 is freed once L1 exists
     start = [L0]
     del L0
-    return drive(start.pop(), average_circle, gauges, tol_c, max_iter, row0)
+    return drive(start.pop(), average_circle, partial(gauges, order=order), tol_c, max_iter, gate)
 
 
 # -- CSV formats ---------------------------------------------------------------

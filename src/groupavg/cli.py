@@ -261,19 +261,14 @@ def kind_circle_iterate(p: dict) -> list[str]:
         np.add(lam.values, np.multiply(noise, scale, out=noise), out=lam.values)
         return lam
 
-    def gauges(L: circle.TorusGridFn) -> bounds.GateReport:
-        # b and c over the grid: at least as strict as a gate on each of its gcd(k, N) orbits
-        c, unit = circle.multiplicativity_residual(L)
-        return bounds.GateReport([float(np.abs(L.values).max())], [c], unit)
-
-    gated = list(presets.rescale_to_gate(make, gauges, p["perturb"]))
+    gated = list(presets.rescale_to_gate(make, circle.gauges, p["perturb"]))
     scale, gate = gated[1:]
     log(f"perturbation amplitude after gate rescale: {scale!r}")
     # the artifacts hold c, not the seminorms: one order-0 pass per row, and none for
     # row 0, which the gate pass measured.  The gated field is popped, so that
     # iterate_circle holds its only reference and frees it once it is averaged.
     trace = circle.iterate_circle(gated.pop(0), tol_c=p["tol_c"], max_iter=p["max_iter"],
-                                  order=0, row0=gate.row0)
+                                  order=0, gate=gate)
     extra = {"kind": "circle_iterate", "seed": p["seed"], "N": p["N"], "k": start.twist,
              "perturb": scale}
     if trace.verdict.kind == "Converged":

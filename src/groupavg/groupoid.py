@@ -324,6 +324,8 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FiniteGroupoid":
+        if type(d["objects"]) is not list:
+            raise TypeError(f"objects must be a JSON array, got {type(d['objects']).__name__}")
         objects = list(d["objects"])
         index = {str(x): i for i, x in enumerate(objects)}
         if len(index) < len(objects):  # a file names an object by str(label)

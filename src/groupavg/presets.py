@@ -150,7 +150,7 @@ def perturb_rep(rep: PseudoRep, rng: UniformStream, delta: float) -> PseudoRep:
 
 def rescale_to_gate(make, gauges, delta: float):
     """The first of make(delta), make(0.7 delta), ... whose gate pass ``gauges(cand)``, a
-    :class:`bounds.GateReport`, has a row 0 inside the gate c <= 0.9 (1/9) b^(-2), with the
+    :class:`bounds.GateReport`, has a row inside the gate c <= 0.9 (1/9) b^(-2), with the
     amplitude used and that report.
 
     A candidate whose gauges overflow fails the gate.  Raises ValueError naming ``delta`` when
@@ -160,7 +160,7 @@ def rescale_to_gate(make, gauges, delta: float):
         cand = make(scale)
         with np.errstate(over="ignore", invalid="ignore"):
             gate = gauges(cand)
-            ok = gate_holds(*gate.row0[:2], RESCALE_SAFETY)
+            ok = gate_holds(*gate.row[:2], RESCALE_SAFETY)
         if ok:
             return cand, scale, gate
         del cand  # a rejected candidate dies before the next is built

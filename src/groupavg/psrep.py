@@ -219,7 +219,8 @@ class FiberBundle:
 
     @classmethod
     def from_json_dict(cls, d: dict, objects: Sequence) -> "FiberBundle":
-        """The bundle keyed by the labels of ``objects``, its Gram matrices checked by :meth:`metric_factors` by label."""
+        """The bundle keyed by the labels of ``objects``, its Gram matrices checked by :meth:`metric_factors` by label.
+        Identity metrics are not built, so nothing of a dim's size is allocated before the maps check it."""
         dims, metrics = [], []
         for label in objects:
             entry = json_object(d[str(label)], f"object {label}")
@@ -231,7 +232,8 @@ class FiberBundle:
                            if "gram" in entry else None)
         bundle = cls(dims=dims, metrics=metrics)
         for x, label in enumerate(objects):
-            bundle.metric_factors(x, label)
+            if metrics[x] is not None:
+                bundle.metric_factors(x, label)
         return bundle
 
 
@@ -490,18 +492,16 @@ def cocycles(st: Stacks, inv: Stacks, T: CompositionTables) -> Stacks:
 
 
 def is_nearly_multiplicative(rep: PseudoRep) -> GateReport:
-    """The gate pass of a finite start: b and c by orbit, the per-orbit gate c <= (1/9) b^(-2)
-    under the bundle's stored metrics, and the unit defect of the unital check.
+    """The finite engine's one gauge pass, of a start's gate and of every trace row: b and c by
+    orbit, the per-orbit gate c <= (1/9) b^(-2) under the bundle's stored metrics, and the unit
+    defect, which :func:`averaging.iterate` checks at the start.
 
-    The caller must pass a unital pseudo-representation.  No search over
-    alternative metrics is attempted: a failing report under the stored metric
-    does not preclude the gate holding under some other metric.  Gauges that
-    overflow read inf or NaN and fail the gate, without a warning.
+    No search over alternative metrics is attempted: a failing report under the stored metric
+    does not preclude the gate holding under some other metric.  Gauges that overflow read inf
+    or NaN and fail the gate, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         unit = rep.unit_defect()
-        if not unit <= 1e-8:
-            raise ValueError("gate check requires a unital pseudo-representation")
         bs, cs = b_by_orbit(rep), c_by_orbit(rep)
         return GateReport(bs, cs, unit, [orbit for orbit, b, c in zip(rep.groupoid.orbits(), bs, cs)
                                          if not gate_holds(b, c)])

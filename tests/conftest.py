@@ -5,7 +5,7 @@ import pytest
 
 from groupavg.bounds import Certificate, certify
 from groupavg.circle import ProfileOutOfRange, TorusGridFn, _defect_sups, _read_header, _twisted_row
-from groupavg.groupoid import FiniteGroupoid, action_groupoid
+from groupavg.groupoid import FiniteGroupAction, FiniteGroupoid, action_groupoid, cyclic_group
 from groupavg.haar import HaarSystem, counting_haar
 from groupavg import presets
 from groupavg.psrep import FiberBundle, PseudoRep, c_norm, cocycles, invert_stacks, metric_norms
@@ -253,6 +253,16 @@ def random_unital_pseudorep(rep0: PseudoRep, rng: np.random.Generator, delta: fl
             return cand
         delta *= 0.6
     raise RuntimeError("could not reach requested defect cap")
+
+
+def near_singular_z2_rep() -> PseudoRep:
+    """Z/2 on one object with 3-dim fibers: lambda(e) = I, and lambda(s) with singular values 1,
+    1e-5 and 1e-10 in random frames.  The start is unital, but the first step's unit,
+    (I + lambda(s) lambda(s)^-1) / 2, carries the inverse's rounding: a unit defect near 1e-7."""
+    G = action_groupoid(FiniteGroupAction(cyclic_group(2), [1], lambda g, u: u))
+    rng = presets.UniformStream(0)
+    U, V = presets.orthogonal(rng, 3), presets.orthogonal(rng, 3)
+    return PseudoRep(G, FiberBundle.uniform(1, 3), [np.eye(3), U @ np.diag([1.0, 1e-5, 1e-10]) @ V.T])
 
 
 def certificate(trace) -> Certificate:

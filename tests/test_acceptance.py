@@ -105,7 +105,7 @@ def test_criterion_4_quadratic_convergence_envelope():
         nu = counting_haar(G)
         trace = iterate(rep, nu)
         closed = certificate(trace).envelope
-        assert trace.gate_ok and closed is not None
+        assert trace.gate.ok and closed is not None
         assert trace.verdict.kind == "Converged"
         assert trace.verdict.iteration <= 7
         assert trace.rows[-1].c < 1e-12
@@ -176,7 +176,7 @@ def test_criterion_7_circle_convergence_and_deformation():
         a = np.arange(N)[None, :] / N
         bump = 1.0 + 0.01 * np.sin(2 * np.pi * th) * np.sin(2 * np.pi * a)
         trace = iterate_circle(TorusGridFn(lam_star.values * bump, 2))
-        assert trace.gate_ok
+        assert trace.gate.ok
         assert trace.verdict.kind == "Converged"
         for r, s in ((0, [row.c for row in trace.rows]),
                      (1, [row.extras["c_sem_r1"] for row in trace.rows])):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import certificate, operator_norm, restrict_haar, restrict_rep
+from conftest import certificate, near_singular_z2_rep, operator_norm, restrict_haar, restrict_rep
 from groupavg.averaging import (
     TRACE_HEADER,
     GatePrecondition,
+    Verdict,
     average,
     iterate,
     verify_fundamental_identities,
@@ -210,7 +211,7 @@ def test_iterate_representation_converges_immediately(rng):
     assert trace.verdict.kind == "Converged"
     assert trace.verdict.iteration == 0
     assert len(trace.rows) == 1
-    assert trace.gate_ok
+    assert trace.gate.ok
     assert certificate(trace).envelope is not None
 
 
@@ -248,9 +249,9 @@ def test_iterate_survives_huge_perturbation():
     rep = presets.perturb_rep(rep0, rng, 10.0)
     trace = iterate(rep, counting_haar(G))
     assert trace.verdict.kind == "Converged"
-    assert not trace.gate_ok
+    assert not trace.gate.ok
     assert certificate(trace).envelope is None
-    assert trace.gate_failed_orbits
+    assert trace.gate.failed_orbits
     assert len(trace.rows) > 5
 
 
@@ -351,3 +352,12 @@ def test_average_commutes_with_restriction(rng):
             float(np.abs(part.maps[j] - outer.maps[j]).max()) for j in range(len(kept))
         )
         assert diff <= 1e-14
+
+
+def test_a_later_rows_unit_defect_is_recorded_not_raised():
+    # only the start must be unital: a step's rounding may leave a unit defect above 1e-8, which
+    # the trace records while the iteration goes on
+    rep = near_singular_z2_rep()
+    trace = iterate(rep, counting_haar(rep.groupoid), max_iter=3)
+    assert trace.rows[0].unit_defect <= 1e-8 < trace.rows[1].unit_defect
+    assert trace.verdict == Verdict("Diverged", iteration=3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from groupavg.averaging import drive, iterate, write_trace_csv
 from groupavg.bounds import (
     GATE_COEFF,
+    GateReport,
     GateViolation,
     check_coupled_decay,
     check_quadratic_decay,
@@ -92,7 +93,7 @@ def test_envelope_boundary_eps():
 def test_gate_boundary_pair_passes_the_envelope():
     # the gate holds here, while 6 b0^2 c0 rounds to 0.6666666666666667 > 2/3
     b0, c0 = 1.77675025087889, 0.035196924752235126
-    trace = drive(0, lambda i: i + 1, lambda i: (b0, 0.0 if i else c0, 0.0, {}), 1e-12, 4)
+    trace = drive(0, lambda i: i + 1, lambda i: GateReport([b0], [0.0 if i else c0], 0.0), 1e-12, 4)
     cert = certify([r.b for r in trace.rows], [r.c for r in trace.rows])
     assert cert.envelope is not None
     assert cert.failures == []

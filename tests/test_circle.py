@@ -38,6 +38,7 @@ from groupavg.circle import (
 )
 from groupavg import circle, presets
 from groupavg.averaging import TraceRow
+from groupavg.bounds import GateReport
 
 
 def f_sin(t):
@@ -216,7 +217,7 @@ def test_iterate_multiplicative_converges_immediately():
     trace = iterate_circle(L)
     assert trace.verdict.kind == "Converged"
     assert trace.verdict.iteration == 0
-    assert trace.gate_ok
+    assert trace.gate.ok
 
 
 def test_iterate_perturbed_effect():
@@ -229,7 +230,7 @@ def test_iterate_perturbed_effect():
     assert trace.verdict.kind == "Converged"
     assert trace.verdict.iteration <= 7
     env = certificate(trace).envelope
-    assert trace.gate_ok and env is not None
+    assert trace.gate.ok and env is not None
     for row, bound in zip(trace.rows, env):
         assert row.c <= bound * (1 + 1e-12)
         assert row.unit_defect == 0.0
@@ -252,13 +253,12 @@ def test_iterate_circle_takes_the_given_row0_at_order_1(monkeypatch):
     passes, sups = [], circle._defect_sups
     monkeypatch.setattr(circle, "_defect_sups",
                         lambda slices, n, order: passes.append(order) or sups(slices, n, order))
-    r0 = want.rows[0]
-    got = iterate_circle(L, max_iter=3, order=1, row0=(r0.b, r0.c, r0.unit_defect, r0.extras))
+    got = iterate_circle(L, max_iter=3, order=1, gate=want.gate)
     assert got.rows == want.rows and len(got.rows) >= 3
     assert passes == [1] * (len(got.rows) - 1)
     # a row 0 that is not the field's own is taken as it is given
-    row0 = (1.0, 0.5, 0.25, {"c_sem_r1": 0.75})
-    assert iterate_circle(L, max_iter=0, order=1, row0=row0).rows == [TraceRow(0, *row0)]
+    gate = GateReport([1.0], [0.5], 0.25, extras={"c_sem_r1": 0.75})
+    assert iterate_circle(L, max_iter=0, order=1, gate=gate).rows == [TraceRow(0, *gate.row)]
 
 
 def test_iterate_circle_overflow_reads_inf_without_raising():
@@ -273,7 +273,7 @@ def test_iterate_circle_overflow_reads_inf_without_raising():
         trace = iterate_circle(L, max_iter=2, order=1)
     assert trace.verdict.kind == "Diverged" and trace.verdict.iteration == 2
     assert all(np.isfinite(r.b) and r.c == np.inf for r in trace.rows)
-    assert not trace.gate_ok
+    assert not trace.gate.ok
 
 
 def test_iterate_hits_vanishing_node():

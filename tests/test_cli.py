@@ -1,5 +1,6 @@
 """End-to-end runs of the command line driver, in process via main(argv)."""
 
+import csv
 import dataclasses
 import gc
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_grid_csv
+from conftest import load_grid_csv, near_singular_z2_rep
 from groupavg import averaging, bounds, circle, cli, psrep
 from groupavg.circle import CircleProfile, save_profile_csv
 from groupavg.cli import main
@@ -62,6 +63,12 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
+# three objects with their units and nothing else, but for the objects field
+UNITS_012 = {"arrows": [{"id": g, "src": g, "tgt": g} for g in range(3)],
+             "compose": [[g, g, g] for g in range(3)], "units": {str(g): g for g in range(3)},
+             "inverses": {str(g): g for g in range(3)}}
+
+
 @pytest.mark.parametrize(
     "doc, named",
     [
@@ -74,9 +81,12 @@ def test_validate_missing_file(tmp_path, capsys):
          "compose entry 0 is not three integers that fit an int64"),
         ({"objects": [0], "arrows": [{"id": 0, "src": 0, "tgt": 0}], "compose": 5,
           "units": {"0": 0}, "inverses": {"0": 0}}, "compose must be a JSON array, got int"),
+        # read as a list, each would be the objects '0', '1', '2' of a valid groupoid
+        (dict(UNITS_012, objects="012"), "objects must be a JSON array, got str"),
+        (dict(UNITS_012, objects={"0": 1, "1": 2, "2": 3}), "objects must be a JSON array, got dict"),
     ],
     ids=["top_level_list", "arrow_is_number", "units_is_list", "compose_entry_is_number",
-         "compose_is_number"],
+         "compose_is_number", "objects_is_string", "objects_is_object"],
 )
 def test_validate_wrong_json_type_named(tmp_path, capsys, doc, named):
     path = tmp_path / "groupoid.json"
@@ -366,19 +376,24 @@ def test_circle_iterate_artifacts(tmp_path):
 
 def test_circle_iterate_gauges_c_only(tmp_path, monkeypatch):
     # every defect pass of the run is an order-0 pass: one per trace row but row 0, and the
-    # gate's, which gives row 0
+    # gate's, which gives row 0; the gate passes are the residual passes outside iterate_circle
     sups, residual, iterate = (circle._defect_sups, circle.multiplicativity_residual,
                                circle.iterate_circle)
-    orders, gate_passes, runs = [], [], []
+    orders, gate_passes, runs, inside = [], [], [], []
 
     def spy_iterate(L0, **kw):
+        inside.append(L0)
         runs.append((L0, kw, iterate(L0, **kw)))
         return runs[-1][2]
 
+    def spy_residual(L):
+        if not inside:  # a pass of the gate-rescale loop
+            gate_passes.append(L)
+        return residual(L)
+
     monkeypatch.setattr(circle, "_defect_sups",
                         lambda slice_at, N, order: orders.append(order) or sups(slice_at, N, order))
-    monkeypatch.setattr(circle, "multiplicativity_residual",
-                        lambda L: gate_passes.append(L) or residual(L))
+    monkeypatch.setattr(circle, "multiplicativity_residual", spy_residual)
     monkeypatch.setattr(circle, "iterate_circle", spy_iterate)
     out = tmp_path / "out"
     run_ok(["run", "circle_iterate", "--N", "32", "--seed", "3", "--out", str(out)])
@@ -1277,6 +1292,12 @@ def test_profile_csv_error_names_the_file_and_is_all_of_stderr(tmp_path, text, n
          "compose entry 5 is not three integers that fit an int64"),
         ("s3", "bundle", lambda d: d["0"].update(gram={"shape": [2, 2], "data": [1, -10**400, 0, 1]}),
          "the gram of object 0: data entry 1 is too large for a float"),
+        # a dim is checked against the maps before anything of its size is built: the error
+        # names the psrep file that does not fit it
+        ("s3", "bundle", lambda d: d["0"].update(dim=10**6),
+         ("psrep", "arrow 0: matrix shape (2, 2), expected (1000000, 1000000)")),
+        ("s3", "bundle", lambda d: d["0"].update(dim=10**400),
+         ("psrep", f"arrow 0: matrix shape (2, 2), expected ({10**400}, {10**400})")),
     ],
     ids=["groupoid_without_compose", "arrow_src_not_object", "groupoid_pair_listed_twice",
          "groupoid_units_empty", "bundle_without_object",
@@ -1285,17 +1306,36 @@ def test_profile_csv_error_names_the_file_and_is_all_of_stderr(tmp_path, text, n
          "gram_is_nan", "psrep_entry_too_large_for_a_float", "gram_is_nan_on_a_labelled_object",
          "psrep_entry_is_true", "psrep_entry_is_text", "gram_entry_is_true", "gram_entry_is_text",
          "psrep_data_nested", "psrep_shape_negative", "psrep_shape_float", "compose_row_of_two",
-         "compose_row_of_four", "compose_row_is_number", "gram_entry_too_large_for_a_float"],
+         "compose_row_of_four", "compose_row_is_number", "gram_entry_too_large_for_a_float",
+         "bundle_dim_a_million", "bundle_dim_past_the_float_range"],
 )
 def test_malformed_input_file_named(tmp_path, capsys, rng, example, name, corrupt, named):
+    # named is the error after the corrupted file's path, or (the file it names, the error)
     G, rep = getattr(presets, f"{example}_example_rep")(rng)
     cfg, paths = write_finite_inputs(tmp_path, rep, counting_haar(G))
     doc = json.loads(open(paths[name]).read())
     corrupt(doc)
     with open(paths[name], "w") as fh:
         json.dump(doc, fh)
+    where, named = named if isinstance(named, tuple) else (name, named)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert f"{paths[name]}: {named}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{paths[where]}: {named}" in err
+    assert err.startswith("[groupavg] FAIL: ") and err.count("\n") == 1
+
+
+def test_finite_iterate_records_a_later_rows_unit_defect(tmp_path, capsys):
+    # a row after the start whose unit defect is above 1e-8 is a trace entry, not an input
+    # error: the run diverges, exits 1 and writes every artifact
+    rep = near_singular_z2_rep()
+    cfg, _ = write_finite_inputs(tmp_path, rep, counting_haar(rep.groupoid))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--max-iter", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "[groupavg] FAIL: verdict Diverged at iteration 3\n"
+    assert json.loads((out / "verdict.json").read_text())["verdict"]["kind"] == "Diverged"
+    assert (out / "bounds_check.csv").exists()
+    rows = list(csv.DictReader((out / "trace.csv").read_text().splitlines()))
+    assert float(rows[0]["unit_defect"]) <= 1e-8 < float(rows[1]["unit_defect"])
 
 
 @pytest.mark.parametrize("dim", ["2", 2.7, True, -1, None])

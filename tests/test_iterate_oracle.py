@@ -23,6 +23,7 @@ in long double, within a stated number of rounding units. The circle kinds'
 seeded uniform stream equals numpy's ``default_rng`` draw for draw.
 """
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -141,6 +142,10 @@ def step_estimates_ref(rep, nu, rel_slack=1e-12):
     return rows
 
 
+# a reference loop's gate: its own verdict and failed orbits, which the trace's GateReport must match
+RefGate = collections.namedtuple("RefGate", "ok failed_orbits")
+
+
 @dataclasses.dataclass
 class RefTrace(IterationTrace):
     """A reference loop's trace, with the step-0 fields the loop read off."""
@@ -173,7 +178,7 @@ def iterate_ref(rep, nu, tol_c=1e-12, max_iter=64):
             verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.arrow)
             break
     envelope_valid = b0 >= 1.0 and c0 <= GATE_COEFF / b0**2 if b0 > 0 else False
-    return RefTrace(rows, verdict, gate_ok, failed, lam, b0, c0, envelope_valid)
+    return RefTrace(rows, verdict, RefGate(gate_ok, failed), lam, b0, c0, envelope_valid)
 
 
 def defect_field_ref(L):
@@ -341,7 +346,7 @@ def iterate_circle_ref(L0, tol_c=1e-12, max_iter=64, order=1):
             verdict = Verdict("NonInvertibleAt", iteration=i, arrow=exc.node[0] * lam.N + exc.node[1])
             break
     envelope_valid = b0 >= 1.0 and c0 <= GATE_COEFF / b0**2 if b0 > 0 else False
-    return RefTrace(rows, verdict, gate_ok, [], lam, b0, c0, envelope_valid)
+    return RefTrace(rows, verdict, RefGate(gate_ok, []), lam, b0, c0, envelope_valid)
 
 
 def envelope_column_ref(trace):
@@ -496,8 +501,8 @@ def verify_identities_ref(rep, nu):
 def assert_same_trace(got, want):
     assert got.rows == want.rows
     assert got.verdict == want.verdict
-    assert got.gate_ok == want.gate_ok
-    assert got.gate_failed_orbits == want.gate_failed_orbits
+    assert got.gate.ok == want.gate.ok
+    assert got.gate.failed_orbits == want.gate.failed_orbits
     cert = certificate(got)
     assert (got.rows[0].b, got.rows[0].c) == (want.b0, want.c0)
     assert (cert.envelope is not None) == want.envelope_valid
@@ -579,8 +584,8 @@ def z2_gram_metrics(rng):
 
 FINITE_CASES = {
     gated_s3: lambda t: certificate(t).envelope is not None and t.verdict == Verdict("Converged", iteration=3),
-    z2_one_orbit_failing: lambda t: t.gate_failed_orbits == [[2]],
-    ungated_s3: lambda t: not t.gate_ok and t.verdict == Verdict("Diverged", iteration=2),
+    z2_one_orbit_failing: lambda t: t.gate.failed_orbits == [[2]],
+    ungated_s3: lambda t: not t.gate.ok and t.verdict == Verdict("Diverged", iteration=2),
     singular_arrow: lambda t: t.verdict.kind == "NonInvertibleAt" and t.verdict.arrow is not None,
     exact_s3: lambda t: t.verdict == Verdict("Converged", iteration=0),
     two_orbit_disjoint_rep: lambda t: t.verdict.kind == "Converged",
@@ -744,7 +749,7 @@ def test_iterate_kinds_and_bounds_check_write_one_certificate(columns):
     # are the reference formulas
     b, c = columns
     rows = [TraceRow(i, bi, ci, 0.0) for i, (bi, ci) in enumerate(zip(b, c))]
-    trace = IterationTrace(rows, Verdict("Converged", iteration=len(rows) - 1), True, [], None)
+    trace = IterationTrace(rows, Verdict("Converged", iteration=len(rows) - 1), RefGate(True, []), None)
     with tempfile.TemporaryDirectory() as d:
         run, check, path = (os.path.join(d, name) for name in ("run", "check", "numpy.csv"))
         os.mkdir(run)
@@ -755,7 +760,7 @@ def test_iterate_kinds_and_bounds_check_write_one_certificate(columns):
         assert written[0] == written[1] == open(path, "rb").read()
         lines = open(os.path.join(run, "trace.csv"), encoding="utf-8").read().splitlines()
     b0, c0 = b[0], c[0]
-    want = RefTrace(rows, trace.verdict, True, [], None, b0, c0,
+    want = RefTrace(rows, trace.verdict, trace.gate, None, b0, c0,
                     b0 >= 1.0 and c0 <= GATE_COEFF / b0**2 if b0 > 0 else False)
     env = envelope_column_ref(want) or [None] * len(rows)
     assert lines[1:] == [f"{r.i},{r.b!r},{r.c!r},{r.unit_defect!r},{q!r},{'' if e is None else repr(e)}"

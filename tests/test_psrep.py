@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import composable_pairs, delta_cocycle, operator_norm, random_unital_pseudorep, restrict_rep
-from groupavg.averaging import GatePrecondition, average, verify_step_estimates
+from groupavg.averaging import GatePrecondition, average, iterate, verify_step_estimates
 from groupavg.groupoid import FiniteGroupAction, action_groupoid, cyclic_group, trivial_groupoid
 from groupavg.haar import counting_haar
 from groupavg.psrep import (
@@ -21,7 +21,7 @@ from groupavg.psrep import (
     invert_arrow,
     is_nearly_multiplicative,
 )
-from groupavg import presets
+from groupavg import averaging, presets
 
 
 def z2_bundle_groupoid():
@@ -250,11 +250,18 @@ def test_gate_boundary_rotation_cases():
     assert report.ok
 
 
-def test_gate_requires_unital(z2_groupoid, rng):
+def test_gate_requires_unital(z2_groupoid, rng, monkeypatch):
+    # the gate pass measures a non-unital start; iterate refuses it before any step
     rep = presets.random_pseudorep(z2_groupoid, rng)
     assert rep.unit_defect() > 1e-8
-    with pytest.raises(ValueError, match="unital"):
-        is_nearly_multiplicative(rep)
+    gate = is_nearly_multiplicative(rep)
+    assert gate.unit_defect == rep.unit_defect()
+    steps = []
+    monkeypatch.setattr(averaging, "average", lambda *args: steps.append(args) or average(*args))
+    for given in (None, gate):
+        with pytest.raises(ValueError, match="unital"):
+            iterate(rep, counting_haar(z2_groupoid), gate=given)
+    assert steps == []
 
 
 def test_gate_verdict_depends_on_metric():

@@ -149,8 +149,8 @@ def test_the_grid_has_gcd_orbits_and_the_circle_gates_on_their_maxima(N, k, tmp_
         L = circle.TorusGridFn(perturbed(N, k).values + amplitude * noise, k)
         circ, fin = circle.iterate_circle(L, max_iter=1, order=0), is_nearly_multiplicative(as_rep(L))
         assert (max(fin.b), max(fin.c)) == (circ.rows[0].b, circ.rows[0].c)
-        assert circ.gate_ok == gate_holds(circ.rows[0].b, circ.rows[0].c) == (amplitude < 0.1)
-        assert fin.ok or not circ.gate_ok
+        assert circ.gate.ok == gate_holds(circ.rows[0].b, circ.rows[0].c) == (amplitude < 0.1)
+        assert fin.ok or not circ.gate.ok
 
     assert cli.main(["run", "circle_iterate", "--N", str(N), "--k", str(k), "--seed", "1",
                      "--out", str(tmp_path)]) == 0
